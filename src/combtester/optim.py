@@ -3,9 +3,12 @@
 The feasible set for a top-level tester normalization on spaces ``0..2N-2``
 is the intersection of the positive-semidefinite cone with an affine
 subspace (the recursive partial-trace chain plus a trace pin).  Projection
-onto the intersection uses Dykstra's alternating scheme; the affine part is
-projected in closed form through a precomputed Gram factorization of the
-constraint map.
+onto the intersection uses Dykstra's alternating scheme.  The affine part is
+projected in closed form by trace-and-replace: with ``R_k(X) = Tr_{spaces
+>= k} X ⊗ I/D``, each level ``n = N..2`` maps ``X -> X - R_{2n-2}(X) +
+R_{2n-3}(X)`` and a trace pin adds ``(t - Tr X)/side · I``, as for valid
+process and comb subspaces (Araújo et al., arXiv:1506.03776; Chiribella,
+D'Ariano and Perinotti, arXiv:0904.4483).
 """
 
 from __future__ import annotations
@@ -15,30 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import LabeledOperator, identity, partial_trace, tensor
-
-
-# -- Hermitian real vectorization -------------------------------------------
-
-
-def herm_to_vec(h: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix."""
-    n = h.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate(
-        [np.diag(h).real, np.sqrt(2.0) * h[iu].real, np.sqrt(2.0) * h[iu].imag]
-    )
-
-
-def vec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    m = len(iu[0])
-    h = np.zeros((n, n), dtype=complex)
-    h[np.diag_indices(n)] = v[:n]
-    upper = (v[n:n + m] + 1j * v[n + m:n + 2 * m]) / np.sqrt(2.0)
-    h[iu] = upper
-    h[(iu[1], iu[0])] = upper.conj()
-    return h
+from .matcore import LabeledOperator, identity, tensor
+from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
 
 
 # -- simple projections ------------------------------------------------------
@@ -70,6 +51,17 @@ def project_psd(h: np.ndarray) -> np.ndarray:
 # -- tester-normalization feasible set ---------------------------------------
 
 
+def _tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
+    """Diagonal of ``x`` on its last ``tail``-dimensional tensor factor.
+
+    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``.  The result is a
+    view, so it is writable when ``x`` is a contiguous array; summing it over
+    its last axis is the partial trace over that factor.
+    """
+    head = x.shape[0] // tail
+    return np.einsum("aibi->abi", x.reshape(head, tail, head, tail))
+
+
 class XiChainSet:
     """Feasible top-level normalizations on spaces ``0..2N-2``.
 
@@ -77,6 +69,15 @@ class XiChainSet:
     semidefinite, and tracing the top (even) space of each derived level
     leaves identity on the next odd space tensored with the level below,
     terminating in unit trace.
+
+    With ``R_k(X) = Tr_{spaces >= k} X ⊗ I/D`` (``D`` the dimension of the
+    traced spaces), level ``n`` holds iff ``R_{2n-2}(X) = R_{2n-3}(X)``.
+    The ``R_k`` are commuting orthogonal projectors that fix ``I`` and keep
+    the trace, so the affine projection is the closed form
+    ``X - sum_n (R_{2n-2} - R_{2n-3}) X`` followed by a trace pin: the
+    trace-and-replace construction of valid process and comb subspaces
+    (Araújo et al., arXiv:1506.03776; Chiribella, D'Ariano and Perinotti,
+    arXiv:0904.4483).
     """
 
     def __init__(self, dims):
@@ -87,109 +88,33 @@ class XiChainSet:
         self.side = int(np.prod(self.dims))
         self.labels = tuple(range(len(self.dims)))
         self.trace_target = float(np.prod(self.dims[1::2])) if self.uses > 1 else 1.0
-        self._gram_solve = None
-
-    # residual blocks, as labeled operators ---------------------------------
-
-    def _as_labeled(self, x: np.ndarray) -> LabeledOperator:
-        return LabeledOperator(x, self.labels, self.dims)
+        # tails[k]: dimension of spaces k..2N-2, the factor that R_k replaces
+        self._tails = tuple(int(np.prod(self.dims[k:])) for k in range(len(self.dims)))
 
     def chain_residuals(self, x: np.ndarray) -> list[np.ndarray]:
         """Hermitian residual of each chain level (levels N..2)."""
         out = []
-        xi = self._as_labeled(x)
+        xi = x
         for n in range(self.uses, 1, -1):
-            even, odd = 2 * n - 2, 2 * n - 3
-            traced = partial_trace(xi, [even]).sorted()
-            lower = partial_trace(traced, [odd]) * (1.0 / xi.dim_of(odd))
-            cand = tensor(lower, identity([odd], [xi.dim_of(odd)])).sorted()
-            out.append(traced.matrix - cand.matrix)
-            xi = lower
+            d_odd = self.dims[2 * n - 3]
+            traced = _tail_diagonal(xi, self.dims[2 * n - 2]).sum(axis=2)
+            xi = _tail_diagonal(traced, d_odd).sum(axis=2) / d_odd
+            _tail_diagonal(traced, d_odd)[...] -= xi[:, :, None]
+            out.append(traced)
         return out
-
-    def _residual_adjoint(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Adjoint of the chain-residual map, level by level."""
-        acc = np.zeros((self.side, self.side), dtype=complex)
-        for k, n in enumerate(range(self.uses, 1, -1)):
-            even, odd = 2 * n - 2, 2 * n - 3
-            sub_labels = tuple(range(even))
-            sub_dims = self.dims[:even]
-            y = LabeledOperator(blocks[k], sub_labels, sub_dims)
-            d_odd = self.dims[odd]
-            # adjoint of X -> Tr_even[X]: tensor with identity on `even`
-            term = tensor(y, identity([even], [self.dims[even]])).sorted()
-            # adjoint of X -> I_odd ⊗ Tr_{odd,even}[X]/d_odd
-            z = partial_trace(y, [odd]) * (1.0 / d_odd)
-            term2 = tensor(
-                tensor(z, identity([odd], [d_odd])),
-                identity([even], [self.dims[even]]),
-            ).sorted()
-            contrib = term - term2
-            # levels below N act on nested traces of X; push back up
-            for m in range(n, self.uses):
-                hi_even, hi_odd = 2 * m, 2 * m - 1
-                contrib = tensor(
-                    contrib * (1.0 / self.dims[hi_odd]),
-                    identity([hi_odd, hi_even], [self.dims[hi_odd], self.dims[hi_even]]),
-                ).sorted()
-            acc += contrib.matrix
-        return acc
-
-    def constraint_values(self, x: np.ndarray) -> np.ndarray:
-        vec = [herm_to_vec(r) for r in self.chain_residuals(x)]
-        vec.append(np.array([np.trace(x).real - self.trace_target]))
-        return np.concatenate(vec)
-
-    def _constraint_adjoint(self, v: np.ndarray) -> np.ndarray:
-        blocks = []
-        pos = 0
-        for n in range(self.uses, 1, -1):
-            side = int(np.prod(self.dims[: 2 * n - 2]))
-            take = side * side
-            blocks.append(vec_to_herm(v[pos:pos + take], side))
-            pos += take
-        out = self._residual_adjoint(blocks) if blocks else np.zeros(
-            (self.side, self.side), dtype=complex
-        )
-        out += v[pos] * np.eye(self.side)
-        return out
-
-    _DENSE_SIDE_LIMIT = 48
-
-    def _ensure_gram(self):
-        if self._gram_solve is not None:
-            return
-        zero = np.zeros((self.side, self.side), dtype=complex)
-        offset = self.constraint_values(zero)
-        m = len(offset)
-        g = np.zeros((m, m))
-        basis = np.eye(m)
-        for k in range(m):
-            g[:, k] = self.constraint_values(self._constraint_adjoint(basis[k])) - offset
-        pinv = np.linalg.pinv(g, rcond=1e-10)
-        self._gram_solve = lambda r: pinv @ r
-        self._dense_affine = None
-        if self.side <= self._DENSE_SIDE_LIMIT:
-            # precompute the whole affine projection as one matrix on the
-            # real coordinates of Hermitian operators
-            n = self.side * self.side
-            lmat = np.zeros((m, n))
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = 1.0
-                lmat[:, k] = self.constraint_values(vec_to_herm(e, self.side)) - offset
-            correction = lmat.T @ pinv
-            self._dense_affine = (np.eye(n) - correction @ lmat, -correction @ offset)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Closed-form projection onto the affine chain constraints."""
-        self._ensure_gram()
-        x = matcore.hermitian_part(x)
-        if self._dense_affine is not None:
-            a, c = self._dense_affine
-            return vec_to_herm(a @ herm_to_vec(x) + c, self.side)
-        r = self.constraint_values(x)
-        return x - self._constraint_adjoint(self._gram_solve(r))
+        x = matcore.hermitian_part(x)  # a fresh array, updated in place
+        trace = np.trace(x).real
+        for n in range(self.uses, 1, -1):
+            even, odd = self._tails[2 * n - 2], self._tails[2 * n - 3]
+            r_even = _tail_diagonal(x, even).sum(axis=2) / even
+            r_odd = _tail_diagonal(x, odd).sum(axis=2) / odd
+            _tail_diagonal(x, even)[...] -= r_even[:, :, None]
+            _tail_diagonal(x, odd)[...] += r_odd[:, :, None]
+        x.flat[:: self.side + 1] += (self.trace_target - trace) / self.side
+        return x
 
     def project(self, x: np.ndarray, max_iter: int = 5000, tol: float = 1e-12) -> np.ndarray:
         """Dykstra projection onto PSD ∩ affine chain."""

@@ -133,6 +133,15 @@ def test_causal_counterexample_feasible_and_synthesis():
     assert validate_tester(t, 1e-8).valid
 
 
+def test_causal_counterexample_d4_feasible_and_synthesis():
+    inst = build_example(4)
+    rep = causal_discriminable(inst.c0, inst.c1, restarts=1, seed=0, max_iter=1500)
+    assert rep.status == "feasible", rep.residual
+    t = synthesize_tester(inst.c0, inst.c1, rep.witness)
+    assert np.abs(delta_matrix(t, [inst.c0, inst.c1]) - np.eye(2)).max() <= 1e-6
+    assert validate_tester(t, 1e-8).valid
+
+
 def test_causal_consistent_with_parallel_on_memoryless():
     # two-use memoryless combs of perfectly discriminable unitaries
     ci = comb_from_sequence([identity_channel(2), identity_channel(2)])

@@ -1,24 +1,10 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combtester.matcore import LabeledOperator, hermitian_part
-from combtester.optim import (
-    XiChainSet,
-    herm_to_vec,
-    project_simplex,
-    project_to_density,
-    vec_to_herm,
-)
+from combtester.optim import XiChainSet, project_simplex, project_to_density
 from combtester.sampling import random_density, rng_from
-
-
-def test_herm_vec_round_trip_is_isometric():
-    rng = rng_from(0)
-    for n in (2, 5):
-        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = hermitian_part(h)
-        v = herm_to_vec(h)
-        assert np.abs(vec_to_herm(v, n) - h).max() < 1e-12
-        assert abs(np.linalg.norm(v) - np.linalg.norm(h)) < 1e-12
 
 
 def test_project_simplex():
@@ -39,20 +25,6 @@ def test_project_to_density():
     assert np.abs(project_to_density(rho0) - rho0).max() < 1e-10
 
 
-def test_constraint_adjoint_identity():
-    # <L(X), Y> = <X, L'(Y)> over random Hermitian pairs
-    rng = rng_from(2)
-    xi_set = XiChainSet((2, 3, 2))
-    zero = np.zeros((xi_set.side, xi_set.side), dtype=complex)
-    offset = xi_set.constraint_values(zero)
-    for _ in range(5):
-        x = hermitian_part(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
-        y = rng.normal(size=len(offset))
-        lhs = float((xi_set.constraint_values(x) - offset) @ y)
-        rhs = float(np.trace(x @ xi_set._constraint_adjoint(y)).real)
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
-
-
 def test_affine_projection_is_idempotent_and_feasible():
     rng = rng_from(3)
     xi_set = XiChainSet((2, 2, 2))
@@ -60,7 +32,70 @@ def test_affine_projection_is_idempotent_and_feasible():
     p1 = xi_set.project_affine(x)
     p2 = xi_set.project_affine(p1)
     assert np.abs(p1 - p2).max() < 1e-10
-    assert np.linalg.norm(xi_set.constraint_values(p1)) < 1e-10
+    violation = [np.linalg.norm(r) for r in xi_set.chain_residuals(p1)]
+    violation.append(np.trace(p1).real - xi_set.trace_target)
+    assert np.linalg.norm(violation) < 1e-10
+
+
+def _random_hermitian(side, rng):
+    h = hermitian_part(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    return h / np.linalg.norm(h)
+
+
+def _hermitian_basis(side):
+    """Orthonormal basis of the Hermitian side x side matrices (Hilbert-Schmidt)."""
+    basis = []
+    for j in range(side):
+        for k in range(j, side):
+            e = np.zeros((side, side), dtype=complex)
+            if j == k:
+                e[j, j] = 1.0
+                basis.append(e)
+                continue
+            e[j, k] = e[k, j] = 2 ** -0.5
+            basis.append(e)
+            f = np.zeros((side, side), dtype=complex)
+            f[j, k], f[k, j] = -1j * 2 ** -0.5, 1j * 2 ** -0.5
+            basis.append(f)
+    return basis
+
+
+def _lstsq_projection(xi_set, x):
+    """Nearest point of the affine chain set, from its constraints alone."""
+    def constraints(h):
+        blocks = [r.ravel() for r in xi_set.chain_residuals(h)]
+        flat = np.concatenate(blocks) if blocks else np.zeros(0)
+        return np.concatenate([flat.real, flat.imag, [np.trace(h).real - xi_set.trace_target]])
+
+    basis = _hermitian_basis(xi_set.side)
+    offset = constraints(np.zeros_like(x))
+    lin = np.column_stack([constraints(e) - offset for e in basis])
+    step = np.linalg.lstsq(lin, -constraints(x), rcond=None)[0]
+    return x + sum(c * e for c, e in zip(step, basis))
+
+
+chain_dims = st.integers(1, 3).flatmap(
+    lambda uses: st.lists(st.integers(2, 3), min_size=2 * uses - 1, max_size=2 * uses - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=chain_dims, seed=st.integers(0, 2 ** 32 - 1))
+def test_affine_projection_laws(dims, seed):
+    rng = rng_from(seed)
+    xi_set = XiChainSet(dims)
+    x, y = (_random_hermitian(xi_set.side, rng) for _ in range(2))
+    p = xi_set.project_affine(x)
+    # idempotent
+    assert np.abs(xi_set.project_affine(p) - p).max() <= 1e-12
+    # trace-exact, and every chain level holds
+    assert abs(np.trace(p).real - xi_set.trace_target) <= 1e-12
+    assert all(np.linalg.norm(r) <= 1e-12 for r in xi_set.chain_residuals(p))
+    # the linear part is self-adjoint under the Hilbert-Schmidt inner product
+    p0 = xi_set.project_affine(np.zeros_like(x))
+    lx, ly = p - p0, xi_set.project_affine(y) - p0
+    assert abs(np.vdot(lx, y) - np.vdot(x, ly)) <= 1e-12
+    if xi_set.side <= 16:
+        assert np.abs(_lstsq_projection(xi_set, x) - p).max() <= 1e-12
 
 
 def test_full_projection_lands_in_the_set():
