@@ -27,6 +27,7 @@ from .matcore import (
     LabeledOperator,
     double_ket,
     eigh,
+    eigvalsh,
     identity,
     link,
     partial_trace,

@@ -276,7 +276,7 @@ def validate_comb(mc: MemoryChannel, tol: float = 1e-9) -> CombValidation:
     """
     c = mc.choi
     levels: dict[int, float] = {}
-    w, _ = matcore.eigh(c.matrix)
+    w = matcore.eigvalsh(c.matrix)
     scale = max(1.0, float(abs(w[-1])) if len(w) else 1.0)
     min_eig = float(w[0])
     current = c

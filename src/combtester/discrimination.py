@@ -50,12 +50,16 @@ class FeasibilityReport:
 
 
 class _ProductObjective:
-    """f(x) = ||C0 (I_fixed ⊗ x) C1||_F^2 with einsum contractions.
+    """f(x) = ||C0 (I_fixed ⊗ x) C1||_F^2 as two matrix products per call.
 
     ``fixed`` are the labels carrying the identity; ``free`` the labels of
-    the optimization variable.  Precomputes ``Q = C0^2`` and ``R = C1^2``
-    (both Choi operators are Hermitian) so each evaluation costs a pair of
-    moderate tensor contractions instead of full-space matrix products.
+    the optimization variable.  With ``Q = C0^2`` and ``R = C1^2`` (both Choi
+    operators are Hermitian) the objective is ``Tr[x half(x)]`` with
+    ``half[e,h] = sum_{o,b,f,g} Q[o,e,b,f] x[f,g] R[b,g,o,h]``.  The sum over
+    the fixed pair ``(o,b)`` is the product ``Qm Rm`` of the reshapes
+    ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``.  A reduced QR ``Qm^T = U W``
+    rewrites it exactly as ``W^T (U^T Rm)``, with ``k = min(df^2, de^2)``
+    terms, so it is folded once here and each call is two GEMMs.
     """
 
     def __init__(self, c0: LabeledOperator, c1: LabeledOperator, fixed_labels):
@@ -70,21 +74,23 @@ class _ProductObjective:
             raise ValueError("Choi operators act on different spaces")
         self.free_labels = tuple(free)
         self.free_dims = tuple(a.dim_of(l) for l in free)
-        self.df = int(np.prod([a.dim_of(l) for l in fixed])) if fixed else 1
-        self.de = int(np.prod(self.free_dims)) if free else 1
-        q = a.matrix @ a.matrix
-        r = b.matrix @ b.matrix
-        self.qt = q.reshape(self.df, self.de, self.df, self.de)
-        self.rt = r.reshape(self.df, self.de, self.df, self.de)
-
-    def _half(self, x: np.ndarray) -> np.ndarray:
-        # Tr_fixed[Q (I ⊗ x) R] as a (de, de) matrix
-        a = np.einsum("oebf,fg->oebg", self.qt, x, optimize=True)
-        return np.einsum("oebg,bgoh->eh", a, self.rt, optimize=True)
+        df = int(np.prod([a.dim_of(l) for l in fixed])) if fixed else 1
+        de = int(np.prod(self.free_dims)) if free else 1
+        self.df, self.de = df, de
+        q = (a.matrix @ a.matrix).reshape(df, de, df, de)
+        r = (b.matrix @ b.matrix).reshape(df, de, df, de)
+        qm = q.transpose(1, 3, 0, 2).reshape(de * de, df * df)
+        rm = r.transpose(2, 0, 1, 3).reshape(df * df, de * de)
+        u, w = np.linalg.qr(qm.T)
+        k = w.shape[0]
+        # q_[e,(f,k)] = W^T[(e,f),k];  r_[g,(k,h)] = (U^T Rm)[k,(g,h)]
+        self.q_ = w.T.reshape(de, de * k)
+        self.r_ = (u.T @ rm).reshape(k, de, de).transpose(1, 0, 2).reshape(de, k * de)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        half = self._half(x)
-        f = float(np.trace(x @ half).real)
+        # half = Tr_fixed[Q (I ⊗ x) R] as a (de, de) matrix
+        half = self.q_ @ (x @ self.r_).reshape(-1, self.de)
+        f = float(np.einsum("ij,ji->", x, half).real)
         grad = half + half.conj().T
         return f, grad
 

@@ -243,6 +243,18 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _checked_hermitian(h) -> np.ndarray:
+    """Hermitian part of ``h``; raises if ``h`` fails the Hermiticity
+    tolerance relative to its Frobenius norm."""
+    h = _as_complex_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise ValueError("expected a square matrix")
+    scale = np.linalg.norm(h)
+    if np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * max(scale, 1.0):
+        raise ValueError("matrix is not Hermitian to tolerance")
+    return hermitian_part(h)
+
+
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -250,14 +262,12 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     Raises if the input fails the Hermiticity tolerance relative to its
     Frobenius norm.
     """
-    h = _as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("eigh needs a square matrix")
-    scale = np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * max(scale, 1.0):
-        raise ValueError("matrix is not Hermitian to tolerance")
-    w, v = np.linalg.eigh(hermitian_part(h))
-    return w, v
+    return np.linalg.eigh(_checked_hermitian(h))
+
+
+def eigvalsh(h) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, with :func:`eigh`'s check."""
+    return np.linalg.eigvalsh(_checked_hermitian(h))
 
 
 def trace_norm(x) -> float:

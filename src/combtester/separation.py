@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import IsometricComb, MemoryChannel, comb_from_isometries, validate_comb
 from .discrimination import FeasibilityReport, parallel_discriminable
-from .matcore import LabeledOperator, double_ket, identity, partial_trace, tensor
+from .matcore import LabeledOperator
 from .testers import Tester, TesterCircuit, born_probabilities, tester_from_circuit
 
 
@@ -61,30 +61,29 @@ class ExampleInstance:
 
 
 def _closed_form_chois(d: int) -> tuple[LabeledOperator, LabeledOperator]:
-    """Choi operators on spaces (0,1,2,3) with dims (d, d^2, d, d)."""
-    dims = (d, d * d, d, d)
+    """Choi operators on spaces (0,1,2,3) with dims (d, d^2, d, d).
+
+    ``C0 = sum_pq I_0 ⊗ |pq><pq|_1 ⊗ |W_pq>><<W_pq|_{2,3} / d^2`` is block
+    diagonal in (space 0, space 1), so each block is assigned in place.
+    """
+    d2 = d * d
+    dims = (d, d2, d, d)
     side = int(np.prod(dims))
-    c0 = np.zeros((side, side), dtype=complex)
-    eye0 = identity([0], [d])
-    for p in range(d):
-        for q in range(d):
-            w = shift_multiply(p, q, d)
-            proj = np.zeros((d * d, d * d), dtype=complex)
-            proj[p * d + q, p * d + q] = 1.0
-            rec = LabeledOperator(proj, (1,), (d * d,))
-            v = double_ket(w)
-            ww = LabeledOperator(np.outer(v, v.conj()), (3, 2), (d, d))
-            c0 += tensor(tensor(eye0, rec), ww).sorted().matrix
-    c0 /= d * d
-    ket0 = np.zeros((d, d), dtype=complex)
-    ket0[0, 0] = 1.0
-    c1 = tensor(
-        tensor(identity([0, 1], [d, d * d]), identity([2], [d])),
-        LabeledOperator(ket0, (3,), (d,)),
-    ).sorted().matrix / (d * d)
+    c0 = np.zeros((d, d2, d2, d, d2, d2), dtype=complex)
+    for pq in range(d2):
+        # |W_pq>> is ordered (3, 2); its transpose reorders it to (2, 3)
+        v = shift_multiply(*divmod(pq, d), d).T.reshape(-1)
+        ww = np.outer(v, v.conj())
+        for i in range(d):
+            c0[i, pq, :, i, pq, :] = ww
+    c0 /= d2
+    # C1 = I_{0,1,2} ⊗ |0><0|_3 / d^2 is diagonal
+    c1 = np.zeros((side, side), dtype=complex)
+    zero_out = np.arange(0, side, d)
+    c1[zero_out, zero_out] = 1.0 / d2
     labels = (0, 1, 2, 3)
     return (
-        LabeledOperator(c0, labels, dims),
+        LabeledOperator(c0.reshape(side, side), labels, dims),
         LabeledOperator(c1, labels, dims),
     )
 
@@ -196,22 +195,26 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     ``Tr[rho^2]/d^6``, minimized at the maximally mixed input.
     """
     d = inst.d
-    prod = inst.c0.choi @ inst.c1.choi
-    t = partial_trace(prod, [1, 3]).sorted()
-    side = t.side
+    dims = inst.c0.choi.dims
+    c0 = inst.c0.choi.matrix.reshape(dims + dims)
+    c1 = inst.c1.choi.matrix.reshape(dims + dims)
+    # Tr_{13}[C0 C1] on spaces (0, 2), without forming the product
+    t = np.einsum("abcexyzw,xyzwfbge->acfg", c0, c1, optimize=True)
+    side = d * d
+    t = t.reshape(side, side)
     eye = np.eye(side)
-    fitted = float(np.trace(t.matrix).real / side)
+    fitted = float(np.trace(t).real / side)
     report_solver = parallel_discriminable(
         inst.c0.choi, inst.c1.choi,
         restarts=solver_restarts, seed=seed, max_iter=solver_max_iter,
     )
     return ParallelImpossibilityReport(
         d=d,
-        identity_residual=float(np.linalg.norm(t.matrix - eye / d**3)),
-        proportionality_residual=float(np.linalg.norm(t.matrix - fitted * eye)),
+        identity_residual=float(np.linalg.norm(t - eye / d**3)),
+        proportionality_residual=float(np.linalg.norm(t - fitted * eye)),
         fitted_constant=fitted,
         expected_constant=1.0 / d**3,
-        quoted_constant_residual=float(np.linalg.norm(t.matrix - eye / d**2)),
+        quoted_constant_residual=float(np.linalg.norm(t - eye / d**2)),
         solver=report_solver,
     )
 

@@ -125,8 +125,7 @@ def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
 
     min_eig = 0.0
     for e in t.elements:
-        w, _ = matcore.eigh(e.matrix)
-        min_eig = min(min_eig, float(w[0]))
+        min_eig = min(min_eig, float(matcore.eigvalsh(e.matrix)[0]))
     scale = max(1.0, float(np.linalg.norm(total.matrix)))
     residuals = [norm_res, max(0.0, -min_eig)] + list(chain_res.values())
     max_res = max(residuals)
@@ -145,7 +144,8 @@ def born_probabilities(t: Tester, mc: MemoryChannel) -> np.ndarray:
     c = mc.choi
     if t.elements[0].labels != c.labels or t.elements[0].dims != c.dims:
         raise ValueError("tester and comb act on different spaces")
-    return np.array([float(np.trace(e.matrix @ c.matrix).real) for e in t.elements])
+    return np.array([float(np.einsum("ij,ji->", e.matrix, c.matrix).real)
+                     for e in t.elements])
 
 
 def povm_from_tester(t: Tester) -> list[LabeledOperator]:
@@ -246,26 +246,36 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     Each circuit component contributes its Choi operator (the measurement
     contributes the transpose of its POVM element); contracting over the
     ancilla wires and transposing the result on the open comb wires yields
-    the elements.
+    the elements.  The link product is associative and commutative up to
+    the order of the labels, so any contraction order gives the same
+    elements up to rounding.  Each element starts from its measurement on
+    (2N-1, b_N) and is linked backward through the blocks N-1..1, with the
+    input state last.  After block j the operator carries only spaces
+    2j-1..2N-1 and ancilla b_j, where linking forward carries spaces
+    0..2N-2 next to b_N, the ancilla that holds an adaptive scheme's memory
+    (for the d = 4 protocol of ``separation``, 1024-side operators at most
+    in place of a 4096-side one).
     """
     n = tc.uses
     sd, ad = tc.system_dims, tc.ancilla_dims
-    prep_labels, prep_dims = _split_labels(0, sd[0], _TESTER_ANCILLA + 1, ad[0])
-    network = LabeledOperator(tc.input_state, prep_labels, prep_dims)
+    chois = []
     for j, block in enumerate(tc.blocks, start=1):
         in_labels, in_dims = _split_labels(2 * j - 1, sd[2 * j - 1],
                                            _TESTER_ANCILLA + j, ad[j - 1])
         out_labels, out_dims = _split_labels(2 * j, sd[2 * j],
                                              _TESTER_ANCILLA + j + 1, ad[j])
         v = matcore.double_ket(block)
-        choi = LabeledOperator(np.outer(v, v.conj()),
-                               out_labels + in_labels, out_dims + in_dims)
-        network = link(network, choi)
+        chois.append(LabeledOperator(np.outer(v, v.conj()),
+                                     out_labels + in_labels, out_dims + in_dims))
+    prep_labels, prep_dims = _split_labels(0, sd[0], _TESTER_ANCILLA + 1, ad[0])
+    state = LabeledOperator(tc.input_state, prep_labels, prep_dims)
     m_labels, m_dims = _split_labels(2 * n - 1, sd[2 * n - 1], _TESTER_ANCILLA + n, ad[-1])
     elements = []
     for m in tc.povm:
         piece = LabeledOperator(m.T, m_labels, m_dims)
-        elements.append(link(network, piece).transpose().sorted())
+        for choi in reversed(chois):
+            piece = link(choi, piece)
+        elements.append(link(state, piece).transpose().sorted())
     return tester_from_elements(elements, n)
 
 

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combtester.channels import (
     Channel,
+    comb_from_isometries,
     comb_from_sequence,
     identity_channel,
     unitary_channel,
 )
 from combtester.discrimination import (
+    _ProductObjective,
     causal_discriminable,
     delta_matrix,
     kraus_orthogonality,
@@ -21,6 +25,7 @@ from combtester.optim import XiChainSet
 from combtester.sampling import haar_unitary, random_density, random_kraus
 from combtester.separation import build_example
 from combtester.testers import validate_tester
+from util import random_isometric_comb
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -184,8 +189,59 @@ def test_fast_objective_matches_direct_product():
         b = comb_from_sequence([chb]).choi
         rho = random_density(2, rng)
         witness = LabeledOperator(rho, (0,), (2,))
-        from combtester.discrimination import _ProductObjective
-
         obj = _ProductObjective(a, b, [1])
         fast, _ = obj.value_and_grad(rho)
         assert abs(fast - product_residual(a, b, [1], witness)) < 1e-10
+
+
+@st.composite
+def _objective_cases(draw):
+    """A random 1- or 2-use comb pair and the labels carrying the identity.
+
+    Causal cases fix the top output, so ``df^2 < de^2``; parallel cases fix
+    every output with outputs wider than inputs, so ``de^2 < df^2``.
+    """
+    uses = draw(st.integers(1, 2))
+    parallel = draw(st.booleans())
+    if parallel:
+        ins = draw(st.lists(st.integers(2, 3), min_size=uses, max_size=uses))
+        outs = [d + draw(st.integers(0, 1)) for d in ins]
+        outs[-1] = ins[-1] + 1
+    elif uses == 1:
+        ins, outs = [3], [2]
+    else:
+        ins = draw(st.lists(st.integers(2, 3), min_size=2, max_size=2))
+        outs = draw(st.lists(st.integers(2, 3), min_size=2, max_size=2))
+    system = tuple(d for pair in zip(ins, outs) for d in pair)
+    ancillas, anc_in = [], 1
+    for j in range(uses):
+        need = -(-system[2 * j] * anc_in // system[2 * j + 1])
+        ancillas.append(need + draw(st.integers(0, 1)))
+        anc_in = ancillas[-1]
+    fixed = [2 * j + 1 for j in range(uses)] if parallel else [2 * uses - 1]
+    return system, tuple(ancillas), fixed, parallel, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_objective_cases())
+def test_product_objective_value_and_gradient(case):
+    system, ancillas, fixed, parallel, seed = case
+    rng = np.random.default_rng(seed)
+    a, b = (comb_from_isometries(random_isometric_comb(system, ancillas, rng)).choi
+            for _ in range(2))
+    obj = _ProductObjective(a, b, fixed)
+    small, large = (obj.de, obj.df) if parallel else (obj.df, obj.de)
+    assert small < large
+    assert obj.q_.shape == (obj.de, obj.de * small ** 2)  # rank k = small^2
+
+    x = random_density(obj.de, rng)
+    y = rng.normal(size=(obj.de, obj.de)) + 1j * rng.normal(size=(obj.de, obj.de))
+    y = y + y.conj().T
+    fx, grad = obj.value_and_grad(x)
+    direct = product_residual(a, b, fixed, LabeledOperator(x, obj.free_labels, obj.free_dims))
+    assert abs(fx - direct) <= 1e-10 * max(1.0, direct)
+    assert np.abs(grad - grad.conj().T).max() == 0.0
+    # f is a real quadratic form, so its polarization is exact
+    fy, fxy = obj.value(y), obj.value(x + y)
+    cross = float(np.einsum("ij,ji->", grad, y).real)
+    assert abs(fxy - fx - fy - cross) <= 1e-10 * max(1.0, fxy, fy)

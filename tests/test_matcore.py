@@ -5,6 +5,7 @@ from combtester.matcore import (
     LabeledOperator,
     double_ket,
     eigh,
+    eigvalsh,
     identity,
     link,
     partial_trace,
@@ -136,6 +137,19 @@ def test_eigh_reconstruction():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigvalsh_shares_eigh_check_and_values():
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones((2, 3))):
+        with pytest.raises(ValueError) as from_eigh:
+            eigh(bad)
+        with pytest.raises(ValueError) as from_eigvalsh:
+            eigvalsh(bad)
+        assert str(from_eigvalsh.value) == str(from_eigh.value)
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h = h + h.conj().T
+    assert np.abs(eigvalsh(h) - eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
 
 
 def test_trace_norm_cases():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,21 @@ def test_protocol_large_dimension_random_state():
     psi /= np.linalg.norm(psi)
     _, table = causal_protocol(inst, psi)
     assert np.abs(table - np.eye(2)).max() <= 1e-10
+
+
+def test_protocol_d4_peak_memory():
+    # every operator of the backward contraction is at most 1024-side (16 MB);
+    # one 4096-side network (268 MB) alone would break the bound
+    inst = build_example(4)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    tracemalloc.start()
+    try:
+        causal_protocol(inst, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
 
 
 def test_protocol_simulation_agrees_with_born():

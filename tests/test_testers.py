@@ -91,6 +91,20 @@ def test_born_matches_simulation_randomized():
         assert abs(p.sum() - 1.0) < 1e-9
 
 
+def test_three_use_circuit_round_trip_unequal_dims():
+    # b_1 > 1 and unequal spaces: the backward contraction carries the first
+    # ancilla next to every comb wire at its last step
+    system = (2, 3, 2, 2, 3, 2)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        tc = random_tester_circuit(system, (2, 3, 2), 3, rng)
+        ic = random_isometric_comb(system, (2, 3, 5), rng)
+        t = testers.tester_from_circuit(tc)
+        assert validate_tester(t, 1e-9).valid
+        p = born_probabilities(t, comb_from_isometries(ic))
+        assert np.abs(p - simulate_tester_circuit(tc, ic)).max() < 1e-10
+
+
 def test_povm_from_tester_uniform_normalization():
     # Xi = I/D: POVM elements are D * P_i and the reduced state is C/D
     d = 2
