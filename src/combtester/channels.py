@@ -20,10 +20,8 @@ from . import matcore
 from .matcore import (
     LabeledOperator,
     double_ket,
-    identity,
     link,
     partial_trace,
-    tensor,
     tensor_many,
 )
 
@@ -268,33 +266,27 @@ class CombValidation:
 def validate_comb(mc: MemoryChannel, tol: float = 1e-9) -> CombValidation:
     """Check the recursive causal-structure constraints of a comb.
 
-    Peels uses from the last to the first: tracing the top output space of
-    the n-use reduction must leave (identity on the top input space) ⊗ (the
-    (n-1)-use reduction), down to a scalar 1 at level zero.  The candidate
-    lower reduction is obtained by a normalized partial trace, so the test is
-    exact whenever the constraints hold.
+    A comb on spaces ``D`` is a normalization chain on ``(1,) + D``; one
+    :func:`matcore.chain_levels` walk peels its uses from the last: tracing
+    output ``2n-1`` of the n-use reduction must leave (the (n-1)-use reduction,
+    its normalized trace over input ``2n-2``) ⊗ I, down to a scalar 1.
     """
     c = mc.choi
     levels: dict[int, float] = {}
     w = matcore.eigvalsh(c.matrix)
     scale = max(1.0, float(abs(w[-1])) if len(w) else 1.0)
     min_eig = float(w[0])
-    current = c
-    for n in range(mc.uses, 0, -1):
-        out_label, in_label = 2 * n - 1, 2 * n - 2
-        d_in = current.dim_of(in_label)
-        traced = partial_trace(current, [out_label]).sorted()
-        lower = partial_trace(traced, [in_label]) * (1.0 / d_in)
-        candidate = tensor(lower, identity([in_label], [d_in])).sorted()
-        fact_res = float(np.linalg.norm(traced.matrix - candidate.matrix))
+    current = c.matrix
+    walk = matcore.chain_levels(current, (1,) + c.dims)
+    for n, (lower, residual) in zip(range(mc.uses, 0, -1), walk):
         # the n-use reduction of a valid comb has trace = product of its
         # input dimensions, so a normalization deficit is charged to the
         # level where it first appears instead of trickling to the bottom
-        expected_trace = float(np.prod(current.dims[0::2]))
-        trace_res = float(abs(current.trace() - expected_trace))
-        levels[n] = max(fact_res, trace_res)
+        expected_trace = float(np.prod(c.dims[0:2 * n:2]))
+        trace_res = float(abs(np.trace(current) - expected_trace))
+        levels[n] = max(float(np.linalg.norm(residual())), trace_res)
         current = lower
-    levels[0] = float(abs(current.matrix[0, 0] - 1.0))
+    levels[0] = float(abs(current[0, 0] - 1.0))
     max_res = max(max(levels.values()), max(0.0, -min_eig / scale))
     return CombValidation(
         valid=bool(max_res <= tol and min_eig >= -tol * scale),

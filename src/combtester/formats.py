@@ -175,15 +175,15 @@ def from_document(doc: dict, where: str = "document"):
     for j, e in enumerate(doc["elements"]):
         m = _decode_matrix(e, f"{where}.elements[{j}]")
         _require_psd(m, f"{where}.elements[{j}]")
-        elements.append(LabeledOperator(m, labels, dims))
-    chain = []
-    for n, x in enumerate(doc["chain"], start=1):
-        m = _decode_matrix(x, f"{where}.chain[{n - 1}]")
-        sub_labels = labels[: 2 * n - 1]
-        sub_dims = dims[: 2 * n - 1]
-        chain.append(LabeledOperator(m, sub_labels, sub_dims))
+        elements.append(m)
+    chain = [_decode_matrix(x, f"{where}.chain[{j}]") for j, x in enumerate(doc["chain"])]
     try:
-        return Tester(tuple(elements), tuple(chain), uses)
+        return Tester(
+            tuple(LabeledOperator(m, labels, dims) for m in elements),
+            tuple(LabeledOperator(m, labels[: 2 * n - 1], dims[: 2 * n - 1])
+                  for n, m in enumerate(chain, start=1)),
+            uses,
+        )
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 

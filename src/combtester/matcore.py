@@ -15,6 +15,7 @@ conventions are fixed once and for all:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,19 +134,20 @@ class LabeledOperator:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        other = other.permuted(self.labels)
-        return LabeledOperator(self.matrix + other.matrix, self.labels, self.dims)
-
-    def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        other = other.permuted(self.labels)
-        return LabeledOperator(self.matrix - other.matrix, self.labels, self.dims)
-
-    def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
+    def _aligned(self, other: "LabeledOperator") -> np.ndarray:
         other = other.permuted(self.labels)
         if other.dims != self.dims:
-            raise ValueError("operator product needs matching subsystem dimensions")
-        return LabeledOperator(self.matrix @ other.matrix, self.labels, self.dims)
+            raise ValueError(f"operands need matching subsystem dimensions, got {other.dims}")
+        return other.matrix
+
+    def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
+        return LabeledOperator(self.matrix + self._aligned(other), self.labels, self.dims)
+
+    def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
+        return LabeledOperator(self.matrix - self._aligned(other), self.labels, self.dims)
+
+    def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
+        return LabeledOperator(self.matrix @ self._aligned(other), self.labels, self.dims)
 
 
 def identity(labels: Sequence[int], dims: Sequence[int]) -> LabeledOperator:
@@ -177,7 +179,6 @@ def partial_trace(a: LabeledOperator, over: Iterable[int]) -> LabeledOperator:
     if unknown:
         raise ValueError(f"cannot trace over unknown labels {sorted(unknown)}")
     t = a._tensor_view()
-    k = len(a.labels)
     labels = list(a.labels)
     dims = list(a.dims)
     for l in sorted(over, key=labels.index, reverse=True):
@@ -218,6 +219,44 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     labels = tuple(rest_a + rest_b)
     dims = tuple([ar.dim_of(l) for l in rest_a] + [br.dim_of(l) for l in rest_b])
     return LabeledOperator(out.reshape(da * db, da * db), labels, dims)
+
+
+def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
+    """Diagonal of ``x`` on its last ``tail``-dimensional tensor factor.
+
+    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``.  The result is a
+    view, so it is writable when ``x`` is a contiguous array; summing it over
+    its last axis is the partial trace over that factor.
+    """
+    head = x.shape[0] // tail
+    return np.einsum("aibi->abi", x.reshape(head, tail, head, tail))
+
+
+def _lift_residual(traced: np.ndarray, lower: np.ndarray, odd: int) -> np.ndarray:
+    out = traced.copy()
+    tail_diagonal(out, odd)[...] -= lower[:, :, None]
+    return out
+
+
+def chain_levels(x: np.ndarray, dims: Sequence[int], lowers=None):
+    """Walk the normalization chain of ``x`` on spaces ``dims`` (odd length
+    2N-1, ascending) top down, yielding ``(X_{n-1}, residual)`` for n = N..2.
+
+    ``X_N = x``, and the lower level ``X_{n-1}`` is ``Tr_{2n-3} Tr_{2n-2} X_n /
+    d_{2n-3}`` or, when given, ``lowers[n-2]``.  ``residual()`` forms
+    ``Tr_{2n-2} X_n - X_{n-1} ⊗ I_{2n-3}`` only when called, so a walk for the
+    lowers alone never copies a full-side top level.
+    """
+    for n in range((len(dims) + 1) // 2, 1, -1):
+        top, odd = dims[2 * n - 2], dims[2 * n - 3]
+        # tracing a one-dimensional space is the identity map
+        traced = x if top == 1 else tail_diagonal(x, top).sum(axis=2)
+        if lowers is None:
+            lower = tail_diagonal(traced, odd).sum(axis=2) * (1.0 / odd)
+        else:
+            lower = lowers[n - 2]
+        yield lower, partial(_lift_residual, traced, lower, odd)
+        x = lower
 
 
 # -- vectorization ---------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import LabeledOperator, identity, tensor
+from .matcore import LabeledOperator, identity, tail_diagonal, tensor
 from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
 
 
@@ -49,17 +49,6 @@ def project_psd(h: np.ndarray) -> np.ndarray:
 
 
 # -- tester-normalization feasible set ---------------------------------------
-
-
-def _tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
-    """Diagonal of ``x`` on its last ``tail``-dimensional tensor factor.
-
-    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``.  The result is a
-    view, so it is writable when ``x`` is a contiguous array; summing it over
-    its last axis is the partial trace over that factor.
-    """
-    head = x.shape[0] // tail
-    return np.einsum("aibi->abi", x.reshape(head, tail, head, tail))
 
 
 class XiChainSet:
@@ -93,15 +82,7 @@ class XiChainSet:
 
     def chain_residuals(self, x: np.ndarray) -> list[np.ndarray]:
         """Hermitian residual of each chain level (levels N..2)."""
-        out = []
-        xi = x
-        for n in range(self.uses, 1, -1):
-            d_odd = self.dims[2 * n - 3]
-            traced = _tail_diagonal(xi, self.dims[2 * n - 2]).sum(axis=2)
-            xi = _tail_diagonal(traced, d_odd).sum(axis=2) / d_odd
-            _tail_diagonal(traced, d_odd)[...] -= xi[:, :, None]
-            out.append(traced)
-        return out
+        return [residual() for _, residual in matcore.chain_levels(x, self.dims)]
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Closed-form projection onto the affine chain constraints."""
@@ -109,10 +90,10 @@ class XiChainSet:
         trace = np.trace(x).real
         for n in range(self.uses, 1, -1):
             even, odd = self._tails[2 * n - 2], self._tails[2 * n - 3]
-            r_even = _tail_diagonal(x, even).sum(axis=2) / even
-            r_odd = _tail_diagonal(x, odd).sum(axis=2) / odd
-            _tail_diagonal(x, even)[...] -= r_even[:, :, None]
-            _tail_diagonal(x, odd)[...] += r_odd[:, :, None]
+            r_even = tail_diagonal(x, even).sum(axis=2) / even
+            r_odd = tail_diagonal(x, odd).sum(axis=2) / odd
+            tail_diagonal(x, even)[...] -= r_even[:, :, None]
+            tail_diagonal(x, odd)[...] += r_odd[:, :, None]
         x.flat[:: self.side + 1] += (self.trace_target - trace) / self.side
         return x
 
@@ -158,11 +139,7 @@ class XiChainSet:
         """
         evens = tuple(range(0, len(self.dims), 2))
         odds = tuple(range(1, len(self.dims) - 1, 2))
-        if tuple(rho.labels) != evens:
-            rho = rho.permuted(evens)
-        out = rho
-        if odds:
-            out = tensor(rho, identity(odds, tuple(self.dims[o] for o in odds)))
+        out = tensor(rho.permuted(evens), identity(odds, tuple(self.dims[o] for o in odds)))
         return out.sorted().matrix
 
 

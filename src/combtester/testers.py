@@ -54,19 +54,21 @@ class Tester:
     def __post_init__(self):
         n = self.uses
         expected = tuple(range(2 * n))
+        if not self.elements or len(self.chain) != n:
+            raise ValueError(f"need at least one element and {n} chain operators, "
+                             f"got {len(self.elements)} and {len(self.chain)}")
         elements = tuple(e.sorted() for e in self.elements)
+        dims = elements[0].dims
         for e in elements:
-            if e.labels != expected:
-                raise ValueError(
-                    f"tester elements must carry labels {expected}, got {e.labels}"
-                )
-        if len(self.chain) != n:
-            raise ValueError(f"need {n} chain operators, got {len(self.chain)}")
+            if e.labels != expected or e.dims != dims:
+                raise ValueError(f"tester elements must carry labels {expected} "
+                                 f"and dims {dims}, got {e.labels} and {e.dims}")
         chain = tuple(x.sorted() for x in self.chain)
         for level, x in enumerate(chain, start=1):
-            if x.labels != tuple(range(2 * level - 1)):
+            if x.labels != expected[:2 * level - 1] or x.dims != dims[:2 * level - 1]:
                 raise ValueError(
-                    f"chain level {level} must live on spaces 0..{2 * level - 2}"
+                    f"chain level {level} must live on spaces 0..{2 * level - 2} "
+                    f"with dims {dims[:2 * level - 1]}, got dims {x.dims}"
                 )
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "chain", chain)
@@ -77,23 +79,17 @@ class Tester:
 
 
 def derive_chain(total: LabeledOperator, uses: int) -> tuple[LabeledOperator, ...]:
-    """Normalization chain implied by the element sum, by nested partial traces."""
-    top_label = 2 * uses - 1
-    xi = partial_trace(total, [top_label]) * (1.0 / total.dim_of(top_label))
-    chain = [xi]
-    for n in range(uses, 1, -1):
-        d_odd = xi.dim_of(2 * n - 3)
-        xi = partial_trace(xi, [2 * n - 3, 2 * n - 2]) * (1.0 / d_odd)
-        chain.append(xi)
-    return tuple(reversed(chain))
+    """Normalization chain of the element sum: its walk's lowers on ``dims + (1,)``."""
+    total = total.permuted(tuple(range(2 * uses)))
+    lowers = [lower for lower, _ in matcore.chain_levels(total.matrix, total.dims + (1,))]
+    return tuple(
+        LabeledOperator(x, tuple(range(2 * n - 1)), total.dims[:2 * n - 1])
+        for n, x in enumerate(reversed(lowers), start=1)
+    )
 
 
 def tester_from_elements(elements, uses: int) -> Tester:
-    elements = tuple(e.sorted() for e in elements)
-    total = elements[0]
-    for e in elements[1:]:
-        total = total + e
-    return Tester(elements, derive_chain(total, uses), uses)
+    return Tester(tuple(elements), derive_chain(sum(elements[1:], elements[0]), uses), uses)
 
 
 @dataclass(frozen=True)
@@ -106,27 +102,21 @@ class TesterValidation:
 
 
 def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
-    """Check element positivity and the recursive chain normalization."""
-    total = t.elements[0]
-    for e in t.elements[1:]:
-        total = total + e
-    top_label = 2 * t.uses - 1
-    lifted = tensor(t.chain[-1], identity([top_label], [total.dim_of(top_label)])).sorted()
-    norm_res = float(np.linalg.norm(total.matrix - lifted.matrix))
-
-    chain_res: dict[int, float] = {}
-    for n in range(t.uses, 1, -1):
-        xi_n = t.chain[n - 1]
-        xi_prev = t.chain[n - 2]
-        traced = partial_trace(xi_n, [2 * n - 2]).sorted()
-        cand = tensor(xi_prev, identity([2 * n - 3], [xi_n.dim_of(2 * n - 3)])).sorted()
-        chain_res[n] = float(np.linalg.norm(traced.matrix - cand.matrix))
+    """Check element positivity and the recursive chain normalization, by
+    walking the element sum as a chain on ``dims + (1,)`` with the stored
+    chain as its levels (the top level is the normalization residual)."""
+    total = sum(t.elements[1:], t.elements[0]).matrix
+    walk = matcore.chain_levels(total, t.elements[0].dims + (1,),
+                                lowers=[x.matrix for x in t.chain])
+    chain_res = {n: float(np.linalg.norm(residual()))
+                 for n, (_, residual) in zip(range(t.uses + 1, 1, -1), walk)}
+    norm_res = chain_res.pop(t.uses + 1)
     chain_res[1] = float(abs(t.chain[0].trace() - 1.0))
 
     min_eig = 0.0
     for e in t.elements:
         min_eig = min(min_eig, float(matcore.eigvalsh(e.matrix)[0]))
-    scale = max(1.0, float(np.linalg.norm(total.matrix)))
+    scale = max(1.0, float(np.linalg.norm(total)))
     residuals = [norm_res, max(0.0, -min_eig)] + list(chain_res.values())
     max_res = max(residuals)
     return TesterValidation(
@@ -160,9 +150,7 @@ def povm_from_tester(t: Tester) -> list[LabeledOperator]:
     d_top = t.elements[0].dim_of(top_label)
     lift = tensor(psd_inv_sqrt(xi), identity([top_label], [d_top])).sorted()
     povm = [lift @ e @ lift for e in t.elements]
-    total = povm[0]
-    for p in povm[1:]:
-        total = total + p
+    total = sum(povm[1:], povm[0])
     eye = identity(total.labels, total.dims)
     defect = eye - total
     povm[-1] = povm[-1] + defect

@@ -6,6 +6,7 @@ import pytest
 from combtester import formats
 from combtester.channels import Channel, comb_from_sequence, identity_channel, unitary_channel
 from combtester.cli import main
+from combtester.matcore import LabeledOperator, tensor
 from combtester.sampling import random_kraus, random_povm
 from combtester.separation import build_example
 from combtester import testers
@@ -125,6 +126,20 @@ def test_tester_missing_chain_lists_fields(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     with pytest.raises(formats.FormatError, match="chain"):
+        formats.load(p)
+
+
+def test_tester_chain_with_wrong_dims_is_a_format_error(tmp_path):
+    elements = [
+        tensor(LabeledOperator(np.diag([1.0, 0.0]), (0,), (2,)),
+               LabeledOperator(m, (1,), (3,)))
+        for m in (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]))
+    ]
+    doc = formats.to_document(testers.tester_from_elements(elements, 1))
+    doc["chain"][0] = formats.to_document(np.eye(3) / 3)["data"]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(formats.FormatError, match="inconsistent with dims"):
         formats.load(p)
 
 

@@ -1,8 +1,13 @@
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combtester.matcore import (
     LabeledOperator,
+    allclose,
     double_ket,
     eigh,
     eigvalsh,
@@ -265,3 +270,49 @@ def test_labeled_operator_invariants():
         LabeledOperator(np.array([[np.nan, 0], [0, 1]]), (0,), (2,))
     op = identity([0], [2])
     assert not op.matrix.flags.writeable
+
+
+def test_add_sub_matmul_reject_mismatched_dims():
+    rng = np.random.default_rng(14)
+    a = rand_op(rng, (2, 3), (0, 1))
+    b = rand_op(rng, (3, 2), (0, 1))
+    for op in (operator.add, operator.sub, operator.matmul):
+        with pytest.raises(ValueError, match="matching subsystem dimensions"):
+            op(a, b)
+    # the same factors in another order are aligned by label
+    swapped = a.permuted((1, 0))
+    assert np.abs((a + swapped).matrix - 2 * a.matrix).max() == 0.0
+    assert np.abs((a - swapped).matrix).max() == 0.0
+
+
+# labels 0..4 with fixed dimensions, so shared labels always agree
+LABEL_DIMS = (2, 3, 1, 2, 3)
+label_sets = st.sets(st.integers(0, 4), min_size=1, max_size=4).filter(
+    lambda ls: np.prod([LABEL_DIMS[l] for l in ls]) <= 36)
+
+
+def _op_on(labels, rng):
+    labels = tuple(sorted(labels))
+    return rand_op(rng, tuple(LABEL_DIMS[l] for l in labels), labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=label_sets, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_partial_trace_is_invariant_under_label_permutation(labels, seed, data):
+    op = _op_on(labels, np.random.default_rng(seed))
+    over = data.draw(st.lists(st.sampled_from(op.labels), unique=True))
+    order = data.draw(st.permutations(op.labels))
+    expect = partial_trace(op, over)
+    got = partial_trace(op.permuted(order), over)
+    assert allclose(got, expect, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(la=label_sets, lb=label_sets, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_link_is_invariant_under_label_permutation(la, lb, seed, data):
+    rng = np.random.default_rng(seed)
+    a, b = _op_on(la, rng), _op_on(lb, rng)
+    expect = link(a, b)
+    got = link(a.permuted(data.draw(st.permutations(a.labels))),
+               b.permuted(data.draw(st.permutations(b.labels))))
+    assert allclose(got, expect, atol=1e-12)

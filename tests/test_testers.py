@@ -201,6 +201,17 @@ def test_tester_requires_consistent_labels():
         Tester(t.elements, t.chain, 2)
 
 
+def test_tester_requires_consistent_dims():
+    rng = np.random.default_rng(11)
+    t = state_povm_tester(random_density(2, rng), random_povm(3, 2, rng))
+    assert t.elements[0].dims == (2, 3)
+    with pytest.raises(ValueError, match="chain level 1 must live on spaces 0..0 with dims"):
+        Tester(t.elements, (LabeledOperator(np.eye(3) / 3, (0,), (3,)),), 1)
+    other = LabeledOperator(np.eye(6) / 6, (0, 1), (3, 2))
+    with pytest.raises(ValueError, match="tester elements must carry labels"):
+        Tester((t.elements[0], other), t.chain, 1)
+
+
 def test_circuit_validation_errors():
     d = 2
     good = np.zeros((d, d), dtype=complex)
