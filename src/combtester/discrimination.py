@@ -54,12 +54,17 @@ class _ProductObjective:
 
     ``fixed`` are the labels carrying the identity; ``free`` the labels of
     the optimization variable.  With ``Q = C0^2`` and ``R = C1^2`` (both Choi
-    operators are Hermitian) the objective is ``Tr[x half(x)]`` with
+    operators are Hermitian; the squares are taken block by block, see
+    :func:`matcore.block_square`) the objective is ``Tr[x half(x)]`` with
     ``half[e,h] = sum_{o,b,f,g} Q[o,e,b,f] x[f,g] R[b,g,o,h]``.  The sum over
-    the fixed pair ``(o,b)`` is the product ``Qm Rm`` of the reshapes
-    ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``.  A reduced QR ``Qm^T = U W``
-    rewrites it exactly as ``W^T (U^T Rm)``, with ``k = min(df^2, de^2)``
-    terms, so it is folded once here and each call is two GEMMs.
+    the fixed pair ``(o,b)`` is the product ``M = Qm Rm`` of the reshapes
+    ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``, and each call contracts a
+    rank-``k`` factor pair ``M = A B`` in two GEMMs, with
+    ``k = min(df^2, de^2)``:
+
+    * ``df^2 <= de^2`` (causal): ``A = Qm`` and ``B = Rm`` as they stand;
+    * ``df^2 > de^2`` (parallel): ``M`` is folded once here, and ``A = I``,
+      ``B = M``.
     """
 
     def __init__(self, c0: LabeledOperator, c1: LabeledOperator, fixed_labels):
@@ -77,15 +82,17 @@ class _ProductObjective:
         df = int(np.prod([a.dim_of(l) for l in fixed])) if fixed else 1
         de = int(np.prod(self.free_dims)) if free else 1
         self.df, self.de = df, de
-        q = (a.matrix @ a.matrix).reshape(df, de, df, de)
-        r = (b.matrix @ b.matrix).reshape(df, de, df, de)
+        q = matcore.block_square(a.matrix).reshape(df, de, df, de)
+        r = matcore.block_square(b.matrix).reshape(df, de, df, de)
         qm = q.transpose(1, 3, 0, 2).reshape(de * de, df * df)
         rm = r.transpose(2, 0, 1, 3).reshape(df * df, de * de)
-        u, w = np.linalg.qr(qm.T)
-        k = w.shape[0]
-        # q_[e,(f,k)] = W^T[(e,f),k];  r_[g,(k,h)] = (U^T Rm)[k,(g,h)]
-        self.q_ = w.T.reshape(de, de * k)
-        self.r_ = (u.T @ rm).reshape(k, de, de).transpose(1, 0, 2).reshape(de, k * de)
+        if df > de:
+            rm = qm @ rm
+            qm = np.eye(de * de, dtype=complex)
+        k = qm.shape[1]
+        # q_[e,(f,k)] = A[(e,f),k];  r_[g,(k,h)] = B[k,(g,h)]
+        self.q_ = qm.reshape(de, de * k)
+        self.r_ = rm.reshape(k, de, de).transpose(1, 0, 2).reshape(de, k * de)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         # half = Tr_fixed[Q (I ⊗ x) R] as a (de, de) matrix

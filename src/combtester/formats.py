@@ -13,6 +13,7 @@ from typing import Any
 
 import numpy as np
 
+from . import matcore
 from .channels import Channel, MemoryChannel
 from .matcore import LabeledOperator
 from .testers import Tester
@@ -74,7 +75,10 @@ def _labeled_from_doc(doc: dict, where: str) -> LabeledOperator:
 def _require_psd(m: np.ndarray, where: str, tol: float = 1e-8) -> None:
     if np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m)):
         raise FormatError(f"{where}: operator is not Hermitian")
-    low = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    try:
+        low = float(matcore.eigvalsh(matcore.hermitian_part(m)).min())
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
     if low < -tol * max(1.0, float(np.abs(m).max())):
         raise FormatError(
             f"{where}: operator has negative eigenvalue {low:.3e}; "

@@ -134,20 +134,22 @@ class LabeledOperator:
 
     __rmul__ = __mul__
 
-    def _aligned(self, other: "LabeledOperator") -> np.ndarray:
+    def aligned(self, other: "LabeledOperator") -> np.ndarray:
+        """``other``'s matrix in this operator's factor order; raises unless
+        the subsystem dimensions then match."""
         other = other.permuted(self.labels)
         if other.dims != self.dims:
             raise ValueError(f"operands need matching subsystem dimensions, got {other.dims}")
         return other.matrix
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.matrix + self._aligned(other), self.labels, self.dims)
+        return LabeledOperator(self.matrix + self.aligned(other), self.labels, self.dims)
 
     def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.matrix - self._aligned(other), self.labels, self.dims)
+        return LabeledOperator(self.matrix - self.aligned(other), self.labels, self.dims)
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.matrix @ self._aligned(other), self.labels, self.dims)
+        return LabeledOperator(self.matrix @ self.aligned(other), self.labels, self.dims)
 
 
 def identity(labels: Sequence[int], dims: Sequence[int]) -> LabeledOperator:
@@ -282,16 +284,66 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _checked_hermitian(h) -> np.ndarray:
-    """Hermitian part of ``h``; raises if ``h`` fails the Hermiticity
-    tolerance relative to its Frobenius norm."""
+def _as_square_matrix(h) -> np.ndarray:
     h = _as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * max(scale, 1.0):
+    return h
+
+
+def block_groups(h: np.ndarray) -> list[np.ndarray]:
+    """Exact connected components of the nonzero pattern of a square matrix.
+
+    Indices ``i`` and ``j`` are joined when ``h[i, j] != 0`` or
+    ``h[j, i] != 0``, with no tolerance, so ``h`` vanishes exactly off the
+    diagonal blocks ``h[g, g]``.  Returns one ``(count, size)`` index array
+    per block size, sizes ascending; each row lists a component's indices in
+    ascending order, so a matrix with one component gives ``[arange(n)[None]]``.
+
+    Every index starts at its smallest neighbour and labels are jumped to
+    their roots; each round then hooks every root to the smallest label next
+    to its tree, until no label next to an index is smaller than its own.
+    """
+    n = h.shape[0]
+    nonzero = h != 0
+    joined = nonzero | nonzero.T
+    np.fill_diagonal(joined, True)
+    labels = joined.argmax(axis=1)
+    while True:
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+        smallest = np.where(joined, labels, n).min(axis=1)
+        if np.array_equal(smallest, labels):
+            break
+        np.minimum.at(labels, labels.copy(), smallest)
+    sizes = np.bincount(labels, minlength=n)[labels]
+    order = np.lexsort((labels, sizes))
+    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
+    return [g.reshape(-1, sizes[g[0]]) for g in np.split(order, cuts)]
+
+
+def _block_indices(h: np.ndarray) -> list:
+    """Per block size, the index that gathers the stacked diagonal blocks,
+    ``h[index]`` of shape ``(count, size, size)``; a matrix with one
+    component is indexed by ``...``, as it stands."""
+    return [... if g.shape[1] == h.shape[0] else (g[:, :, None], g[:, None, :])
+            for g in block_groups(h)]
+
+
+def _dagger(b: np.ndarray) -> np.ndarray:
+    return b.conj().swapaxes(-1, -2)
+
+
+def _checked_hermitian(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Hermitian parts of ``blocks`` (matrices or stacks of them); raises if
+    together they fail the Hermiticity tolerance relative to their joint
+    Frobenius norm."""
+    scale = np.linalg.norm([np.linalg.norm(b) for b in blocks])
+    skew = np.linalg.norm([np.linalg.norm(b - _dagger(b)) for b in blocks])
+    if skew > HERMITICITY_RTOL * max(scale, 1.0):
         raise ValueError("matrix is not Hermitian to tolerance")
-    return hermitian_part(h)
+    return [(b + _dagger(b)) / 2 for b in blocks]
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
@@ -301,12 +353,34 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     Raises if the input fails the Hermiticity tolerance relative to its
     Frobenius norm.
     """
-    return np.linalg.eigh(_checked_hermitian(h))
+    (h,) = _checked_hermitian([_as_square_matrix(h)])
+    return np.linalg.eigh(h)
 
 
 def eigvalsh(h) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, with :func:`eigh`'s check."""
-    return np.linalg.eigvalsh(_checked_hermitian(h))
+    """Ascending eigenvalues of a Hermitian matrix, with :func:`eigh`'s check.
+
+    Check and solve run on the diagonal blocks of :func:`block_groups`, one
+    stacked call per block size.  Both are exact reorderings: ``h`` and
+    ``h^dagger`` vanish off the blocks, so the blockwise Frobenius norms are
+    those of the whole matrices, and the spectrum is the union of the blocks'.
+    """
+    h = _as_square_matrix(h)
+    blocks = _checked_hermitian([h[index] for index in _block_indices(h)])
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+
+
+def block_square(h: np.ndarray) -> np.ndarray:
+    """``h @ h``, multiplied block by block over :func:`block_groups`.
+
+    Exact up to rounding: ``h`` vanishes off its diagonal blocks, so its
+    square does too, and each block of the square is the block's square.
+    """
+    out = np.zeros_like(h)
+    for index in _block_indices(h):
+        b = h[index]
+        out[index] = b @ b
+    return out
 
 
 def trace_norm(x) -> float:

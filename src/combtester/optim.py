@@ -117,7 +117,7 @@ class XiChainSet:
     def membership_residual(self, x: np.ndarray) -> float:
         res = [np.linalg.norm(r) for r in self.chain_residuals(x)]
         res.append(abs(np.trace(x).real - self.trace_target))
-        w = np.linalg.eigvalsh(matcore.hermitian_part(x))
+        w = matcore.eigvalsh(matcore.hermitian_part(x))
         res.append(max(0.0, -float(w[0])))
         return float(max(res))
 

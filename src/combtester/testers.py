@@ -78,18 +78,33 @@ class Tester:
         return len(self.elements)
 
 
-def derive_chain(total: LabeledOperator, uses: int) -> tuple[LabeledOperator, ...]:
-    """Normalization chain of the element sum: its walk's lowers on ``dims + (1,)``."""
-    total = total.permuted(tuple(range(2 * uses)))
-    lowers = [lower for lower, _ in matcore.chain_levels(total.matrix, total.dims + (1,))]
+def _chain_of_sum(total: np.ndarray, dims: tuple[int, ...]) -> tuple[LabeledOperator, ...]:
+    lowers = [lower for lower, _ in matcore.chain_levels(total, dims + (1,))]
     return tuple(
-        LabeledOperator(x, tuple(range(2 * n - 1)), total.dims[:2 * n - 1])
+        LabeledOperator(x, tuple(range(2 * n - 1)), dims[:2 * n - 1])
         for n, x in enumerate(reversed(lowers), start=1)
     )
 
 
+def derive_chain(total: LabeledOperator, uses: int) -> tuple[LabeledOperator, ...]:
+    """Normalization chain of the element sum: its walk's lowers on ``dims + (1,)``."""
+    total = total.permuted(tuple(range(2 * uses)))
+    return _chain_of_sum(total.matrix, total.dims)
+
+
+def _element_sum(elements) -> np.ndarray:
+    """Sum of the element matrices in the first element's factor order, as a
+    raw array: the sum is read once, so it is neither scanned nor copied."""
+    first = elements[0]
+    total = first.matrix.copy()
+    for e in elements[1:]:
+        total += first.aligned(e)
+    return total
+
+
 def tester_from_elements(elements, uses: int) -> Tester:
-    return Tester(tuple(elements), derive_chain(sum(elements[1:], elements[0]), uses), uses)
+    elements = tuple(e.permuted(tuple(range(2 * uses))) for e in elements)
+    return Tester(elements, _chain_of_sum(_element_sum(elements), elements[0].dims), uses)
 
 
 @dataclass(frozen=True)
@@ -105,7 +120,7 @@ def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     """Check element positivity and the recursive chain normalization, by
     walking the element sum as a chain on ``dims + (1,)`` with the stored
     chain as its levels (the top level is the normalization residual)."""
-    total = sum(t.elements[1:], t.elements[0]).matrix
+    total = _element_sum(t.elements)
     walk = matcore.chain_levels(total, t.elements[0].dims + (1,),
                                 lowers=[x.matrix for x in t.chain])
     chain_res = {n: float(np.linalg.norm(residual()))

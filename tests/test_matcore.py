@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from combtester.matcore import (
     LabeledOperator,
     allclose,
+    block_groups,
+    block_square,
     double_ket,
     eigh,
     eigvalsh,
@@ -155,6 +157,97 @@ def test_eigvalsh_shares_eigh_check_and_values():
     h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     h = h + h.conj().T
     assert np.abs(eigvalsh(h) - eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
+
+
+def _block_diagonal_with_one_sided_entry():
+    h = np.zeros((6, 6), dtype=complex)
+    h[:3, :3] = np.diag([1.0, 2.0, 3.0])
+    h[3:, 3:] = np.diag([4.0, 5.0, 6.0])
+    h[0, 1] = 1.0  # h[1, 0] stays 0: not Hermitian
+    return h
+
+
+def test_eigvalsh_error_paths_match_eigh_on_block_diagonal_input():
+    one_sided = _block_diagonal_with_one_sided_entry()
+    with_nan = np.diag([1.0, np.nan, 2.0, 3.0]).astype(complex)
+    for bad in (one_sided, with_nan):
+        with pytest.raises(ValueError) as from_eigh:
+            eigh(bad)
+        with pytest.raises(ValueError) as from_eigvalsh:
+            eigvalsh(bad)
+        assert str(from_eigvalsh.value) == str(from_eigh.value)
+    # the one-sided entry joins its indices, so the check sees it
+    assert [g.tolist() for g in block_groups(one_sided)] == [[[2], [3], [4], [5]], [[0, 1]]]
+
+
+def _bfs_components(h: np.ndarray) -> list[list[int]]:
+    joined = (h != 0) | (h.T != 0)
+    seen, components = set(), []
+    for start in range(h.shape[0]):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = [start], []
+        while queue:
+            i = queue.pop()
+            component.append(i)
+            for j in range(h.shape[0]):
+                if joined[i, j] and j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        components.append(sorted(component))
+    return sorted(components)
+
+
+def _hermitian_block(kind: str, side: int, rng) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((side, side), dtype=complex)
+    if kind == "degenerate":
+        values = rng.choice([-1.0, 0.0, 2.0], size=side)
+        u = haar_unitary(side, rng)
+        return (u * values) @ u.conj().T
+    g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    if kind == "sparse":
+        keep = rng.random((side, side)) < 0.4
+        g = g * (keep | keep.T)
+    return g + g.conj().T
+
+
+block_kinds = st.sampled_from(["dense", "sparse", "zero", "degenerate"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 5), block_kinds), min_size=1, max_size=8),
+       dense_side=st.integers(1, 12), dense_kind=st.sampled_from(["dense", "degenerate"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_groups_and_blockwise_kernels(blocks, dense_side, dense_kind, seed):
+    rng = np.random.default_rng(seed)
+    parts = [_hermitian_block(kind, side, rng) for side, kind in blocks]
+    parts.append(_hermitian_block(dense_kind, dense_side, rng))
+    side = sum(p.shape[0] for p in parts)
+    h = np.zeros((side, side), dtype=complex)
+    start = 0
+    for p in parts:
+        h[start:start + len(p), start:start + len(p)] = p
+        start += len(p)
+    perm = rng.permutation(side)
+    h = h[np.ix_(perm, perm)]
+
+    groups = block_groups(h)
+    sizes = [g.shape[1] for g in groups]
+    assert sizes == sorted(set(sizes))
+    assert all(np.all(np.diff(g, axis=1) > 0) for g in groups)
+    assert sorted(row.tolist() for g in groups for row in g) == _bfs_components(h)
+    label = np.empty(side, dtype=int)
+    for g in groups:
+        for k, row in enumerate(g):
+            label[row] = g.shape[1] * side + k
+    rows, cols = np.nonzero(h)
+    assert np.array_equal(label[rows], label[cols])
+
+    norm = np.linalg.norm(h)
+    assert np.abs(eigvalsh(h) - np.linalg.eigvalsh(h)).max() <= 1e-12 * norm
+    assert np.abs(block_square(h) - h @ h).max() <= 1e-12 * norm ** 2
 
 
 def test_trace_norm_cases():
