@@ -4,17 +4,22 @@ Two channels with Choi operators ``C0, C1`` are perfectly discriminable by a
 parallel scheme iff some input state ``rho`` satisfies
 ``C0 (I ⊗ rho) C1 = 0`` (identity on all output spaces); a causal scheme only
 needs a valid tester normalization ``Xi`` with ``C0 (I ⊗ Xi) C1 = 0``
-(identity on the last output space alone).  Both conditions are decided by
-minimizing the squared Frobenius norm of the product over the respective
-convex set with projected gradient descent; the objective is a convex
-quadratic, so the minimum found is global and a small value is a
-constructive feasibility certificate.  Infeasibility is only certified
-empirically, by the converged minimum staying large across restarts.
+(identity on the last output space alone).  A parallel scheme is the tester
+whose normalization is a single joint input state, so both criteria are one
+feasibility problem over two convex sets, and one driver decides both.  It
+minimizes the squared Frobenius norm of the product over the set with
+projected gradient descent, from the uniform point first and then from
+random points, each drawn only when the starts before it stayed above zero.
+The objective is a convex quadratic, so the minimum found is global and a
+small value is a constructive feasibility certificate.  Infeasibility is
+only certified empirically, by the converged minimum staying large across
+restarts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +36,8 @@ INFEASIBLE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """A decision; ``restarts`` counts the starts that ran."""
+
     feasible: bool
     status: str
     residual: float
@@ -126,6 +133,32 @@ def _classify(best: float) -> str:
     return "undetermined"
 
 
+def _decide(obj: _ProductObjective, project, starts, max_iter: int) -> FeasibilityReport:
+    """Minimize ``obj`` over a convex set from each start until one reaches zero.
+
+    ``starts`` is consumed lazily, so a random start is drawn only when it
+    runs; ``restarts`` in the report counts the starts that ran.
+    """
+    best, total_iter, ran = None, 0, 0
+    for x0 in starts:
+        res = projected_gradient_min(
+            obj.value_and_grad, project, x0,
+            max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
+        )
+        ran += 1
+        total_iter += res.iterations
+        if best is None or res.value < best.value:
+            best = res
+        if best.value <= FEASIBLE_TOL * 1e-4:
+            break
+    status = _classify(best.value)
+    return FeasibilityReport(
+        feasible=status == "feasible", status=status, residual=best.value,
+        witness=LabeledOperator(best.x, obj.free_labels, obj.free_dims),
+        iterations=total_iter, restarts=ran, objective_history=best.history,
+    )
+
+
 def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
                            restarts: int = 20, seed: int = 0,
                            max_iter: int = 400) -> FeasibilityReport:
@@ -134,32 +167,12 @@ def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
     c1 = c1.sorted()
     if c0.labels != c1.labels or c0.dims != c1.permuted(c0.labels).dims:
         raise ValueError("Choi operators act on different spaces")
-    odd = [l for l in c0.labels if l % 2 == 1]
-    obj = _ProductObjective(c0, c1, odd)
+    obj = _ProductObjective(c0, c1, [l for l in c0.labels if l % 2 == 1])
     rng = rng_from(seed)
     d = obj.de
-
-    best = None
-    total_iter = 0
-    starts = [np.eye(d, dtype=complex) / d]
-    starts += [random_density(d, rng) for _ in range(max(0, restarts - 1))]
-    for x0 in starts:
-        res = projected_gradient_min(
-            obj.value_and_grad, project_to_density, x0,
-            max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
-        )
-        total_iter += res.iterations
-        if best is None or res.value < best.value:
-            best = res
-        if best.value <= FEASIBLE_TOL * 1e-4:
-            break
-    witness = LabeledOperator(best.x, obj.free_labels, obj.free_dims)
-    status = _classify(best.value)
-    return FeasibilityReport(
-        feasible=status == "feasible", status=status, residual=best.value,
-        witness=witness, iterations=total_iter, restarts=len(starts),
-        objective_history=best.history,
-    )
+    starts = chain([np.eye(d, dtype=complex) / d],
+                   (random_density(d, rng) for _ in range(restarts - 1)))
+    return _decide(obj, project_to_density, starts, max_iter)
 
 
 def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
@@ -169,32 +182,12 @@ def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
     a, b = c0.choi, c1.choi
     if a.dims != b.dims:
         raise ValueError("memory channels act on different spaces")
-    top = 2 * c0.uses - 1
-    obj = _ProductObjective(a, b, [top])
+    obj = _ProductObjective(a, b, [2 * c0.uses - 1])
     xi_set = XiChainSet(a.dims[:-1])
     rng = rng_from(seed)
-
-    best = None
-    total_iter = 0
-    starts = [xi_set.uniform()]
-    starts += [xi_set.random_feasible(rng) for _ in range(max(0, restarts - 1))]
-    for x0 in starts:
-        res = projected_gradient_min(
-            obj.value_and_grad, xi_set.project, x0,
-            max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
-        )
-        total_iter += res.iterations
-        if best is None or res.value < best.value:
-            best = res
-        if best.value <= FEASIBLE_TOL * 1e-4:
-            break
-    witness = LabeledOperator(best.x, xi_set.labels, xi_set.dims)
-    status = _classify(best.value)
-    return FeasibilityReport(
-        feasible=status == "feasible", status=status, residual=best.value,
-        witness=witness, iterations=total_iter, restarts=len(starts),
-        objective_history=best.history,
-    )
+    starts = chain([xi_set.uniform()],
+                   (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
+    return _decide(obj, xi_set.project, starts, max_iter)
 
 
 def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray,
@@ -279,11 +272,11 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
                       max_witness_residual: float = 1e-6) -> Tester:
     """Two-outcome tester discriminating the combs, built from a witness.
 
-    Sandwiches both Choi operators with the square root of the witness
-    normalization, splits the reduced-state difference into its positive
-    part (outcome 0) and the rest including the kernel (outcome 1), and
-    lifts the two projectors back.  Refuses to certify when the witness
-    residual is too large for the construction to be meaningful.
+    Sandwiches the Choi difference with the square root of the witness
+    normalization, lifts the projector onto the positive part of the result
+    back as outcome 0 and gives outcome 1 the rest of ``Xi ⊗ I``, kernel
+    included.  Refuses to certify when the witness residual is too large for
+    the construction to be meaningful.
     """
     n = c0.uses
     top = 2 * n - 1
@@ -294,17 +287,14 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
             f"witness residual {res:.3e} exceeds {max_witness_residual:.1e}; "
             "cannot certify perfect discrimination"
         )
-    lift = tensor(psd_sqrt(xi), identity([top], [c0.choi.dim_of(top)])).sorted()
-    t0 = lift @ c0.choi @ lift
-    t1 = lift @ c1.choi @ lift
-    w, v = matcore.eigh(t0.matrix - t1.matrix)
+    eye_top = identity([top], [c0.choi.dim_of(top)])
+    lift = tensor(psd_sqrt(xi), eye_top).sorted()
+    t = lift @ (c0.choi - c1.choi) @ lift
+    w, v = matcore.eigh(t.matrix)
     scale = max(1.0, float(np.abs(w).max()))
     pos = (v * (w > 1e-12 * scale)) @ v.conj().T
-    p0_tilde = LabeledOperator(pos, t0.labels, t0.dims)
-    eye = identity(t0.labels, t0.dims)
-    p1_tilde = eye - p0_tilde
-    p0 = lift @ p0_tilde @ lift
-    p1 = lift @ p1_tilde @ lift
+    p0 = lift @ LabeledOperator(pos, t.labels, t.dims) @ lift
+    p1 = tensor(xi, eye_top) - p0
     return tester_from_elements([p0, p1], n)
 
 

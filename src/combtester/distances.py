@@ -50,11 +50,6 @@ class DistanceEstimate:
         }
 
 
-def _sign_operator(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(matcore.hermitian_part(x))
-    return (v * np.sign(w)) @ v.conj().T
-
-
 def _hull_distance_nu(phases: np.ndarray) -> float:
     """Distance from the origin to the convex hull of unit-circle points.
 
@@ -79,15 +74,6 @@ def unitary_cb_oracle(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> float
     phases = np.angle(np.linalg.eigvals(u.conj().T @ v))
     nu = _hull_distance_nu(phases)
     return 2.0 * float(np.sqrt(max(0.0, 1.0 - nu * nu)))
-
-
-def _objective_at_state(delta: LabeledOperator, rho: np.ndarray,
-                        in_label: int) -> float:
-    root = LabeledOperator(psd_sqrt_matrix(rho), (in_label,), (rho.shape[0],))
-    out_labels = [l for l in delta.labels if l != in_label]
-    lift = tensor(root, identity(out_labels, tuple(delta.dim_of(l) for l in out_labels)))
-    lift = lift.permuted(delta.labels)
-    return trace_norm(lift.matrix @ delta.matrix @ lift.matrix)
 
 
 def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
@@ -135,7 +121,8 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         for _ in range(max_iter):
             psi_mat = undouble_ket(psi, d_in, d_in)
             x = output_difference(psi_mat)
-            val = float(np.abs(np.linalg.eigvalsh(matcore.hermitian_part(x))).sum())
+            w, v = np.linalg.eigh(matcore.hermitian_part(x))
+            val = float(np.abs(w).sum())
             history.append(val)
             total_iter += 1
             if val > local_val:
@@ -143,8 +130,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
             if val <= val_prev + tol:
                 break
             val_prev = val
-            s = _sign_operator(x)
-            h = lifted_observable(s)
+            h = lifted_observable((v * np.sign(w)) @ v.conj().T)
             _, vecs = np.linalg.eigh(matcore.hermitian_part(h))
             psi = vecs[:, -1]
         if local_val > best_val:
@@ -153,9 +139,9 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     psi_mat = undouble_ket(best_psi, d_in, d_in)
     rho = psi_mat.conj() @ psi_mat.T
     rho = matcore.hermitian_part(rho / np.trace(rho).real)
-    value = _objective_at_state(
-        LabeledOperator(delta, (out_label, in_label), (d_out, d_in)), rho, in_label
-    )
+    value = _memory_objective(
+        LabeledOperator(delta, (out_label, in_label), (d_out, d_in)), out_label
+    )[0](rho)
     achiever = LabeledOperator(rho, (in_label,), (d_in,))
     return DistanceEstimate(
         value=float(value), achiever=achiever, iterations=total_iter,

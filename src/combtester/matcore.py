@@ -78,9 +78,6 @@ class LabeledOperator:
     def dim_of(self, label: int) -> int:
         return self.dims[self.labels.index(label)]
 
-    def label_dims(self) -> dict[int, int]:
-        return dict(zip(self.labels, self.dims))
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -125,9 +122,6 @@ class LabeledOperator:
 
     def transpose(self) -> "LabeledOperator":
         return LabeledOperator(self.matrix.T, self.labels, self.dims)
-
-    def dagger(self) -> "LabeledOperator":
-        return LabeledOperator(self.matrix.conj().T, self.labels, self.dims)
 
     def __mul__(self, scalar) -> "LabeledOperator":
         return LabeledOperator(self.matrix * scalar, self.labels, self.dims)

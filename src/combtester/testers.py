@@ -149,8 +149,8 @@ def born_probabilities(t: Tester, mc: MemoryChannel) -> np.ndarray:
     c = mc.choi
     if t.elements[0].labels != c.labels or t.elements[0].dims != c.dims:
         raise ValueError("tester and comb act on different spaces")
-    return np.array([float(np.einsum("ij,ji->", e.matrix, c.matrix).real)
-                     for e in t.elements])
+    # Re Tr[P C] = Re Tr[P† C] when P or C is Hermitian; vdot reads both rows in order
+    return np.array([float(np.vdot(e.matrix, c.matrix).real) for e in t.elements])
 
 
 def povm_from_tester(t: Tester) -> list[LabeledOperator]:

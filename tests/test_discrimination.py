@@ -35,6 +35,8 @@ def test_parallel_identical_channels_infeasible():
     rep = parallel_discriminable(c, c, restarts=4, seed=0)
     assert rep.status == "infeasible"
     assert rep.residual > 1.0
+    # no start reaches zero, so every one of them runs
+    assert rep.restarts == 4
 
 
 def test_parallel_identity_vs_exchange_feasible():
@@ -126,6 +128,7 @@ def test_causal_identical_infeasible():
     mc = comb_from_sequence([identity_channel(2), identity_channel(2)])
     rep = causal_discriminable(mc, mc, restarts=3, seed=0, max_iter=150)
     assert rep.status == "infeasible"
+    assert rep.restarts == 3
 
 
 def test_causal_counterexample_feasible_and_synthesis():
@@ -136,6 +139,21 @@ def test_causal_counterexample_feasible_and_synthesis():
     dm = delta_matrix(t, [inst.c0, inst.c1])
     assert np.abs(dm - np.eye(2)).max() <= 1e-6
     assert validate_tester(t, 1e-8).valid
+
+
+def test_causal_draws_random_starts_only_when_they_run(monkeypatch):
+    drawn = []
+    draw = XiChainSet.random_feasible
+
+    def counted(self, rng):
+        drawn.append(rng)
+        return draw(self, rng)
+
+    monkeypatch.setattr(XiChainSet, "random_feasible", counted)
+    inst = build_example(2)
+    rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=0)
+    assert rep.feasible and rep.restarts == 1
+    assert drawn == []
 
 
 def test_causal_counterexample_d4_feasible_and_synthesis():
