@@ -202,6 +202,16 @@ class IsometricComb:
         return len(self.blocks)
 
 
+def _split_labels(label_sys: int, d_sys: int, label_anc: int, d_anc: int):
+    """Labels and dims of a system wire and its ancilla; a dimension-1
+    ancilla carries no wire."""
+    labels, dims = [label_sys], [d_sys]
+    if d_anc > 1:
+        labels.append(label_anc)
+        dims.append(d_anc)
+    return tuple(labels), tuple(dims)
+
+
 def _isometry_choi(block: np.ndarray, out_labels, out_dims, in_labels, in_dims) -> LabeledOperator:
     v = double_ket(block)
     c = np.outer(v, v.conj())
@@ -232,19 +242,14 @@ def comb_from_isometries(comb: IsometricComb) -> MemoryChannel:
     for j, block in enumerate(comb.blocks):
         sys_in, sys_out = comb.system_dims[2 * j], comb.system_dims[2 * j + 1]
         anc_out = comb.ancilla_dims[j]
-        in_labels, in_dims = [2 * j], [sys_in]
-        if anc_in > 1:
-            in_labels.append(_ANCILLA_BASE + j)
-            in_dims.append(anc_in)
+        in_labels, in_dims = _split_labels(2 * j, sys_in, _ANCILLA_BASE + j, anc_in)
         if j == n - 1:
             chois.append(
                 _traced_final_choi(block, sys_out, anc_out, 2 * j + 1, in_labels, in_dims)
             )
         else:
-            out_labels, out_dims = [2 * j + 1], [sys_out]
-            if anc_out > 1:
-                out_labels.append(_ANCILLA_BASE + j + 1)
-                out_dims.append(anc_out)
+            out_labels, out_dims = _split_labels(2 * j + 1, sys_out,
+                                                 _ANCILLA_BASE + j + 1, anc_out)
             chois.append(
                 _isometry_choi(block, out_labels, out_dims, in_labels, in_dims)
             )

@@ -155,13 +155,12 @@ class SolveResult:
 
 
 def projected_gradient_min(value_and_grad, project, x0: np.ndarray,
-                           max_iter: int = 400, step0: float = 1.0,
-                           ftol: float = 1e-14, stop_below: float = 0.0) -> SolveResult:
+                           max_iter: int = 400, stop_below: float = 0.0) -> SolveResult:
     """Monotone projected gradient descent with backtracking line search."""
     x = project(x0)
     f, g = value_and_grad(x)
     history = [f]
-    step = step0
+    step = 1.0
     it = 0
     for it in range(1, max_iter + 1):
         improved = False
@@ -181,6 +180,6 @@ def projected_gradient_min(value_and_grad, project, x0: np.ndarray,
             break
         if f <= stop_below:
             break
-        if len(history) > 2 and abs(history[-2] - f) <= ftol * max(1.0, f):
+        if len(history) > 2 and abs(history[-2] - f) <= 1e-14 * max(1.0, f):
             break
     return SolveResult(x=x, value=f, iterations=it, history=history)

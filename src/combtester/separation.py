@@ -184,8 +184,7 @@ class ParallelImpossibilityReport:
 
 
 def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
-                               solver_restarts: int = 5,
-                               solver_max_iter: int = 300) -> ParallelImpossibilityReport:
+                               solver_restarts: int = 5) -> ParallelImpossibilityReport:
     """Machine-check that no parallel scheme discriminates the pair.
 
     Computes ``Tr_{13}[C0 C1]`` and compares it with ``I/d^3`` (the constant
@@ -206,7 +205,7 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     fitted = float(np.trace(t).real / side)
     report_solver = parallel_discriminable(
         inst.c0.choi, inst.c1.choi,
-        restarts=solver_restarts, seed=seed, max_iter=solver_max_iter,
+        restarts=solver_restarts, seed=seed, max_iter=300,
     )
     return ParallelImpossibilityReport(
         d=d,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .channels import IsometricComb, MemoryChannel
+from .channels import IsometricComb, MemoryChannel, _isometry_choi, _split_labels
 from .matcore import (
     LabeledOperator,
     identity,
@@ -235,14 +235,6 @@ class TesterCircuit:
         return len(self.ancilla_dims)
 
 
-def _split_labels(label_sys: int, d_sys: int, label_anc: int, d_anc: int):
-    labels, dims = [label_sys], [d_sys]
-    if d_anc > 1:
-        labels.append(label_anc)
-        dims.append(d_anc)
-    return tuple(labels), tuple(dims)
-
-
 def tester_from_circuit(tc: TesterCircuit) -> Tester:
     """Tester elements of a circuit scheme, by link-product contraction.
 
@@ -267,9 +259,7 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
                                            _TESTER_ANCILLA + j, ad[j - 1])
         out_labels, out_dims = _split_labels(2 * j, sd[2 * j],
                                              _TESTER_ANCILLA + j + 1, ad[j])
-        v = matcore.double_ket(block)
-        chois.append(LabeledOperator(np.outer(v, v.conj()),
-                                     out_labels + in_labels, out_dims + in_dims))
+        chois.append(_isometry_choi(block, out_labels, out_dims, in_labels, in_dims))
     prep_labels, prep_dims = _split_labels(0, sd[0], _TESTER_ANCILLA + 1, ad[0])
     state = LabeledOperator(tc.input_state, prep_labels, prep_dims)
     m_labels, m_dims = _split_labels(2 * n - 1, sd[2 * n - 1], _TESTER_ANCILLA + n, ad[-1])
@@ -318,16 +308,16 @@ def simulate_tester_circuit(tc: TesterCircuit, comb: IsometricComb) -> np.ndarra
     for j in range(n):
         out_labels, out_dims = _split_labels(2 * j + 1, sd[2 * j + 1],
                                              _COMB_ANCILLA, comb.ancilla_dims[j])
-        in_labels = [2 * j] + ([_COMB_ANCILLA] if anc_in > 1 else [])
+        in_labels, _ = _split_labels(2 * j, sd[2 * j], _COMB_ANCILLA, anc_in)
         state = _apply_block(state, comb.blocks[j], in_labels, out_labels, out_dims)
         anc_in = comb.ancilla_dims[j]
         if j < n - 1:
             t_out_labels, t_out_dims = _split_labels(2 * j + 2, sd[2 * j + 2],
                                                      _TESTER_ANCILLA, ad[j + 1])
-            t_in_labels = [2 * j + 1] + ([_TESTER_ANCILLA] if ad[j] > 1 else [])
+            t_in_labels, _ = _split_labels(2 * j + 1, sd[2 * j + 1], _TESTER_ANCILLA, ad[j])
             state = _apply_block(state, tc.blocks[j], t_in_labels, t_out_labels, t_out_dims)
     if anc_in > 1:
         state = partial_trace(state, [_COMB_ANCILLA])
-    m_labels = [2 * n - 1] + ([_TESTER_ANCILLA] if ad[-1] > 1 else [])
-    state = state.permuted(tuple(m_labels))
+    m_labels, _ = _split_labels(2 * n - 1, sd[2 * n - 1], _TESTER_ANCILLA, ad[-1])
+    state = state.permuted(m_labels)
     return np.array([float(np.trace(m @ state.matrix).real) for m in tc.povm])

@@ -16,6 +16,7 @@ from combtester.matcore import LabeledOperator, identity, psd_sqrt, tensor, trac
 from combtester.optim import XiChainSet
 from combtester.sampling import haar_unitary, random_kraus
 from combtester.separation import build_example
+from combtester.unitary import angular_spread, discriminability
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -42,6 +43,28 @@ def test_oracle_phase_chord():
     for theta in (0.4, np.pi / 2, 2.0):
         u = np.diag([1.0, np.exp(1j * theta)])
         assert abs(unitary_cb_oracle(np.eye(2), u) - 2 * np.sin(theta / 2)) < 1e-12
+
+
+def test_oracle_is_the_spread_form():
+    rng = np.random.default_rng(7)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            u, v = haar_unitary(d, rng), haar_unitary(d, rng)
+            nu = discriminability(u.conj().T @ v)
+            assert abs(unitary_cb_oracle(u, v) - 2 * np.sqrt(1 - nu**2)) <= 1e-12
+    w = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    u = haar_unitary(3, rng)
+    assert angular_spread(w) > np.pi
+    assert unitary_cb_oracle(u, u @ w) == 2.0
+
+
+def test_oracle_accepts_inputs_within_its_tolerance():
+    rng = np.random.default_rng(10)
+    u, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    h = rng.normal(size=(3, 3))
+    near = u @ (np.eye(3) + 1.2e-10 * (h + h.T) / np.linalg.norm(h + h.T))
+    assert np.linalg.norm(near.conj().T @ near - np.eye(3)) <= 1e-10 * 3
+    assert abs(unitary_cb_oracle(near, v) - unitary_cb_oracle(u, v)) <= 1e-8
 
 
 def test_oracle_rejects_non_unitary():
@@ -99,6 +122,27 @@ def test_cb_symmetry():
     ab = cb_distance(a, b, restarts=8, seed=5).value
     ba = cb_distance(b, a, restarts=8, seed=5).value
     assert abs(ab - ba) <= 1e-6
+
+
+def test_cb_history_monotone_at_fixed_steps():
+    rng = np.random.default_rng(8)
+    pairs = [(qubit_choi(haar_unitary(2, rng)), qubit_choi(haar_unitary(2, rng)))]
+    pairs += [(comb_from_sequence([random_qubit_channel(rng)]).choi,
+               comb_from_sequence([random_qubit_channel(rng)]).choi) for _ in range(3)]
+    for a, b in pairs:
+        h = cb_distance(a, b, restarts=4, seed=1, max_iter=30, tol=-np.inf).history
+        assert len(h) == 30
+        assert all(y >= x - 1e-12 * max(1.0, abs(x)) for x, y in zip(h, h[1:]))
+
+
+def test_cb_ignores_factor_order():
+    rng = np.random.default_rng(9)
+    a = comb_from_sequence([random_qubit_channel(rng)]).choi
+    b = comb_from_sequence([random_qubit_channel(rng)]).choi
+    est = cb_distance(a, b, restarts=4, seed=3)
+    swapped = cb_distance(a, b.permuted((1, 0)), restarts=4, seed=3)
+    assert swapped.value == est.value
+    assert swapped.history == est.history
 
 
 def test_memory_identical():
