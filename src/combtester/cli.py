@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
+def _restart_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=1, default=_jsonable)
     print()
@@ -192,7 +199,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--restarts", type=int, default=20)
+    common.add_argument("--restarts", type=_restart_count, default=20)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", parents=[common], help="check a comb or tester file")

@@ -11,7 +11,11 @@ the equivalent pure-input form ``R = Ψ^T`` for an input ket ``|ψ>`` on
 the output difference ``L Δ L†``, the other takes the top eigenvector of
 the lifted observable ``H`` with ``<ψ|H|ψ> = Tr[S L Δ L†]``, which is ``Δ^T``
 contracted with ``S`` over the output.  Both half-steps are exact, so the
-seesaw is monotone.
+seesaw is monotone.  The seesaw's restarts run as one stacked batch: each
+step lifts, eigensolves and contracts every unstopped restart at once, with
+the same arithmetic per restart as a loop over them.  A restart that stops
+at its iteration cap rather than by its stopping rule is counted in
+``DistanceEstimate.capped``.
 
 All estimates are certified lower bounds: the returned value is the
 objective re-evaluated at the returned achiever, never the raw iterate
@@ -39,6 +43,8 @@ class DistanceEstimate:
     achiever: LabeledOperator
     iterations: int
     restarts: int
+    # restarts that stopped at ``max_iter`` rather than by their stopping rule
+    capped: int
     history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -46,6 +52,7 @@ class DistanceEstimate:
             "value": self.value,
             "iterations": self.iterations,
             "restarts": self.restarts,
+            "capped": self.capped,
         }
 
 
@@ -69,7 +76,8 @@ def unitary_cb_oracle(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> float
 
 
 def _lift(root: np.ndarray, top_dim: int) -> np.ndarray:
-    """``root ⊗ I_top``, the top space last."""
+    """``root ⊗ I_top``, the top space last; a stack of roots gives the stack
+    of their lifts."""
     return np.kron(root, np.eye(top_dim))
 
 
@@ -89,51 +97,61 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     delta = diff.matrix
     if np.linalg.norm(delta) < 1e-15:
         rho = LabeledOperator(np.eye(d_in) / d_in, (in_label,), (d_in,))
-        return DistanceEstimate(0.0, rho, 0, 0, [0.0])
+        return DistanceEstimate(0.0, rho, 0, 0, 0, [0.0])
 
     side = d_in * d_in
     # Δ^T[(a', o'), (a, o)] as a matrix from (a', a) to (o', o)
     dt = delta.T.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(side, -1)
     rng = rng_from(seed)
 
-    best_val, best_psi, total_iter = -1.0, None, 0
-    history_best: list[float] = []
     maximally_entangled = np.eye(d_in).reshape(-1) / np.sqrt(d_in)
     starts = [maximally_entangled]
     starts += [random_pure_state(side, rng) for _ in range(max(0, restarts - 1))]
-    for psi in starts:
-        val_prev = -np.inf
-        local_val, local_psi = -1.0, psi
-        history = []
-        for _ in range(max_iter):
-            lift = _lift(psi.reshape(d_in, d_in).T, d_out)
-            x = lift @ delta @ lift.conj().T
-            w, v = np.linalg.eigh(matcore.hermitian_part(x))
-            val = float(np.abs(w).sum())
-            history.append(val)
-            total_iter += 1
-            if val > local_val:
-                local_val, local_psi = val, psi
-            if val <= val_prev + tol:
-                break
-            val_prev = val
-            s = (v * np.sign(w)) @ v.conj().T
-            # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
-            s = s.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2).reshape(-1, side)
-            h = (dt @ s).reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(side, side)
-            _, vecs = np.linalg.eigh(matcore.hermitian_part(h))
-            psi = vecs[:, -1]
-        if local_val > best_val:
-            best_val, best_psi, history_best = local_val, local_psi, history
+    # every restart steps in lockstep; row r of psi, best_psi, best_val and
+    # val_prev belongs to restart r, and ``live`` indexes the unstopped ones.
+    # Complex from the start: with one restart the only start is real.
+    psi = np.array(starts, dtype=complex)
+    count = len(starts)
+    best_psi = psi.copy()
+    best_val = np.full(count, -1.0)
+    val_prev = np.full(count, -np.inf)
+    histories: list[list[float]] = [[] for _ in range(count)]
+    live = np.arange(count)
+    total_iter = 0
+    for _ in range(max_iter):
+        lift = _lift(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
+        x = lift @ delta @ matcore._dagger(lift)
+        w, v = np.linalg.eigh((x + matcore._dagger(x)) / 2)
+        val = np.abs(w).sum(axis=-1)
+        total_iter += live.size
+        for r, y in zip(live, val.tolist()):
+            histories[r].append(y)
+        better = val > best_val[live]
+        best_val[live[better]] = val[better]
+        best_psi[live[better]] = psi[better]
+        going = ~(val <= val_prev[live] + tol)
+        val_prev[live] = val
+        live, psi, w, v = live[going], psi[going], w[going], v[going]
+        if live.size == 0:
+            break
+        s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
+        # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
+        s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)
+        h = (dt @ s.reshape(-1, d_out * d_out, side)).reshape((-1,) + (d_in,) * 4)
+        h = h.transpose(0, 1, 3, 2, 4).reshape(-1, side, side)
+        _, vecs = np.linalg.eigh((h + matcore._dagger(h)) / 2)
+        psi = vecs[:, :, -1]
 
-    psi_mat = best_psi.reshape(d_in, d_in)
+    # the first restart that reaches the largest value, as a sequential scan keeps
+    first = int(np.argmax(best_val))
+    psi_mat = best_psi[first].reshape(d_in, d_in)
     rho = psi_mat.conj() @ psi_mat.T
     rho = matcore.hermitian_part(rho / np.trace(rho).real)
     value = _memory_objective(diff, out_label)[0](rho)
     achiever = LabeledOperator(rho, (in_label,), (d_in,))
     return DistanceEstimate(
         value=float(value), achiever=achiever, iterations=total_iter,
-        restarts=len(starts), history=history_best,
+        restarts=count, capped=live.size, history=histories[first],
     )
 
 
@@ -193,7 +211,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     starts = [xi_set.uniform()]
     starts += [xi_set.random_feasible(rng) for _ in range(max(0, restarts - 1))]
 
-    best_val, best_xi, total_iter = -1.0, None, 0
+    best_val, best_xi, total_iter, capped = -1.0, None, 0, 0
     best_hist: list[float] = []
     for x0 in starts:
         xi = xi_set.project(x0)
@@ -212,6 +230,8 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
                 step *= 0.5
                 if step < 1e-10:
                     break
+        else:
+            capped += 1
         if val > best_val:
             best_val, best_xi, best_hist = val, xi, hist
 
@@ -219,5 +239,5 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     achiever = LabeledOperator(best_xi, xi_set.labels, xi_set.dims)
     return DistanceEstimate(
         value=float(cert), achiever=achiever, iterations=total_iter,
-        restarts=len(starts), history=best_hist,
+        restarts=len(starts), capped=capped, history=best_hist,
     )

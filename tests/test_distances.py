@@ -8,13 +8,22 @@ from combtester.channels import (
     unitary_channel,
 )
 from combtester.distances import (
+    _lift,
+    _memory_objective,
     cb_distance,
     memory_distance,
     unitary_cb_oracle,
 )
-from combtester.matcore import LabeledOperator, identity, psd_sqrt, tensor, trace_norm
+from combtester.matcore import (
+    LabeledOperator,
+    hermitian_part,
+    identity,
+    psd_sqrt,
+    tensor,
+    trace_norm,
+)
 from combtester.optim import XiChainSet
-from combtester.sampling import haar_unitary, random_kraus
+from combtester.sampling import haar_unitary, random_kraus, random_pure_state, rng_from
 from combtester.separation import build_example
 from combtester.unitary import angular_spread, discriminability
 
@@ -145,6 +154,88 @@ def test_cb_ignores_factor_order():
     assert swapped.history == est.history
 
 
+def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
+    """The seesaw one restart at a time, as ``cb_distance`` ran it before its
+    restarts were stacked: (value, iterations, restarts, history)."""
+    c0 = c0.sorted()
+    diff = c0 - c1.permuted(c0.labels)
+    d_in, d_out = diff.dims
+    delta, side = diff.matrix, d_in * d_in
+    dt = delta.T.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(side, -1)
+    rng = rng_from(seed)
+    starts = [np.eye(d_in).reshape(-1) / np.sqrt(d_in)]
+    starts += [random_pure_state(side, rng) for _ in range(restarts - 1)]
+    best_val, best_psi, best_hist, total_iter = -np.inf, None, [], 0
+    for psi in starts:
+        val_prev, local_val, local_psi, history = -np.inf, -1.0, psi, []
+        for _ in range(max_iter):
+            lift = _lift(psi.reshape(d_in, d_in).T, d_out)
+            w, v = np.linalg.eigh(hermitian_part(lift @ delta @ lift.conj().T))
+            val = float(np.abs(w).sum())
+            history.append(val)
+            total_iter += 1
+            if val > local_val:
+                local_val, local_psi = val, psi
+            if val <= val_prev + tol:
+                break
+            val_prev = val
+            s = (v * np.sign(w)) @ v.conj().T
+            s = s.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2).reshape(-1, side)
+            h = (dt @ s).reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(side, side)
+            psi = np.linalg.eigh(hermitian_part(h))[1][:, -1]
+        if local_val > best_val:
+            best_val, best_psi, best_hist = local_val, local_psi, history
+    m = best_psi.reshape(d_in, d_in)
+    rho = m.conj() @ m.T
+    rho = hermitian_part(rho / np.trace(rho).real)
+    value = _memory_objective(diff, diff.labels[-1])[0](rho)
+    return value, total_iter, len(starts), best_hist
+
+
+@pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_cb_stacked_restarts_match_one_at_a_time(d_in, d_out):
+    rng = np.random.default_rng(12 + 4 * d_in + d_out)
+    channels = [Channel(tuple(random_kraus(d_in, d_out, 2, rng)), d_in, d_out)
+                for _ in range(4)]
+    if d_in == d_out:
+        channels += [unitary_channel(haar_unitary(d_in, rng)) for _ in range(2)]
+    chois = [comb_from_sequence([ch]).choi for ch in channels]
+    for k, (a, b) in enumerate(zip(chois[::2], chois[1::2])):
+        for kw in ({"restarts": 5}, {"restarts": 5, "tol": -np.inf, "max_iter": 25},
+                   {"restarts": 5, "max_iter": 0}, {"restarts": 1}):
+            est = cb_distance(a, b, seed=k, **kw)
+            value, iterations, restarts, history = _reference_cb(a, b, seed=k, **kw)
+            assert (est.restarts, est.iterations, len(est.history)) == (
+                restarts, iterations, len(history))
+            assert abs(est.value - value) <= 1e-12
+            assert np.allclose(est.history, history, rtol=0, atol=1e-12)
+
+
+def test_cb_max_iter_zero_certifies_the_maximally_entangled_start():
+    rng = np.random.default_rng(13)
+    a = comb_from_sequence([random_qubit_channel(rng)]).choi
+    b = comb_from_sequence([random_qubit_channel(rng)]).choi
+    est = cb_distance(a, b, restarts=4, seed=0, max_iter=0)
+    assert (est.iterations, est.restarts, est.capped, est.history) == (0, 4, 4, [])
+    assert np.allclose(est.achiever.matrix, np.eye(2) / 2, rtol=0, atol=1e-15)
+    assert abs(est.value - _memory_objective(a - b, 1)[0](np.eye(2) / 2)) <= 1e-12
+
+
+def test_capped_restarts_are_counted():
+    rng = np.random.default_rng(14)
+    a = comb_from_sequence([random_qubit_channel(rng)]).choi
+    b = comb_from_sequence([random_qubit_channel(rng)]).choi
+    fixed = cb_distance(a, b, restarts=4, seed=1, max_iter=10, tol=-np.inf)
+    assert fixed.capped == 4 and fixed.to_dict()["capped"] == 4
+    assert cb_distance(a, b, restarts=4, seed=1).capped == 0
+    assert cb_distance(a, a, restarts=3, seed=0).capped == 0
+    mc = comb_from_sequence([identity_channel(2), identity_channel(2)])
+    ma = comb_from_sequence([random_qubit_channel(rng), random_qubit_channel(rng)])
+    assert memory_distance(ma, mc, restarts=2, seed=0, max_iter=1).capped == 2
+    # identical combs: every step is rejected, so the step shrinks below 1e-10
+    assert memory_distance(mc, mc, restarts=2, seed=0, max_iter=200).capped == 0
+
+
 def test_memory_identical():
     mc = comb_from_sequence([identity_channel(2), identity_channel(2)])
     est = memory_distance(mc, mc, restarts=2, seed=0, max_iter=30)
@@ -178,8 +269,6 @@ def test_memory_dominates_product_embeddings():
         delta = LabeledOperator(
             a.choi.matrix - b.choi.matrix, a.choi.labels, a.choi.dims
         )
-        from combtester.distances import _memory_objective
-
         value, _ = _memory_objective(delta, 3)
         for _ in range(5):
             rho = np.kron(
@@ -199,7 +288,5 @@ def test_memory_certified_at_achiever():
         inst.c0.choi.matrix - inst.c1.choi.matrix,
         inst.c0.choi.labels, inst.c0.choi.dims,
     )
-    from combtester.distances import _memory_objective
-
     value, _ = _memory_objective(delta, 3)
     assert abs(est.value - value(est.achiever.matrix)) <= 1e-9

@@ -232,6 +232,17 @@ def test_cli_usage_errors(tmp_path):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("command", [["distance", "--kind", "cb"],
+                                     ["discriminate", "--mode", "parallel"]])
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_cli_rejects_restarts_below_one(tmp_path, capsys, command, restarts):
+    fi, fx = _files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command + [fi, fx, "--restarts", restarts])
+    assert exc.value.code == 64
+    assert "--restarts: must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_deterministic_given_seed(tmp_path, capsys):
     fi, fx = _files(tmp_path)
     main(["distance", "--kind", "cb", fi, fx, "--seed", "3", "--restarts", "5"])
