@@ -26,7 +26,7 @@ import numpy as np
 from . import matcore
 from .channels import Channel, MemoryChannel
 from .matcore import LabeledOperator, identity, psd_sqrt, tensor
-from .optim import XiChainSet, project_to_density, projected_gradient_min
+from .optim import XiChainSet, project_to_density, projected_gradient_min, require_restarts
 from .sampling import random_density, rng_from
 from .testers import Tester, born_probabilities, tester_from_elements
 
@@ -65,13 +65,17 @@ class _ProductObjective:
     :func:`matcore.block_square`) the objective is ``Tr[x half(x)]`` with
     ``half[e,h] = sum_{o,b,f,g} Q[o,e,b,f] x[f,g] R[b,g,o,h]``.  The sum over
     the fixed pair ``(o,b)`` is the product ``M = Qm Rm`` of the reshapes
-    ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``, and each call contracts a
-    rank-``k`` factor pair ``M = A B`` in two GEMMs, with
-    ``k = min(df^2, de^2)``:
+    ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``.  Only the fixed pairs with
+    both a nonzero ``Qm`` column and a nonzero ``Rm`` row are kept; the
+    others add exact zeros to ``M``.  Each call contracts a rank-``k`` factor
+    pair ``M = A B`` in two GEMMs, with ``k = min(kept pairs, de^2)``:
 
-    * ``df^2 <= de^2`` (causal): ``A = Qm`` and ``B = Rm`` as they stand;
-    * ``df^2 > de^2`` (parallel): ``M`` is folded once here, and ``A = I``,
-      ``B = M``.
+    * at most ``de^2`` kept pairs: ``A`` and ``B`` are the kept columns of
+      ``Qm`` and rows of ``Rm``;
+    * more: ``M`` is folded once here, and ``A = I``, ``B = M``.
+
+    The counterexample at dimension ``d`` keeps 1 of its ``d^2`` causal
+    pairs and ``d^2`` of its ``d^6`` parallel ones; a dense comb keeps all.
     """
 
     def __init__(self, c0: LabeledOperator, c1: LabeledOperator, fixed_labels):
@@ -93,7 +97,9 @@ class _ProductObjective:
         r = matcore.block_square(b.matrix).reshape(df, de, df, de)
         qm = q.transpose(1, 3, 0, 2).reshape(de * de, df * df)
         rm = r.transpose(2, 0, 1, 3).reshape(df * df, de * de)
-        if df > de:
+        keep = np.flatnonzero(qm.any(axis=0) & rm.any(axis=1))
+        qm, rm = qm[:, keep], rm[keep]
+        if qm.shape[1] > de * de:
             rm = qm @ rm
             qm = np.eye(de * de, dtype=complex)
         k = qm.shape[1]
@@ -163,6 +169,7 @@ def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
                            restarts: int = 20, seed: int = 0,
                            max_iter: int = 400) -> FeasibilityReport:
     """Decide the parallel criterion by minimizing over joint input states."""
+    require_restarts(restarts)
     c0 = c0.sorted()
     c1 = c1.sorted()
     if c0.labels != c1.labels or c0.dims != c1.permuted(c0.labels).dims:
@@ -179,6 +186,7 @@ def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
                          restarts: int = 20, seed: int = 0,
                          max_iter: int = 600) -> FeasibilityReport:
     """Decide the causal criterion by minimizing over tester normalizations."""
+    require_restarts(restarts)
     a, b = c0.choi, c1.choi
     if a.dims != b.dims:
         raise ValueError("memory channels act on different spaces")
@@ -267,6 +275,12 @@ def min_entanglement_rank(ch0: Channel, ch1: Channel, *, seed: int = 0,
     return None
 
 
+def _positive_support(w: np.ndarray) -> np.ndarray:
+    """Indicator of the eigenvalues above rounding on the spectrum's scale."""
+    scale = max(1.0, float(np.abs(w).max()))
+    return w > 1e-12 * scale
+
+
 def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
                       witness: LabeledOperator,
                       max_witness_residual: float = 1e-6) -> Tester:
@@ -290,9 +304,7 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
     eye_top = identity([top], [c0.choi.dim_of(top)])
     lift = tensor(psd_sqrt(xi), eye_top).sorted()
     t = lift @ (c0.choi - c1.choi) @ lift
-    w, v = matcore.eigh(t.matrix)
-    scale = max(1.0, float(np.abs(w).max()))
-    pos = (v * (w > 1e-12 * scale)) @ v.conj().T
+    pos = matcore.spectral_map(t.matrix, _positive_support, checked=True)
     p0 = lift @ LabeledOperator(pos, t.labels, t.dims) @ lift
     p1 = tensor(xi, eye_top) - p0
     return tester_from_elements([p0, p1], n)

@@ -32,7 +32,7 @@ import numpy as np
 from . import matcore
 from .channels import MemoryChannel
 from .matcore import LabeledOperator, psd_sqrt_matrix, trace_norm
-from .optim import XiChainSet
+from .optim import XiChainSet, require_restarts
 from .sampling import random_pure_state, rng_from
 from .unitary import discriminability
 
@@ -85,6 +85,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
                 restarts: int = 20, seed: int = 0,
                 max_iter: int = 300, tol: float = 1e-12) -> DistanceEstimate:
     """Seesaw lower bound on the cb distance of two channels given as Chois."""
+    require_restarts(restarts)
     c0 = c0.sorted()
     if len(c0.labels) != 2:
         raise ValueError("cb_distance expects single-use Choi operators")
@@ -106,7 +107,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
 
     maximally_entangled = np.eye(d_in).reshape(-1) / np.sqrt(d_in)
     starts = [maximally_entangled]
-    starts += [random_pure_state(side, rng) for _ in range(max(0, restarts - 1))]
+    starts += [random_pure_state(side, rng) for _ in range(restarts - 1)]
     # every restart steps in lockstep; row r of psi, best_psi, best_val and
     # val_prev belongs to restart r, and ``live`` indexes the unstopped ones.
     # Complex from the start: with one restart the only start is real.
@@ -199,6 +200,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     this reduces to the cb distance.  Restart points are the uniform
     normalization and random feasible points.
     """
+    require_restarts(restarts)
     a, b = c0.choi, c1.choi
     if a.dims != b.dims:
         raise ValueError("memory channels act on different spaces")
@@ -209,7 +211,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     rng = rng_from(seed)
 
     starts = [xi_set.uniform()]
-    starts += [xi_set.random_feasible(rng) for _ in range(max(0, restarts - 1))]
+    starts += [xi_set.random_feasible(rng) for _ in range(restarts - 1)]
 
     best_val, best_xi, total_iter, capped = -1.0, None, 0, 0
     best_hist: list[float] = []

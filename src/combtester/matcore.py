@@ -49,9 +49,22 @@ class LabeledOperator:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        labels = tuple(int(l) for l in self.labels)
-        dims = tuple(int(d) for d in self.dims)
+        self._own(_as_complex_matrix(self.matrix).copy(), self.labels, self.dims)
+
+    @classmethod
+    def _built(cls, m: np.ndarray, labels, dims, *, scan: bool = True) -> "LabeledOperator":
+        """Wrap an array this module has just built, without a copy.
+
+        ``scan=False`` skips the NaN/Inf scan; it is for rearrangements of an
+        already-checked operator's entries only.
+        """
+        op = object.__new__(cls)
+        op._own(_as_complex_matrix(m) if scan else m, labels, dims)
+        return op
+
+    def _own(self, m: np.ndarray, labels, dims) -> None:
+        labels = tuple(int(l) for l in labels)
+        dims = tuple(int(d) for d in dims)
         if len(labels) != len(dims):
             raise ValueError("labels and dims must have equal length")
         if len(set(labels)) != len(labels):
@@ -63,7 +76,6 @@ class LabeledOperator:
             raise ValueError(
                 f"matrix side {m.shape} inconsistent with dims {dims} (product {side})"
             )
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", labels)
@@ -99,7 +111,7 @@ class LabeledOperator:
         t = self._tensor_view().transpose(perm + [p + k for p in perm])
         new_dims = tuple(self.dims[p] for p in perm)
         side = self.side
-        return LabeledOperator(t.reshape(side, side), new_labels, new_dims)
+        return LabeledOperator._built(t.reshape(side, side), new_labels, new_dims, scan=False)
 
     def sorted(self) -> "LabeledOperator":
         return self.permuted(tuple(np.sort(self.labels)))
@@ -115,16 +127,20 @@ class LabeledOperator:
             if l in on:
                 axes[i], axes[i + k] = axes[i + k], axes[i]
         t = self._tensor_view().transpose(axes)
-        return LabeledOperator(t.reshape(self.side, self.side), self.labels, self.dims)
+        return self._like(t.reshape(self.side, self.side), scan=False)
 
     def conj(self) -> "LabeledOperator":
-        return LabeledOperator(self.matrix.conj(), self.labels, self.dims)
+        return self._like(self.matrix.conj(), scan=False)
 
     def transpose(self) -> "LabeledOperator":
-        return LabeledOperator(self.matrix.T, self.labels, self.dims)
+        return self._like(self.matrix.T, scan=False)
+
+    def _like(self, m: np.ndarray, *, scan: bool = True) -> "LabeledOperator":
+        """A freshly built ``m`` on this operator's factors (see :meth:`_built`)."""
+        return LabeledOperator._built(m, self.labels, self.dims, scan=scan)
 
     def __mul__(self, scalar) -> "LabeledOperator":
-        return LabeledOperator(self.matrix * scalar, self.labels, self.dims)
+        return self._like(self.matrix * scalar)
 
     __rmul__ = __mul__
 
@@ -137,18 +153,18 @@ class LabeledOperator:
         return other.matrix
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.matrix + self.aligned(other), self.labels, self.dims)
+        return self._like(self.matrix + self.aligned(other))
 
     def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.matrix - self.aligned(other), self.labels, self.dims)
+        return self._like(self.matrix - self.aligned(other))
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.matrix @ self.aligned(other), self.labels, self.dims)
+        return self._like(self.matrix @ self.aligned(other))
 
 
 def identity(labels: Sequence[int], dims: Sequence[int]) -> LabeledOperator:
     side = int(np.prod(dims)) if len(dims) else 1
-    return LabeledOperator(np.eye(side, dtype=complex), tuple(labels), tuple(dims))
+    return LabeledOperator._built(np.eye(side, dtype=complex), labels, dims, scan=False)
 
 
 def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -156,7 +172,7 @@ def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise ValueError(f"overlapping labels {sorted(overlap)} in tensor product")
-    return LabeledOperator(
+    return LabeledOperator._built(
         np.kron(a.matrix, b.matrix), a.labels + b.labels, a.dims + b.dims
     )
 
@@ -183,7 +199,7 @@ def partial_trace(a: LabeledOperator, over: Iterable[int]) -> LabeledOperator:
         labels.pop(i)
         dims.pop(i)
     side = int(np.prod(dims)) if dims else 1
-    return LabeledOperator(t.reshape(side, side), tuple(labels), tuple(dims))
+    return LabeledOperator._built(t.reshape(side, side), labels, dims)
 
 
 def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -214,7 +230,7 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     out = np.einsum("xsyt,sutv->xuyv", at, bt, optimize=True)
     labels = tuple(rest_a + rest_b)
     dims = tuple([ar.dim_of(l) for l in rest_a] + [br.dim_of(l) for l in rest_b])
-    return LabeledOperator(out.reshape(da * db, da * db), labels, dims)
+    return LabeledOperator._built(out.reshape(da * db, da * db), labels, dims)
 
 
 def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
@@ -320,7 +336,10 @@ def block_groups(h: np.ndarray) -> list[np.ndarray]:
 def _block_indices(h: np.ndarray) -> list:
     """Per block size, the index that gathers the stacked diagonal blocks,
     ``h[index]`` of shape ``(count, size, size)``; a matrix with one
-    component is indexed by ``...``, as it stands."""
+    component is indexed by ``...``, as it stands.  A row 0 without zero
+    entries joins every index, so such a matrix skips the labelling."""
+    if np.count_nonzero(h[:1]) == h.shape[0]:
+        return [...]
     return [... if g.shape[1] == h.shape[0] else (g[:, :, None], g[:, None, :])
             for g in block_groups(h)]
 
@@ -385,35 +404,68 @@ def trace_norm(x) -> float:
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
-def _psd_eigensystem(h: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    w, v = eigh(h)
-    scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-    if w.min(initial=0.0) < PSD_FAIL * scale:
-        raise ValueError(
-            f"{what}: eigenvalue {w.min():.3e} is significantly negative; "
-            "not a valid positive operator"
-        )
-    return np.clip(w, 0.0, None), v
+def spectral_map(h: np.ndarray, f, *, checked: bool = False) -> np.ndarray:
+    """``sum v f(w) v^dagger`` over the eigensystem of a Hermitian matrix.
+
+    Runs one stacked ``eigh`` per block size of :func:`block_groups` and
+    rebuilds the result block by block; ``f`` maps the concatenated spectrum
+    of all blocks at once, so it may use global quantities of it.  Exact up
+    to rounding, since ``h`` vanishes off its diagonal blocks, and a matrix
+    with one component is mapped as it stands.  With ``checked`` the blocks
+    first pass :func:`eigh`'s Hermiticity check, and their Hermitian parts
+    are mapped.
+    """
+    indices = _block_indices(h)
+    if indices[0] is ...:
+        if checked:
+            (h,) = _checked_hermitian([h])
+        w, v = np.linalg.eigh(h)
+        return (v * f(w)) @ v.conj().T
+    blocks = [h[index] for index in indices]
+    if checked:
+        blocks = _checked_hermitian(blocks)
+    systems = [np.linalg.eigh(b) for b in blocks]
+    fw = f(np.concatenate([w.ravel() for w, _ in systems]))
+    out = np.zeros_like(h)
+    start = 0
+    for index, (w, v) in zip(indices, systems):
+        part = fw[start:start + w.size].reshape(w.shape)
+        start += w.size
+        out[index] = (v * part[:, None, :]) @ _dagger(v)
+    return out
+
+
+def _psd_map(h, what: str, f) -> np.ndarray:
+    """:func:`spectral_map` of ``f`` on the clipped spectrum of a PSD ``h``;
+    raises if an eigenvalue is significantly negative on the global scale."""
+    def clipped(w):
+        scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
+        if w.min(initial=0.0) < PSD_FAIL * scale:
+            raise ValueError(
+                f"{what}: eigenvalue {w.min():.3e} is significantly negative; "
+                "not a valid positive operator"
+            )
+        return f(np.maximum(w, 0.0))
+
+    return spectral_map(_as_square_matrix(h), clipped, checked=True)
 
 
 def psd_sqrt_matrix(h) -> np.ndarray:
-    w, v = _psd_eigensystem(_as_complex_matrix(h), "psd_sqrt")
-    return (v * np.sqrt(w)) @ v.conj().T
+    return _psd_map(h, "psd_sqrt", np.sqrt)
 
 
 def psd_inv_sqrt_matrix(h) -> np.ndarray:
     """Inverse square root on the support; zero on the kernel."""
-    w, v = _psd_eigensystem(_as_complex_matrix(h), "psd_inv_sqrt")
-    inv = np.where(w > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
+    return _psd_map(h, "psd_inv_sqrt", lambda w: np.where(
+        w > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0))
 
 
 def psd_sqrt(h: LabeledOperator) -> LabeledOperator:
-    return LabeledOperator(psd_sqrt_matrix(h.matrix), h.labels, h.dims)
+    return h._like(psd_sqrt_matrix(h.matrix))
 
 
 def psd_inv_sqrt(h: LabeledOperator) -> LabeledOperator:
-    return LabeledOperator(psd_inv_sqrt_matrix(h.matrix), h.labels, h.dims)
+    return h._like(psd_inv_sqrt_matrix(h.matrix))
 
 
 def allclose(a: LabeledOperator, b: LabeledOperator, atol: float = 1e-10) -> bool:

@@ -38,14 +38,11 @@ def project_simplex(w: np.ndarray, total: float = 1.0) -> np.ndarray:
 
 def project_to_density(h: np.ndarray, total: float = 1.0) -> np.ndarray:
     """Nearest (Frobenius) positive operator with fixed trace."""
-    w, v = np.linalg.eigh(matcore.hermitian_part(h))
-    w = project_simplex(w, total)
-    return (v * w) @ v.conj().T
+    return matcore.spectral_map(matcore.hermitian_part(h), lambda w: project_simplex(w, total))
 
 
 def project_psd(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(matcore.hermitian_part(h))
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return matcore.spectral_map(matcore.hermitian_part(h), lambda w: np.maximum(w, 0.0))
 
 
 # -- tester-normalization feasible set ---------------------------------------
@@ -144,6 +141,12 @@ class XiChainSet:
 
 
 # -- projected gradient minimization -----------------------------------------
+
+
+def require_restarts(restarts: int) -> None:
+    """Raise unless a solver is asked for at least one start."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
 
 
 @dataclass

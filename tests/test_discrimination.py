@@ -20,6 +20,7 @@ from combtester.discrimination import (
     product_residual,
     synthesize_tester,
 )
+from combtester.distances import cb_distance, memory_distance
 from combtester.matcore import LabeledOperator
 from combtester.optim import XiChainSet
 from combtester.sampling import haar_unitary, random_density, random_kraus
@@ -250,8 +251,27 @@ def test_product_objective_value_and_gradient(case):
     obj = _ProductObjective(a, b, fixed)
     small, large = (obj.de, obj.df) if parallel else (obj.df, obj.de)
     assert small < large
-    assert obj.q_.shape == (obj.de, obj.de * small ** 2)  # rank k = small^2
+    # a dense comb keeps all df^2 fixed pairs, so the rank is k = small^2
+    assert obj.q_.shape == (obj.de, obj.de * small ** 2)
+    _check_value_and_gradient(obj, a, b, fixed, rng)
 
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_product_objective_drops_zero_fixed_pairs(d):
+    inst = build_example(d)
+    a, b = inst.c0.choi.sorted(), inst.c1.choi.sorted()
+    causal = [2 * inst.c0.uses - 1]
+    parallel = [l for l in a.labels if l % 2 == 1]
+    rng = np.random.default_rng(d)
+    for fixed in (causal, parallel):
+        obj = _ProductObjective(a, b, fixed)
+        kept = obj.q_.shape[1] // obj.de
+        assert kept < obj.df ** 2
+        _check_value_and_gradient(obj, a, b, fixed, rng)
+
+
+def _check_value_and_gradient(obj, a, b, fixed, rng):
+    """The value against the direct product, the gradient by polarization."""
     x = random_density(obj.de, rng)
     y = rng.normal(size=(obj.de, obj.de)) + 1j * rng.normal(size=(obj.de, obj.de))
     y = y + y.conj().T
@@ -263,3 +283,36 @@ def test_product_objective_value_and_gradient(case):
     fy, fxy = obj.value(y), obj.value(x + y)
     cross = float(np.einsum("ij,ji->", grad, y).real)
     assert abs(fxy - fx - fy - cross) <= 1e-10 * max(1.0, fxy, fy)
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_solvers_reject_fewer_than_one_restart(restarts):
+    mc = comb_from_sequence([identity_channel(2)])
+    solvers = [
+        lambda: parallel_discriminable(mc.choi, mc.choi, restarts=restarts),
+        lambda: causal_discriminable(mc, mc, restarts=restarts),
+        lambda: cb_distance(mc.choi, mc.choi, restarts=restarts),
+        lambda: memory_distance(mc, mc, restarts=restarts),
+    ]
+    for solve in solvers:
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            solve()
+
+
+def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
+    # the counterexample's iterates and witness are diagonal and its
+    # sandwiched difference has blocks of side d, so no dense eigh runs
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    inst = build_example(3)
+    rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
+    assert rep.feasible, rep.residual
+    synthesize_tester(inst.c0, inst.c1, rep.witness)
+    assert shapes
+    assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))

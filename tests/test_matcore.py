@@ -18,10 +18,12 @@ from combtester.matcore import (
     partial_trace,
     psd_inv_sqrt,
     psd_sqrt,
+    spectral_map,
     tensor,
     trace_norm,
     undouble_ket,
 )
+from combtester.optim import project_simplex
 from combtester.sampling import haar_unitary, random_psd
 
 Z = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -216,14 +218,20 @@ def _hermitian_block(kind: str, side: int, rng) -> np.ndarray:
 block_kinds = st.sampled_from(["dense", "sparse", "zero", "degenerate"])
 
 
-@settings(max_examples=150, deadline=None)
-@given(blocks=st.lists(st.tuples(st.integers(1, 5), block_kinds), min_size=1, max_size=8),
-       dense_side=st.integers(1, 12), dense_kind=st.sampled_from(["dense", "degenerate"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_block_groups_and_blockwise_kernels(blocks, dense_side, dense_kind, seed):
+# a Hermitian matrix of random blocks (and one dense block) under a random
+# permutation of its indices
+block_diagonal_cases = dict(
+    blocks=st.lists(st.tuples(st.integers(1, 5), block_kinds), min_size=1, max_size=8),
+    dense_side=st.integers(1, 12), dense_kind=st.sampled_from(["dense", "degenerate"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+
+
+def _permuted_block_diagonal(blocks, dense_side, dense_kind, seed):
     rng = np.random.default_rng(seed)
     parts = [_hermitian_block(kind, side, rng) for side, kind in blocks]
-    parts.append(_hermitian_block(dense_kind, dense_side, rng))
+    dense = _hermitian_block(dense_kind, dense_side, rng)
+    parts.append(dense)
     side = sum(p.shape[0] for p in parts)
     h = np.zeros((side, side), dtype=complex)
     start = 0
@@ -231,8 +239,14 @@ def test_block_groups_and_blockwise_kernels(blocks, dense_side, dense_kind, seed
         h[start:start + len(p), start:start + len(p)] = p
         start += len(p)
     perm = rng.permutation(side)
-    h = h[np.ix_(perm, perm)]
+    return h[np.ix_(perm, perm)], dense
 
+
+@settings(max_examples=150, deadline=None)
+@given(**block_diagonal_cases)
+def test_block_groups_and_blockwise_kernels(blocks, dense_side, dense_kind, seed):
+    h, _ = _permuted_block_diagonal(blocks, dense_side, dense_kind, seed)
+    side = h.shape[0]
     groups = block_groups(h)
     sizes = [g.shape[1] for g in groups]
     assert sizes == sorted(set(sizes))
@@ -248,6 +262,43 @@ def test_block_groups_and_blockwise_kernels(blocks, dense_side, dense_kind, seed
     norm = np.linalg.norm(h)
     assert np.abs(eigvalsh(h) - np.linalg.eigvalsh(h)).max() <= 1e-12 * norm
     assert np.abs(block_square(h) - h @ h).max() <= 1e-12 * norm ** 2
+
+
+SPECTRAL_MAPS = {
+    "clip": lambda w: np.clip(w, 0.0, None),
+    # shifted clear of zero, where the square root is ill-conditioned
+    "sqrt": lambda w: np.sqrt(w - w.min() + 1.0),
+    "simplex": lambda w: project_simplex(w, 1.0),
+    "threshold": lambda w: w > 1e-12 * max(1.0, float(np.abs(w).max())),
+}
+
+
+def _dense_rebuild(h, f):
+    w, v = np.linalg.eigh(h)
+    return (v * f(w)) @ v.conj().T
+
+
+@settings(max_examples=100, deadline=None)
+@given(**block_diagonal_cases, name=st.sampled_from(sorted(SPECTRAL_MAPS)))
+def test_spectral_map_matches_dense_rebuild(blocks, dense_side, dense_kind, seed, name):
+    f = SPECTRAL_MAPS[name]
+    h, dense = _permuted_block_diagonal(blocks, dense_side, dense_kind, seed)
+    scale = max(1.0, np.linalg.norm(h))
+    assert np.abs(spectral_map(h, f) - _dense_rebuild(h, f)).max() <= 1e-12 * scale
+    assert np.abs(spectral_map(h, f, checked=True) - _dense_rebuild(h, f)).max() <= 1e-12 * scale
+    # a matrix with one component goes through the dense arithmetic as it stands
+    assert np.array_equal(spectral_map(dense, f), _dense_rebuild(dense, f))
+
+
+def test_spectral_map_checked_rejects_non_hermitian_blocks():
+    one_sided = _block_diagonal_with_one_sided_entry()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        spectral_map(one_sided, np.abs, checked=True)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        psd_sqrt(LabeledOperator(one_sided, (0,), (6,)))
+    # a negative block fails the positivity test on the whole spectrum's scale
+    with pytest.raises(ValueError, match="significantly negative"):
+        psd_sqrt(LabeledOperator(np.diag([1.0, 0.0, -1e-6]), (0,), (3,)))
 
 
 def test_trace_norm_cases():
@@ -363,6 +414,27 @@ def test_labeled_operator_invariants():
         LabeledOperator(np.array([[np.nan, 0], [0, 1]]), (0,), (2,))
     op = identity([0], [2])
     assert not op.matrix.flags.writeable
+
+
+def test_labeled_operator_copies_inputs_and_owns_its_results():
+    rng = np.random.default_rng(15)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    a = LabeledOperator(m, (0, 1), (2, 3))
+    m[0, 0] = 99.0
+    assert a.matrix[0, 0] != 99.0
+    b = rand_op(rng, (3, 2), (1, 4))
+    p = LabeledOperator(random_psd(6, rng), (0, 1), (2, 3))
+    results = [
+        a.permuted((1, 0)), a.partial_transpose([0]), a.transpose(), a.conj(),
+        a + a, a - a, a @ a, a * 2.0, 2.0 * a, tensor(a, rand_op(rng, (2,), (5,))),
+        partial_trace(a, [0]), link(a, b), psd_sqrt(p), psd_inv_sqrt(p), identity([0], [3]),
+    ]
+    for r in results:
+        assert not r.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            r.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        a * np.nan
 
 
 def test_add_sub_matmul_reject_mismatched_dims():
