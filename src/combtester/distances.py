@@ -156,6 +156,10 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     )
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
+
+
 def _memory_objective(delta: LabeledOperator, top_label: int):
     """``Ξ -> ||L Δ L||_1`` with ``L = _lift(Ξ^1/2)``, and a subgradient of it.
 
@@ -171,22 +175,23 @@ def _memory_objective(delta: LabeledOperator, top_label: int):
         return trace_norm(lift @ dmat @ lift)
 
     def value_and_subgrad(xi: np.ndarray) -> tuple[float, np.ndarray]:
-        w, v = np.linalg.eigh(matcore.hermitian_part(xi))
+        # raw Hermitian parts: every operand is built here from checked ones
+        w, v = np.linalg.eigh(_hermitian(xi))
         w = np.clip(w, 0.0, None)
         root = (v * np.sqrt(w)) @ v.conj().T
         lift = _lift(root, top)
         x = lift @ dmat @ lift
-        xw, xv = np.linalg.eigh(matcore.hermitian_part(x))
+        xw, xv = np.linalg.eigh(_hermitian(x))
         val = float(np.abs(xw).sum())
         s = (xv * np.sign(xw)) @ xv.conj().T
         b = dmat @ lift @ s + s @ lift @ dmat
         rest = b.shape[0] // top
         btilde = np.trace(b.reshape(rest, top, rest, top), axis1=1, axis2=3)
         # chain rule through the matrix square root, in the eigenbasis of xi
-        bb = v.conj().T @ matcore.hermitian_part(btilde) @ v
+        bb = v.conj().T @ _hermitian(btilde) @ v
         denom = np.sqrt(w)[:, None] + np.sqrt(w)[None, :]
         g = v @ (bb / np.maximum(denom, 1e-8)) @ v.conj().T
-        return val, matcore.hermitian_part(g)
+        return val, _hermitian(g)
 
     return value, value_and_subgrad
 

@@ -15,7 +15,7 @@ conventions are fixed once and for all:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -333,30 +333,161 @@ def block_groups(h: np.ndarray) -> list[np.ndarray]:
     return [g.reshape(-1, sizes[g[0]]) for g in np.split(order, cuts)]
 
 
-def _block_indices(h: np.ndarray) -> list:
-    """Per block size, the index that gathers the stacked diagonal blocks,
-    ``h[index]`` of shape ``(count, size, size)``; a matrix with one
-    component is indexed by ``...``, as it stands.  A row 0 without zero
-    entries joins every index, so such a matrix skips the labelling."""
-    if np.count_nonzero(h[:1]) == h.shape[0]:
-        return [...]
-    return [... if g.shape[1] == h.shape[0] else (g[:, :, None], g[:, None, :])
-            for g in block_groups(h)]
-
-
 def _dagger(b: np.ndarray) -> np.ndarray:
     return b.conj().swapaxes(-1, -2)
 
 
-def _checked_hermitian(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Hermitian parts of ``blocks`` (matrices or stacks of them); raises if
-    together they fail the Hermiticity tolerance relative to their joint
-    Frobenius norm."""
-    scale = np.linalg.norm([np.linalg.norm(b) for b in blocks])
-    skew = np.linalg.norm([np.linalg.norm(b - _dagger(b)) for b in blocks])
-    if skew > HERMITICITY_RTOL * max(scale, 1.0):
+class Blocks:
+    """A partition of the indices ``0..side-1`` into blocks, and the packed
+    layout of the matrices that vanish off its diagonal blocks.
+
+    ``groups`` holds one ``(count, size)`` index array per block size, as
+    :func:`block_groups` returns them.  Such a matrix ``x`` is *packed* as
+    the flat vector of its block entries ``x[g[:, :, None], g[:, None, :]]``,
+    group after group.  Packing keeps Frobenius norms, sums and scalar
+    multiples, so a solver can step on packed vectors as on matrices.  A
+    partition of one block (``whole``) packs a matrix as its row-major
+    entries, and its blockwise arithmetic is the dense arithmetic.
+    """
+
+    def __init__(self, groups, side: int):
+        self.groups = tuple(groups)
+        self.side = int(side)
+        self.whole = len(self.groups) == 1 and self.groups[0].shape[1] == self.side
+        self._spans = []
+        start = 0
+        for g in self.groups:
+            count, size = g.shape
+            self._spans.append((start, start + count * size * size, (count, size, size)))
+            start += count * size * size
+        self.size = start
+
+    @classmethod
+    def one(cls, side: int) -> "Blocks":
+        return cls([np.arange(side)[None]], side)
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> "Blocks":
+        """The components of the nonzero pattern of ``h`` (:func:`block_groups`).
+        A row 0 without zero entries joins every index, so such a matrix
+        skips the labelling."""
+        n = h.shape[0]
+        if np.count_nonzero(h[:1]) == n:
+            return cls.one(n)
+        return cls(block_groups(h), n)
+
+    def _entries(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per block size, the index of the stacked blocks in a full matrix."""
+        return [(g[:, :, None], g[:, None, :]) for g in self.groups]
+
+    @cached_property
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column, in the full matrix, of each packed entry."""
+        rows, cols = [], []
+        for (r, c), (_, _, shape) in zip(self._entries(), self._spans):
+            rows.append(np.broadcast_to(r, shape))
+            cols.append(np.broadcast_to(c, shape))
+        return self.join(rows), self.join(cols)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Packed positions of the diagonal entries, in ascending index order."""
+        rows, cols = self.index
+        on = np.flatnonzero(rows == cols)
+        return on[np.argsort(rows[on])]
+
+    def pattern(self) -> np.ndarray:
+        """The entries a packed matrix can hold, as a boolean matrix."""
+        out = np.zeros((self.side, self.side), dtype=bool)
+        for entries in self._entries():
+            out[entries] = True
+        return out
+
+    def tag(self, v: np.ndarray) -> "Packed":
+        out = np.asarray(v).view(Packed)
+        out.blocks = self
+        return out
+
+    def pack(self, x: np.ndarray) -> "Packed":
+        """The block entries, as complex numbers, of a matrix that vanishes
+        off the blocks."""
+        x = np.asarray(x, dtype=complex)
+        if self.whole:
+            return self.tag(x.reshape(-1))
+        return self.tag(self.join([x[entries] for entries in self._entries()]))
+
+    def packed(self, x) -> "Packed":
+        """``x`` as a packed iterate: a packed ``x`` as it stands, a matrix
+        packed here after the NaN/Inf scan of a public entry."""
+        return x if isinstance(x, Packed) else self.pack(_as_complex_matrix(x))
+
+    def unpack(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v)
+        if self.whole:
+            return v.reshape(self.side, self.side)
+        out = np.zeros((self.side, self.side), dtype=v.dtype)
+        for entries, b in zip(self._entries(), self.stacks(v)):
+            out[entries] = b
+        return out
+
+    def stacks(self, v: np.ndarray) -> list[np.ndarray]:
+        """Per block size, the ``(count, size, size)`` stack of blocks; views
+        into ``v``."""
+        v = np.asarray(v)
+        return [v[start:stop].reshape(shape) for start, stop, shape in self._spans]
+
+    @staticmethod
+    def join(stacks) -> np.ndarray:
+        """The packed vector of per-size stacks of blocks (or of their
+        spectra)."""
+        if len(stacks) == 1:
+            return stacks[0].reshape(-1)
+        return np.concatenate([b.reshape(-1) for b in stacks])
+
+    def dagger(self, v: np.ndarray) -> np.ndarray:
+        """``x^dagger`` in packed form."""
+        return self.join([_dagger(b) for b in self.stacks(v)])
+
+    def hermitian(self, v: np.ndarray) -> np.ndarray:
+        """``(x + x^dagger) / 2`` in packed form, without a scan."""
+        return (np.asarray(v) + self.dagger(v)) / 2
+
+    def map(self, v: np.ndarray, f) -> np.ndarray:
+        """``sum u f(w) u^dagger`` over the eigensystem of each Hermitian block.
+
+        One stacked ``eigh`` per block size; ``f`` maps the concatenated
+        spectrum of all blocks at once, so it may use global quantities of it.
+        """
+        systems = [np.linalg.eigh(b) for b in self.stacks(v)]
+        fw = f(self.join([w for w, _ in systems]))
+        out, start = [], 0
+        for w, u in systems:
+            part = fw[start:start + w.size].reshape(w.shape)
+            start += w.size
+            out.append((u * part[:, None, :]) @ _dagger(u))
+        return self.join(out)
+
+
+class Packed(np.ndarray):
+    """A matrix that vanishes off the blocks of a partition, as the vector of
+    its block entries (see :meth:`Blocks.pack`), carrying the partition in
+    ``blocks``.  Arithmetic on it keeps the partition, so a solver's steps
+    ``x - t * g`` stay packed."""
+
+    blocks: Blocks | None = None
+
+    def __array_finalize__(self, obj):
+        self.blocks = getattr(obj, "blocks", None)
+
+
+def _checked_hermitian(blocks: Blocks, v: np.ndarray) -> np.ndarray:
+    """Hermitian part of the packed ``v``; raises if ``v`` fails the
+    Hermiticity tolerance relative to its Frobenius norm."""
+    v = np.asarray(v)
+    d = blocks.dagger(v)
+    if np.linalg.norm(v - d) > HERMITICITY_RTOL * max(np.linalg.norm(v), 1.0):
         raise ValueError("matrix is not Hermitian to tolerance")
-    return [(b + _dagger(b)) / 2 for b in blocks]
+    return (v + d) / 2
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
@@ -366,8 +497,9 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     Raises if the input fails the Hermiticity tolerance relative to its
     Frobenius norm.
     """
-    (h,) = _checked_hermitian([_as_square_matrix(h)])
-    return np.linalg.eigh(h)
+    h = _as_square_matrix(h)
+    whole = Blocks.one(h.shape[0])
+    return np.linalg.eigh(whole.unpack(_checked_hermitian(whole, whole.pack(h))))
 
 
 def eigvalsh(h) -> np.ndarray:
@@ -375,12 +507,13 @@ def eigvalsh(h) -> np.ndarray:
 
     Check and solve run on the diagonal blocks of :func:`block_groups`, one
     stacked call per block size.  Both are exact reorderings: ``h`` and
-    ``h^dagger`` vanish off the blocks, so the blockwise Frobenius norms are
+    ``h^dagger`` vanish off the blocks, so the packed Frobenius norms are
     those of the whole matrices, and the spectrum is the union of the blocks'.
     """
     h = _as_square_matrix(h)
-    blocks = _checked_hermitian([h[index] for index in _block_indices(h)])
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+    blocks = Blocks.of(h)
+    v = _checked_hermitian(blocks, blocks.pack(h))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks.stacks(v)]))
 
 
 def block_square(h: np.ndarray) -> np.ndarray:
@@ -389,11 +522,8 @@ def block_square(h: np.ndarray) -> np.ndarray:
     Exact up to rounding: ``h`` vanishes off its diagonal blocks, so its
     square does too, and each block of the square is the block's square.
     """
-    out = np.zeros_like(h)
-    for index in _block_indices(h):
-        b = h[index]
-        out[index] = b @ b
-    return out
+    blocks = Blocks.of(h)
+    return blocks.unpack(blocks.join([b @ b for b in blocks.stacks(blocks.pack(h))]))
 
 
 def trace_norm(x) -> float:
@@ -407,32 +537,17 @@ def trace_norm(x) -> float:
 def spectral_map(h: np.ndarray, f, *, checked: bool = False) -> np.ndarray:
     """``sum v f(w) v^dagger`` over the eigensystem of a Hermitian matrix.
 
-    Runs one stacked ``eigh`` per block size of :func:`block_groups` and
-    rebuilds the result block by block; ``f`` maps the concatenated spectrum
-    of all blocks at once, so it may use global quantities of it.  Exact up
-    to rounding, since ``h`` vanishes off its diagonal blocks, and a matrix
-    with one component is mapped as it stands.  With ``checked`` the blocks
-    first pass :func:`eigh`'s Hermiticity check, and their Hermitian parts
-    are mapped.
+    Labels ``h`` once (:meth:`Blocks.of`) and maps its packed blocks with
+    :meth:`Blocks.map`.  Exact up to rounding, since ``h`` vanishes off its
+    diagonal blocks, and a matrix with one component is mapped as it stands.
+    With ``checked`` the blocks first pass :func:`eigh`'s Hermiticity check,
+    and their Hermitian parts are mapped.
     """
-    indices = _block_indices(h)
-    if indices[0] is ...:
-        if checked:
-            (h,) = _checked_hermitian([h])
-        w, v = np.linalg.eigh(h)
-        return (v * f(w)) @ v.conj().T
-    blocks = [h[index] for index in indices]
+    blocks = Blocks.of(h)
+    v = blocks.pack(h)
     if checked:
-        blocks = _checked_hermitian(blocks)
-    systems = [np.linalg.eigh(b) for b in blocks]
-    fw = f(np.concatenate([w.ravel() for w, _ in systems]))
-    out = np.zeros_like(h)
-    start = 0
-    for index, (w, v) in zip(indices, systems):
-        part = fw[start:start + w.size].reshape(w.shape)
-        start += w.size
-        out[index] = (v * part[:, None, :]) @ _dagger(v)
-    return out
+        v = _checked_hermitian(blocks, v)
+    return blocks.unpack(blocks.map(v, f))
 
 
 def _psd_map(h, what: str, f) -> np.ndarray:

@@ -9,16 +9,28 @@ projected in closed form by trace-and-replace: with ``R_k(X) = Tr_{spaces
 R_{2n-3}(X)`` and a trace pin adds ``(t - Tr X)/side · I``, as for valid
 process and comb subspaces (Araújo et al., arXiv:1506.03776; Chiribella,
 D'Ariano and Perinotti, arXiv:0904.4483).
+
+Every projection steps on packed iterates (:class:`matcore.Packed`): the
+block entries of a matrix that vanishes off a block partition.  A solve
+finds its partition once, with :func:`invariant_blocks`: the finest one
+that holds its start and that its gradient map and affine step keep, so
+each step is exact in packed form.  The PSD and density steps run one
+stacked ``eigh`` per block size, and the affine step sums and replaces the
+packed entries on each level's tail diagonal through precomputed index
+maps.  A matrix given to a projection is projected on the one-block
+partition, with the dense arithmetic, and returned as a matrix.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matcore
-from .matcore import LabeledOperator, identity, tail_diagonal, tensor
+from .matcore import Blocks, LabeledOperator, Packed, identity, tail_diagonal, tensor
 from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
 
 
@@ -36,16 +48,81 @@ def project_simplex(w: np.ndarray, total: float = 1.0) -> np.ndarray:
     return np.maximum(w - tau, 0.0)
 
 
+def _spectral_step(h, f) -> np.ndarray:
+    """``f`` over the spectrum of the Hermitian part of ``h``.  A packed ``h``
+    stays packed; a matrix is scanned for NaN/Inf and labelled once."""
+    if isinstance(h, Packed):
+        return h.blocks.tag(h.blocks.map(h.blocks.hermitian(h), f))
+    return matcore.spectral_map(matcore.hermitian_part(h), f)
+
+
 def project_to_density(h: np.ndarray, total: float = 1.0) -> np.ndarray:
     """Nearest (Frobenius) positive operator with fixed trace."""
-    return matcore.spectral_map(matcore.hermitian_part(h), lambda w: project_simplex(w, total))
+    return _spectral_step(h, lambda w: project_simplex(w, total))
 
 
 def project_psd(h: np.ndarray) -> np.ndarray:
-    return matcore.spectral_map(matcore.hermitian_part(h), lambda w: np.maximum(w, 0.0))
+    return _spectral_step(h, lambda w: np.maximum(w, 0.0))
+
+
+def invariant_blocks(x0: np.ndarray, reaches) -> Blocks:
+    """The finest block partition that holds ``x0`` and that each of
+    ``reaches`` keeps.
+
+    A reach maps the nonzero pattern of a matrix to a superset of the
+    pattern its image can have under one map of the solve, computed exactly
+    (no tolerance).  Starting from the pattern of ``x0`` plus the diagonal,
+    each round adds every reach of the pattern and fills its connected
+    components, until nothing changes.  Spectral maps keep any block
+    partition, so a solve whose steps are such maps and the reached ones
+    stays on the partition returned.  A coarser partition would only cost
+    speed; a dense start gives one block.
+    """
+    pattern = (x0 != 0) | np.eye(len(x0), dtype=bool)
+    while True:
+        grown = pattern.copy()
+        for reach in reaches:
+            grown |= reach(pattern)
+        blocks = Blocks.of(grown)
+        if blocks.whole:
+            return blocks
+        filled = blocks.pattern()
+        if np.array_equal(filled, pattern):
+            return blocks
+        pattern = filled
 
 
 # -- tester-normalization feasible set ---------------------------------------
+
+
+class _TailTrace(NamedTuple):
+    """The partial trace over a tail factor, on the entries of a partition.
+
+    ``on`` are the packed positions on the tail's diagonal (row and column
+    equal modulo ``tail``), ``pair`` the id of each one's prefix pair
+    ``(i // tail, j // tail)`` among the pairs that occur, and ``parts`` the
+    ids ``2 pair`` and ``2 pair + 1`` of its real and imaginary parts.
+    """
+
+    on: np.ndarray
+    pair: np.ndarray
+    parts: np.ndarray
+    tail: int
+
+    @classmethod
+    def of(cls, blocks: Blocks, tail: int) -> "_TailTrace":
+        rows, cols = blocks.index
+        on = np.flatnonzero(rows % tail == cols % tail)
+        pair = (rows[on] // tail) * (blocks.side // tail) + cols[on] // tail
+        pair = np.unique(pair, return_inverse=True)[1]
+        parts = (2 * pair[:, None] + np.arange(2)).reshape(-1)
+        return cls(on, pair, parts, tail)
+
+    def mean(self, v: np.ndarray) -> np.ndarray:
+        """``Tr_tail x / tail`` for each prefix pair of the packed ``v``, each
+        sum taken in the order of ``on``."""
+        sums = np.bincount(self.parts, weights=v[self.on].view(float))
+        return sums.view(complex) / self.tail
 
 
 class XiChainSet:
@@ -76,32 +153,61 @@ class XiChainSet:
         self.trace_target = float(np.prod(self.dims[1::2])) if self.uses > 1 else 1.0
         # tails[k]: dimension of spaces k..2N-2, the factor that R_k replaces
         self._tails = tuple(int(np.prod(self.dims[k:])) for k in range(len(self.dims)))
+        # a matrix is projected on the one-block partition
+        self._whole = Blocks.one(self.side)
+        self._traces = weakref.WeakKeyDictionary()
 
     def chain_residuals(self, x: np.ndarray) -> list[np.ndarray]:
         """Hermitian residual of each chain level (levels N..2)."""
         return [residual() for _, residual in matcore.chain_levels(x, self.dims)]
 
+    def _level_tails(self):
+        """The even and odd tail of each chain level ``n = N..2``."""
+        return [(self._tails[2 * n - 2], self._tails[2 * n - 3]) for n in range(self.uses, 1, -1)]
+
+    def reach(self, pattern: np.ndarray) -> np.ndarray:
+        """Entries the affine step can make nonzero from the boolean nonzero
+        pattern of a matrix: ``R_k`` lands on ``kron(T, I_tail)`` with ``T``
+        the pattern of the partial trace over the tail, and the trace pin on
+        the diagonal."""
+        out = pattern | np.eye(self.side, dtype=bool)
+        for tails in self._level_tails():
+            for tail in tails:
+                traced = tail_diagonal(pattern, tail).any(axis=2)
+                out |= np.kron(traced, np.eye(tail, dtype=bool))
+        return out
+
+    def _level_traces(self, blocks: Blocks) -> list:
+        """The even and odd :class:`_TailTrace` of each level on ``blocks``,
+        built once per partition."""
+        traces = self._traces.get(blocks)
+        if traces is None:
+            traces = [tuple(_TailTrace.of(blocks, tail) for tail in tails)
+                      for tails in self._level_tails()]
+            self._traces[blocks] = traces
+        return traces
+
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Closed-form projection onto the affine chain constraints."""
-        x = matcore.hermitian_part(x)  # a fresh array, updated in place
-        trace = np.trace(x).real
-        for n in range(self.uses, 1, -1):
-            even, odd = self._tails[2 * n - 2], self._tails[2 * n - 3]
-            r_even = tail_diagonal(x, even).sum(axis=2) / even
-            r_odd = tail_diagonal(x, odd).sum(axis=2) / odd
-            tail_diagonal(x, even)[...] -= r_even[:, :, None]
-            tail_diagonal(x, odd)[...] += r_odd[:, :, None]
-        x.flat[:: self.side + 1] += (self.trace_target - trace) / self.side
-        return x
+        v = self._whole.packed(x)
+        blocks = v.blocks
+        out = blocks.hermitian(v)  # a fresh array, updated in place
+        trace = out[blocks.diagonal].sum().real
+        for even, odd in self._level_traces(blocks):
+            r_even, r_odd = even.mean(out), odd.mean(out)
+            out[even.on] -= r_even[even.pair]
+            out[odd.on] += r_odd[odd.pair]
+        out[blocks.diagonal] += (self.trace_target - trace) / self.side
+        return blocks.tag(out) if isinstance(x, Packed) else blocks.unpack(out)
 
     def project(self, x: np.ndarray, max_iter: int = 5000, tol: float = 1e-12) -> np.ndarray:
         """Dykstra projection onto PSD ∩ affine chain."""
         if self.uses == 1:
             return project_to_density(x, self.trace_target)
-        x = matcore.hermitian_part(x)
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        b = x
+        v = self._whole.packed(x)
+        b = v.blocks.tag(v.blocks.hermitian(v))
+        p = np.zeros_like(b)
+        q = np.zeros_like(b)
         for _ in range(max_iter):
             a = project_psd(b + p)
             p = b + p - a
@@ -109,7 +215,8 @@ class XiChainSet:
             q = a + q - b
             if np.linalg.norm(a - b) <= tol:
                 break
-        return project_psd(b)
+        out = project_psd(b)
+        return out if isinstance(x, Packed) else out.blocks.unpack(out)
 
     def membership_residual(self, x: np.ndarray) -> float:
         res = [np.linalg.norm(r) for r in self.chain_residuals(x)]

@@ -316,3 +316,22 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     synthesize_tester(inst.c0, inst.c1, rep.witness)
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
+
+
+@pytest.mark.parametrize("d,options", [(3, dict(restarts=4, seed=1)),
+                                       (4, dict(restarts=1, seed=0, max_iter=1500))])
+def test_causal_decision_steps_on_packed_iterates(d, options, monkeypatch):
+    # the counterexample's invariant partition is d^4 blocks of side 1, so
+    # every iterate holds d^4 entries rather than the chain side squared
+    sizes = []
+    value_and_grad = _ProductObjective.value_and_grad
+
+    def spy(self, x):
+        sizes.append(np.size(x))
+        return value_and_grad(self, x)
+
+    monkeypatch.setattr(_ProductObjective, "value_and_grad", spy)
+    inst = build_example(d)
+    rep = causal_discriminable(inst.c0, inst.c1, **options)
+    assert rep.feasible, rep.residual
+    assert sizes and set(sizes) == {d ** 4}

@@ -1,7 +1,8 @@
 """Every function the benchmark tracer times still exists in the package.
 
 The tracer (``bench/tracer.py``) patches functions by name; a name that no
-longer resolves would only fail a traced benchmark run, so it is checked here.
+longer resolves would only fail a traced benchmark run, so it is checked here,
+as is the tracer's count of the projection steps of a causal decision.
 """
 
 import importlib
@@ -13,6 +14,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracer  # noqa: E402
+from combtester.discrimination import causal_discriminable  # noqa: E402
+from combtester.separation import build_example  # noqa: E402
 
 
 def _resolve(module: str, qual: str):
@@ -25,3 +28,14 @@ def _resolve(module: str, qual: str):
 @pytest.mark.parametrize("module,qual", tracer.TIMED + (("optim", "partial_trace"),))
 def test_traced_name_resolves(module, qual):
     assert callable(_resolve(module, qual))
+
+
+def test_tracer_sees_every_step_of_the_causal_decision():
+    inst = build_example(2)
+    with tracer.Tracer() as t:
+        causal_discriminable(inst.c0, inst.c1, restarts=1)
+    m = t.metrics()
+    assert m["optim.project_psd.calls"] == (
+        m["optim.XiChainSet.project_affine.calls"] + m["optim.XiChainSet.project.calls"])
+    assert m["optim.dykstra.inner"] == m["optim.XiChainSet.project_affine.calls"]
+    assert m["discrimination._ProductObjective.value_and_grad.calls"] > 0
