@@ -86,6 +86,16 @@ class MemoryChannel:
     def output_dims(self) -> tuple[int, ...]:
         return self.choi.dims[1::2]
 
+    def as_single_use(self) -> "MemoryChannel":
+        """The comb read as one channel: its inputs grouped as space 0 and its
+        outputs as space 1, each in label order.  One use returns ``self``."""
+        if self.uses == 1:
+            return self
+        c = self.choi.permuted(self.choi.labels[0::2] + self.choi.labels[1::2])
+        dims = (int(np.prod(self.input_dims)), int(np.prod(self.output_dims)))
+        # the permuted entries are already checked: wrap them without a copy
+        return MemoryChannel(LabeledOperator._built(c.matrix, (0, 1), dims, scan=False), 1)
+
 
 def identity_channel(d: int) -> Channel:
     return Channel((np.eye(d, dtype=complex),), d, d)

@@ -1,12 +1,13 @@
 """Perfect-discrimination decisions for channels and memory channels.
 
-Two channels with Choi operators ``C0, C1`` are perfectly discriminable by a
-parallel scheme iff some input state ``rho`` satisfies
-``C0 (I ⊗ rho) C1 = 0`` (identity on all output spaces); a causal scheme only
-needs a valid tester normalization ``Xi`` with ``C0 (I ⊗ Xi) C1 = 0``
-(identity on the last output space alone).  A parallel scheme is the tester
-whose normalization is a single joint input state, so both criteria are one
-feasibility problem over two convex sets, and one driver decides both.  It
+Two N-use combs with Choi operators ``C0, C1`` are perfectly discriminable
+by a causal scheme iff some tester normalization ``Xi`` (an element of
+:class:`optim.XiChainSet` on all spaces but the last output) satisfies
+``C0 (I ⊗ Xi) C1 = 0``.  A parallel scheme feeds one joint state into all
+inputs: it is the one-use tester of the comb read as one channel
+(:meth:`MemoryChannel.as_single_use`), normalized by a density matrix on
+the grouped inputs.  So both criteria are one feasibility problem over one
+set read at two groupings, and one private driver decides both.  It
 minimizes the squared Frobenius norm of the product over the set with
 projected gradient descent, from the uniform point first and then from
 random points, each drawn only when the starts before it stayed above zero.
@@ -28,7 +29,7 @@ the dense arithmetic.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -36,10 +37,8 @@ import numpy as np
 from . import matcore
 from .channels import Channel, MemoryChannel
 from .matcore import Blocks, LabeledOperator, Packed, identity, psd_sqrt, tensor
-from .optim import (
-    XiChainSet, invariant_blocks, project_to_density, projected_gradient_min, require_restarts,
-)
-from .sampling import random_density, rng_from
+from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_restarts
+from .sampling import rng_from
 from .testers import Tester, born_probabilities, tester_from_elements
 
 FEASIBLE_TOL = 1e-8
@@ -72,10 +71,12 @@ class _ProductObjective:
     """f(x) = ||C0 (I_fixed ⊗ x) C1||_F^2 as two matrix products per call.
 
     ``fixed`` are the labels carrying the identity; ``free`` the labels of
-    the optimization variable.  With ``Q = C0^2`` and ``R = C1^2`` (both Choi
-    operators are Hermitian; the squares are taken block by block, see
-    :func:`matcore.block_square`) the objective is ``Tr[x half(x)]`` with
-    ``half[e,h] = sum_{o,b,f,g} Q[o,e,b,f] x[f,g] R[b,g,o,h]``.  The sum over
+    the optimization variable.  The factors are ordered free first and fixed
+    last, so a sorted comb with its top output fixed is used as it stands.
+    With ``Q = C0^2`` and ``R = C1^2`` (both Choi operators are Hermitian;
+    the squares are taken block by block, see :func:`matcore.block_square`)
+    the objective is ``Tr[x half(x)]`` with
+    ``half[e,h] = sum_{o,b,f,g} Q[e,o,f,b] x[f,g] R[g,b,h,o]``.  The sum over
     the fixed pair ``(o,b)`` is the product ``M = Qm Rm`` of the reshapes
     ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``.  Only the fixed pairs with
     both a nonzero ``Qm`` column and a nonzero ``Rm`` row are kept; the
@@ -95,7 +96,7 @@ class _ProductObjective:
     def __init__(self, c0: LabeledOperator, c1: LabeledOperator, fixed_labels):
         fixed = [l for l in c0.labels if l in set(fixed_labels)]
         free = [l for l in c0.labels if l not in set(fixed_labels)]
-        order = tuple(fixed + free)
+        order = tuple(free + fixed)
         if set(c0.labels) != set(c1.labels):
             raise ValueError("Choi operators act on different spaces")
         a = c0.permuted(order)
@@ -107,10 +108,10 @@ class _ProductObjective:
         df = int(np.prod([a.dim_of(l) for l in fixed])) if fixed else 1
         de = int(np.prod(self.free_dims)) if free else 1
         self.df, self.de = df, de
-        q = matcore.block_square(a.matrix).reshape(df, de, df, de)
-        r = matcore.block_square(b.matrix).reshape(df, de, df, de)
-        qm = q.transpose(1, 3, 0, 2).reshape(de * de, df * df)
-        rm = r.transpose(2, 0, 1, 3).reshape(df * df, de * de)
+        q = matcore.block_square(a.matrix).reshape(de, df, de, df)
+        r = matcore.block_square(b.matrix).reshape(de, df, de, df)
+        qm = q.transpose(0, 2, 1, 3).reshape(de * de, df * df)
+        rm = r.transpose(3, 1, 0, 2).reshape(df * df, de * de)
         keep = np.flatnonzero(qm.any(axis=0) & rm.any(axis=1))
         qm, rm = qm[:, keep], rm[keep]
         if qm.shape[1] > de * de:
@@ -190,20 +191,23 @@ def _classify(best: float) -> str:
     return "undetermined"
 
 
-def _decide(obj: _ProductObjective, project, reaches, starts, max_iter: int) -> FeasibilityReport:
-    """Minimize ``obj`` over a convex set from each start until one reaches zero.
-
-    ``project`` is the set's projection and ``reaches`` the patterns its
-    steps can reach beyond spectral maps (see :func:`invariant_blocks`).
-    Each start runs on its own invariant partition, as a packed iterate.
-    ``starts`` is consumed lazily, so a random start is drawn only when it
-    runs; ``restarts`` in the report counts the starts that ran.
-    """
+def _decide(c0: MemoryChannel, c1: MemoryChannel, restarts: int, seed,
+            max_iter: int) -> FeasibilityReport:
+    """Minimize ``||C0 (I ⊗ Xi) C1||_F^2`` over the combs' tester
+    normalizations from each start, as a packed iterate on its invariant
+    partition, until one reaches zero.  ``restarts`` in the report counts
+    the starts that ran."""
+    require_restarts(restarts)
+    obj = _ProductObjective(c0.choi, c1.choi, [2 * c0.uses - 1])
+    xi_set = XiChainSet(c0.dims[:-1])
+    rng = rng_from(seed)
+    starts = chain([xi_set.uniform()],
+                   (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
     best, total_iter, ran = None, 0, 0
     for x0 in starts:
-        blocks = invariant_blocks(x0, (obj.reach, *reaches))
+        blocks = invariant_blocks(x0, (obj.reach, xi_set.reach))
         res = projected_gradient_min(
-            value_and_grad=obj.value_and_grad, project=project, x0=blocks.pack(x0),
+            value_and_grad=obj.value_and_grad, project=xi_set.project, x0=blocks.pack(x0),
             max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
         )
         ran += 1
@@ -223,34 +227,22 @@ def _decide(obj: _ProductObjective, project, reaches, starts, max_iter: int) -> 
 def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
                            restarts: int = 20, seed: int = 0,
                            max_iter: int = 400) -> FeasibilityReport:
-    """Decide the parallel criterion by minimizing over joint input states."""
-    require_restarts(restarts)
-    c0 = c0.sorted()
-    c1 = c1.sorted()
-    if c0.labels != c1.labels or c0.dims != c1.permuted(c0.labels).dims:
+    """Decide the parallel criterion: the causal decision on the combs read as
+    one channel each (:meth:`MemoryChannel.as_single_use`).  The witness is a
+    joint state of the inputs and carries their labels."""
+    a, b = (MemoryChannel(c, len(c.labels) // 2) for c in (c0, c1))
+    if a.dims != b.dims:
         raise ValueError("Choi operators act on different spaces")
-    obj = _ProductObjective(c0, c1, [l for l in c0.labels if l % 2 == 1])
-    rng = rng_from(seed)
-    d = obj.de
-    starts = chain([np.eye(d, dtype=complex) / d],
-                   (random_density(d, rng) for _ in range(restarts - 1)))
-    return _decide(obj, project_to_density, (), starts, max_iter)
+    rep = _decide(a.as_single_use(), b.as_single_use(), restarts, seed, max_iter)
+    witness = LabeledOperator(rep.witness.matrix, a.choi.labels[0::2], a.input_dims)
+    return replace(rep, witness=witness)
 
 
 def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
                          restarts: int = 20, seed: int = 0,
                          max_iter: int = 600) -> FeasibilityReport:
     """Decide the causal criterion by minimizing over tester normalizations."""
-    require_restarts(restarts)
-    a, b = c0.choi, c1.choi
-    if a.dims != b.dims:
-        raise ValueError("memory channels act on different spaces")
-    obj = _ProductObjective(a, b, [2 * c0.uses - 1])
-    xi_set = XiChainSet(a.dims[:-1])
-    rng = rng_from(seed)
-    starts = chain([xi_set.uniform()],
-                   (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
-    return _decide(obj, xi_set.project, (xi_set.reach,), starts, max_iter)
+    return _decide(c0, c1, restarts, seed, max_iter)
 
 
 def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray,

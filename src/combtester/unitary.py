@@ -130,32 +130,29 @@ def _arc_sorted_eigensystem(u: np.ndarray):
 
     Eigenvectors of a unitary for distinct phases are orthogonal; within a
     near-degenerate phase cluster they are re-orthonormalized by QR so the
-    assembled basis is unitary.
+    assembled basis is unitary.  Clusters are taken along the arc, so one
+    that straddles 0 = 2*pi stays whole.
     """
     u = _check_unitary(u)
     vals, vecs = np.linalg.eig(u)
     ph = np.mod(np.angle(vals), 2 * np.pi)
     order = np.argsort(ph)
     ph = ph[order]
-    vecs = vecs[:, order]
+    n = len(ph)
+    gaps = np.diff(np.concatenate([ph, [ph[0] + 2 * np.pi]]))
+    start = (int(np.argmax(gaps)) + 1) % n
+    arc = np.roll(np.arange(n), -start)
+    unwrapped = ph[arc] + np.where(arc < start, 2 * np.pi, 0.0)
+    basis = vecs[:, order[arc]]
     # orthonormalize clusters of (numerically) equal phases
     i = 0
-    n = len(ph)
     while i < n:
         j = i + 1
-        while j < n and (ph[j] - ph[i]) < 1e-8:
+        while j < n and (unwrapped[j] - unwrapped[i]) < 1e-8:
             j += 1
         if j - i > 1:
-            q, _ = np.linalg.qr(vecs[:, i:j])
-            vecs[:, i:j] = q
+            basis[:, i:j] = np.linalg.qr(basis[:, i:j])[0]
         i = j
-    gaps = np.diff(np.concatenate([ph, [ph[0] + 2 * np.pi]]))
-    k = int(np.argmax(gaps))
-    start = (k + 1) % n
-    unwrapped = np.array(
-        [ph[(start + t) % n] + (2 * np.pi if start + t >= n else 0.0) for t in range(n)]
-    )
-    basis = vecs[:, [(start + t) % n for t in range(n)]]
     return unwrapped - ph[start], basis
 
 

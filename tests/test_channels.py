@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from combtester.channels import (
     Channel,
@@ -221,3 +223,29 @@ def test_channel_validation():
         Channel((np.eye(2) * 0.5,), 2, 2)  # not trace preserving
     with pytest.raises(ValueError):
         Channel((np.eye(3),), 2, 2)  # shape mismatch
+
+
+@settings(max_examples=60, deadline=None)
+@given(sd=st.integers(1, 3).flatmap(
+           lambda uses: st.lists(st.integers(1, 3), min_size=2 * uses, max_size=2 * uses)),
+       extra=st.integers(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_as_single_use_reads_the_comb_as_one_channel(sd, extra, seed):
+    assume(np.prod(sd) <= 72)
+    ancillas, anc = [], 1
+    for d_in, d_out in zip(sd[0::2], sd[1::2]):
+        anc = -(-d_in * anc // d_out)  # smallest ancilla that keeps the block isometric
+        ancillas.append(anc)
+    ancillas[-1] += extra
+    assume(max(ancillas) <= 6)
+    mc = comb_from_isometries(random_isometric_comb(sd, ancillas, np.random.default_rng(seed)))
+    one = mc.as_single_use()
+    if mc.uses == 1:
+        assert one is mc
+    assert one.uses == 1
+    assert one.dims == (int(np.prod(mc.input_dims)), int(np.prod(mc.output_dims)))
+    assert validate_comb(one).valid
+    assert abs(one.choi.trace() - mc.choi.trace()) <= 1e-12 * abs(mc.choi.trace())
+    # the grouped operator is the comb with its factors reordered, inputs first
+    labels = mc.choi.labels[0::2] + mc.choi.labels[1::2]
+    back = LabeledOperator(one.choi.matrix, labels, mc.input_dims + mc.output_dims)
+    assert np.array_equal(back.sorted().matrix, mc.choi.matrix)

@@ -191,6 +191,55 @@ def test_parallel_witness_embeds_as_causal_witness():
     assert np.abs(delta_matrix(t, [ci, cx]) - np.eye(2)).max() <= 1e-6
 
 
+def _memoryless_unequal_pair(rng):
+    """Two random three-use memoryless combs with (d_in, d_out) 2->3, 3->2, 2->2."""
+    shapes = [(2, 3), (3, 2), (2, 2)]
+    return [comb_from_sequence([Channel(tuple(random_kraus(i, o, 2, rng)), i, o)
+                                for i, o in shapes]) for _ in range(2)]
+
+
+@pytest.mark.parametrize("case", ["example-2", "example-3", "memoryless-3"])
+def test_parallel_is_causal_on_the_regrouped_comb(case):
+    if case == "memoryless-3":
+        c0, c1 = _memoryless_unequal_pair(np.random.default_rng(11))
+    else:
+        inst = build_example(int(case[-1]))
+        c0, c1 = inst.c0, inst.c1
+    par = parallel_discriminable(c0.choi, c1.choi, restarts=3, seed=1)
+    cau = causal_discriminable(c0.as_single_use(), c1.as_single_use(),
+                               restarts=3, seed=1, max_iter=400)
+    assert (par.status, par.residual, par.iterations, par.restarts) == (
+        cau.status, cau.residual, cau.iterations, cau.restarts)
+    assert np.array_equal(par.witness.matrix, cau.witness.matrix)
+    assert par.witness.labels == c0.choi.labels[0::2]
+    assert par.witness.dims == c0.input_dims
+    # the witness still lifts into the causal chain set of the N-use comb
+    xi_set = XiChainSet(c0.dims[:-1])
+    assert xi_set.membership_residual(xi_set.embed_state(par.witness)) < 1e-9
+
+
+def test_parallel_rejects_mismatched_operands():
+    rng = np.random.default_rng(12)
+
+    def comb(*shapes):
+        return comb_from_sequence([Channel(tuple(random_kraus(i, o, 2, rng)), i, o)
+                                   for i, o in shapes]).choi
+
+    one, wide = comb((2, 2)), comb((3, 3))
+    two = comb((2, 2), (2, 2))
+    pairs = [
+        (one, two),                   # different label sets
+        (comb((4, 4)), two),          # different label sets, equal grouped dims
+        (one, wide),                  # equal labels, different dims
+        (comb((2, 3), (3, 2)), comb((3, 2), (2, 3))),  # ... equal grouped dims
+        (LabeledOperator(np.eye(8) / 2, (0, 1, 2), (2, 2, 2)), one),  # not a comb
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                parallel_discriminable(x, y, restarts=1)
+
+
 def test_synthesize_refuses_bad_witness():
     mc = comb_from_sequence([identity_channel(2), identity_channel(2)])
     xi_set = XiChainSet(mc.choi.dims[:-1])

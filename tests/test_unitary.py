@@ -176,6 +176,19 @@ def test_matching_conjugation_diagonal_sum_oracle_all_regimes():
         assert abs(got - (2 * np.pi - gaps.max())) < 1e-8
 
 
+def test_matching_conjugation_unitary_on_clusters_straddling_zero():
+    # a threefold eigenphase 0 splits under rounding into phases near 0 and
+    # near 2*pi; the cluster is still orthonormalized as one
+    rng = np.random.default_rng(7)
+    phases = np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 2.0])))
+    worst = 0.0
+    for _ in range(100):
+        u, v = (b @ phases @ b.conj().T for b in (haar_unitary(4, rng), haar_unitary(4, rng)))
+        t = matching_conjugation(u, v)
+        worst = max(worst, np.abs(t.conj().T @ t - np.eye(4)).max())
+    assert worst <= 1e-10
+
+
 def test_parallel_optimality_quarter_turn():
     u = np.diag([1.0, np.exp(1j * np.pi / 2)])
     rep = parallel_optimality_check(u, 2)
