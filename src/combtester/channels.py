@@ -188,23 +188,12 @@ class IsometricComb:
     ancilla_dims: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
-        n = len(blocks)
+        n = len(self.blocks)
         if len(self.system_dims) != 2 * n:
             raise ValueError("need one (input, output) dim pair per block")
         if len(self.ancilla_dims) != n:
             raise ValueError("need one output-ancilla dim per block")
-        anc_in = 1
-        for j, b in enumerate(blocks):
-            din = self.system_dims[2 * j] * anc_in
-            dout = self.system_dims[2 * j + 1] * self.ancilla_dims[j]
-            if b.shape != (dout, din):
-                raise ValueError(
-                    f"block {j} has shape {b.shape}, expected ({dout}, {din})"
-                )
-            if np.linalg.norm(b.conj().T @ b - np.eye(din)) > 1e-9 * max(1.0, din):
-                raise ValueError(f"block {j} is not an isometry to tolerance")
-            anc_in = self.ancilla_dims[j]
+        blocks = _isometry_chain(self.blocks, self.system_dims, (1, *self.ancilla_dims), 0)
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -212,20 +201,49 @@ class IsometricComb:
         return len(self.blocks)
 
 
-def _split_labels(label_sys: int, d_sys: int, label_anc: int, d_anc: int):
-    """Labels and dims of a system wire and its ancilla; a dimension-1
-    ancilla carries no wire."""
-    labels, dims = [label_sys], [d_sys]
-    if d_anc > 1:
-        labels.append(label_anc)
-        dims.append(d_anc)
-    return tuple(labels), tuple(dims)
+def _wire(uses: int, space: int, d_sys: int, k: int, d_anc: int):
+    """Labels and dims of system space ``space`` joined by ancilla wire ``k``.
+
+    The ancilla wires of an N-use scheme follow its system labels
+    ``0..2N-1``: wire ``k`` carries label ``2N + k``.  A dimension-1 ancilla
+    carries no wire.
+    """
+    if d_anc == 1:
+        return (space,), (d_sys,)
+    return (space, 2 * uses + k), (d_sys, d_anc)
 
 
-def _isometry_choi(block: np.ndarray, out_labels, out_dims, in_labels, in_dims) -> LabeledOperator:
-    v = double_ket(block)
-    c = np.outer(v, v.conj())
-    return LabeledOperator(c, tuple(out_labels) + tuple(in_labels), tuple(out_dims) + tuple(in_dims))
+def _isometry_chain(blocks, system_dims, ancilla_dims, space0: int) -> tuple[np.ndarray, ...]:
+    """The blocks of a chain as complex arrays, each checked to be an isometry.
+
+    Block ``j`` maps (space ``space0 + 2j`` ⊗ ancilla wire ``j``) to (space
+    ``space0 + 2j + 1`` ⊗ wire ``j + 1``); wire ``k`` has dimension
+    ``ancilla_dims[k]``.
+    """
+    blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
+    for j, b in enumerate(blocks):
+        s = space0 + 2 * j
+        din = system_dims[s] * ancilla_dims[j]
+        dout = system_dims[s + 1] * ancilla_dims[j + 1]
+        if b.shape != (dout, din):
+            raise ValueError(f"block {j} has shape {b.shape}, expected ({dout}, {din})")
+        if np.linalg.norm(b.conj().T @ b - np.eye(din)) > 1e-9 * max(1.0, din):
+            raise ValueError(f"block {j} is not an isometry to tolerance")
+    return blocks
+
+
+def _block_chois(blocks, uses: int, system_dims, ancilla_dims, space0: int) -> list:
+    """Choi operator of each block of a chain laid out as in
+    :func:`_isometry_chain`, on the wires of an ``uses``-use scheme."""
+    chois = []
+    for j, block in enumerate(blocks):
+        s = space0 + 2 * j
+        in_labels, in_dims = _wire(uses, s, system_dims[s], j, ancilla_dims[j])
+        out_labels, out_dims = _wire(uses, s + 1, system_dims[s + 1], j + 1, ancilla_dims[j + 1])
+        v = double_ket(block)
+        chois.append(LabeledOperator(np.outer(v, v.conj()), out_labels + in_labels,
+                                     out_dims + in_dims))
+    return chois
 
 
 def _traced_final_choi(block: np.ndarray, sys_out: int, anc_out: int,
@@ -241,29 +259,14 @@ def _traced_final_choi(block: np.ndarray, sys_out: int, anc_out: int,
     )
 
 
-_ANCILLA_BASE = 10_000
-
-
 def comb_from_isometries(comb: IsometricComb) -> MemoryChannel:
     """Choi operator of the comb induced by an isometric block chain."""
     n = comb.uses
-    chois = []
-    anc_in = 1
-    for j, block in enumerate(comb.blocks):
-        sys_in, sys_out = comb.system_dims[2 * j], comb.system_dims[2 * j + 1]
-        anc_out = comb.ancilla_dims[j]
-        in_labels, in_dims = _split_labels(2 * j, sys_in, _ANCILLA_BASE + j, anc_in)
-        if j == n - 1:
-            chois.append(
-                _traced_final_choi(block, sys_out, anc_out, 2 * j + 1, in_labels, in_dims)
-            )
-        else:
-            out_labels, out_dims = _split_labels(2 * j + 1, sys_out,
-                                                 _ANCILLA_BASE + j + 1, anc_out)
-            chois.append(
-                _isometry_choi(block, out_labels, out_dims, in_labels, in_dims)
-            )
-        anc_in = anc_out
+    sd, anc = comb.system_dims, (1, *comb.ancilla_dims)
+    chois = _block_chois(comb.blocks[:-1], n, sd, anc, 0)
+    in_labels, in_dims = _wire(n, 2 * n - 2, sd[2 * n - 2], n - 1, anc[n - 1])
+    chois.append(_traced_final_choi(comb.blocks[-1], sd[-1], anc[-1], 2 * n - 1,
+                                    in_labels, in_dims))
     out = chois[0]
     for c in chois[1:]:
         out = link(out, c)

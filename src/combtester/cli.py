@@ -196,42 +196,47 @@ def cmd_paper_example(args, parser) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="combtester",
                 description="memory-channel combs, testers, discrimination and distances")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--restarts", type=_restart_count, default=20)
+    # each subcommand takes only the shared options it reads, as its own
+    # argument, so that paper-example's restart default stays its own
+    seed = dict(type=int, default=0)
+    restarts = dict(type=_restart_count, default=20)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", parents=[common], help="check a comb or tester file")
+    sp = sub.add_parser("validate", help="check a comb or tester file")
+    sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("file")
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("discriminate", parents=[common],
-                        help="decide perfect discriminability")
+    sp = sub.add_parser("discriminate", help="decide perfect discriminability")
+    sp.add_argument("--seed", **seed)
+    sp.add_argument("--restarts", **restarts)
     sp.add_argument("--mode", choices=("parallel", "causal"), required=True)
     sp.add_argument("c0")
     sp.add_argument("c1")
     sp.set_defaults(func=cmd_discriminate)
 
-    sp = sub.add_parser("distance", parents=[common],
-                        help="estimate a channel distance")
+    sp = sub.add_parser("distance", help="estimate a channel distance")
+    sp.add_argument("--seed", **seed)
+    sp.add_argument("--restarts", **restarts)
     sp.add_argument("--kind", choices=("cb", "memory"), required=True)
     sp.add_argument("c0")
     sp.add_argument("c1")
     sp.set_defaults(func=cmd_distance)
 
-    sp = sub.add_parser("theta", parents=[common], help="angular spread of a unitary")
+    sp = sub.add_parser("theta", help="angular spread of a unitary")
     sp.add_argument("file")
     sp.set_defaults(func=cmd_theta)
 
-    sp = sub.add_parser("theta-laws", parents=[common],
-                        help="randomized spread-law property suite")
+    sp = sub.add_parser("theta-laws", help="randomized spread-law property suite")
+    sp.add_argument("--seed", **seed)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--dim", type=int, default=2)
     sp.set_defaults(func=cmd_theta_laws)
 
-    sp = sub.add_parser("paper-example", parents=[common],
+    sp = sub.add_parser("paper-example",
                         help="build and verify the adaptive-vs-parallel counterexample")
+    sp.add_argument("--seed", **seed)
+    sp.add_argument("--restarts", **restarts)
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--psi", default=None,
                     help="matrix file with the protocol input state (default |0>)")

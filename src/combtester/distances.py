@@ -203,7 +203,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
 
     For a single use the feasible set degenerates to density matrices and
     this reduces to the cb distance.  Restart points are the uniform
-    normalization and random feasible points.
+    normalization and random feasible points, each feasible as drawn.
     """
     require_restarts(restarts)
     a, b = c0.choi, c1.choi
@@ -220,8 +220,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
 
     best_val, best_xi, total_iter, capped = -1.0, None, 0, 0
     best_hist: list[float] = []
-    for x0 in starts:
-        xi = xi_set.project(x0)
+    for xi in starts:
         val, g = value_and_subgrad(xi)
         hist = [val]
         step = 0.5 * max(1.0, np.linalg.norm(xi)) / max(np.linalg.norm(g), 1e-12)

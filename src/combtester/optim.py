@@ -32,6 +32,7 @@ import numpy as np
 from . import matcore
 from .matcore import Blocks, LabeledOperator, Packed, identity, tail_diagonal, tensor
 from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
+from .sampling import random_psd
 
 
 # -- simple projections ------------------------------------------------------
@@ -229,8 +230,7 @@ class XiChainSet:
         return np.eye(self.side) * (self.trace_target / self.side)
 
     def random_feasible(self, rng) -> np.ndarray:
-        g = rng.normal(size=(self.side, self.side)) + 1j * rng.normal(size=(self.side, self.side))
-        x = g @ g.conj().T
+        x = random_psd(self.side, rng)
         x *= self.trace_target / np.trace(x).real
         return self.project(x)
 
@@ -266,8 +266,9 @@ class SolveResult:
 
 def projected_gradient_min(value_and_grad, project, x0: np.ndarray,
                            max_iter: int = 400, stop_below: float = 0.0) -> SolveResult:
-    """Monotone projected gradient descent with backtracking line search."""
-    x = project(x0)
+    """Monotone projected gradient descent with backtracking line search,
+    from a feasible ``x0``."""
+    x = x0
     f, g = value_and_grad(x)
     history = [f]
     step = 1.0

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import IsometricComb, MemoryChannel, comb_from_isometries, validate_comb
-from .discrimination import FeasibilityReport, parallel_discriminable
+from .discrimination import FeasibilityReport, delta_matrix, parallel_discriminable
 from .matcore import LabeledOperator
-from .testers import Tester, TesterCircuit, born_probabilities, tester_from_circuit
+from .testers import Tester, TesterCircuit, tester_from_circuit
 
 
 def shift_clock(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +256,7 @@ def causal_protocol(inst: ExampleInstance, psi: np.ndarray) -> tuple[Tester, np.
     """Run the adaptive protocol; returns the tester and the table
     ``Tr[P_i C_j]``, which equals the identity for every input state."""
     tester = tester_from_circuit(protocol_circuit(inst, psi))
-    table = np.column_stack(
-        [born_probabilities(tester, mc) for mc in (inst.c0, inst.c1)]
-    )
-    return tester, table
+    return tester, delta_matrix(tester, (inst.c0, inst.c1))
 
 
 def comb_validation_summary(inst: ExampleInstance, tol: float = 1e-10) -> dict:

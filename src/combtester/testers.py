@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .channels import IsometricComb, MemoryChannel, _isometry_choi, _split_labels
+from .channels import IsometricComb, MemoryChannel, _block_chois, _isometry_chain, _wire
 from .matcore import (
     LabeledOperator,
     identity,
@@ -35,8 +35,6 @@ from .matcore import (
     psd_sqrt,
     tensor,
 )
-
-_TESTER_ANCILLA = 20_000
 
 
 @dataclass(frozen=True)
@@ -180,6 +178,13 @@ def reduced_state(mc: MemoryChannel, t: Tester) -> LabeledOperator:
     return lift @ mc.choi @ lift
 
 
+def _require_psd(m: np.ndarray, what: str) -> None:
+    """Raise unless ``m`` is Hermitian and positive semidefinite to tolerance."""
+    w = matcore.eigvalsh(m)
+    if w[0] < matcore.PSD_FAIL * max(1.0, abs(w[-1])):
+        raise ValueError(f"{what} is not positive semidefinite")
+
+
 @dataclass(frozen=True)
 class TesterCircuit:
     """Concrete measurement scheme realizing a tester.
@@ -209,20 +214,15 @@ class TesterCircuit:
             raise ValueError(f"input state has shape {state.shape}, expected {(d0, d0)}")
         if abs(np.trace(state).real - 1.0) > 1e-9:
             raise ValueError("input state must have unit trace")
-        blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
-        for j, b in enumerate(blocks, start=1):
-            din = sd[2 * j - 1] * ad[j - 1]
-            dout = sd[2 * j] * ad[j]
-            if b.shape != (dout, din):
-                raise ValueError(f"block {j} has shape {b.shape}, expected ({dout}, {din})")
-            if np.linalg.norm(b.conj().T @ b - np.eye(din)) > 1e-9 * max(1.0, din):
-                raise ValueError(f"block {j} is not an isometry")
+        _require_psd(state, "input state")
+        blocks = _isometry_chain(self.blocks, sd, ad, 1)
         povm = tuple(np.asarray(m, dtype=complex) for m in self.povm)
         dm = sd[-1] * ad[-1]
         acc = np.zeros((dm, dm), dtype=complex)
         for m in povm:
             if m.shape != (dm, dm):
                 raise ValueError(f"POVM element shape {m.shape}, expected ({dm}, {dm})")
+            _require_psd(m, "POVM element")
             acc += m
         if np.linalg.norm(acc - np.eye(dm)) > 1e-9 * max(1.0, dm):
             raise ValueError("POVM does not sum to the identity")
@@ -253,16 +253,9 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     """
     n = tc.uses
     sd, ad = tc.system_dims, tc.ancilla_dims
-    chois = []
-    for j, block in enumerate(tc.blocks, start=1):
-        in_labels, in_dims = _split_labels(2 * j - 1, sd[2 * j - 1],
-                                           _TESTER_ANCILLA + j, ad[j - 1])
-        out_labels, out_dims = _split_labels(2 * j, sd[2 * j],
-                                             _TESTER_ANCILLA + j + 1, ad[j])
-        chois.append(_isometry_choi(block, out_labels, out_dims, in_labels, in_dims))
-    prep_labels, prep_dims = _split_labels(0, sd[0], _TESTER_ANCILLA + 1, ad[0])
-    state = LabeledOperator(tc.input_state, prep_labels, prep_dims)
-    m_labels, m_dims = _split_labels(2 * n - 1, sd[2 * n - 1], _TESTER_ANCILLA + n, ad[-1])
+    chois = _block_chois(tc.blocks, n, sd, ad, 1)
+    state = LabeledOperator(tc.input_state, *_wire(n, 0, sd[0], 0, ad[0]))
+    m_labels, m_dims = _wire(n, 2 * n - 1, sd[2 * n - 1], n - 1, ad[-1])
     elements = []
     for m in tc.povm:
         piece = LabeledOperator(m.T, m_labels, m_dims)
@@ -286,9 +279,6 @@ def _apply_block(state: LabeledOperator, block: np.ndarray,
     return LabeledOperator(out, labels, dims)
 
 
-_COMB_ANCILLA = 30_000
-
-
 def simulate_tester_circuit(tc: TesterCircuit, comb: IsometricComb) -> np.ndarray:
     """Outcome distribution by explicit state evolution through the scheme.
 
@@ -302,22 +292,19 @@ def simulate_tester_circuit(tc: TesterCircuit, comb: IsometricComb) -> np.ndarra
     if comb.system_dims != tc.system_dims:
         raise ValueError("tester circuit and comb disagree on system dimensions")
     sd, ad = tc.system_dims, tc.ancilla_dims
-    prep_labels, prep_dims = _split_labels(0, sd[0], _TESTER_ANCILLA, ad[0])
-    state = LabeledOperator(tc.input_state, prep_labels, prep_dims)
+    # the tester's memory rides on ancilla wire 0, the comb's on wire 1
+    state = LabeledOperator(tc.input_state, *_wire(n, 0, sd[0], 0, ad[0]))
     anc_in = 1
     for j in range(n):
-        out_labels, out_dims = _split_labels(2 * j + 1, sd[2 * j + 1],
-                                             _COMB_ANCILLA, comb.ancilla_dims[j])
-        in_labels, _ = _split_labels(2 * j, sd[2 * j], _COMB_ANCILLA, anc_in)
+        out_labels, out_dims = _wire(n, 2 * j + 1, sd[2 * j + 1], 1, comb.ancilla_dims[j])
+        in_labels, _ = _wire(n, 2 * j, sd[2 * j], 1, anc_in)
         state = _apply_block(state, comb.blocks[j], in_labels, out_labels, out_dims)
         anc_in = comb.ancilla_dims[j]
         if j < n - 1:
-            t_out_labels, t_out_dims = _split_labels(2 * j + 2, sd[2 * j + 2],
-                                                     _TESTER_ANCILLA, ad[j + 1])
-            t_in_labels, _ = _split_labels(2 * j + 1, sd[2 * j + 1], _TESTER_ANCILLA, ad[j])
+            t_out_labels, t_out_dims = _wire(n, 2 * j + 2, sd[2 * j + 2], 0, ad[j + 1])
+            t_in_labels, _ = _wire(n, 2 * j + 1, sd[2 * j + 1], 0, ad[j])
             state = _apply_block(state, tc.blocks[j], t_in_labels, t_out_labels, t_out_dims)
-    if anc_in > 1:
-        state = partial_trace(state, [_COMB_ANCILLA])
-    m_labels, _ = _split_labels(2 * n - 1, sd[2 * n - 1], _TESTER_ANCILLA, ad[-1])
+    state = partial_trace(state, out_labels[1:])  # the comb's final memory, if any
+    m_labels, _ = _wire(n, 2 * n - 1, sd[2 * n - 1], 0, ad[-1])
     state = state.permuted(m_labels)
     return np.array([float(np.trace(m @ state.matrix).real) for m in tc.povm])

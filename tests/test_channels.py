@@ -249,3 +249,12 @@ def test_as_single_use_reads_the_comb_as_one_channel(sd, extra, seed):
     labels = mc.choi.labels[0::2] + mc.choi.labels[1::2]
     back = LabeledOperator(one.choi.matrix, labels, mc.input_dims + mc.output_dims)
     assert np.array_equal(back.sorted().matrix, mc.choi.matrix)
+
+
+def test_isometric_comb_rejects_bad_blocks():
+    rng = np.random.default_rng(21)
+    ic = random_isometric_comb((2, 2, 2, 2), (2, 3), rng)
+    with pytest.raises(ValueError, match=r"block 1 has shape \(6, 6\), expected \(6, 4\)"):
+        IsometricComb((ic.blocks[0], np.eye(6)), ic.system_dims, ic.ancilla_dims)
+    with pytest.raises(ValueError, match="block 0 is not an isometry"):
+        IsometricComb((0.5 * ic.blocks[0], ic.blocks[1]), ic.system_dims, ic.ancilla_dims)

@@ -290,3 +290,22 @@ def test_memory_certified_at_achiever():
     )
     value, _ = _memory_objective(delta, 3)
     assert abs(est.value - value(est.achiever.matrix)) <= 1e-9
+
+
+def test_memory_starts_are_projected_once(monkeypatch):
+    # the uniform start is feasible by construction and a random start is
+    # projected as it is drawn; neither is projected again before the ascent
+    calls = []
+    project = XiChainSet.project
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(x.shape)
+        return project(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(XiChainSet, "project", counted)
+    rng = np.random.default_rng(15)
+    a = comb_from_sequence([random_qubit_channel(rng), random_qubit_channel(rng)])
+    b = comb_from_sequence([random_qubit_channel(rng), random_qubit_channel(rng)])
+    est = memory_distance(a, b, restarts=2, seed=0, max_iter=0)
+    assert len(calls) == 1
+    assert est.restarts == 2 and est.iterations == 0

@@ -5,7 +5,7 @@ import pytest
 
 from combtester import formats
 from combtester.channels import Channel, comb_from_sequence, identity_channel, unitary_channel
-from combtester.cli import main
+from combtester.cli import build_parser, main
 from combtester.matcore import LabeledOperator, tensor
 from combtester.sampling import random_kraus, random_povm
 from combtester.separation import build_example
@@ -250,3 +250,38 @@ def test_cli_deterministic_given_seed(tmp_path, capsys):
     main(["distance", "--kind", "cb", fi, fx, "--seed", "3", "--restarts", "5"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# subcommand argv (positionals filled in), the shared options it reads, and
+# the shared options it does not read
+_SUBCOMMAND_OPTIONS = [
+    (["validate", "f"], {"--tol"}),
+    (["discriminate", "--mode", "causal", "a", "b"], {"--seed", "--restarts"}),
+    (["distance", "--kind", "cb", "a", "b"], {"--seed", "--restarts"}),
+    (["theta", "f"], set()),
+    (["theta-laws"], {"--seed"}),
+    (["paper-example"], {"--seed", "--restarts"}),
+]
+_SHARED_VALUES = {"--seed": ("7", 7), "--tol": ("1e-6", 1e-6), "--restarts": ("5", 5)}
+
+
+@pytest.mark.parametrize("argv,reads", _SUBCOMMAND_OPTIONS)
+def test_cli_subcommands_accept_only_the_options_they_read(argv, reads):
+    parser = build_parser()
+    for flag in reads:
+        text, value = _SHARED_VALUES[flag]
+        assert getattr(parser.parse_args(argv + [flag, text]), flag[2:]) == value
+    for flag in set(_SHARED_VALUES) - reads:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [flag, _SHARED_VALUES[flag][0]])
+        assert exc.value.code == 64
+
+
+def test_cli_option_defaults_stay_per_subcommand():
+    parser = build_parser()
+    # paper-example's own restart default does not leak into the others
+    assert parser.parse_args(["paper-example"]).restarts == 3
+    for argv in _SUBCOMMAND_OPTIONS[1:3]:
+        args = parser.parse_args(argv[0])
+        assert (args.seed, args.restarts) == (0, 20)
+    assert parser.parse_args(["validate", "f"]).tol == 1e-9

@@ -221,3 +221,44 @@ def test_circuit_validation_errors():
         TesterCircuit(2 * good, (), povm, (d, d), (1,))  # trace 2
     with pytest.raises(ValueError):
         TesterCircuit(good, (), (0.5 * np.eye(d),), (d, d), (1,))  # POVM sum
+
+
+def test_circuit_rejects_unphysical_states_and_povms():
+    d = 2
+    good = np.diag([1.0, 0.0]).astype(complex)
+    povm = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(ValueError, match="input state is not positive"):
+        TesterCircuit(np.diag([1.5, -0.5]), (), povm, (d, d), (1,))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        TesterCircuit(np.array([[0.5, 1.0], [0.0, 0.5]]), (), povm, (d, d), (1,))
+    with pytest.raises(ValueError, match="POVM element is not positive"):
+        TesterCircuit(good, (), (np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])), (d, d), (1,))
+
+
+def test_circuit_rejects_bad_processing_blocks():
+    rng = np.random.default_rng(12)
+    tc = random_tester_circuit((2, 2, 2, 2), (1, 2), 2, rng)
+    args = (tc.input_state, tc.povm, tc.system_dims, tc.ancilla_dims)
+
+    def rebuilt(block):
+        return TesterCircuit(args[0], (block,), *args[1:])
+
+    with pytest.raises(ValueError, match=r"block 0 has shape \(4, 4\), expected \(4, 2\)"):
+        rebuilt(np.eye(4))
+    with pytest.raises(ValueError, match="block 0 is not an isometry"):
+        rebuilt(2 * tc.blocks[0])
+    assert np.array_equal(rebuilt(tc.blocks[0]).blocks[0], tc.blocks[0])
+
+
+def test_three_use_round_trip_with_one_dimensional_middle_wires():
+    # unequal ancillas with a dimension-1 wire in the middle of both chains:
+    # the comb's first memory and the tester's second carry no label
+    system = (2, 2, 4, 2, 2, 3)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        tc = random_tester_circuit(system, (2, 1, 3), 2, rng)
+        ic = random_isometric_comb(system, (1, 3, 2), rng)
+        t = testers.tester_from_circuit(tc)
+        assert validate_tester(t, 1e-9).valid
+        p = born_probabilities(t, comb_from_isometries(ic))
+        assert np.abs(p - simulate_tester_circuit(tc, ic)).max() < 1e-10
