@@ -134,8 +134,7 @@ def kraus_from_choi(c: LabeledOperator, in_dim: int, out_dim: int) -> Channel:
     if np.linalg.norm(red.matrix - np.eye(in_dim)) > 1e-8 * max(1.0, in_dim):
         raise ValueError("Choi operator is not trace preserving to tolerance")
     w, v = matcore.eigh(c.matrix)
-    if w[0] < matcore.PSD_FAIL * max(1.0, abs(w[-1])):
-        raise ValueError("Choi operator is not positive semidefinite")
+    matcore.require_psd_spectrum(w, "Choi operator")
     kraus = [
         np.sqrt(w[j]) * matcore.undouble_ket(v[:, j], out_dim, in_dim)
         for j in range(len(w))
@@ -189,6 +188,8 @@ class IsometricComb:
 
     def __post_init__(self):
         n = len(self.blocks)
+        if n < 1:
+            raise ValueError("an isometric comb needs at least one use")
         if len(self.system_dims) != 2 * n:
             raise ValueError("need one (input, output) dim pair per block")
         if len(self.ancilla_dims) != n:

@@ -18,17 +18,18 @@ restarts.
 
 Each start runs on the finest block partition that it, the gradient map and
 the set's affine step keep (:func:`optim.invariant_blocks`), found once per
-start.  The iterate is the packed vector of its block entries
-(:class:`matcore.Packed`): gradient, projections and steps work on the
-blocks alone, and the witness is scattered to a full matrix once.  On the
-counterexample every partition is diagonal, so a causal step at d = 3 works
-on 81 entries rather than 6561; a dense random start is one block, with
-the dense arithmetic.
+start, and the objective and the set are bound to it once
+(:meth:`_ProductObjective.on`, :meth:`optim.XiChainSet.on`).  The iterate
+is the packed vector of its block entries: gradient, projections and steps
+work on the blocks alone, and the witness is scattered to a full matrix
+once.  On the counterexample every partition is diagonal, so a causal step
+at d = 3 works on 81 entries rather than 6561; a dense random start is one
+block, with the dense arithmetic.
 """
 
 from __future__ import annotations
 
-import weakref
+import copy
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import matcore
 from .channels import Channel, MemoryChannel
-from .matcore import Blocks, LabeledOperator, Packed, identity, psd_sqrt, tensor
+from .matcore import Blocks, LabeledOperator, identity, psd_sqrt, tensor
 from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_restarts
 from .sampling import rng_from
 from .testers import Tester, born_probabilities, tester_from_elements
@@ -89,7 +90,8 @@ class _ProductObjective:
 
     The counterexample at dimension ``d`` keeps 1 of its ``d^2`` causal
     pairs and ``d^2`` of its ``d^6`` parallel ones; a dense comb keeps all.
-    On a block partition the products are batched per block size, and
+    On a block partition (one block, unless the objective was bound to
+    another with :meth:`on`) the products are batched per block size, and
     ``reach`` gives the pattern the gradient can reach.
     """
 
@@ -121,8 +123,20 @@ class _ProductObjective:
         # q_[e,(f,k)] = A[(e,f),k];  r_[g,(k,h)] = B[k,(g,h)]
         self.q_ = qm.reshape(de, de * k)
         self.r_ = rm.reshape(k, de, de).transpose(1, 0, 2).reshape(de, k * de)
-        self._whole = Blocks.one(de)
-        self._parts = weakref.WeakKeyDictionary()
+        self._bind(Blocks.one(de))
+
+    def on(self, blocks: Blocks) -> "_ProductObjective":
+        """This objective, evaluated on ``blocks``: at packed vectors of
+        that partition, or at matrices that vanish off it."""
+        bound = copy.copy(self)
+        bound._bind(blocks)
+        return bound
+
+    def _bind(self, blocks: Blocks) -> None:
+        # per block size: the blocks' indices, as a stack and flat, and the
+        # rows of q_ and of r_ of each block
+        self.blocks = blocks
+        self._parts = [(g, g.reshape(-1), self.q_[g], self.r_[g]) for g in blocks.groups]
 
     def reach(self, pattern: np.ndarray) -> np.ndarray:
         """Entries the gradient can make nonzero from the boolean nonzero
@@ -133,25 +147,15 @@ class _ProductObjective:
         half = ((self.q_ != 0) @ t.reshape(-1, self.de)) != 0
         return half | half.T
 
-    def _gathered(self, blocks) -> list:
-        """Per block size: the blocks' indices, as a stack and flat, and the
-        rows of ``q_`` and of ``r_`` of each block."""
-        parts = self._parts.get(blocks)
-        if parts is None:
-            parts = [(g, g.reshape(-1), self.q_[g], self.r_[g]) for g in blocks.groups]
-            self._parts[blocks] = parts
-        return parts
-
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """The value and gradient at a packed ``x``, or at a matrix on the
-        one-block partition.
+        """The value and the gradient, in the form of ``x``, at a packed
+        vector or a matrix on the objective's partition.
 
         ``t = x r_`` is formed row block by row block; the gradient keeps the
         partition, so ``half = q_ t`` is formed on its blocks alone.
         """
-        v = self._whole.packed(x)
-        blocks = v.blocks
-        parts = list(zip(self._gathered(blocks), blocks.stacks(v)))
+        blocks = self.blocks
+        parts = list(zip(self._parts, blocks.stacks(blocks.packed(x))))
         t = np.empty(self.r_.shape, dtype=complex)
         for (_, rows, _, r_g), xb in parts:
             t[rows] = (xb @ r_g).reshape(rows.size, -1)
@@ -164,7 +168,7 @@ class _ProductObjective:
             halves.append(hb)
         half = Blocks.join(halves)
         grad = half + blocks.dagger(half)
-        return float(f), blocks.tag(grad) if isinstance(x, Packed) else blocks.unpack(grad)
+        return float(f), blocks.like(grad, x)
 
     def value(self, x: np.ndarray) -> float:
         return self.value_and_grad(x)[0]
@@ -207,19 +211,19 @@ def _decide(c0: MemoryChannel, c1: MemoryChannel, restarts: int, seed,
     for x0 in starts:
         blocks = invariant_blocks(x0, (obj.reach, xi_set.reach))
         res = projected_gradient_min(
-            value_and_grad=obj.value_and_grad, project=xi_set.project, x0=blocks.pack(x0),
-            max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
+            value_and_grad=obj.on(blocks).value_and_grad, project=xi_set.on(blocks).project,
+            x0=blocks.pack(x0), max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
         )
         ran += 1
         total_iter += res.iterations
         if best is None or res.value < best.value:
-            best = res
+            best, best_blocks = res, blocks
         if best.value <= FEASIBLE_TOL * 1e-4:
             break
     status = _classify(best.value)
     return FeasibilityReport(
         feasible=status == "feasible", status=status, residual=best.value,
-        witness=LabeledOperator(best.x.blocks.unpack(best.x), obj.free_labels, obj.free_dims),
+        witness=LabeledOperator(best_blocks.unpack(best.x), obj.free_labels, obj.free_dims),
         iterations=total_iter, restarts=ran, objective_history=best.history,
     )
 

@@ -403,23 +403,23 @@ class Blocks:
             out[entries] = True
         return out
 
-    def tag(self, v: np.ndarray) -> "Packed":
-        out = np.asarray(v).view(Packed)
-        out.blocks = self
-        return out
-
-    def pack(self, x: np.ndarray) -> "Packed":
+    def pack(self, x: np.ndarray) -> np.ndarray:
         """The block entries, as complex numbers, of a matrix that vanishes
         off the blocks."""
         x = np.asarray(x, dtype=complex)
         if self.whole:
-            return self.tag(x.reshape(-1))
-        return self.tag(self.join([x[entries] for entries in self._entries()]))
+            return x.reshape(-1)
+        return self.join([x[entries] for entries in self._entries()])
 
-    def packed(self, x) -> "Packed":
-        """``x`` as a packed iterate: a packed ``x`` as it stands, a matrix
+    def packed(self, x) -> np.ndarray:
+        """``x`` as a packed vector: a 1-d ``x`` as it stands, a matrix
         packed here after the NaN/Inf scan of a public entry."""
-        return x if isinstance(x, Packed) else self.pack(_as_complex_matrix(x))
+        return x if np.ndim(x) == 1 else self.pack(_as_complex_matrix(x))
+
+    def like(self, v: np.ndarray, x) -> np.ndarray:
+        """The packed ``v`` in the form of ``x``, as :meth:`packed` read it:
+        packed for a 1-d ``x``, unpacked to a matrix otherwise."""
+        return v if np.ndim(x) == 1 else self.unpack(v)
 
     def unpack(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -466,18 +466,6 @@ class Blocks:
             start += w.size
             out.append((u * part[:, None, :]) @ _dagger(u))
         return self.join(out)
-
-
-class Packed(np.ndarray):
-    """A matrix that vanishes off the blocks of a partition, as the vector of
-    its block entries (see :meth:`Blocks.pack`), carrying the partition in
-    ``blocks``.  Arithmetic on it keeps the partition, so a solver's steps
-    ``x - t * g`` stay packed."""
-
-    blocks: Blocks | None = None
-
-    def __array_finalize__(self, obj):
-        self.blocks = getattr(obj, "blocks", None)
 
 
 def _checked_hermitian(blocks: Blocks, v: np.ndarray) -> np.ndarray:
@@ -550,28 +538,32 @@ def spectral_map(h: np.ndarray, f, *, checked: bool = False) -> np.ndarray:
     return blocks.unpack(blocks.map(v, f))
 
 
+def require_psd_spectrum(w: np.ndarray, what: str) -> None:
+    """Raise unless the spectrum ``w`` of a Hermitian operator is positive
+    to tolerance: no eigenvalue below ``PSD_FAIL * max(1, max |w|)``."""
+    lowest = float(w.min(initial=0.0))
+    if lowest < PSD_FAIL * max(1.0, float(np.abs(w).max(initial=0.0))):
+        raise ValueError(f"{what} is not positive semidefinite: "
+                         f"eigenvalue {lowest:.3e} is significantly negative")
+
+
 def _psd_map(h, what: str, f) -> np.ndarray:
     """:func:`spectral_map` of ``f`` on the clipped spectrum of a PSD ``h``;
     raises if an eigenvalue is significantly negative on the global scale."""
     def clipped(w):
-        scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-        if w.min(initial=0.0) < PSD_FAIL * scale:
-            raise ValueError(
-                f"{what}: eigenvalue {w.min():.3e} is significantly negative; "
-                "not a valid positive operator"
-            )
+        require_psd_spectrum(w, what)
         return f(np.maximum(w, 0.0))
 
     return spectral_map(_as_square_matrix(h), clipped, checked=True)
 
 
 def psd_sqrt_matrix(h) -> np.ndarray:
-    return _psd_map(h, "psd_sqrt", np.sqrt)
+    return _psd_map(h, "psd_sqrt argument", np.sqrt)
 
 
 def psd_inv_sqrt_matrix(h) -> np.ndarray:
     """Inverse square root on the support; zero on the kernel."""
-    return _psd_map(h, "psd_inv_sqrt", lambda w: np.where(
+    return _psd_map(h, "psd_inv_sqrt argument", lambda w: np.where(
         w > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0))
 
 

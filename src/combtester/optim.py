@@ -10,27 +10,29 @@ R_{2n-3}(X)`` and a trace pin adds ``(t - Tr X)/side · I``, as for valid
 process and comb subspaces (Araújo et al., arXiv:1506.03776; Chiribella,
 D'Ariano and Perinotti, arXiv:0904.4483).
 
-Every projection steps on packed iterates (:class:`matcore.Packed`): the
-block entries of a matrix that vanishes off a block partition.  A solve
+Every projection steps on packed vectors: the block entries of a matrix
+that vanishes off a block partition (:class:`matcore.Blocks`).  A solve
 finds its partition once, with :func:`invariant_blocks`: the finest one
 that holds its start and that its gradient map and affine step keep, so
-each step is exact in packed form.  The PSD and density steps run one
-stacked ``eigh`` per block size, and the affine step sums and replaces the
-packed entries on each level's tail diagonal through precomputed index
-maps.  A matrix given to a projection is projected on the one-block
-partition, with the dense arithmetic, and returned as a matrix.
+each step is exact in packed form.  It binds the set to that partition
+once (:meth:`XiChainSet.on`), and passes the partition to the PSD and
+density steps, which run one stacked ``eigh`` per block size.  The affine
+step sums and replaces the packed entries on each level's tail diagonal
+through index maps built once per bound set.  A projection given a matrix
+packs it on its partition (one block for a set that was not bound) and
+returns a matrix.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import matcore
-from .matcore import Blocks, LabeledOperator, Packed, identity, tail_diagonal, tensor
+from .matcore import Blocks, LabeledOperator, identity, tail_diagonal, tensor
 from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
 from .sampling import random_psd
 
@@ -49,21 +51,24 @@ def project_simplex(w: np.ndarray, total: float = 1.0) -> np.ndarray:
     return np.maximum(w - tau, 0.0)
 
 
-def _spectral_step(h, f) -> np.ndarray:
-    """``f`` over the spectrum of the Hermitian part of ``h``.  A packed ``h``
-    stays packed; a matrix is scanned for NaN/Inf and labelled once."""
-    if isinstance(h, Packed):
-        return h.blocks.tag(h.blocks.map(h.blocks.hermitian(h), f))
-    return matcore.spectral_map(matcore.hermitian_part(h), f)
+def _spectral_step(h, f, blocks: Blocks | None) -> np.ndarray:
+    """``f`` over the spectrum of the Hermitian part of ``h``.  On a
+    partition ``h`` is mapped blockwise and returned in the form given
+    (:meth:`Blocks.like`); with none, ``h`` is a matrix, scanned for NaN/Inf
+    and labelled once."""
+    if blocks is None:
+        return matcore.spectral_map(matcore.hermitian_part(h), f)
+    return blocks.like(blocks.map(blocks.hermitian(blocks.packed(h)), f), h)
 
 
-def project_to_density(h: np.ndarray, total: float = 1.0) -> np.ndarray:
+def project_to_density(h: np.ndarray, total: float = 1.0,
+                       blocks: Blocks | None = None) -> np.ndarray:
     """Nearest (Frobenius) positive operator with fixed trace."""
-    return _spectral_step(h, lambda w: project_simplex(w, total))
+    return _spectral_step(h, lambda w: project_simplex(w, total), blocks)
 
 
-def project_psd(h: np.ndarray) -> np.ndarray:
-    return _spectral_step(h, lambda w: np.maximum(w, 0.0))
+def project_psd(h: np.ndarray, blocks: Blocks | None = None) -> np.ndarray:
+    return _spectral_step(h, lambda w: np.maximum(w, 0.0), blocks)
 
 
 def invariant_blocks(x0: np.ndarray, reaches) -> Blocks:
@@ -142,6 +147,9 @@ class XiChainSet:
     trace-and-replace construction of valid process and comb subspaces
     (Araújo et al., arXiv:1506.03776; Chiribella, D'Ariano and Perinotti,
     arXiv:0904.4483).
+
+    ``blocks`` is the partition a point is projected on: one block, unless
+    the set was bound to another with :meth:`on`.
     """
 
     def __init__(self, dims):
@@ -154,9 +162,14 @@ class XiChainSet:
         self.trace_target = float(np.prod(self.dims[1::2])) if self.uses > 1 else 1.0
         # tails[k]: dimension of spaces k..2N-2, the factor that R_k replaces
         self._tails = tuple(int(np.prod(self.dims[k:])) for k in range(len(self.dims)))
-        # a matrix is projected on the one-block partition
-        self._whole = Blocks.one(self.side)
-        self._traces = weakref.WeakKeyDictionary()
+        self.blocks = Blocks.one(self.side)
+
+    def on(self, blocks: Blocks) -> "XiChainSet":
+        """This set, projecting on ``blocks``: packed vectors of that
+        partition, or matrices that vanish off it."""
+        bound = XiChainSet(self.dims)
+        bound.blocks = blocks
+        return bound
 
     def chain_residuals(self, x: np.ndarray) -> list[np.ndarray]:
         """Hermitian residual of each chain level (levels N..2)."""
@@ -178,46 +191,41 @@ class XiChainSet:
                 out |= np.kron(traced, np.eye(tail, dtype=bool))
         return out
 
-    def _level_traces(self, blocks: Blocks) -> list:
+    @cached_property
+    def _level_traces(self) -> list:
         """The even and odd :class:`_TailTrace` of each level on ``blocks``,
-        built once per partition."""
-        traces = self._traces.get(blocks)
-        if traces is None:
-            traces = [tuple(_TailTrace.of(blocks, tail) for tail in tails)
-                      for tails in self._level_tails()]
-            self._traces[blocks] = traces
-        return traces
+        built at the set's first affine step."""
+        return [tuple(_TailTrace.of(self.blocks, tail) for tail in tails)
+                for tails in self._level_tails()]
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Closed-form projection onto the affine chain constraints."""
-        v = self._whole.packed(x)
-        blocks = v.blocks
-        out = blocks.hermitian(v)  # a fresh array, updated in place
+        blocks = self.blocks
+        out = blocks.hermitian(blocks.packed(x))  # a fresh array, updated in place
         trace = out[blocks.diagonal].sum().real
-        for even, odd in self._level_traces(blocks):
+        for even, odd in self._level_traces:
             r_even, r_odd = even.mean(out), odd.mean(out)
             out[even.on] -= r_even[even.pair]
             out[odd.on] += r_odd[odd.pair]
         out[blocks.diagonal] += (self.trace_target - trace) / self.side
-        return blocks.tag(out) if isinstance(x, Packed) else blocks.unpack(out)
+        return blocks.like(out, x)
 
     def project(self, x: np.ndarray, max_iter: int = 5000, tol: float = 1e-12) -> np.ndarray:
         """Dykstra projection onto PSD ∩ affine chain."""
+        blocks = self.blocks
         if self.uses == 1:
-            return project_to_density(x, self.trace_target)
-        v = self._whole.packed(x)
-        b = v.blocks.tag(v.blocks.hermitian(v))
+            return project_to_density(x, self.trace_target, blocks)
+        b = blocks.hermitian(blocks.packed(x))
         p = np.zeros_like(b)
         q = np.zeros_like(b)
         for _ in range(max_iter):
-            a = project_psd(b + p)
+            a = project_psd(b + p, blocks)
             p = b + p - a
             b = self.project_affine(a + q)
             q = a + q - b
             if np.linalg.norm(a - b) <= tol:
                 break
-        out = project_psd(b)
-        return out if isinstance(x, Packed) else out.blocks.unpack(out)
+        return blocks.like(project_psd(b, blocks), x)
 
     def membership_residual(self, x: np.ndarray) -> float:
         res = [np.linalg.norm(r) for r in self.chain_residuals(x)]

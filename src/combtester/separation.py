@@ -167,10 +167,6 @@ class ParallelImpossibilityReport:
     quoted_constant_residual: float
     solver: FeasibilityReport
 
-    @property
-    def analytic_ok(self) -> bool:
-        return self.identity_residual <= 1e-12
-
     def to_dict(self) -> dict:
         return {
             "d": self.d,

@@ -76,20 +76,6 @@ class Tester:
         return len(self.elements)
 
 
-def _chain_of_sum(total: np.ndarray, dims: tuple[int, ...]) -> tuple[LabeledOperator, ...]:
-    lowers = [lower for lower, _ in matcore.chain_levels(total, dims + (1,))]
-    return tuple(
-        LabeledOperator(x, tuple(range(2 * n - 1)), dims[:2 * n - 1])
-        for n, x in enumerate(reversed(lowers), start=1)
-    )
-
-
-def derive_chain(total: LabeledOperator, uses: int) -> tuple[LabeledOperator, ...]:
-    """Normalization chain of the element sum: its walk's lowers on ``dims + (1,)``."""
-    total = total.permuted(tuple(range(2 * uses)))
-    return _chain_of_sum(total.matrix, total.dims)
-
-
 def _element_sum(elements) -> np.ndarray:
     """Sum of the element matrices in the first element's factor order, as a
     raw array: the sum is read once, so it is neither scanned nor copied."""
@@ -101,8 +87,14 @@ def _element_sum(elements) -> np.ndarray:
 
 
 def tester_from_elements(elements, uses: int) -> Tester:
+    """The tester of ``elements``; its chain is the normalization chain of
+    the element sum, the lowers of its walk on ``dims + (1,)``."""
     elements = tuple(e.permuted(tuple(range(2 * uses))) for e in elements)
-    return Tester(elements, _chain_of_sum(_element_sum(elements), elements[0].dims), uses)
+    dims = elements[0].dims
+    lowers = [lower for lower, _ in matcore.chain_levels(_element_sum(elements), dims + (1,))]
+    chain = tuple(LabeledOperator(x, tuple(range(2 * n - 1)), dims[:2 * n - 1])
+                  for n, x in enumerate(reversed(lowers), start=1))
+    return Tester(elements, chain, uses)
 
 
 @dataclass(frozen=True)
@@ -178,13 +170,6 @@ def reduced_state(mc: MemoryChannel, t: Tester) -> LabeledOperator:
     return lift @ mc.choi @ lift
 
 
-def _require_psd(m: np.ndarray, what: str) -> None:
-    """Raise unless ``m`` is Hermitian and positive semidefinite to tolerance."""
-    w = matcore.eigvalsh(m)
-    if w[0] < matcore.PSD_FAIL * max(1.0, abs(w[-1])):
-        raise ValueError(f"{what} is not positive semidefinite")
-
-
 @dataclass(frozen=True)
 class TesterCircuit:
     """Concrete measurement scheme realizing a tester.
@@ -204,6 +189,8 @@ class TesterCircuit:
     def __post_init__(self):
         sd, ad = self.system_dims, self.ancilla_dims
         n = len(ad)
+        if n < 1:
+            raise ValueError("a tester circuit needs at least one use")
         if len(sd) != 2 * n:
             raise ValueError("need dims for spaces 0..2N-1 and ancillas b_1..b_N")
         if len(self.blocks) != n - 1:
@@ -214,7 +201,7 @@ class TesterCircuit:
             raise ValueError(f"input state has shape {state.shape}, expected {(d0, d0)}")
         if abs(np.trace(state).real - 1.0) > 1e-9:
             raise ValueError("input state must have unit trace")
-        _require_psd(state, "input state")
+        matcore.require_psd_spectrum(matcore.eigvalsh(state), "input state")
         blocks = _isometry_chain(self.blocks, sd, ad, 1)
         povm = tuple(np.asarray(m, dtype=complex) for m in self.povm)
         dm = sd[-1] * ad[-1]
@@ -222,7 +209,7 @@ class TesterCircuit:
         for m in povm:
             if m.shape != (dm, dm):
                 raise ValueError(f"POVM element shape {m.shape}, expected ({dm}, {dm})")
-            _require_psd(m, "POVM element")
+            matcore.require_psd_spectrum(matcore.eigvalsh(m), "POVM element")
             acc += m
         if np.linalg.norm(acc - np.eye(dm)) > 1e-9 * max(1.0, dm):
             raise ValueError("POVM does not sum to the identity")

@@ -258,3 +258,8 @@ def test_isometric_comb_rejects_bad_blocks():
         IsometricComb((ic.blocks[0], np.eye(6)), ic.system_dims, ic.ancilla_dims)
     with pytest.raises(ValueError, match="block 0 is not an isometry"):
         IsometricComb((0.5 * ic.blocks[0], ic.blocks[1]), ic.system_dims, ic.ancilla_dims)
+
+
+def test_isometric_comb_rejects_zero_uses():
+    with pytest.raises(ValueError, match="at least one use"):
+        IsometricComb((), (), ())

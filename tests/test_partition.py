@@ -55,8 +55,8 @@ def _start(side: int, kind: str, rng) -> np.ndarray:
 
 
 @st.composite
-def _cases(draw):
-    uses = draw(st.integers(1, 3))
+def _cases(draw, max_uses=3):
+    uses = draw(st.integers(1, max_uses))
     dims = draw(st.lists(st.integers(1, 3), min_size=2 * uses, max_size=2 * uses))
     dense = draw(st.lists(st.sampled_from([False] * 4 + [True]),
                           min_size=2 * uses, max_size=2 * uses))
@@ -70,9 +70,9 @@ def _random_on(blocks: Blocks, rng) -> np.ndarray:
     return (y + y.conj().T) / 2
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=_cases())
-def test_partition_is_kept_by_every_step(case):
+def _decision(case):
+    """The objective and chain set of a random decision, a random start, its
+    invariant partition, and the random generator that drew them."""
     dims, dense, kind, seed = case
     rng = np.random.default_rng(seed)
     uses = len(dims) // 2
@@ -81,7 +81,13 @@ def test_partition_is_kept_by_every_step(case):
     obj = _ProductObjective(combs[0].choi, combs[1].choi, [2 * uses - 1])
     xi_set = XiChainSet(dims[:-1])
     x0 = _start(xi_set.side, kind, rng)
-    blocks = invariant_blocks(x0, (obj.reach, xi_set.reach))
+    return obj, xi_set, x0, invariant_blocks(x0, (obj.reach, xi_set.reach)), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cases())
+def test_partition_is_kept_by_every_step(case):
+    obj, xi_set, x0, blocks, rng = _decision(case)
     pattern = blocks.pattern()
     assert pattern[x0 != 0].all() and pattern.diagonal().all()
 
@@ -91,21 +97,35 @@ def test_partition_is_kept_by_every_step(case):
     assert np.array_equal(blocks.pack(blocks.unpack(packed)), packed)
 
     f, grad = obj.value_and_grad(y)
-    f_packed, grad_packed = obj.value_and_grad(packed)
+    f_packed, grad_packed = obj.on(blocks).value_and_grad(packed)
     assert abs(f_packed - f) <= 1e-12 * max(1.0, abs(f))
     steps = [
         (grad, grad_packed),
-        (xi_set.project_affine(y), xi_set.project_affine(packed)),
-        (project_psd(y), project_psd(packed)),
-        (project_to_density(y), project_to_density(packed)),
+        (xi_set.project_affine(y), xi_set.on(blocks).project_affine(packed)),
+        (project_psd(y), project_psd(packed, blocks)),
+        (project_to_density(y), project_to_density(packed, 1.0, blocks)),
     ]
     for dense_out, packed_out in steps:
         # the dense maps leave exact zeros off the partition ...
         assert np.all(dense_out[~pattern] == 0)
         # ... and the packed ones compute the same block entries
         scale = max(1.0, np.linalg.norm(dense_out))
-        assert packed_out.blocks is blocks
+        assert packed_out.shape == (blocks.size,)
         assert np.abs(blocks.unpack(packed_out) - dense_out).max() <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cases(max_uses=2))
+def test_bound_projection_matches_the_matrix_projection(case):
+    # near-feasible points only: Dykstra from a far-off point, or on three
+    # uses, can take thousands of inner iterations
+    _, xi_set, _, blocks, rng = _decision(case)
+    y = xi_set.uniform() + 0.05 * _random_on(blocks, rng)
+    dense_out = xi_set.project(y)
+    packed_out = xi_set.on(blocks).project(blocks.pack(y))
+    assert packed_out.shape == (blocks.size,)
+    scale = max(1.0, np.linalg.norm(dense_out))
+    assert np.abs(blocks.unpack(packed_out) - dense_out).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -235,6 +235,11 @@ def test_circuit_rejects_unphysical_states_and_povms():
         TesterCircuit(good, (), (np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])), (d, d), (1,))
 
 
+def test_circuit_rejects_zero_uses():
+    with pytest.raises(ValueError, match="at least one use"):
+        TesterCircuit(np.eye(1), (), (np.eye(1),), (), ())
+
+
 def test_circuit_rejects_bad_processing_blocks():
     rng = np.random.default_rng(12)
     tc = random_tester_circuit((2, 2, 2, 2), (1, 2), 2, rng)
