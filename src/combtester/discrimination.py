@@ -37,7 +37,7 @@ import numpy as np
 
 from . import matcore
 from .channels import Channel, MemoryChannel
-from .matcore import Blocks, LabeledOperator, identity, psd_sqrt, tensor
+from .matcore import Blocks, LabeledOperator
 from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_restarts
 from .sampling import rng_from
 from .testers import Tester, born_probabilities, tester_from_elements
@@ -176,15 +176,19 @@ class _ProductObjective:
 
 def product_residual(c0: LabeledOperator, c1: LabeledOperator,
                      fixed_labels, x: LabeledOperator) -> float:
-    """Direct ||C0 (I ⊗ x) C1||_F^2, used to cross-check the fast objective."""
-    full_labels = c0.labels
-    fixed = [l for l in full_labels if l in set(fixed_labels)]
-    lift = x
-    if fixed:
-        lift = tensor(x, identity(fixed, tuple(c0.dim_of(l) for l in fixed)))
-    lift = lift.permuted(full_labels)
-    m = c0.matrix @ lift.matrix @ c1.permuted(full_labels).matrix
-    return float(np.linalg.norm(m) ** 2)
+    """Direct ``||C0 ((x ⊗ I_fixed) C1)||_F^2`` (:func:`matcore.lift_product`),
+    to cross-check the fast objective; raises on any mismatch of spaces."""
+    spaces, fixed = dict(zip(c0.labels, c0.dims)), set(fixed_labels)
+    if not fixed <= spaces.keys():
+        raise ValueError(f"fixed labels {sorted(fixed - spaces.keys())} are not on the combs")
+    if dict(zip(c1.labels, c1.dims)) != spaces:
+        raise ValueError(f"combs differ: dims {c0.dims} on {c0.labels}, {c1.dims} on {c1.labels}")
+    free = {l: d for l, d in spaces.items() if l not in fixed}
+    if dict(zip(x.labels, x.dims)) != free:
+        raise ValueError(f"witness dims {x.dims} on {x.labels} are not the free spaces {free}")
+    order = tuple(free) + tuple(l for l in c0.labels if l in fixed)
+    y = matcore.lift_product(x.permuted(tuple(free)).matrix, c1.permuted(order).matrix)
+    return float(np.linalg.norm(matcore.lift_product(c0.permuted(order).matrix, y)) ** 2)
 
 
 def _classify(best: float) -> str:
@@ -340,25 +344,22 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
     Sandwiches the Choi difference with the square root of the witness
     normalization, lifts the projector onto the positive part of the result
     back as outcome 0 and gives outcome 1 the rest of ``Xi ⊗ I``, kernel
-    included.  Refuses to certify when the witness residual is too large for
-    the construction to be meaningful.
+    included, sandwiching on the blocks of the root (:func:`matcore.lift_sandwich`).
+    Refuses to certify when the witness residual is too large for the
+    construction to be meaningful, or its spaces do not match the combs'.
     """
-    n = c0.uses
-    top = 2 * n - 1
-    xi = witness.sorted()
-    res = product_residual(c0.choi, c1.choi, [top], xi)
+    res = product_residual(c0.choi, c1.choi, [2 * c0.uses - 1], witness)
     if res > max_witness_residual:
-        raise ValueError(
-            f"witness residual {res:.3e} exceeds {max_witness_residual:.1e}; "
-            "cannot certify perfect discrimination"
-        )
-    eye_top = identity([top], [c0.choi.dim_of(top)])
-    lift = tensor(psd_sqrt(xi), eye_top).sorted()
-    t = lift @ (c0.choi - c1.choi) @ lift
-    pos = matcore.spectral_map(t.matrix, _positive_support, checked=True)
-    p0 = lift @ LabeledOperator(pos, t.labels, t.dims) @ lift
-    p1 = tensor(xi, eye_top) - p0
-    return tester_from_elements([p0, p1], n)
+        raise ValueError(f"witness residual {res:.3e} exceeds {max_witness_residual:.1e}; "
+                         "cannot certify perfect discrimination")
+    xi = witness.sorted().matrix
+    root = matcore.psd_sqrt_matrix(xi)
+    t = matcore.lift_sandwich(root, c0.choi.matrix - c1.choi.matrix)
+    pos = matcore.spectral_map(t, _positive_support, checked=True)
+    p0 = matcore.lift_sandwich(root, pos)
+    p1 = np.kron(xi, np.eye(c0.dims[-1])) - p0
+    return tester_from_elements([LabeledOperator(p, c0.choi.labels, c0.dims) for p in (p0, p1)],
+                                c0.uses)
 
 
 def delta_matrix(t: Tester, combs) -> np.ndarray:

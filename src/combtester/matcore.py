@@ -455,17 +455,45 @@ class Blocks:
     def map(self, v: np.ndarray, f) -> np.ndarray:
         """``sum u f(w) u^dagger`` over the eigensystem of each Hermitian block.
 
-        One stacked ``eigh`` per block size; ``f`` maps the concatenated
+        One stacked ``eigh`` per block size above 1; size 1 is read as LAPACK
+        solves it, ``w = Re a`` and ``u = 1``.  ``f`` maps the concatenated
         spectrum of all blocks at once, so it may use global quantities of it.
         """
-        systems = [np.linalg.eigh(b) for b in self.stacks(v)]
+        systems = [(b.real.reshape(-1, 1), None) if b.shape[-1] == 1 else np.linalg.eigh(b)
+                   for b in self.stacks(v)]
         fw = f(self.join([w for w, _ in systems]))
         out, start = [], 0
         for w, u in systems:
             part = fw[start:start + w.size].reshape(w.shape)
             start += w.size
-            out.append((u * part[:, None, :]) @ _dagger(u))
+            out.append(part + 0j if u is None else (u * part[:, None, :]) @ _dagger(u))
         return self.join(out)
+
+
+def lift_product(l: np.ndarray, m: np.ndarray, blocks: Blocks | None = None) -> np.ndarray:
+    """``(l ⊗ I_top) @ m`` on the blocks of ``l`` (:meth:`Blocks.of`, unless
+    given), stacked per block size: a block of size 1 scales its rows of ``m``
+    and one block is one GEMM; exact up to rounding, since ``l`` vanishes off its blocks."""
+    blocks = blocks or Blocks.of(l)
+    if blocks.groups[0].shape == (blocks.side, 1):  # diagonal: scale m as it lies
+        return np.repeat(l.diagonal(), m.shape[0] // blocks.side)[:, None] * m
+    rows = m.reshape(blocks.side, -1)
+    if blocks.whole:
+        return (l @ rows).reshape(m.shape)
+    out = np.empty(rows.shape, dtype=complex)
+    for g in blocks.groups:
+        if g.shape[1] == 1:
+            out[g[:, 0]] = l[g, g] * rows[g[:, 0]]
+        else:
+            out[g] = l[g[:, :, None], g[:, None, :]] @ rows[g]
+    return out.reshape(m.shape)
+
+
+def lift_sandwich(l: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``(l ⊗ I_top) m (l ⊗ I_top)``: :func:`lift_product` from the left,
+    then on the transposes from the right, on one labelling of ``l``."""
+    blocks = Blocks.of(l)
+    return lift_product(l.T, lift_product(l, m, blocks).T, blocks).T
 
 
 def _checked_hermitian(blocks: Blocks, v: np.ndarray) -> np.ndarray:

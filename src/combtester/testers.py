@@ -26,15 +26,7 @@ import numpy as np
 
 from . import matcore
 from .channels import IsometricComb, MemoryChannel, _block_chois, _isometry_chain, _wire
-from .matcore import (
-    LabeledOperator,
-    identity,
-    link,
-    partial_trace,
-    psd_inv_sqrt,
-    psd_sqrt,
-    tensor,
-)
+from .matcore import LabeledOperator, link, partial_trace
 
 
 @dataclass(frozen=True)
@@ -134,40 +126,39 @@ def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     )
 
 
+def _require_same_spaces(t: Tester, mc: MemoryChannel) -> None:
+    if t.elements[0].dims != mc.dims:  # both carry the labels 0..len(dims)-1
+        raise ValueError(f"tester on dims {t.elements[0].dims} and comb on dims {mc.dims} "
+                         "act on different spaces")
+
+
 def born_probabilities(t: Tester, mc: MemoryChannel) -> np.ndarray:
     """Generalized Born rule ``p(i) = Tr[P_i C]``."""
-    c = mc.choi
-    if t.elements[0].labels != c.labels or t.elements[0].dims != c.dims:
-        raise ValueError("tester and comb act on different spaces")
+    _require_same_spaces(t, mc)
     # Re Tr[P C] = Re Tr[P† C] when P or C is Hermitian; vdot reads both rows in order
-    return np.array([float(np.vdot(e.matrix, c.matrix).real) for e in t.elements])
+    return np.array([float(np.vdot(e.matrix, mc.choi.matrix).real) for e in t.elements])
 
 
 def povm_from_tester(t: Tester) -> list[LabeledOperator]:
     """POVM on the reduced output state, inverting the chain sandwiching.
 
-    The inverse square root is taken on the support of the top chain element;
-    the completion defect (its kernel, lifted) is assigned to the last
-    outcome so the operators sum to the identity exactly.
+    The inverse square root of the top chain element, taken on its support,
+    sandwiches each element (:func:`matcore.lift_sandwich`); the completion
+    defect (its kernel, lifted) is assigned to the last outcome so the
+    operators sum to the identity exactly.
     """
-    xi = t.chain[-1]
-    top_label = 2 * t.uses - 1
-    d_top = t.elements[0].dim_of(top_label)
-    lift = tensor(psd_inv_sqrt(xi), identity([top_label], [d_top])).sorted()
-    povm = [lift @ e @ lift for e in t.elements]
-    total = sum(povm[1:], povm[0])
-    eye = identity(total.labels, total.dims)
-    defect = eye - total
-    povm[-1] = povm[-1] + defect
-    return povm
+    root = matcore.psd_inv_sqrt_matrix(t.chain[-1].matrix)
+    povm = [matcore.lift_sandwich(root, e.matrix) for e in t.elements]
+    povm[-1] = povm[-1] + (np.eye(len(povm[0])) - sum(povm[1:], povm[0]))
+    return [LabeledOperator(p, e.labels, e.dims) for e, p in zip(t.elements, povm)]
 
 
 def reduced_state(mc: MemoryChannel, t: Tester) -> LabeledOperator:
-    """Output state after the tester's processing: chain-sandwiched Choi."""
-    xi = t.chain[-1]
-    top_label = 2 * t.uses - 1
-    lift = tensor(psd_sqrt(xi), identity([top_label], [mc.choi.dim_of(top_label)])).sorted()
-    return lift @ mc.choi @ lift
+    """Output state after the tester's processing: the Choi operator
+    sandwiched by the root of the top chain element (:func:`matcore.lift_sandwich`)."""
+    _require_same_spaces(t, mc)
+    root = matcore.psd_sqrt_matrix(t.chain[-1].matrix)
+    return LabeledOperator(matcore.lift_sandwich(root, mc.choi.matrix), mc.choi.labels, mc.dims)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from combtester.distances import cb_distance, memory_distance
 from combtester.matcore import LabeledOperator
 from combtester.optim import XiChainSet
 from combtester.sampling import haar_unitary, random_density, random_kraus
-from combtester.separation import build_example
-from combtester.testers import validate_tester
+from combtester.separation import build_example, causal_protocol
+from combtester.testers import povm_from_tester, reduced_state, validate_tester
 from util import random_isometric_comb
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -365,6 +365,96 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     synthesize_tester(inst.c0, inst.c1, rep.witness)
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
+
+
+def _dense_map(h, f):
+    w, v = np.linalg.eigh(h)
+    return (v * f(w)) @ v.conj().T
+
+
+def _dense_sandwich(root, m):
+    lift = np.kron(root, np.eye(len(m) // len(root)))
+    return lift @ m @ lift
+
+
+def test_tester_lifts_need_no_labeled_products(monkeypatch):
+    # synthesis, POVM reduction and reduced state lift the root of the top
+    # chain element on its blocks, with no product of labeled operators
+    def refuse(self, other):
+        raise AssertionError("a labeled operator product ran")
+
+    monkeypatch.setattr(LabeledOperator, "__matmul__", refuse)
+    inst = build_example(3)
+    rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
+    assert rep.feasible, rep.residual
+    t = synthesize_tester(inst.c0, inst.c1, rep.witness)
+    povm = povm_from_tester(t)
+    reduced = reduced_state(inst.c0, t)
+
+    xi = rep.witness.sorted().matrix
+    root = _dense_map(xi, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    tilted = _dense_sandwich(root, inst.c0.choi.matrix - inst.c1.choi.matrix)
+    pos = _dense_map(tilted, lambda w: w > 1e-12 * max(1.0, np.abs(w).max()))
+    p0 = _dense_sandwich(root, pos)
+    p1 = np.kron(xi, np.eye(3)) - p0
+    for element, dense in zip(t.elements, (p0, p1)):
+        assert np.abs(element.matrix - dense).max() <= 1e-12
+
+    chain_top = t.chain[-1].matrix
+    inv = _dense_map(chain_top, lambda w: np.where(w > 1e-12, 1 / np.sqrt(np.abs(w)), 0.0))
+    dense_povm = [_dense_sandwich(inv, e.matrix) for e in t.elements]
+    dense_povm[-1] += np.eye(len(inv) * 3) - sum(dense_povm)
+    for element, dense in zip(povm, dense_povm):
+        assert np.abs(element.matrix - dense).max() <= 1e-12
+    chain_root = _dense_map(chain_top, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    dense_reduced = _dense_sandwich(chain_root, inst.c0.choi.matrix)
+    assert np.abs(reduced.matrix - dense_reduced).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_synthesis_from_rank_deficient_protocol_chain(d):
+    # the protocol tester's top chain element has rank d^2 of d^4
+    inst = build_example(d)
+    protocol, _ = causal_protocol(inst, np.eye(d, dtype=complex)[0])
+    witness = protocol.chain[-1]
+    assert np.linalg.matrix_rank(witness.matrix) == d ** 2
+    t = synthesize_tester(inst.c0, inst.c1, witness)
+    assert validate_tester(t, 1e-8).valid
+    assert np.abs(delta_matrix(t, [inst.c0, inst.c1]) - np.eye(2)).max() <= 1e-12
+    for tester in (protocol, t):
+        povm = povm_from_tester(tester)
+        side = povm[0].side
+        assert np.abs(sum(p.matrix for p in povm) - np.eye(side)).max() <= 1e-12
+        for p in povm:
+            assert np.linalg.eigvalsh(p.matrix)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("case", ["uses", "dims", "witness labels", "witness dims",
+                                  "fixed label"])
+def test_synthesis_and_residual_name_mismatched_spaces(case):
+    one = comb_from_sequence([identity_channel(2)])
+    two = comb_from_sequence([identity_channel(2), unitary_channel(X)])
+    wide = comb_from_sequence([identity_channel(2), identity_channel(3)])
+    xi_set = XiChainSet(two.dims[:-1])
+    xi = LabeledOperator(xi_set.uniform(), xi_set.labels, xi_set.dims)
+    calls = {
+        "uses": (lambda: synthesize_tester(one, two, LabeledOperator(np.eye(2) / 2, (0,), (2,))),
+                 "combs differ: dims \\(2, 2\\) on \\(0, 1\\)"),
+        "dims": (lambda: product_residual(two.choi, wide.choi, [3], xi),
+                 "combs differ: .* \\(2, 2, 3, 3\\) on"),
+        # the witness lacks a free space, or splits the free side otherwise
+        "witness labels": (
+            lambda: synthesize_tester(two, two, LabeledOperator(np.eye(4) / 4, (0, 1), (2, 2))),
+            "witness dims \\(2, 2\\) on \\(0, 1\\) are not"),
+        "witness dims": (
+            lambda: synthesize_tester(two, two, LabeledOperator(xi.matrix, (0, 1, 2), (4, 1, 2))),
+            "witness dims \\(4, 1, 2\\) on \\(0, 1, 2\\)"),
+        "fixed label": (lambda: product_residual(two.choi, two.choi, [3, 7], xi),
+                        "fixed labels \\[7\\]"),
+    }
+    call, message = calls[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("d,options", [(3, dict(restarts=4, seed=1)),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtester.matcore import (
+    Blocks,
     LabeledOperator,
     allclose,
     block_groups,
@@ -14,6 +15,8 @@ from combtester.matcore import (
     eigh,
     eigvalsh,
     identity,
+    lift_product,
+    lift_sandwich,
     link,
     partial_trace,
     psd_inv_sqrt,
@@ -288,6 +291,55 @@ def test_spectral_map_matches_dense_rebuild(blocks, dense_side, dense_kind, seed
     assert np.abs(spectral_map(h, f, checked=True) - _dense_rebuild(h, f)).max() <= 1e-12 * scale
     # a matrix with one component goes through the dense arithmetic as it stands
     assert np.array_equal(spectral_map(dense, f), _dense_rebuild(dense, f))
+
+
+def _eigh_map(blocks, v, f):
+    """Blocks.map as one stacked eigh per block size, size 1 included."""
+    systems = [np.linalg.eigh(b) for b in blocks.stacks(v)]
+    fw = f(Blocks.join([w for w, _ in systems]))
+    out, start = [], 0
+    for w, u in systems:
+        part = fw[start:start + w.size].reshape(w.shape)
+        start += w.size
+        out.append((u * part[:, None, :]) @ u.conj().swapaxes(-1, -2))
+    return Blocks.join(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**block_diagonal_cases, singles=st.integers(1, 4), tilt=st.floats(-2.0, 2.0),
+       name=st.sampled_from(sorted(SPECTRAL_MAPS)))
+def test_blocks_map_reads_size_one_blocks_as_eigh(blocks, dense_side, dense_kind, seed,
+                                                  singles, tilt, name):
+    f = SPECTRAL_MAPS[name]
+    h, _ = _permuted_block_diagonal(blocks + [(1, "dense")] * singles + [(1, "zero")],
+                                    dense_side, dense_kind, seed)
+    partition = Blocks.of(h)
+    v = partition.pack(h)
+    # eigh reads the real part of a diagonal entry and ignores the rest
+    for stack in partition.stacks(v):
+        if stack.shape[-1] == 1:
+            stack += 1j * tilt
+    assert partition.map(v, f).tobytes() == _eigh_map(partition, v, f).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**block_diagonal_cases, top=st.integers(1, 3), diagonal=st.booleans(),
+       cols=st.integers(1, 4))
+def test_lift_product_and_sandwich_match_kron(blocks, dense_side, dense_kind, seed,
+                                              top, diagonal, cols):
+    # size-1, zero and dense blocks under a shuffle; the complex factor makes
+    # l non-Hermitian, so the sandwich's right product must use l itself
+    h, _ = _permuted_block_diagonal(blocks, dense_side, dense_kind, seed)
+    l = (np.diag(np.diag(h)) if diagonal else h) * (1.0 - 0.5j)
+    rng = np.random.default_rng(seed)
+    side = len(l) * top
+    m = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    lift = np.kron(l, np.eye(top))
+    norm_l, norm_m = max(1.0, np.linalg.norm(l)), np.linalg.norm(m)
+    assert np.abs(lift_product(l, m) - lift @ m).max() <= 1e-12 * norm_l * norm_m
+    assert np.abs(lift_product(l, m[:, :cols]) - lift @ m[:, :cols]).max() <= (
+        1e-12 * norm_l * norm_m)
+    assert np.abs(lift_sandwich(l, m) - lift @ m @ lift).max() <= 1e-12 * norm_l ** 2 * norm_m
 
 
 def test_spectral_map_checked_rejects_non_hermitian_blocks():

@@ -212,6 +212,15 @@ def test_tester_requires_consistent_dims():
         Tester((t.elements[0], other), t.chain, 1)
 
 
+def test_reduced_state_names_mismatched_spaces():
+    rng = np.random.default_rng(12)
+    t = state_povm_tester(random_density(2, rng), random_povm(3, 2, rng))
+    for other in ([identity_channel(2)], [identity_channel(3), identity_channel(3)]):
+        mc = comb_from_sequence(other)
+        with pytest.raises(ValueError, match="tester on dims \\(2, 3\\) and comb on dims"):
+            reduced_state(mc, t)
+
+
 def test_circuit_validation_errors():
     d = 2
     good = np.zeros((d, d), dtype=complex)
