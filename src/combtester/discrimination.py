@@ -358,8 +358,7 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
     pos = matcore.spectral_map(t, _positive_support, checked=True)
     p0 = matcore.lift_sandwich(root, pos)
     p1 = np.kron(xi, np.eye(c0.dims[-1])) - p0
-    return tester_from_elements([LabeledOperator(p, c0.choi.labels, c0.dims) for p in (p0, p1)],
-                                c0.uses)
+    return tester_from_elements([c0.choi._like(p) for p in (p0, p1)], c0.uses)
 
 
 def delta_matrix(t: Tester, combs) -> np.ndarray:

@@ -475,7 +475,7 @@ def lift_product(l: np.ndarray, m: np.ndarray, blocks: Blocks | None = None) -> 
     given), stacked per block size: a block of size 1 scales its rows of ``m``
     and one block is one GEMM; exact up to rounding, since ``l`` vanishes off its blocks."""
     blocks = blocks or Blocks.of(l)
-    if blocks.groups[0].shape == (blocks.side, 1):  # diagonal: scale m as it lies
+    if blocks.groups[0].shape == (blocks.side, 1):  # diagonal: scale m in its memory order
         return np.repeat(l.diagonal(), m.shape[0] // blocks.side)[:, None] * m
     rows = m.reshape(blocks.side, -1)
     if blocks.whole:

@@ -150,7 +150,7 @@ def povm_from_tester(t: Tester) -> list[LabeledOperator]:
     root = matcore.psd_inv_sqrt_matrix(t.chain[-1].matrix)
     povm = [matcore.lift_sandwich(root, e.matrix) for e in t.elements]
     povm[-1] = povm[-1] + (np.eye(len(povm[0])) - sum(povm[1:], povm[0]))
-    return [LabeledOperator(p, e.labels, e.dims) for e, p in zip(t.elements, povm)]
+    return [e._like(p) for e, p in zip(t.elements, povm)]
 
 
 def reduced_state(mc: MemoryChannel, t: Tester) -> LabeledOperator:
@@ -158,7 +158,7 @@ def reduced_state(mc: MemoryChannel, t: Tester) -> LabeledOperator:
     sandwiched by the root of the top chain element (:func:`matcore.lift_sandwich`)."""
     _require_same_spaces(t, mc)
     root = matcore.psd_sqrt_matrix(t.chain[-1].matrix)
-    return LabeledOperator(matcore.lift_sandwich(root, mc.choi.matrix), mc.choi.labels, mc.dims)
+    return mc.choi._like(matcore.lift_sandwich(root, mc.choi.matrix))
 
 
 @dataclass(frozen=True)

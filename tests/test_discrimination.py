@@ -348,25 +348,6 @@ def test_solvers_reject_fewer_than_one_restart(restarts):
             solve()
 
 
-def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
-    # the counterexample's iterates and witness are diagonal and its
-    # sandwiched difference has blocks of side d, so no dense eigh runs
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    inst = build_example(3)
-    rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
-    assert rep.feasible, rep.residual
-    synthesize_tester(inst.c0, inst.c1, rep.witness)
-    assert shapes
-    assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
-
-
 def _dense_map(h, f):
     w, v = np.linalg.eigh(h)
     return (v * f(w)) @ v.conj().T
@@ -377,19 +358,32 @@ def _dense_sandwich(root, m):
     return lift @ m @ lift
 
 
-def test_tester_lifts_need_no_labeled_products(monkeypatch):
+def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
+    # the counterexample's iterates and witness are diagonal and its
+    # sandwiched difference has blocks of side d, so no dense eigh runs;
     # synthesis, POVM reduction and reduced state lift the root of the top
     # chain element on its blocks, with no product of labeled operators
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
     def refuse(self, other):
         raise AssertionError("a labeled operator product ran")
 
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     monkeypatch.setattr(LabeledOperator, "__matmul__", refuse)
     inst = build_example(3)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
     assert rep.feasible, rep.residual
     t = synthesize_tester(inst.c0, inst.c1, rep.witness)
+    assert shapes
+    assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
     povm = povm_from_tester(t)
     reduced = reduced_state(inst.c0, t)
+    monkeypatch.undo()
 
     xi = rep.witness.sorted().matrix
     root = _dense_map(xi, lambda w: np.sqrt(np.clip(w, 0.0, None)))
