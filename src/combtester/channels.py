@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .matcore import (
-    LabeledOperator,
-    double_ket,
-    link,
-    partial_trace,
-    tensor_many,
-)
+from .matcore import LabeledOperator, double_ket, partial_trace, tensor_many
 
 TP_TOL = 1e-9
 
@@ -202,18 +196,6 @@ class IsometricComb:
         return len(self.blocks)
 
 
-def _wire(uses: int, space: int, d_sys: int, k: int, d_anc: int):
-    """Labels and dims of system space ``space`` joined by ancilla wire ``k``.
-
-    The ancilla wires of an N-use scheme follow its system labels
-    ``0..2N-1``: wire ``k`` carries label ``2N + k``.  A dimension-1 ancilla
-    carries no wire.
-    """
-    if d_anc == 1:
-        return (space,), (d_sys,)
-    return (space, 2 * uses + k), (d_sys, d_anc)
-
-
 def _isometry_chain(blocks, system_dims, ancilla_dims, space0: int) -> tuple[np.ndarray, ...]:
     """The blocks of a chain as complex arrays, each checked to be an isometry.
 
@@ -233,45 +215,38 @@ def _isometry_chain(blocks, system_dims, ancilla_dims, space0: int) -> tuple[np.
     return blocks
 
 
-def _block_chois(blocks, uses: int, system_dims, ancilla_dims, space0: int) -> list:
-    """Choi operator of each block of a chain laid out as in
-    :func:`_isometry_chain`, on the wires of an ``uses``-use scheme."""
-    chois = []
-    for j, block in enumerate(blocks):
+def _ket_chain(blocks, system_dims, ancilla_dims, space0: int) -> np.ndarray:
+    """Ket of the isometry composed from a chain laid out as in
+    :func:`_isometry_chain`, as a ``(a_0, S, a_N)`` array: the input ancilla,
+    the chain's system spaces in ascending label order, the output ancilla.
+
+    The link product of pure Choi operators is the pure Choi operator of the
+    composed isometry, so the chain's Choi operator is ``|K><K|`` with ``K``
+    the blocks' kets contracted over their inner ancilla wires, row index
+    with row index as :func:`matcore.link` pairs them: one GEMM per block.
+    An empty chain is the identity on its one ancilla.
+    """
+    a = ancilla_dims[0]
+    ket = np.eye(a, dtype=complex)
+    for j, b in enumerate(blocks):
         s = space0 + 2 * j
-        in_labels, in_dims = _wire(uses, s, system_dims[s], j, ancilla_dims[j])
-        out_labels, out_dims = _wire(uses, s + 1, system_dims[s + 1], j + 1, ancilla_dims[j + 1])
-        v = double_ket(block)
-        chois.append(LabeledOperator(np.outer(v, v.conj()), out_labels + in_labels,
-                                     out_dims + in_dims))
-    return chois
-
-
-def _traced_final_choi(block: np.ndarray, sys_out: int, anc_out: int,
-                       out_label: int, in_labels, in_dims) -> LabeledOperator:
-    """Choi of (trace over final ancilla) ∘ block, never materializing the
-    rank-one Choi on the full ancilla space."""
-    din = int(np.prod(in_dims))
-    t = block.reshape(sys_out, anc_out, din)
-    c = np.einsum("cax,day->cxdy", t, t.conj(), optimize=True)
-    side = sys_out * din
-    return LabeledOperator(
-        c.reshape(side, side), (out_label,) + tuple(in_labels), (sys_out,) + tuple(in_dims)
-    )
+        v = b.reshape(system_dims[s + 1], ancilla_dims[j + 1], system_dims[s], ancilla_dims[j])
+        # ket[x, (p, in, out), y] = sum_k ket[x, p, k] v[out, y, in, k]
+        v = v.transpose(3, 2, 0, 1).reshape(ancilla_dims[j], -1)
+        ket = ket.reshape(-1, ancilla_dims[j]) @ v
+    return ket.reshape(ancilla_dims[0], -1, ancilla_dims[len(blocks)])
 
 
 def comb_from_isometries(comb: IsometricComb) -> MemoryChannel:
-    """Choi operator of the comb induced by an isometric block chain."""
-    n = comb.uses
-    sd, anc = comb.system_dims, (1, *comb.ancilla_dims)
-    chois = _block_chois(comb.blocks[:-1], n, sd, anc, 0)
-    in_labels, in_dims = _wire(n, 2 * n - 2, sd[2 * n - 2], n - 1, anc[n - 1])
-    chois.append(_traced_final_choi(comb.blocks[-1], sd[-1], anc[-1], 2 * n - 1,
-                                    in_labels, in_dims))
-    out = chois[0]
-    for c in chois[1:]:
-        out = link(out, c)
-    return MemoryChannel(out.sorted(), n)
+    """Choi operator of the comb induced by an isometric block chain.
+
+    It is ``K K^dagger``, with ``K`` the chain's composed ket
+    (:func:`_ket_chain`) read as a (comb side x final ancilla) matrix, so
+    the GEMM itself traces out the final ancilla.
+    """
+    ket = _ket_chain(comb.blocks, comb.system_dims, (1, *comb.ancilla_dims), 0)[0]
+    choi = LabeledOperator._built(ket @ ket.conj().T, range(2 * comb.uses), comb.system_dims)
+    return MemoryChannel(choi, comb.uses)
 
 
 @dataclass(frozen=True)

@@ -353,10 +353,11 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
         raise ValueError(f"witness residual {res:.3e} exceeds {max_witness_residual:.1e}; "
                          "cannot certify perfect discrimination")
     xi = witness.sorted().matrix
-    root = matcore.psd_sqrt_matrix(xi)
-    t = matcore.lift_sandwich(root, c0.choi.matrix - c1.choi.matrix)
+    blocks = matcore.Blocks.of(xi)  # the root vanishes off the blocks of xi
+    root = matcore.psd_sqrt_matrix(xi, blocks)
+    t = matcore.lift_sandwich(root, c0.choi.matrix - c1.choi.matrix, blocks)
     pos = matcore.spectral_map(t, _positive_support, checked=True)
-    p0 = matcore.lift_sandwich(root, pos)
+    p0 = matcore.lift_sandwich(root, pos, blocks)
     p1 = np.kron(xi, np.eye(c0.dims[-1])) - p0
     return tester_from_elements([c0.choi._like(p) for p in (p0, p1)], c0.uses)
 

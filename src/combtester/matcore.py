@@ -489,10 +489,11 @@ def lift_product(l: np.ndarray, m: np.ndarray, blocks: Blocks | None = None) -> 
     return out.reshape(m.shape)
 
 
-def lift_sandwich(l: np.ndarray, m: np.ndarray) -> np.ndarray:
+def lift_sandwich(l: np.ndarray, m: np.ndarray, blocks: Blocks | None = None) -> np.ndarray:
     """``(l ⊗ I_top) m (l ⊗ I_top)``: :func:`lift_product` from the left,
-    then on the transposes from the right, on one labelling of ``l``."""
-    blocks = Blocks.of(l)
+    then on the transposes from the right, on one labelling of ``l``
+    (:meth:`Blocks.of`, unless given)."""
+    blocks = blocks or Blocks.of(l)
     return lift_product(l.T, lift_product(l, m, blocks).T, blocks).T
 
 
@@ -550,16 +551,18 @@ def trace_norm(x) -> float:
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
-def spectral_map(h: np.ndarray, f, *, checked: bool = False) -> np.ndarray:
+def spectral_map(h: np.ndarray, f, *, checked: bool = False,
+                 blocks: Blocks | None = None) -> np.ndarray:
     """``sum v f(w) v^dagger`` over the eigensystem of a Hermitian matrix.
 
-    Labels ``h`` once (:meth:`Blocks.of`) and maps its packed blocks with
+    Labels ``h`` once (:meth:`Blocks.of`, unless given a partition off whose
+    blocks ``h`` vanishes) and maps its packed blocks with
     :meth:`Blocks.map`.  Exact up to rounding, since ``h`` vanishes off its
     diagonal blocks, and a matrix with one component is mapped as it stands.
     With ``checked`` the blocks first pass :func:`eigh`'s Hermiticity check,
     and their Hermitian parts are mapped.
     """
-    blocks = Blocks.of(h)
+    blocks = blocks or Blocks.of(h)
     v = blocks.pack(h)
     if checked:
         v = _checked_hermitian(blocks, v)
@@ -575,18 +578,19 @@ def require_psd_spectrum(w: np.ndarray, what: str) -> None:
                          f"eigenvalue {lowest:.3e} is significantly negative")
 
 
-def _psd_map(h, what: str, f) -> np.ndarray:
+def _psd_map(h, what: str, f, blocks: Blocks | None = None) -> np.ndarray:
     """:func:`spectral_map` of ``f`` on the clipped spectrum of a PSD ``h``;
     raises if an eigenvalue is significantly negative on the global scale."""
     def clipped(w):
         require_psd_spectrum(w, what)
         return f(np.maximum(w, 0.0))
 
-    return spectral_map(_as_square_matrix(h), clipped, checked=True)
+    return spectral_map(_as_square_matrix(h), clipped, checked=True, blocks=blocks)
 
 
-def psd_sqrt_matrix(h) -> np.ndarray:
-    return _psd_map(h, "psd_sqrt argument", np.sqrt)
+def psd_sqrt_matrix(h, blocks: Blocks | None = None) -> np.ndarray:
+    """PSD square root, on the blocks of ``h`` or of the given partition."""
+    return _psd_map(h, "psd_sqrt argument", np.sqrt, blocks)
 
 
 def psd_inv_sqrt_matrix(h) -> np.ndarray:

@@ -190,13 +190,14 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     ``Tr[rho^2]/d^6``, minimized at the maximally mixed input.
     """
     d = inst.d
-    dims = inst.c0.choi.dims
-    c0 = inst.c0.choi.matrix.reshape(dims + dims)
-    c1 = inst.c1.choi.matrix.reshape(dims + dims)
-    # Tr_{13}[C0 C1] on spaces (0, 2), without forming the product
-    t = np.einsum("abcexyzw,xyzwfbge->acfg", c0, c1, optimize=True)
+    d0, d1, d2, d3 = inst.c0.choi.dims
+    n = inst.c0.choi.side
+    # Tr_{13}[C0 C1] on spaces (0, 2), without forming the product: per index
+    # pair of spaces (1, 3), the rows of C0 times the columns of C1, stacked
+    rows = inst.c0.choi.matrix.reshape(d0, d1, d2, d3, n).transpose(1, 3, 0, 2, 4)
+    cols = inst.c1.choi.matrix.reshape(n, d0, d1, d2, d3).transpose(2, 4, 0, 1, 3)
+    t = (rows.reshape(d1 * d3, d0 * d2, n) @ cols.reshape(d1 * d3, n, d0 * d2)).sum(axis=0)
     side = d * d
-    t = t.reshape(side, side)
     eye = np.eye(side)
     fitted = float(np.trace(t).real / side)
     report_solver = parallel_discriminable(

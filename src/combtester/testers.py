@@ -9,7 +9,9 @@ Outcome probabilities follow the generalized Born rule ``p(i) = Tr[P_i C]``.
 Every tester is realizable as a concrete circuit: prepare a joint state of
 the first input and an ancilla, interleave processing isometries with the
 comb's uses, and measure a POVM at the end.  ``tester_from_circuit`` builds
-the tester elements of such a scheme by link-product contraction, and
+the tester elements of such a scheme as the link product of its parts,
+contracted as kets: the processing isometries compose into one ket, which
+meets the input state and each POVM element in one contraction.
 ``simulate_tester_circuit`` evolves states through the same scheme
 explicitly; the two must agree, which pins down every transpose convention.
 The key fact, fixed by the row-major vectorization: a circuit that prepares
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .channels import IsometricComb, MemoryChannel, _block_chois, _isometry_chain, _wire
-from .matcore import LabeledOperator, link, partial_trace
+from .channels import IsometricComb, MemoryChannel, _isometry_chain, _ket_chain
+from .matcore import LabeledOperator, partial_trace
 
 
 @dataclass(frozen=True)
@@ -214,33 +216,45 @@ class TesterCircuit:
 
 
 def tester_from_circuit(tc: TesterCircuit) -> Tester:
-    """Tester elements of a circuit scheme, by link-product contraction.
+    """Tester elements of a circuit scheme, by contraction of kets.
 
-    Each circuit component contributes its Choi operator (the measurement
-    contributes the transpose of its POVM element); contracting over the
-    ancilla wires and transposing the result on the open comb wires yields
-    the elements.  The link product is associative and commutative up to
-    the order of the labels, so any contraction order gives the same
-    elements up to rounding.  Each element starts from its measurement on
-    (2N-1, b_N) and is linked backward through the blocks N-1..1, with the
-    input state last.  After block j the operator carries only spaces
-    2j-1..2N-1 and ancilla b_j, where linking forward carries spaces
-    0..2N-2 next to b_N, the ancilla that holds an adaptive scheme's memory
-    (for the d = 4 protocol of ``separation``, 1024-side operators at most
-    in place of a 4096-side one).
+    Linking the input state, the processing blocks' Choi operators and the
+    transposed POVM element over the ancilla wires, then transposing the
+    result, gives an element.  The blocks' Choi operators are pure, so their
+    link is ``|K><K|`` with ``K`` the composed ket of the processing chain
+    (:func:`channels._ket_chain`) on (b_1, spaces 1..2N-2, b_N).  Element
+    ``i`` is then one contraction of the input state, ``K``, its conjugate
+    and ``M_i^T`` over b_1 and b_N, whose subscripts name the transposed,
+    label-sorted layout.  For the d = 4 protocol of ``separation`` no array
+    exceeds the 1024-side element (16 MB), where one 4096-side operator on
+    the whole network would take 268 MB.
     """
     n = tc.uses
     sd, ad = tc.system_dims, tc.ancilla_dims
-    chois = _block_chois(tc.blocks, n, sd, ad, 1)
-    state = LabeledOperator(tc.input_state, *_wire(n, 0, sd[0], 0, ad[0]))
-    m_labels, m_dims = _wire(n, 2 * n - 1, sd[2 * n - 1], n - 1, ad[-1])
-    elements = []
+    ket = _ket_chain(tc.blocks, sd, ad, 1)
+    state = tc.input_state.reshape(sd[0], ad[0], sd[0], ad[0])
+    side = int(np.prod(sd))
+    bra, elements = ket.conj(), []
     for m in tc.povm:
-        piece = LabeledOperator(m.T, m_labels, m_dims)
-        for choi in reversed(chois):
-            piece = link(choi, piece)
-        elements.append(link(state, piece).transpose().sorted())
+        # P[x y z, X Y Z] = sum state[X S, x s] K[S Y T] conj(K[s y t]) M^T[Z T, z t]
+        p = np.einsum("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, bra,
+                      m.reshape(sd[-1], ad[-1], sd[-1], ad[-1]), optimize=True)
+        elements.append(LabeledOperator._built(p.reshape(side, side), range(2 * n), sd))
     return tester_from_elements(elements, n)
+
+
+def _wire(uses: int, space: int, d_sys: int, k: int, d_anc: int):
+    """Labels and dims of system space ``space`` joined by ancilla wire ``k``.
+
+    The ancilla wires of an N-use scheme follow its system labels
+    ``0..2N-1``: wire ``k`` carries label ``2N + k``.  A dimension-1 ancilla
+    carries no wire.
+    """
+    if d_anc == 1:
+        return (space,), (d_sys,)
+    return (space, 2 * uses + k), (d_sys, d_anc)
+
+
 
 
 def _apply_block(state: LabeledOperator, block: np.ndarray,

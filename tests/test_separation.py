@@ -70,6 +70,15 @@ def test_dilation_matches_closed_form():
             assert np.abs(built.choi.matrix - mc.choi.matrix).max() < 1e-10
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_dilation_d4_matches_closed_form(which):
+    # build_example cross-checks the dilations for d <= 3 only
+    closed = getattr(build_example(4, cross_check=False), f"c{which}").choi
+    built = comb_from_isometries(dilation_blocks(4, which)).choi
+    assert built.labels == closed.labels and built.dims == closed.dims
+    assert np.linalg.norm(built.matrix - closed.matrix) <= 1e-10
+
+
 def test_parallel_impossibility_identity():
     for d in (2, 3):
         inst = build_example(d)
@@ -121,8 +130,10 @@ def test_protocol_large_dimension_random_state():
 
 
 def test_protocol_d4_peak_memory():
-    # every operator of the backward contraction is at most 1024-side (16 MB);
-    # one 4096-side network (268 MB) alone would break the bound
+    # the tester elements are contracted from the protocol's kets: the largest
+    # arrays are the 1024-side elements (16 MB each) and their contraction's
+    # intermediate of the same size; one 4096-side network (268 MB) alone
+    # would break the bound
     inst = build_example(4)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from combtester import testers
+from combtester import matcore, testers
 from combtester.channels import (
     IsometricComb,
     comb_from_isometries,
     comb_from_sequence,
     identity_channel,
 )
-from combtester.matcore import LabeledOperator, identity, tensor
+from combtester.matcore import LabeledOperator, double_ket, identity, link, partial_trace, tensor
 from combtester.sampling import random_density, random_povm, random_pure_state
 from combtester.testers import (
     Tester,
@@ -276,3 +278,78 @@ def test_three_use_round_trip_with_one_dimensional_middle_wires():
         assert validate_tester(t, 1e-9).valid
         p = born_probabilities(t, comb_from_isometries(ic))
         assert np.abs(p - simulate_tester_circuit(tc, ic)).max() < 1e-10
+
+
+def _linked(parts) -> LabeledOperator:
+    out = parts[0]
+    for p in parts[1:]:
+        out = link(out, p)
+    return out
+
+
+def _block_chois(blocks, uses, sd, ad, space0) -> list:
+    """Pure Choi operator of each block on (output, output ancilla, input,
+    input ancilla); ancilla wire k carries label 2 * uses + k, dimension 1 too."""
+    chois = []
+    for j, v in enumerate(blocks):
+        s, w = space0 + 2 * j, 2 * uses + j
+        k = double_ket(v)
+        chois.append(LabeledOperator(np.outer(k, k.conj()), (s + 1, w + 1, s, w),
+                                     (sd[s + 1], ad[j + 1], sd[s], ad[j])))
+    return chois
+
+
+def _comb_by_links(ic: IsometricComb) -> LabeledOperator:
+    n = ic.uses
+    c = _linked(_block_chois(ic.blocks, n, ic.system_dims, (1, *ic.ancilla_dims), 0))
+    return partial_trace(c, [2 * n, 3 * n]).sorted()
+
+
+def _elements_by_links(tc: TesterCircuit) -> list[LabeledOperator]:
+    n, sd, ad = tc.uses, tc.system_dims, tc.ancilla_dims
+    parts = [LabeledOperator(tc.input_state, (0, 2 * n), (sd[0], ad[0]))]
+    parts += _block_chois(tc.blocks, n, sd, ad, 1)
+    return [_linked(parts + [LabeledOperator(m.T, (2 * n - 1, 3 * n - 1), (sd[-1], ad[-1]))])
+            .transpose().sorted() for m in tc.povm]
+
+
+def _draw_ancillas(data, ins, outs, first):
+    """The smallest ancillas that make every block an isometry, each plus 0
+    or 1: a block whose output is at least its input may get a dimension-1 one."""
+    anc, out = first, []
+    for d_in, d_out in zip(ins, outs):
+        anc = -(-d_in * anc // d_out) + data.draw(st.integers(0, 1))
+        out.append(anc)
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), uses=st.integers(1, 3), outcomes=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_builders_match_the_link_product_of_their_blocks(data, uses, outcomes, seed):
+    # the ket compositions against the link product of the blocks' pure
+    # Choi operators, on unequal dims with dimension-1 ancillas allowed
+    small = 3 if uses < 3 else 2
+    sd = tuple(data.draw(st.lists(st.integers(1, small), min_size=2 * uses, max_size=2 * uses)))
+    comb_anc = _draw_ancillas(data, sd[0::2], sd[1::2], 1)
+    first = data.draw(st.integers(1, 2))
+    tester_anc = (first,) + _draw_ancillas(data, sd[1:-1:2], sd[2::2], first)
+    assume(max(comb_anc + tester_anc) <= 6)
+    rng = np.random.default_rng(seed)
+    ic = random_isometric_comb(sd, comb_anc, rng)
+    tc = random_tester_circuit(sd, tester_anc, outcomes, rng)
+    comb, elements = _comb_by_links(ic), _elements_by_links(tc)
+
+    def unused(*args):
+        raise AssertionError("the builders must not call link")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcore, "link", unused)
+        built = comb_from_isometries(ic).choi
+        tester = testers.tester_from_circuit(tc)
+    assert built.labels == comb.labels and built.dims == comb.dims
+    assert np.abs(built.matrix - comb.matrix).max() <= 1e-12
+    assert len(tester.elements) == outcomes
+    for e, ref in zip(tester.elements, elements):
+        assert e.labels == ref.labels and e.dims == ref.dims
+        assert np.abs(e.matrix - ref.matrix).max() <= 1e-12
