@@ -251,6 +251,9 @@ def comb_from_isometries(comb: IsometricComb) -> MemoryChannel:
 
 @dataclass(frozen=True)
 class CombValidation:
+    """A comb check; its JSON report prints every field, ``kind`` first."""
+
+    kind: str = field(default="comb", init=False)
     valid: bool
     max_residual: float
     level_residuals: dict = field(default_factory=dict)

@@ -7,6 +7,7 @@ Exit codes: 0 success (valid / feasible), 2 infeasible, 3 undetermined,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -43,6 +44,12 @@ def _emit(obj) -> None:
 
 
 def _jsonable(x):
+    """The ``json.dump`` hook: numpy scalars and arrays as Python values, and a
+    report dataclass as its fields in declaration order, less those marked
+    ``field(metadata={"json": False})``; nested reports print the same way."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
+                if f.metadata.get("json", True)}
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     if isinstance(x, np.ndarray):
@@ -73,22 +80,12 @@ def cmd_validate(args, parser) -> int:
     obj = _load(args.file, parser)
     if isinstance(obj, MemoryChannel):
         v = validate_comb(obj, args.tol)
-        _emit({
-            "kind": "comb", "valid": v.valid, "max_residual": v.max_residual,
-            "level_residuals": {str(k): r for k, r in v.level_residuals.items()},
-            "min_eigenvalue": v.min_eigenvalue,
-        })
-        return 0 if v.valid else 1
-    if isinstance(obj, Tester):
+    elif isinstance(obj, Tester):
         v = validate_tester(obj, args.tol)
-        _emit({
-            "kind": "tester", "valid": v.valid, "max_residual": v.max_residual,
-            "normalization_residual": v.normalization_residual,
-            "chain_residuals": {str(k): r for k, r in v.chain_residuals.items()},
-            "min_element_eigenvalue": v.min_element_eigenvalue,
-        })
-        return 0 if v.valid else 1
-    parser.error(f"{args.file}: validate expects a comb or tester file")
+    else:
+        parser.error(f"{args.file}: validate expects a comb or tester file")
+    _emit(v)
+    return 0 if v.valid else 1
 
 
 _STATUS_CODE = {"feasible": 0, "infeasible": 2, "undetermined": 3}
@@ -103,7 +100,7 @@ def cmd_discriminate(args, parser) -> int:
         )
     else:
         rep = causal_discriminable(a, b, restarts=args.restarts, seed=args.seed)
-    _emit(rep.to_dict())
+    _emit(rep)
     return _STATUS_CODE[rep.status]
 
 
@@ -120,7 +117,7 @@ def cmd_distance(args, parser) -> int:
         est = distances.memory_distance(
             a, b, restarts=args.restarts, seed=args.seed
         )
-    _emit(est.to_dict())
+    _emit(est)
     return 0
 
 
@@ -181,7 +178,7 @@ def cmd_paper_example(args, parser) -> int:
     report = {
         "d": d,
         "combs": separation.comb_validation_summary(inst),
-        "parallel_impossibility": imp.to_dict(),
+        "parallel_impossibility": imp,
         "protocol": {
             "delta_matrix": table.tolist(),
             "max_delta_error": delta_err,

@@ -48,24 +48,16 @@ INFEASIBLE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """A decision; ``restarts`` counts the starts that ran."""
+    """A decision; ``restarts`` counts the starts that ran.  Its JSON report
+    leaves out ``witness`` and ``objective_history``."""
 
     feasible: bool
     status: str
     residual: float
-    witness: LabeledOperator | None
+    witness: LabeledOperator | None = field(metadata={"json": False})
     iterations: int
     restarts: int
-    objective_history: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "status": self.status,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-        }
+    objective_history: list = field(default_factory=list, metadata={"json": False})
 
 
 class _ProductObjective:
@@ -358,7 +350,8 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
     t = matcore.lift_sandwich(root, c0.choi.matrix - c1.choi.matrix, blocks)
     pos = matcore.spectral_map(t, _positive_support, checked=True)
     p0 = matcore.lift_sandwich(root, pos, blocks)
-    p1 = np.kron(xi, np.eye(c0.dims[-1])) - p0
+    p1 = -p0  # Xi ⊗ I_top - p0, adding xi on the top space's diagonal
+    matcore.tail_diagonal(p1, c0.dims[-1])[...] += xi[:, :, None]
     return tester_from_elements([c0.choi._like(p) for p in (p0, p1)], c0.uses)
 
 

@@ -39,21 +39,16 @@ from .unitary import discriminability
 
 @dataclass(frozen=True)
 class DistanceEstimate:
+    """A certified lower bound; its JSON report leaves out ``achiever`` and
+    ``history``."""
+
     value: float
-    achiever: LabeledOperator
+    achiever: LabeledOperator = field(metadata={"json": False})
     iterations: int
     restarts: int
     # restarts that stopped at ``max_iter`` rather than by their stopping rule
     capped: int
-    history: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-            "capped": self.capped,
-        }
+    history: list = field(default_factory=list, metadata={"json": False})
 
 
 def unitary_cb_oracle(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> float:
@@ -122,7 +117,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     for _ in range(max_iter):
         lift = _lift(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
         x = lift @ delta @ matcore._dagger(lift)
-        w, v = np.linalg.eigh((x + matcore._dagger(x)) / 2)
+        w, v = np.linalg.eigh(matcore._hermitian(x))
         val = np.abs(w).sum(axis=-1)
         total_iter += live.size
         for r, y in zip(live, val.tolist()):
@@ -140,7 +135,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)
         h = (dt @ s.reshape(-1, d_out * d_out, side)).reshape((-1,) + (d_in,) * 4)
         h = h.transpose(0, 1, 3, 2, 4).reshape(-1, side, side)
-        _, vecs = np.linalg.eigh((h + matcore._dagger(h)) / 2)
+        _, vecs = np.linalg.eigh(matcore._hermitian(h))
         psi = vecs[:, :, -1]
 
     # the first restart that reaches the largest value, as a sequential scan keeps
@@ -154,10 +149,6 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         value=float(value), achiever=achiever, iterations=total_iter,
         restarts=count, capped=live.size, history=histories[first],
     )
-
-
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
 
 
 def _memory_objective(delta: LabeledOperator, top_label: int):
@@ -176,22 +167,22 @@ def _memory_objective(delta: LabeledOperator, top_label: int):
 
     def value_and_subgrad(xi: np.ndarray) -> tuple[float, np.ndarray]:
         # raw Hermitian parts: every operand is built here from checked ones
-        w, v = np.linalg.eigh(_hermitian(xi))
+        w, v = np.linalg.eigh(matcore._hermitian(xi))
         w = np.clip(w, 0.0, None)
         root = (v * np.sqrt(w)) @ v.conj().T
         lift = _lift(root, top)
         x = lift @ dmat @ lift
-        xw, xv = np.linalg.eigh(_hermitian(x))
+        xw, xv = np.linalg.eigh(matcore._hermitian(x))
         val = float(np.abs(xw).sum())
         s = (xv * np.sign(xw)) @ xv.conj().T
         b = dmat @ lift @ s + s @ lift @ dmat
         rest = b.shape[0] // top
         btilde = np.trace(b.reshape(rest, top, rest, top), axis1=1, axis2=3)
         # chain rule through the matrix square root, in the eigenbasis of xi
-        bb = v.conj().T @ _hermitian(btilde) @ v
+        bb = v.conj().T @ matcore._hermitian(btilde) @ v
         denom = np.sqrt(w)[:, None] + np.sqrt(w)[None, :]
         g = v @ (bb / np.maximum(denom, 1e-8)) @ v.conj().T
-        return val, _hermitian(g)
+        return val, matcore._hermitian(g)
 
     return value, value_and_subgrad
 

@@ -290,8 +290,7 @@ def undouble_ket(v, rows: int, cols: int) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
-    m = _as_complex_matrix(m)
-    return (m + m.conj().T) / 2
+    return _hermitian(_as_complex_matrix(m))
 
 
 def _as_square_matrix(h) -> np.ndarray:
@@ -335,6 +334,11 @@ def block_groups(h: np.ndarray) -> list[np.ndarray]:
 
 def _dagger(b: np.ndarray) -> np.ndarray:
     return b.conj().swapaxes(-1, -2)
+
+
+def _hermitian(b: np.ndarray) -> np.ndarray:
+    """``(b + b^dagger) / 2`` per matrix of a stack, without a scan."""
+    return (b + _dagger(b)) / 2
 
 
 class Blocks:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .matcore import psd_inv_sqrt_matrix
+
 
 def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -57,7 +59,5 @@ def random_kraus(dim_in: int, dim_out: int, n_kraus: int, rng) -> list[np.ndarra
 def random_povm(d: int, n_outcomes: int, rng) -> list[np.ndarray]:
     rng = rng_from(rng)
     raw = [random_psd(d, rng) for _ in range(n_outcomes)]
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    s = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    s = psd_inv_sqrt_matrix(sum(raw))
     return [s @ a @ s for a in raw]

@@ -159,6 +159,9 @@ def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
 
 @dataclass(frozen=True)
 class ParallelImpossibilityReport:
+    """The ``Tr_13[C0 C1]`` check and the parallel solver's decision; its JSON
+    report prints every field, ``solver`` as a nested report."""
+
     d: int
     identity_residual: float
     proportionality_residual: float
@@ -166,17 +169,6 @@ class ParallelImpossibilityReport:
     expected_constant: float
     quoted_constant_residual: float
     solver: FeasibilityReport
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "identity_residual": self.identity_residual,
-            "proportionality_residual": self.proportionality_residual,
-            "fitted_constant": self.fitted_constant,
-            "expected_constant": self.expected_constant,
-            "quoted_constant_residual": self.quoted_constant_residual,
-            "solver": self.solver.to_dict(),
-        }
 
 
 def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,

@@ -93,6 +93,9 @@ def tester_from_elements(elements, uses: int) -> Tester:
 
 @dataclass(frozen=True)
 class TesterValidation:
+    """A tester check; its JSON report prints every field, ``kind`` first."""
+
+    kind: str = field(default="tester", init=False)
     valid: bool
     max_residual: float
     normalization_residual: float

@@ -7,6 +7,7 @@ from combtester.channels import (
     identity_channel,
     unitary_channel,
 )
+from combtester.cli import _jsonable
 from combtester.distances import (
     _lift,
     _memory_objective,
@@ -226,7 +227,7 @@ def test_capped_restarts_are_counted():
     a = comb_from_sequence([random_qubit_channel(rng)]).choi
     b = comb_from_sequence([random_qubit_channel(rng)]).choi
     fixed = cb_distance(a, b, restarts=4, seed=1, max_iter=10, tol=-np.inf)
-    assert fixed.capped == 4 and fixed.to_dict()["capped"] == 4
+    assert fixed.capped == 4 and _jsonable(fixed)["capped"] == 4
     assert cb_distance(a, b, restarts=4, seed=1).capped == 0
     assert cb_distance(a, a, restarts=3, seed=0).capped == 0
     mc = comb_from_sequence([identity_channel(2), identity_channel(2)])

@@ -222,6 +222,40 @@ def test_cli_paper_example(capsys):
     assert out["combs"]["c0"]["valid"] and out["combs"]["c1"]["valid"]
 
 
+_DECISION_KEYS = ["feasible", "status", "residual", "iterations", "restarts"]
+
+
+def test_cli_report_layouts(tmp_path, capsys):
+    # every report prints its fields in declaration order, nested reports
+    # included, and leaves out its operators and histories
+    fi, fx = _files(tmp_path)
+    t = testers.tester_from_circuit(TesterCircuit(
+        np.diag([1.0, 0.0]).astype(complex), (), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+        (2, 2), (1,)))
+    ft = tmp_path / "t.json"
+    formats.save(ft, t)
+
+    def report(argv):
+        main(argv)
+        return json.loads(capsys.readouterr().out)
+
+    assert list(report(["discriminate", "--mode", "parallel", fi, fx, "--restarts", "2"])) \
+        == _DECISION_KEYS
+    for kind in ("cb", "memory"):
+        out = report(["distance", "--kind", kind, fi, fx, "--restarts", "2"])
+        assert list(out) == ["value", "iterations", "restarts", "capped"]
+    assert list(report(["validate", fi])) == [
+        "kind", "valid", "max_residual", "level_residuals", "min_eigenvalue"]
+    assert list(report(["validate", str(ft)])) == [
+        "kind", "valid", "max_residual", "normalization_residual", "chain_residuals",
+        "min_element_eigenvalue"]
+    imp = report(["paper-example", "--d", "2", "--restarts", "1"])["parallel_impossibility"]
+    assert list(imp) == ["d", "identity_residual", "proportionality_residual",
+                         "fitted_constant", "expected_constant",
+                         "quoted_constant_residual", "solver"]
+    assert list(imp["solver"]) == _DECISION_KEYS
+
+
 def test_cli_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["discriminate", "--mode", "sideways", "a", "b"])
