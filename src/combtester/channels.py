@@ -85,10 +85,10 @@ class MemoryChannel:
         outputs as space 1, each in label order.  One use returns ``self``."""
         if self.uses == 1:
             return self
-        c = self.choi.permuted(self.choi.labels[0::2] + self.choi.labels[1::2])
+        spaces = len(self.dims)
+        perm = list(range(0, spaces, 2)) + list(range(1, spaces, 2))
         dims = (int(np.prod(self.input_dims)), int(np.prod(self.output_dims)))
-        # the permuted entries are already checked: wrap them without a copy
-        return MemoryChannel(LabeledOperator._built(c.matrix, (0, 1), dims, scan=False), 1)
+        return MemoryChannel(self.choi._permuted_as(perm, (0, 1), dims), 1)
 
 
 def identity_channel(d: int) -> Channel:
@@ -270,7 +270,7 @@ def validate_comb(mc: MemoryChannel, tol: float = 1e-9) -> CombValidation:
     """
     c = mc.choi
     levels: dict[int, float] = {}
-    w = matcore.eigvalsh(c.matrix)
+    w = c.blocks.eigvalsh(c.matrix)
     scale = max(1.0, float(abs(w[-1])) if len(w) else 1.0)
     min_eig = float(w[0])
     current = c.matrix

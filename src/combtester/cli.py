@@ -163,7 +163,6 @@ def cmd_theta_laws(args, parser) -> int:
 def cmd_paper_example(args, parser) -> int:
     d = args.d
     inst = separation.build_example(d)
-    rng = rng_from(args.seed)
     if args.psi:
         psi = np.asarray(_load(args.psi, parser, expect=np.ndarray)).reshape(-1)
     else:

@@ -67,14 +67,17 @@ class _ProductObjective:
     the optimization variable.  The factors are ordered free first and fixed
     last, so a sorted comb with its top output fixed is used as it stands.
     With ``Q = C0^2`` and ``R = C1^2`` (both Choi operators are Hermitian;
-    the squares are taken block by block, see :func:`matcore.block_square`)
-    the objective is ``Tr[x half(x)]`` with
+    the squares are taken block by block on the combs' partitions, see
+    :meth:`matcore.Blocks.square`) the objective is ``Tr[x half(x)]`` with
     ``half[e,h] = sum_{o,b,f,g} Q[e,o,f,b] x[f,g] R[g,b,h,o]``.  The sum over
     the fixed pair ``(o,b)`` is the product ``M = Qm Rm`` of the reshapes
     ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``.  Only the fixed pairs with
     both a nonzero ``Qm`` column and a nonzero ``Rm`` row are kept; the
-    others add exact zeros to ``M``.  Each call contracts a rank-``k`` factor
-    pair ``M = A B`` in two GEMMs, with ``k = min(kept pairs, de^2)``:
+    others add exact zeros to ``M``.  The kept pairs are found by ``any``
+    over the 4-d views of ``Q`` and ``R``, and only their columns and rows
+    are gathered, so no transposed copy of either square is made.  Each call
+    contracts a rank-``k`` factor pair ``M = A B`` in two GEMMs, with
+    ``k = min(kept pairs, de^2)``:
 
     * at most ``de^2`` kept pairs: ``A`` and ``B`` are the kept columns of
       ``Qm`` and rows of ``Rm``;
@@ -102,19 +105,19 @@ class _ProductObjective:
         df = int(np.prod([a.dim_of(l) for l in fixed])) if fixed else 1
         de = int(np.prod(self.free_dims)) if free else 1
         self.df, self.de = df, de
-        q = matcore.block_square(a.matrix).reshape(de, df, de, df)
-        r = matcore.block_square(b.matrix).reshape(de, df, de, df)
-        qm = q.transpose(0, 2, 1, 3).reshape(de * de, df * df)
-        rm = r.transpose(3, 1, 0, 2).reshape(df * df, de * de)
-        keep = np.flatnonzero(qm.any(axis=0) & rm.any(axis=1))
-        qm, rm = qm[:, keep], rm[keep]
-        if qm.shape[1] > de * de:
-            rm = qm @ rm
-            qm = np.eye(de * de, dtype=complex)
-        k = qm.shape[1]
+        q = a.blocks.square(a.matrix).reshape(de, df, de, df)
+        r = b.blocks.square(b.matrix).reshape(de, df, de, df)
+        # the pair (o, b) is kept where Q[:, o, :, b] and R[:, b, :, o] have a nonzero
+        ko, kb = np.divmod(np.flatnonzero(q.any(axis=(0, 2)) & r.any(axis=(0, 2)).T), df)
+        qk, rk = q[:, ko, :, kb], r[:, kb, :, ko]  # [k, e, f] and [k, g, h]
+        k = ko.size
+        if k > de * de:
+            qm = np.ascontiguousarray(qk.reshape(k, -1).T)
+            rk = (qm @ rk.reshape(k, -1)).reshape(de * de, de, de)
+            qk = np.eye(de * de, dtype=complex).reshape(de * de, de, de)
         # q_[e,(f,k)] = A[(e,f),k];  r_[g,(k,h)] = B[k,(g,h)]
-        self.q_ = qm.reshape(de, de * k)
-        self.r_ = rm.reshape(k, de, de).transpose(1, 0, 2).reshape(de, k * de)
+        self.q_ = qk.transpose(1, 2, 0).reshape(de, -1)
+        self.r_ = rk.transpose(1, 0, 2).reshape(de, -1)
         self._bind(Blocks.one(de))
 
     def on(self, blocks: Blocks) -> "_ProductObjective":
@@ -168,8 +171,9 @@ class _ProductObjective:
 
 def product_residual(c0: LabeledOperator, c1: LabeledOperator,
                      fixed_labels, x: LabeledOperator) -> float:
-    """Direct ``||C0 ((x ⊗ I_fixed) C1)||_F^2`` (:func:`matcore.lift_product`),
-    to cross-check the fast objective; raises on any mismatch of spaces."""
+    """Direct ``||C0 ((x ⊗ I_fixed) C1)||_F^2`` (:func:`matcore.lift_product`
+    on the partitions of ``x`` and ``C0``), to cross-check the fast
+    objective; raises on any mismatch of spaces."""
     spaces, fixed = dict(zip(c0.labels, c0.dims)), set(fixed_labels)
     if not fixed <= spaces.keys():
         raise ValueError(f"fixed labels {sorted(fixed - spaces.keys())} are not on the combs")
@@ -179,8 +183,9 @@ def product_residual(c0: LabeledOperator, c1: LabeledOperator,
     if dict(zip(x.labels, x.dims)) != free:
         raise ValueError(f"witness dims {x.dims} on {x.labels} are not the free spaces {free}")
     order = tuple(free) + tuple(l for l in c0.labels if l in fixed)
-    y = matcore.lift_product(x.permuted(tuple(free)).matrix, c1.permuted(order).matrix)
-    return float(np.linalg.norm(matcore.lift_product(c0.permuted(order).matrix, y)) ** 2)
+    x, c0 = x.permuted(tuple(free)), c0.permuted(order)
+    y = matcore.lift_product(x.matrix, c1.permuted(order).matrix, x.blocks)
+    return float(np.linalg.norm(matcore.lift_product(c0.matrix, y, c0.blocks)) ** 2)
 
 
 def _classify(best: float) -> str:
@@ -344,8 +349,8 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
     if res > max_witness_residual:
         raise ValueError(f"witness residual {res:.3e} exceeds {max_witness_residual:.1e}; "
                          "cannot certify perfect discrimination")
-    xi = witness.sorted().matrix
-    blocks = matcore.Blocks.of(xi)  # the root vanishes off the blocks of xi
+    witness = witness.sorted()
+    xi, blocks = witness.matrix, witness.blocks  # the root vanishes off the blocks of xi
     root = matcore.psd_sqrt_matrix(xi, blocks)
     t = matcore.lift_sandwich(root, c0.choi.matrix - c1.choi.matrix, blocks)
     pos = matcore.spectral_map(t, _positive_support, checked=True)

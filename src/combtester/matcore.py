@@ -14,6 +14,7 @@ conventions are fixed once and for all:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Sequence
@@ -41,7 +42,10 @@ class LabeledOperator:
 
     ``labels[k]`` names the k-th tensor factor and ``dims[k]`` is its
     dimension; ``prod(dims)`` must equal the matrix side.  Instances are
-    immutable (the stored array is marked read-only) and safe to share.
+    immutable (the stored array is marked read-only) and safe to share, and
+    every one holds finite entries, so a kernel given an operator's matrix
+    need not scan it again.  Each labels its matrix once, when first asked
+    (:attr:`blocks`).
     """
 
     matrix: np.ndarray
@@ -53,7 +57,7 @@ class LabeledOperator:
 
     @classmethod
     def _built(cls, m: np.ndarray, labels, dims, *, scan: bool = True) -> "LabeledOperator":
-        """Wrap an array this module has just built, without a copy.
+        """Wrap an array this package has just built, without a copy.
 
         ``scan=False`` skips the NaN/Inf scan; it is for rearrangements of an
         already-checked operator's entries only.
@@ -106,12 +110,21 @@ class LabeledOperator:
             raise ValueError(f"{new_labels} is not a permutation of {self.labels}")
         if new_labels == self.labels:
             return self
-        k = len(self.labels)
         perm = [self.labels.index(l) for l in new_labels]
+        return self._permuted_as(perm, new_labels, tuple(self.dims[p] for p in perm))
+
+    def _permuted_as(self, perm, labels, dims) -> "LabeledOperator":
+        """This operator with its factors in the order ``perm``, read on the
+        factors ``labels``, ``dims`` of the same side.  Built without a scan;
+        asked for its partition (:attr:`blocks`) while this operator lives,
+        it permutes this one's rather than labelling anew.  The source is
+        held weakly, so a permuted copy never keeps its source's memory."""
+        k, side = len(self.dims), self.side
         t = self._tensor_view().transpose(perm + [p + k for p in perm])
-        new_dims = tuple(self.dims[p] for p in perm)
-        side = self.side
-        return LabeledOperator._built(t.reshape(side, side), new_labels, new_dims, scan=False)
+        op = LabeledOperator._built(t.reshape(side, side), labels, dims, scan=False)
+        index = np.arange(side).reshape(self.dims).transpose(perm).reshape(-1)
+        object.__setattr__(op, "_source", (weakref.ref(self), index))
+        return op
 
     def sorted(self) -> "LabeledOperator":
         return self.permuted(tuple(np.sort(self.labels)))
@@ -134,6 +147,19 @@ class LabeledOperator:
 
     def transpose(self) -> "LabeledOperator":
         return self._like(self.matrix.T, scan=False)
+
+    @cached_property
+    def blocks(self) -> "Blocks":
+        """The block partition of the matrix (:meth:`Blocks.of`), found on
+        first use; for a permuted copy, its live source's partition permuted
+        (:meth:`Blocks.permuted`), labelling the source if it has not been."""
+        source, index = self.__dict__.pop("_source", (lambda: None, None))
+        source = source()
+        return Blocks.of(self.matrix) if source is None else source.blocks.permuted(index)
+
+    def __getstate__(self) -> dict:
+        # a weak reference does not pickle; the copy labels itself when asked
+        return {k: v for k, v in self.__dict__.items() if k != "_source"}
 
     def _like(self, m: np.ndarray, *, scan: bool = True) -> "LabeledOperator":
         """A freshly built ``m`` on this operator's factors (see :meth:`_built`)."""
@@ -380,6 +406,18 @@ class Blocks:
             return cls.one(n)
         return cls(block_groups(h), n)
 
+    def permuted(self, index: np.ndarray) -> "Blocks":
+        """The partition of ``x[index][:, index]`` for a matrix ``x`` on this
+        one, in :func:`block_groups`' order: each block's new indices
+        ascending, and the blocks of a size by their first index."""
+        where = np.empty_like(index)
+        where[index] = np.arange(index.size)
+        groups = []
+        for g in self.groups:
+            rows = np.sort(where[g], axis=1)
+            groups.append(rows[np.argsort(rows[:, 0])])
+        return Blocks(groups, self.side)
+
     def _entries(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per block size, the index of the stacked blocks in a full matrix."""
         return [(g[:, :, None], g[:, None, :]) for g in self.groups]
@@ -456,6 +494,24 @@ class Blocks:
         """``(x + x^dagger) / 2`` in packed form, without a scan."""
         return (np.asarray(v) + self.dagger(v)) / 2
 
+    def square(self, h: np.ndarray) -> np.ndarray:
+        """``h @ h`` for an ``h`` that vanishes off these blocks, multiplied
+        block by block.  Exact up to rounding: the square vanishes off the
+        blocks too, and each block of it is the block's square."""
+        return self.unpack(self.join([b @ b for b in self.stacks(self.pack(h))]))
+
+    def eigvalsh(self, h: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of a Hermitian ``h`` that vanishes off these
+        blocks, with :func:`eigh`'s check and no NaN/Inf scan.
+
+        Check and solve run on the packed blocks, one stacked call per block
+        size.  Both are exact reorderings: ``h`` and ``h^dagger`` vanish off
+        the blocks, so the packed Frobenius norms are those of the whole
+        matrices, and the spectrum is the union of the blocks'.
+        """
+        v = _checked_hermitian(self, self.pack(h))
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in self.stacks(v)]))
+
     def map(self, v: np.ndarray, f) -> np.ndarray:
         """``sum u f(w) u^dagger`` over the eigensystem of each Hermitian block.
 
@@ -524,27 +580,11 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigvalsh(h) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, with :func:`eigh`'s check.
-
-    Check and solve run on the diagonal blocks of :func:`block_groups`, one
-    stacked call per block size.  Both are exact reorderings: ``h`` and
-    ``h^dagger`` vanish off the blocks, so the packed Frobenius norms are
-    those of the whole matrices, and the spectrum is the union of the blocks'.
-    """
+    """Ascending eigenvalues of a Hermitian matrix, with :func:`eigh`'s check:
+    :meth:`Blocks.eigvalsh` on its partition (:meth:`Blocks.of`), after the
+    NaN/Inf scan."""
     h = _as_square_matrix(h)
-    blocks = Blocks.of(h)
-    v = _checked_hermitian(blocks, blocks.pack(h))
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks.stacks(v)]))
-
-
-def block_square(h: np.ndarray) -> np.ndarray:
-    """``h @ h``, multiplied block by block over :func:`block_groups`.
-
-    Exact up to rounding: ``h`` vanishes off its diagonal blocks, so its
-    square does too, and each block of the square is the block's square.
-    """
-    blocks = Blocks.of(h)
-    return blocks.unpack(blocks.join([b @ b for b in blocks.stacks(blocks.pack(h))]))
+    return Blocks.of(h).eigvalsh(h)
 
 
 def trace_norm(x) -> float:

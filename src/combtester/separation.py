@@ -83,8 +83,8 @@ def _closed_form_chois(d: int) -> tuple[LabeledOperator, LabeledOperator]:
     c1[zero_out, zero_out] = 1.0 / d2
     labels = (0, 1, 2, 3)
     return (
-        LabeledOperator(c0.reshape(side, side), labels, dims),
-        LabeledOperator(c1, labels, dims),
+        LabeledOperator._built(c0.reshape(side, side), labels, dims),
+        LabeledOperator._built(c1, labels, dims),
     )
 
 
@@ -182,14 +182,19 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     ``Tr[rho^2]/d^6``, minimized at the maximally mixed input.
     """
     d = inst.d
-    d0, d1, d2, d3 = inst.c0.choi.dims
-    n = inst.c0.choi.side
-    # Tr_{13}[C0 C1] on spaces (0, 2), without forming the product: per index
-    # pair of spaces (1, 3), the rows of C0 times the columns of C1, stacked
-    rows = inst.c0.choi.matrix.reshape(d0, d1, d2, d3, n).transpose(1, 3, 0, 2, 4)
-    cols = inst.c1.choi.matrix.reshape(n, d0, d1, d2, d3).transpose(2, 4, 0, 1, 3)
-    t = (rows.reshape(d1 * d3, d0 * d2, n) @ cols.reshape(d1 * d3, n, d0 * d2)).sum(axis=0)
-    side = d * d
+    c0, c1 = inst.c0.choi, inst.c1.choi
+    dims = c0.dims
+    side = dims[0] * dims[2]
+    # Tr_{13}[C0 C1] on spaces (0, 2), from the block entries of C1 alone:
+    # an entry C1[m, (k0 j1 k2 j3)] adds column m of C0 on the rows
+    # (i0 j1 i2 j3), times the entry, to column (k0 k2) of the trace
+    m, col = c1.blocks.index
+    k0, j1, k2, j3 = np.unravel_index(col, dims)
+    i0, i2 = np.divmod(np.arange(side), dims[2])
+    rows = np.ravel_multi_index((i0, j1[:, None], i2, j3[:, None]), dims)
+    terms = c0.matrix[rows, m[:, None]] * c1.blocks.pack(c1.matrix)[:, None]
+    t = np.zeros((side, side), dtype=complex)
+    np.add.at(t.T, k0 * dims[2] + k2, terms)
     eye = np.eye(side)
     fitted = float(np.trace(t).real / side)
     report_solver = parallel_discriminable(

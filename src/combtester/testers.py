@@ -117,7 +117,7 @@ def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
 
     min_eig = 0.0
     for e in t.elements:
-        min_eig = min(min_eig, float(matcore.eigvalsh(e.matrix)[0]))
+        min_eig = min(min_eig, float(e.blocks.eigvalsh(e.matrix)[0]))
     scale = max(1.0, float(np.linalg.norm(total)))
     residuals = [norm_res, max(0.0, -min_eig)] + list(chain_res.values())
     max_res = max(residuals)

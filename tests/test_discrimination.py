@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combtester import matcore
 from combtester.channels import (
     Channel,
     comb_from_isometries,
@@ -378,7 +379,13 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     inst = build_example(3)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
     assert rep.feasible, rep.residual
+    # the decision labelled C0; synthesis labels the witness, once for its
+    # residual and its root, and the sandwiched difference
+    labelled = []
+    block_groups = matcore.block_groups
+    monkeypatch.setattr(matcore, "block_groups", lambda h: labelled.append(h) or block_groups(h))
     t = synthesize_tester(inst.c0, inst.c1, rep.witness)
+    assert [h.shape[0] for h in labelled] == [81, 243]
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
     povm = povm_from_tester(t)

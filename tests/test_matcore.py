@@ -1,16 +1,18 @@
 import operator
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combtester import matcore
+from combtester.channels import MemoryChannel
 from combtester.matcore import (
     Blocks,
     LabeledOperator,
     allclose,
     block_groups,
-    block_square,
     double_ket,
     eigh,
     eigvalsh,
@@ -264,7 +266,53 @@ def test_block_groups_and_blockwise_kernels(blocks, dense_side, dense_kind, seed
 
     norm = np.linalg.norm(h)
     assert np.abs(eigvalsh(h) - np.linalg.eigvalsh(h)).max() <= 1e-12 * norm
-    assert np.abs(block_square(h) - h @ h).max() <= 1e-12 * norm ** 2
+    assert np.abs(Blocks.of(h).square(h) - h @ h).max() <= 1e-12 * norm ** 2
+
+
+def _block_sparse(side: int, parts: int, density: float, rng) -> np.ndarray:
+    """Random complex entries, each kept with probability ``density`` where
+    its row and column fall in the same of ``parts`` random index groups."""
+    group = rng.integers(0, parts, side)
+    keep = (group[:, None] == group[None, :]) & (rng.random((side, side)) < density)
+    return (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))) * keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4), parts=st.integers(1, 6),
+       density=st.sampled_from([0.2, 0.6, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+       source_first=st.booleans())
+def test_rearranged_operators_derive_the_canonical_partition(dims, parts, density, seed,
+                                                             source_first):
+    # an operator made by permuted, sorted or as_single_use reads its
+    # partition off its live source's, with no labelling of its own, and
+    # that partition is Blocks.of of its matrix group for group, so the
+    # packed layout does not depend on the path that made the operator
+    rng = np.random.default_rng(seed)
+    k = len(dims)
+    side = int(np.prod(dims))
+    op = LabeledOperator(_block_sparse(side, parts, density, rng), rng.permutation(k), dims)
+    labelled = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcore, "block_groups",
+                      lambda h, bg=matcore.block_groups: labelled.append(h) or bg(h))
+        if source_first:
+            op.blocks
+        once = op.permuted(rng.permutation(op.labels))
+        made = [once, op.sorted(), once.permuted(rng.permutation(op.labels))]
+        if k % 2 == 0:
+            comb = MemoryChannel(op.sorted(), k // 2)  # alive while read, as a source must be
+            made.append(comb.as_single_use().choi)
+        unpickled = pickle.loads(pickle.dumps(once))
+        partitions = [m.blocks for m in reversed(made)]
+    assert len(labelled) <= 1  # the source's labelling, if Blocks.of needs one
+    for m, blocks in zip(reversed(made), partitions):
+        fresh = Blocks.of(m.matrix)
+        assert len(blocks.groups) == len(fresh.groups)
+        for derived, found in zip(blocks.groups, fresh.groups):
+            assert np.array_equal(derived, found)
+        assert np.array_equal(blocks.pack(m.matrix), fresh.pack(m.matrix))
+    assert np.array_equal(unpickled.matrix, once.matrix) and unpickled.labels == once.labels
+    assert all(np.array_equal(a, b) for a, b in zip(unpickled.blocks.groups, once.blocks.groups))
 
 
 SPECTRAL_MAPS = {

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from combtester import cli, matcore
 from combtester.channels import comb_from_isometries, validate_comb
 from combtester.distances import memory_distance
 from combtester.separation import (
@@ -209,3 +210,26 @@ def test_protocol_tester_matches_hand_built_elements():
     ):
         hand = tensor(tensor(rho0, mid), LabeledOperator(out_proj, (3,), (d,)))
         assert np.abs(element.matrix - hand.sorted().matrix).max() < 1e-12
+
+
+def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
+    # C0 and C1 are labelled once each: their regrouped forms in the parallel
+    # objective and the comb checks read those partitions; the other two
+    # full-side labellings are the protocol tester's elements
+    labelled = []
+    block_groups = matcore.block_groups
+
+    def counting(h):
+        labelled.append(h)
+        return block_groups(h)
+
+    monkeypatch.setattr(matcore, "block_groups", counting)
+    assert cli.main(["paper-example", "--d", "3", "--seed", "1"]) == 0
+    capsys.readouterr()
+    full = [h for h in labelled if h.shape[0] == 3 * 9 * 3 * 3]
+    # a rearranged copy has the same entries: compare them as sorted lists
+    entries = [np.sort_complex(h.ravel()) for h in full]
+    assert not any(np.array_equal(a, b) for i, a in enumerate(entries) for b in entries[:i])
+    assert len(full) == 4
+    # with the two POVM elements, the input state and the parallel start
+    assert len(labelled) == 8
