@@ -7,7 +7,9 @@ by a causal scheme iff some tester normalization ``Xi`` (an element of
 inputs: it is the one-use tester of the comb read as one channel
 (:meth:`MemoryChannel.as_single_use`), normalized by a density matrix on
 the grouped inputs.  So both criteria are one feasibility problem over one
-set read at two groupings, and one private driver decides both.  It
+set read at two groupings, and one private driver decides both; the
+objective reads a grouping of the combs through its index map, not through
+a regrouped copy.  It
 minimizes the squared Frobenius norm of the product over the set with
 projected gradient descent, from the uniform point first and then from
 random points, each drawn only when the starts before it stayed above zero.
@@ -30,7 +32,7 @@ block, with the dense arithmetic.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -60,24 +62,49 @@ class FeasibilityReport:
     objective_history: list = field(default_factory=list, metadata={"json": False})
 
 
+def _square_entries(c: LabeledOperator, order, df: int):
+    """The nonzero entries of ``C^2``, with the factors of ``C`` read in
+    ``order`` and the last ``df`` of them fixed: their positions
+    ``(e, o)`` and ``(f, b)`` in ``C^2[(e, o), (f, b)]``, and their values.
+
+    The regrouped blocks (the partition of ``C`` permuted,
+    :meth:`matcore.Blocks.permuted`) are gathered from ``C``'s matrix through
+    the regrouping's index map and squared in packed form, so no regrouped
+    or squared full-side matrix is made."""
+    index = matcore.regroup_index(c.dims, [c.labels.index(l) for l in order])
+    blocks = c.blocks.permuted(index)
+    rows, cols = blocks.index
+    square = blocks.square(c.matrix[index[rows], index[cols]])
+    on = np.flatnonzero(square != 0)
+    return np.divmod(rows[on], df), np.divmod(cols[on], df), square[on]
+
+
+def _kept_stack(kept, keep, key, rows, cols, values, de: int) -> np.ndarray:
+    """The ``[k, row, col]`` stack of the entries whose fixed pair ``key``
+    is ``kept[k]`` (``keep`` flags the kept pairs); zero elsewhere."""
+    out = np.zeros((kept.size, de, de), dtype=complex)
+    hit = keep[key]
+    out[np.searchsorted(kept, key[hit]), rows[hit], cols[hit]] = values[hit]
+    return out
+
+
 class _ProductObjective:
     """f(x) = ||C0 (I_fixed ⊗ x) C1||_F^2 as two matrix products per call.
 
     ``fixed`` are the labels carrying the identity; ``free`` the labels of
-    the optimization variable.  The factors are ordered free first and fixed
-    last, so a sorted comb with its top output fixed is used as it stands.
-    With ``Q = C0^2`` and ``R = C1^2`` (both Choi operators are Hermitian;
-    the squares are taken block by block on the combs' partitions, see
-    :meth:`matcore.Blocks.square`) the objective is ``Tr[x half(x)]`` with
+    the optimization variable.  The factors are read free first and fixed
+    last.  With ``Q = C0^2`` and ``R = C1^2`` (both Choi operators are
+    Hermitian) the objective is ``Tr[x half(x)]`` with
     ``half[e,h] = sum_{o,b,f,g} Q[e,o,f,b] x[f,g] R[g,b,h,o]``.  The sum over
     the fixed pair ``(o,b)`` is the product ``M = Qm Rm`` of the reshapes
     ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``.  Only the fixed pairs with
     both a nonzero ``Qm`` column and a nonzero ``Rm`` row are kept; the
-    others add exact zeros to ``M``.  The kept pairs are found by ``any``
-    over the 4-d views of ``Q`` and ``R``, and only their columns and rows
-    are gathered, so no transposed copy of either square is made.  Each call
-    contracts a rank-``k`` factor pair ``M = A B`` in two GEMMs, with
-    ``k = min(kept pairs, de^2)``:
+    others add exact zeros to ``M``.  The squares are taken block by block
+    in packed form on the combs' partitions read in that order
+    (:func:`_square_entries`), the kept pairs are found from their nonzero
+    entries, and the kept columns and rows are scattered from those entries
+    alone.  Each call contracts a rank-``k`` factor pair ``M = A B`` in two
+    GEMMs, with ``k = min(kept pairs, de^2)``:
 
     * at most ``de^2`` kept pairs: ``A`` and ``B`` are the kept columns of
       ``Qm`` and rows of ``Rm``;
@@ -91,26 +118,27 @@ class _ProductObjective:
     """
 
     def __init__(self, c0: LabeledOperator, c1: LabeledOperator, fixed_labels):
+        spaces = dict(zip(c0.labels, c0.dims))
+        if dict(zip(c1.labels, c1.dims)) != spaces:
+            raise ValueError("Choi operators act on different spaces")
         fixed = [l for l in c0.labels if l in set(fixed_labels)]
         free = [l for l in c0.labels if l not in set(fixed_labels)]
-        order = tuple(free + fixed)
-        if set(c0.labels) != set(c1.labels):
-            raise ValueError("Choi operators act on different spaces")
-        a = c0.permuted(order)
-        b = c1.permuted(order)
-        if a.dims != b.dims:
-            raise ValueError("Choi operators act on different spaces")
         self.free_labels = tuple(free)
-        self.free_dims = tuple(a.dim_of(l) for l in free)
-        df = int(np.prod([a.dim_of(l) for l in fixed])) if fixed else 1
+        self.free_dims = tuple(spaces[l] for l in free)
+        df = int(np.prod([spaces[l] for l in fixed])) if fixed else 1
         de = int(np.prod(self.free_dims)) if free else 1
         self.df, self.de = df, de
-        q = a.blocks.square(a.matrix).reshape(de, df, de, df)
-        r = b.blocks.square(b.matrix).reshape(de, df, de, df)
+        (qe, qo), (qf, qb), q = _square_entries(c0, free + fixed, df)
+        (rg, rb), (rh, ro), r = _square_entries(c1, free + fixed, df)
         # the pair (o, b) is kept where Q[:, o, :, b] and R[:, b, :, o] have a nonzero
-        ko, kb = np.divmod(np.flatnonzero(q.any(axis=(0, 2)) & r.any(axis=(0, 2)).T), df)
-        qk, rk = q[:, ko, :, kb], r[:, kb, :, ko]  # [k, e, f] and [k, g, h]
-        k = ko.size
+        q_key, r_key = qo * df + qb, ro * df + rb
+        in_q, in_r = np.zeros((2, df * df), dtype=bool)
+        in_q[q_key], in_r[r_key] = True, True
+        keep = in_q & in_r
+        kept = np.flatnonzero(keep)
+        qk = _kept_stack(kept, keep, q_key, qe, qf, q, de)  # [k, e, f]
+        rk = _kept_stack(kept, keep, r_key, rg, rh, r, de)  # [k, g, h]
+        k = kept.size
         if k > de * de:
             qm = np.ascontiguousarray(qk.reshape(k, -1).T)
             rk = (qm @ rk.reshape(k, -1)).reshape(de * de, de, de)
@@ -196,15 +224,13 @@ def _classify(best: float) -> str:
     return "undetermined"
 
 
-def _decide(c0: MemoryChannel, c1: MemoryChannel, restarts: int, seed,
+def _decide(obj: _ProductObjective, xi_set: XiChainSet, restarts: int, seed,
             max_iter: int) -> FeasibilityReport:
-    """Minimize ``||C0 (I ⊗ Xi) C1||_F^2`` over the combs' tester
-    normalizations from each start, as a packed iterate on its invariant
-    partition, until one reaches zero.  ``restarts`` in the report counts
+    """Minimize the objective over ``xi_set`` from each start, as a packed
+    iterate on its invariant partition, until one reaches zero.  The witness
+    carries the objective's free labels; ``restarts`` in the report counts
     the starts that ran."""
     require_restarts(restarts)
-    obj = _ProductObjective(c0.choi, c1.choi, [2 * c0.uses - 1])
-    xi_set = XiChainSet(c0.dims[:-1])
     rng = rng_from(seed)
     starts = chain([xi_set.uniform()],
                    (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
@@ -233,21 +259,21 @@ def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
                            restarts: int = 20, seed: int = 0,
                            max_iter: int = 400) -> FeasibilityReport:
     """Decide the parallel criterion: the causal decision on the combs read as
-    one channel each (:meth:`MemoryChannel.as_single_use`).  The witness is a
-    joint state of the inputs and carries their labels."""
-    a, b = (MemoryChannel(c, len(c.labels) // 2) for c in (c0, c1))
-    if a.dims != b.dims:
-        raise ValueError("Choi operators act on different spaces")
-    rep = _decide(a.as_single_use(), b.as_single_use(), restarts, seed, max_iter)
-    witness = LabeledOperator(rep.witness.matrix, a.choi.labels[0::2], a.input_dims)
-    return replace(rep, witness=witness)
+    one channel each (:meth:`MemoryChannel.as_single_use`), over density
+    matrices on the grouped inputs.  The objective reads the sorted combs
+    with every output fixed, which is that grouping, through its index map;
+    the witness is a joint state of the inputs and carries their labels."""
+    a, b = (MemoryChannel(c, len(c.labels) // 2).choi for c in (c0, c1))
+    obj = _ProductObjective(a, b, a.labels[1::2])
+    return _decide(obj, XiChainSet((obj.de,)), restarts, seed, max_iter)
 
 
 def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
                          restarts: int = 20, seed: int = 0,
                          max_iter: int = 600) -> FeasibilityReport:
     """Decide the causal criterion by minimizing over tester normalizations."""
-    return _decide(c0, c1, restarts, seed, max_iter)
+    obj = _ProductObjective(c0.choi, c1.choi, [2 * c0.uses - 1])
+    return _decide(obj, XiChainSet(c0.dims[:-1]), restarts, seed, max_iter)
 
 
 def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray,

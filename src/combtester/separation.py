@@ -73,10 +73,9 @@ def _closed_form_chois(d: int) -> tuple[LabeledOperator, LabeledOperator]:
     for pq in range(d2):
         # |W_pq>> is ordered (3, 2); its transpose reorders it to (2, 3)
         v = shift_multiply(*divmod(pq, d), d).T.reshape(-1)
-        ww = np.outer(v, v.conj())
+        ww = np.outer(v, v.conj()) / d2
         for i in range(d):
             c0[i, pq, :, i, pq, :] = ww
-    c0 /= d2
     # C1 = I_{0,1,2} ⊗ |0><0|_3 / d^2 is diagonal
     c1 = np.zeros((side, side), dtype=complex)
     zero_out = np.arange(0, side, d)

@@ -72,10 +72,13 @@ class Tester:
 
 def _element_sum(elements) -> np.ndarray:
     """Sum of the element matrices in the first element's factor order, as a
-    raw array: the sum is read once, so it is neither scanned nor copied."""
+    fresh raw array that the caller owns: it is not scanned, and the first
+    two elements are added into it, so no element is copied first."""
     first = elements[0]
-    total = first.matrix.copy()
-    for e in elements[1:]:
+    if len(elements) == 1:
+        return first.matrix.copy()
+    total = first.matrix + first.aligned(elements[1])
+    for e in elements[2:]:
         total += first.aligned(e)
     return total
 
@@ -106,19 +109,23 @@ class TesterValidation:
 def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     """Check element positivity and the recursive chain normalization, by
     walking the element sum as a chain on ``dims + (1,)`` with the stored
-    chain as its levels (the top level is the normalization residual)."""
+    chain as its levels.  The top level is the normalization residual
+    ``sum_i P_i - Xi ⊗ I``; it is formed in place in the sum, which this
+    check owns, once the sum's norm is read."""
     total = _element_sum(t.elements)
-    walk = matcore.chain_levels(total, t.elements[0].dims + (1,),
-                                lowers=[x.matrix for x in t.chain])
+    scale = max(1.0, float(np.linalg.norm(total)))
+    dims = t.elements[0].dims
+    walk = matcore.chain_levels(total, dims + (1,), lowers=[x.matrix for x in t.chain])
+    top, _ = next(walk)  # the top space is one-dimensional, so the walk does not copy the sum
+    matcore.tail_diagonal(total, dims[-1])[...] -= top[:, :, None]
+    norm_res = float(np.linalg.norm(total))
     chain_res = {n: float(np.linalg.norm(residual()))
-                 for n, (_, residual) in zip(range(t.uses + 1, 1, -1), walk)}
-    norm_res = chain_res.pop(t.uses + 1)
+                 for n, (_, residual) in zip(range(t.uses, 1, -1), walk)}
     chain_res[1] = float(abs(t.chain[0].trace() - 1.0))
 
     min_eig = 0.0
     for e in t.elements:
         min_eig = min(min_eig, float(e.blocks.eigvalsh(e.matrix)[0]))
-    scale = max(1.0, float(np.linalg.norm(total)))
     residuals = [norm_res, max(0.0, -min_eig)] + list(chain_res.values())
     max_res = max(residuals)
     return TesterValidation(
@@ -239,10 +246,13 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     side = int(np.prod(sd))
     bra, elements = ket.conj(), []
     for m in tc.povm:
-        # P[x y z, X Y Z] = sum state[X S, x s] K[S Y T] conj(K[s y t]) M^T[Z T, z t]
-        p = np.einsum("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, bra,
-                      m.reshape(sd[-1], ad[-1], sd[-1], ad[-1]), optimize=True)
-        elements.append(LabeledOperator._built(p.reshape(side, side), range(2 * n), sd))
+        # P[x y z, X Y Z] = sum state[X S, x s] K[S Y T] conj(K[s y t]) M^T[Z T, z t],
+        # contracted into the element's own row-major array
+        p = np.empty((side, side), dtype=complex)
+        np.einsum("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, bra,
+                  m.reshape(sd[-1], ad[-1], sd[-1], ad[-1]), optimize=True,
+                  out=p.reshape((sd[0], ket.shape[1], sd[-1]) * 2))
+        elements.append(LabeledOperator._built(p, range(2 * n), sd))
     return tester_from_elements(elements, n)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,13 +381,17 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     inst = build_example(3)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
     assert rep.feasible, rep.residual
-    # the decision labelled C0; synthesis labels the witness, once for its
-    # residual and its root, and the sandwiched difference
+    # the decision built and labelled the witness, so synthesis labels only
+    # the sandwiched difference and, as it builds them, the tester's two
+    # elements and its chain levels 1 and 2
     labelled = []
     block_groups = matcore.block_groups
-    monkeypatch.setattr(matcore, "block_groups", lambda h: labelled.append(h) or block_groups(h))
+    monkeypatch.setattr(matcore, "block_groups",
+                        lambda h, *flat: labelled.append(h) or block_groups(h, *flat))
     t = synthesize_tester(inst.c0, inst.c1, rep.witness)
-    assert [h.shape[0] for h in labelled] == [81, 243]
+    assert [h.shape[0] for h in labelled] == [243, 243, 243, 3, 81]
+    built = [e.matrix for e in t.elements] + [x.matrix for x in t.chain]
+    assert all(h is m for h, m in zip(labelled[1:], built))
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
     povm = povm_from_tester(t)
@@ -475,3 +481,22 @@ def test_causal_decision_steps_on_packed_iterates(d, options, monkeypatch):
     rep = causal_discriminable(inst.c0, inst.c1, **options)
     assert rep.feasible, rep.residual
     assert sizes and set(sizes) == {d ** 4}
+
+
+def test_parallel_decision_makes_no_full_side_copy():
+    # the objective squares the combs' blocks and reads their regrouping
+    # through an index map, so the decision never holds a regrouped or
+    # squared copy of a side-243 comb
+    inst = build_example(3)
+    c0, c1 = inst.c0.choi, inst.c1.choi
+    # a first decision runs numpy's lazy imports, which tracing would count
+    parallel_discriminable(c0, c1, restarts=1, max_iter=1)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        rep = parallel_discriminable(c0, c1, restarts=2, seed=1, max_iter=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status != "feasible"
+    assert peak - live < c0.matrix.nbytes, (peak - live, c0.matrix.nbytes)

@@ -206,6 +206,73 @@ def _bfs_components(h: np.ndarray) -> list[list[int]]:
     return sorted(components)
 
 
+def _reference_groups(h: np.ndarray) -> list[list[list[int]]]:
+    """:func:`block_groups`' output from a plain breadth-first search: per
+    block size, ascending, the components of that size by first index."""
+    components = _bfs_components(h)
+    sizes = sorted({len(c) for c in components})
+    return [sorted(c for c in components if len(c) == size) for size in sizes]
+
+
+@st.composite
+def _patterns(draw):
+    """A random nonzero pattern, with random complex entries on it: a
+    permuted block diagonal, paths visiting their indices in random order
+    (one-sided entries), a random sparse pattern, a dense matrix with a zero
+    in row 0, or an empty or 1x1 matrix."""
+    kind = draw(st.sampled_from(["blocks", "paths", "random", "dense", "empty", "one"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = {"empty": 0, "one": 1}.get(kind, draw(st.integers(2, 40)))
+    keep = np.zeros((n, n), dtype=bool)
+    if kind == "blocks":
+        group = rng.integers(0, draw(st.integers(1, 8)), n)
+        keep = (group[:, None] == group[None, :]) & (rng.random((n, n)) < 0.6)
+        perm = rng.permutation(n)
+        keep = keep[np.ix_(perm, perm)]
+    elif kind == "paths":
+        order = rng.permutation(n)
+        steps = rng.random(n - 1) < 0.8  # a missing step splits the path
+        keep[order[:-1][steps], order[1:][steps]] = True
+    elif kind == "random":
+        keep = rng.random((n, n)) < draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    elif kind == "dense":
+        keep[:] = True
+        keep[0, rng.integers(1, n)] = False
+    elif kind == "one":
+        keep[:] = draw(st.booleans())
+    entries = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.where(keep, entries, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_patterns())
+def test_block_groups_matches_breadth_first_search(h):
+    expected = _reference_groups(h)
+    for groups in (block_groups(h), block_groups(h, np.flatnonzero(h))):
+        assert [g.tolist() for g in groups] == expected
+        assert all(g.dtype.kind == "i" for g in groups)
+    if h.size:
+        partition = Blocks.of(h)
+        assert [g.tolist() for g in partition.groups] == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_nonfinite_entry_off_row_0_is_rejected(bad, imaginary):
+    # a sparse matrix with full-rank diagonal; the bad entry sits in row 5,
+    # in the real or the imaginary part, and is nonzero in either
+    h = np.diag(np.arange(1.0, 9.0)).astype(complex)
+    h[5, 3] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+    builders = [
+        lambda: LabeledOperator(h, (0, 1), (2, 4)),
+        lambda: LabeledOperator._built(h.copy(), (0, 1), (2, 4)),
+        lambda: eigvalsh(h),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            build()
+
+
 def _hermitian_block(kind: str, side: int, rng) -> np.ndarray:
     if kind == "zero":
         return np.zeros((side, side), dtype=complex)
@@ -266,7 +333,9 @@ def test_block_groups_and_blockwise_kernels(blocks, dense_side, dense_kind, seed
 
     norm = np.linalg.norm(h)
     assert np.abs(eigvalsh(h) - np.linalg.eigvalsh(h)).max() <= 1e-12 * norm
-    assert np.abs(Blocks.of(h).square(h) - h @ h).max() <= 1e-12 * norm ** 2
+    partition = Blocks.of(h)
+    square = partition.unpack(partition.square(partition.pack(h)))
+    assert np.abs(square - h @ h).max() <= 1e-12 * norm ** 2
 
 
 def _block_sparse(side: int, parts: int, density: float, rng) -> np.ndarray:
@@ -294,7 +363,7 @@ def test_rearranged_operators_derive_the_canonical_partition(dims, parts, densit
     labelled = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matcore, "block_groups",
-                      lambda h, bg=matcore.block_groups: labelled.append(h) or bg(h))
+                      lambda h, *flat, bg=matcore.block_groups: labelled.append(h) or bg(h, *flat))
         if source_first:
             op.blocks
         once = op.permuted(rng.permutation(op.labels))
