@@ -62,30 +62,41 @@ class FeasibilityReport:
     objective_history: list = field(default_factory=list, metadata={"json": False})
 
 
-def _square_entries(c: LabeledOperator, order, df: int):
-    """The nonzero entries of ``C^2``, with the factors of ``C`` read in
-    ``order`` and the last ``df`` of them fixed: their positions
-    ``(e, o)`` and ``(f, b)`` in ``C^2[(e, o), (f, b)]``, and their values.
+def _pair_slices(c: LabeledOperator, order, df: int):
+    """The square ``Q = C^2``, with the factors of ``C`` read in ``order``
+    and the last ``df`` of them fixed, by its slices ``Q[:, o, :, b]`` over
+    the fixed pairs: a ``(df, df)`` flag of the nonzero slices, and a
+    function stacking the slices of the pairs ``(o, b)`` as ``[k, e, f]``.
 
-    The regrouped blocks (the partition of ``C`` permuted,
-    :meth:`matcore.Blocks.permuted`) are gathered from ``C``'s matrix through
-    the regrouping's index map and squared in packed form, so no regrouped
-    or squared full-side matrix is made."""
+    The square is taken block by block in packed form on ``C``'s partition
+    read in that order (:meth:`matcore.Blocks.permuted`).  One block packs
+    as the regrouped matrix itself, whose square the slices view.  Smaller
+    blocks are gathered from ``C``'s matrix through the regrouping's index
+    map and the slices are scattered from the square's nonzero entries, so
+    no regrouped or squared full-side matrix is made."""
     index = matcore.regroup_index(c.dims, [c.labels.index(l) for l in order])
     blocks = c.blocks.permuted(index)
+    de = c.side // df
+    if blocks.whole:
+        q = blocks.square(blocks.pack(c.permuted(order).matrix)).reshape(de, df, de, df)
+        return q.any(axis=(0, 2)), lambda o, b: q[:, o, :, b]
     rows, cols = blocks.index
     square = blocks.square(c.matrix[index[rows], index[cols]])
     on = np.flatnonzero(square != 0)
-    return np.divmod(rows[on], df), np.divmod(cols[on], df), square[on]
+    (e, o), (f, b) = np.divmod(rows[on], df), np.divmod(cols[on], df)
+    nonzero = np.zeros((df, df), dtype=bool)
+    nonzero[o, b] = True
 
+    def stack(ko, kb):
+        slot = np.full((df, df), -1)
+        slot[ko, kb] = np.arange(ko.size)
+        at = slot[o, b]
+        hit = at >= 0
+        out = np.zeros((ko.size, de, de), dtype=complex)
+        out[at[hit], e[hit], f[hit]] = square[on[hit]]
+        return out
 
-def _kept_stack(kept, keep, key, rows, cols, values, de: int) -> np.ndarray:
-    """The ``[k, row, col]`` stack of the entries whose fixed pair ``key``
-    is ``kept[k]`` (``keep`` flags the kept pairs); zero elsewhere."""
-    out = np.zeros((kept.size, de, de), dtype=complex)
-    hit = keep[key]
-    out[np.searchsorted(kept, key[hit]), rows[hit], cols[hit]] = values[hit]
-    return out
+    return nonzero, stack
 
 
 class _ProductObjective:
@@ -100,11 +111,10 @@ class _ProductObjective:
     ``Qm[(e,f),(o,b)]`` and ``Rm[(o,b),(g,h)]``.  Only the fixed pairs with
     both a nonzero ``Qm`` column and a nonzero ``Rm`` row are kept; the
     others add exact zeros to ``M``.  The squares are taken block by block
-    in packed form on the combs' partitions read in that order
-    (:func:`_square_entries`), the kept pairs are found from their nonzero
-    entries, and the kept columns and rows are scattered from those entries
-    alone.  Each call contracts a rank-``k`` factor pair ``M = A B`` in two
-    GEMMs, with ``k = min(kept pairs, de^2)``:
+    in packed form on the combs' partitions read in that order, and the
+    kept pairs and their columns and rows are read from them
+    (:func:`_pair_slices`).  Each call contracts a rank-``k`` factor pair
+    ``M = A B`` in two GEMMs, with ``k = min(kept pairs, de^2)``:
 
     * at most ``de^2`` kept pairs: ``A`` and ``B`` are the kept columns of
       ``Qm`` and rows of ``Rm``;
@@ -128,17 +138,12 @@ class _ProductObjective:
         df = int(np.prod([spaces[l] for l in fixed])) if fixed else 1
         de = int(np.prod(self.free_dims)) if free else 1
         self.df, self.de = df, de
-        (qe, qo), (qf, qb), q = _square_entries(c0, free + fixed, df)
-        (rg, rb), (rh, ro), r = _square_entries(c1, free + fixed, df)
+        q_nonzero, q_stack = _pair_slices(c0, free + fixed, df)
+        r_nonzero, r_stack = _pair_slices(c1, free + fixed, df)
         # the pair (o, b) is kept where Q[:, o, :, b] and R[:, b, :, o] have a nonzero
-        q_key, r_key = qo * df + qb, ro * df + rb
-        in_q, in_r = np.zeros((2, df * df), dtype=bool)
-        in_q[q_key], in_r[r_key] = True, True
-        keep = in_q & in_r
-        kept = np.flatnonzero(keep)
-        qk = _kept_stack(kept, keep, q_key, qe, qf, q, de)  # [k, e, f]
-        rk = _kept_stack(kept, keep, r_key, rg, rh, r, de)  # [k, g, h]
-        k = kept.size
+        ko, kb = np.nonzero(q_nonzero & r_nonzero.T)
+        qk, rk = q_stack(ko, kb), r_stack(kb, ko)  # [k, e, f] and [k, g, h]
+        k = ko.size
         if k > de * de:
             qm = np.ascontiguousarray(qk.reshape(k, -1).T)
             rk = (qm @ rk.reshape(k, -1)).reshape(de * de, de, de)

@@ -27,39 +27,14 @@ PSD_FAIL = -1e-8
 SUPPORT_CUTOFF = 1e-12
 
 
-def _as_complex_2d(m) -> np.ndarray:
+def _as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return a
-
-
-def _require_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
+    # one pass over the complex entries, both parts at once
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
-
-
-def _as_complex_matrix(m) -> np.ndarray:
-    a = _as_complex_2d(m)
-    _require_finite(a)
     return a
-
-
-def _flat_nonzero(a: np.ndarray) -> np.ndarray:
-    """Flat positions of the nonzero entries of ``a``, ascending."""
-    return (np.asarray(a).reshape(-1) != 0).nonzero()[0]
-
-
-def _finite_nonzero(a: np.ndarray) -> np.ndarray:
-    """:func:`_flat_nonzero` of the complex matrix ``a``, found in one pass;
-    raises on a NaN or Inf entry.  NaN and ±Inf in either part are nonzero,
-    so checking the nonzero values alone accepts and rejects exactly what a
-    check of every entry does."""
-    v = a.reshape(-1)
-    flat = _flat_nonzero(v)
-    # once most entries are nonzero, reading them all is cheaper than a gather
-    _require_finite(v if 2 * flat.size > v.size else v[flat])
-    return flat
 
 
 @dataclass(frozen=True)
@@ -70,10 +45,8 @@ class LabeledOperator:
     dimension; ``prod(dims)`` must equal the matrix side.  Instances are
     immutable (the stored array is marked read-only) and safe to share, and
     every one holds finite entries, so a kernel given an operator's matrix
-    need not scan it again.  A new matrix is read once, through its nonzero
-    entries: one pass finds them, checks them for NaN/Inf and labels the
-    block partition (:attr:`blocks`) from the same list, so a sparse
-    operator's later passes visit its nonzero entries, not its side².
+    need not scan it again.  Each labels its matrix once, when first asked
+    (:attr:`blocks`).
     """
 
     matrix: np.ndarray
@@ -81,23 +54,20 @@ class LabeledOperator:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = _as_complex_2d(self.matrix).copy()
-        self._own(m, self.labels, self.dims, _finite_nonzero(m))
+        self._own(_as_complex_matrix(self.matrix).copy(), self.labels, self.dims)
 
     @classmethod
     def _built(cls, m: np.ndarray, labels, dims, *, scan: bool = True) -> "LabeledOperator":
         """Wrap an array this package has just built, without a copy.
 
-        ``scan=False`` skips the NaN/Inf scan and the labelling; it is for
-        rearrangements of an already-checked operator's entries only.
+        ``scan=False`` skips the NaN/Inf scan; it is for rearrangements of an
+        already-checked operator's entries only.
         """
         op = object.__new__(cls)
-        if scan:
-            m = _as_complex_2d(m)
-        op._own(m, labels, dims, _finite_nonzero(m) if scan else None)
+        op._own(_as_complex_matrix(m) if scan else m, labels, dims)
         return op
 
-    def _own(self, m: np.ndarray, labels, dims, flat: np.ndarray | None) -> None:
+    def _own(self, m: np.ndarray, labels, dims) -> None:
         labels = tuple(int(l) for l in labels)
         dims = tuple(int(d) for d in dims)
         if len(labels) != len(dims):
@@ -115,8 +85,6 @@ class LabeledOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
-        if flat is not None:  # the scan's nonzero list labels the partition
-            object.__setattr__(self, "blocks", Blocks.of(m, flat))
 
     # -- basic queries ----------------------------------------------------
 
@@ -182,10 +150,9 @@ class LabeledOperator:
 
     @cached_property
     def blocks(self) -> "Blocks":
-        """The block partition of the matrix (:meth:`Blocks.of`).  A scanned
-        build labels it at construction; a rearranged copy, built without a
-        scan, finds it on first use: its live source's partition permuted
-        (:meth:`Blocks.permuted`), or a labelling of its own."""
+        """The block partition of the matrix (:meth:`Blocks.of`), found on
+        first use; for a permuted copy, its live source's partition permuted
+        (:meth:`Blocks.permuted`), labelling the source if it has not been."""
         source, index = self.__dict__.pop("_source", (lambda: None, None))
         source = source()
         return Blocks.of(self.matrix) if source is None else source.blocks.permuted(index)
@@ -310,8 +277,11 @@ def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
     return np.einsum("aibi->abi", x.reshape(head, tail, head, tail))
 
 
-def _lift_residual(traced: np.ndarray, lower: np.ndarray, odd: int) -> np.ndarray:
-    out = traced.copy()
+def _lift_residual(traced: np.ndarray, lower: np.ndarray, odd: int, *,
+                   owned: bool = False) -> np.ndarray:
+    """``traced - lower ⊗ I_odd``, formed in ``traced`` itself when the
+    caller owns it and in a copy otherwise."""
+    out = traced if owned else traced.copy()
     tail_diagonal(out, odd)[...] -= lower[:, :, None]
     return out
 
@@ -359,17 +329,14 @@ def hermitian_part(m) -> np.ndarray:
     return _hermitian(_as_complex_matrix(m))
 
 
-def _square(h: np.ndarray) -> np.ndarray:
+def _as_square_matrix(h) -> np.ndarray:
+    h = _as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
     return h
 
 
-def _as_square_matrix(h) -> np.ndarray:
-    return _square(_as_complex_matrix(h))
-
-
-def block_groups(h: np.ndarray, flat: np.ndarray | None = None) -> list[np.ndarray]:
+def block_groups(h: np.ndarray) -> list[np.ndarray]:
     """Exact connected components of the nonzero pattern of a square matrix.
 
     Indices ``i`` and ``j`` are joined when ``h[i, j] != 0`` or
@@ -379,20 +346,18 @@ def block_groups(h: np.ndarray, flat: np.ndarray | None = None) -> list[np.ndarr
     ascending order, and the rows of a size are ordered by their first
     index, so a matrix with one component gives ``[arange(n)[None]]``.
 
-    The pattern is read as its edge list: ``flat`` holds the flat positions
-    of the nonzero entries, ascending (found here unless given).  Every
+    The pattern is read as its edge list, one edge per nonzero entry.  Every
     index starts as its own root.  Each round keeps the edges that join two
     trees, hooks every root to the smallest root across them, jumps labels
     to their roots and moves the edges onto the roots, until no edge joins
     two trees.  Roots only ever hook to smaller ones, so each component
-    ends labelled by its smallest index, and the work per round is the
-    edges, not the matrix.
+    ends labelled by its smallest index, and after the one pass that finds
+    the edges the work per round is the edges, not the matrix.
     """
     n = h.shape[0]
     if n == 0:
         return []
-    if flat is None:
-        flat = _flat_nonzero(h)
+    flat = (h.reshape(-1) != 0).nonzero()[0]
     rows = flat // n
     cols = flat - rows * n
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
@@ -453,18 +418,14 @@ class Blocks:
         return cls([np.arange(side)[None]], side)
 
     @classmethod
-    def of(cls, h: np.ndarray, flat: np.ndarray | None = None) -> "Blocks":
-        """The components of the nonzero pattern of ``h`` (:func:`block_groups`),
-        read from ``flat``, the ascending flat positions of its nonzero
-        entries (found here unless given).  A row 0 without zero entries
-        joins every index, so such a matrix skips the labelling."""
+    def of(cls, h: np.ndarray) -> "Blocks":
+        """The components of the nonzero pattern of ``h`` (:func:`block_groups`).
+        A row 0 without zero entries joins every index, so such a matrix
+        skips the labelling."""
         n = h.shape[0]
-        if flat is None:
-            flat = _flat_nonzero(h)
-        # the first n positions, distinct and ascending, are row 0's when the last is n - 1
-        if n == 0 or (flat.size >= n and flat[n - 1] == n - 1):
+        if np.count_nonzero(h[:1]) == n:
             return cls.one(n)
-        return cls(block_groups(h, flat), n)
+        return cls(block_groups(h), n)
 
     def permuted(self, index: np.ndarray) -> "Blocks":
         """The partition of ``x[index][:, index]`` for a matrix ``x`` on this
@@ -642,10 +603,10 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 def eigvalsh(h) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, with :func:`eigh`'s check:
-    :meth:`Blocks.eigvalsh` on its partition (:meth:`Blocks.of`), labelled
-    from the nonzero list of the NaN/Inf scan."""
-    h = _square(_as_complex_2d(h))
-    return Blocks.of(h, _finite_nonzero(h)).eigvalsh(h)
+    :meth:`Blocks.eigvalsh` on its partition (:meth:`Blocks.of`), after the
+    NaN/Inf scan."""
+    h = _as_square_matrix(h)
+    return Blocks.of(h).eigvalsh(h)
 
 
 def trace_norm(x) -> float:

@@ -107,18 +107,17 @@ class TesterValidation:
 
 
 def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
-    """Check element positivity and the recursive chain normalization, by
-    walking the element sum as a chain on ``dims + (1,)`` with the stored
-    chain as its levels.  The top level is the normalization residual
-    ``sum_i P_i - Xi ⊗ I``; it is formed in place in the sum, which this
-    check owns, once the sum's norm is read."""
+    """Check element positivity and the recursive chain normalization.  The
+    normalization residual is ``sum_i P_i - Xi ⊗ I`` with ``Xi`` the top
+    chain level, formed in the element sum, which this check owns, once the
+    sum's norm is read; the lower residuals come from walking ``Xi`` as a
+    chain with the stored chain as its levels."""
     total = _element_sum(t.elements)
     scale = max(1.0, float(np.linalg.norm(total)))
-    dims = t.elements[0].dims
-    walk = matcore.chain_levels(total, dims + (1,), lowers=[x.matrix for x in t.chain])
-    top, _ = next(walk)  # the top space is one-dimensional, so the walk does not copy the sum
-    matcore.tail_diagonal(total, dims[-1])[...] -= top[:, :, None]
-    norm_res = float(np.linalg.norm(total))
+    xi = t.chain[-1]
+    norm_res = float(np.linalg.norm(
+        matcore._lift_residual(total, xi.matrix, t.elements[0].dims[-1], owned=True)))
+    walk = matcore.chain_levels(xi.matrix, xi.dims, lowers=[x.matrix for x in t.chain[:-1]])
     chain_res = {n: float(np.linalg.norm(residual()))
                  for n, (_, residual) in zip(range(t.uses, 1, -1), walk)}
     chain_res[1] = float(abs(t.chain[0].trace() - 1.0))

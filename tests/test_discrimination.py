@@ -381,17 +381,13 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     inst = build_example(3)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
     assert rep.feasible, rep.residual
-    # the decision built and labelled the witness, so synthesis labels only
-    # the sandwiched difference and, as it builds them, the tester's two
-    # elements and its chain levels 1 and 2
+    # the decision labelled C0; synthesis labels the witness, once for its
+    # residual and its root, and the sandwiched difference
     labelled = []
     block_groups = matcore.block_groups
-    monkeypatch.setattr(matcore, "block_groups",
-                        lambda h, *flat: labelled.append(h) or block_groups(h, *flat))
+    monkeypatch.setattr(matcore, "block_groups", lambda h: labelled.append(h) or block_groups(h))
     t = synthesize_tester(inst.c0, inst.c1, rep.witness)
-    assert [h.shape[0] for h in labelled] == [243, 243, 243, 3, 81]
-    built = [e.matrix for e in t.elements] + [x.matrix for x in t.chain]
-    assert all(h is m for h, m in zip(labelled[1:], built))
+    assert [h.shape[0] for h in labelled] == [81, 243]
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
     povm = povm_from_tester(t)

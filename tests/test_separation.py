@@ -213,25 +213,23 @@ def test_protocol_tester_matches_hand_built_elements():
 
 
 def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
-    # every operator is labelled once, when it is built and scanned: C0 and
-    # C1 (their regroupings in the parallel objective and the comb checks
-    # read those partitions) and the protocol tester's two elements; d = 4
-    # builds no dilation cross-check, whose copies would repeat C0 and C1
+    # C0 and C1 are labelled once each: their regrouped forms in the parallel
+    # objective and the comb checks read those partitions; the other two
+    # full-side labellings are the protocol tester's elements
     labelled = []
     block_groups = matcore.block_groups
 
-    def counting(h, *flat):
+    def counting(h):
         labelled.append(h)
-        return block_groups(h, *flat)
+        return block_groups(h)
 
     monkeypatch.setattr(matcore, "block_groups", counting)
-    assert cli.main(["paper-example", "--d", "4", "--seed", "1"]) == 0
+    assert cli.main(["paper-example", "--d", "3", "--seed", "1"]) == 0
     capsys.readouterr()
-    full = [h for h in labelled if h.shape[0] == 4 * 16 * 4 * 4]
+    full = [h for h in labelled if h.shape[0] == 3 * 9 * 3 * 3]
     # a rearranged copy has the same entries: compare them as sorted lists
     entries = [np.sort_complex(h.ravel()) for h in full]
     assert not any(np.array_equal(a, b) for i, a in enumerate(entries) for b in entries[:i])
     assert len(full) == 4
-    # with the parallel start and witness, the input state and the two POVM
-    # elements, and the protocol tester's chain levels
-    assert len(labelled) == 11
+    # with the two POVM elements, the input state and the parallel start
+    assert len(labelled) == 8
