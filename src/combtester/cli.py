@@ -76,7 +76,10 @@ def _as_comb(obj, path, parser) -> MemoryChannel:
     if isinstance(obj, MemoryChannel):
         return obj
     if isinstance(obj, LabeledOperator) and len(obj.labels) == 2:
-        return MemoryChannel(obj.sorted(), 1)
+        try:
+            return MemoryChannel(obj.sorted(), 1)
+        except ValueError as exc:  # a choi file labelled other than (0, 1)
+            parser.error(f"{path}: {exc}")
     parser.error(f"{path}: expected a comb or single-use choi file")
 
 

@@ -46,6 +46,7 @@ from .testers import Tester, born_probabilities, tester_from_elements
 
 FEASIBLE_TOL = 1e-8
 INFEASIBLE_TOL = 1e-4
+ORTHOGONALITY_TOL = 1e-9  # the largest cross-Gram trace modulus counted as zero
 
 
 @dataclass(frozen=True)
@@ -281,12 +282,11 @@ def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
     return _decide(obj, XiChainSet(c0.dims[:-1]), restarts, seed, max_iter)
 
 
-def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray,
-                        tol: float = 1e-9) -> tuple[bool, float]:
+def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray) -> tuple[bool, float]:
     """Check the cross-Gram orthogonality of two Kraus families against rho.
 
-    True iff ``Tr[rho K0j† K1k] = 0`` for all j, k up to ``tol`` in modulus,
-    which characterizes the states witnessing perfect parallel
+    True iff ``Tr[rho K0j† K1k] = 0`` for all j, k up to ``ORTHOGONALITY_TOL``
+    in modulus, which characterizes the states witnessing perfect parallel
     discriminability of the two channels.
     """
     if ch0.in_dim != ch1.in_dim or ch0.out_dim != ch1.out_dim:
@@ -296,15 +296,15 @@ def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray,
     for k0 in ch0.kraus:
         for k1 in ch1.kraus:
             worst = max(worst, abs(np.trace(rho @ k0.conj().T @ k1)))
-    return worst <= tol, float(worst)
+    return worst <= ORTHOGONALITY_TOL, float(worst)
 
 
 def _cross_gram(ch0: Channel, ch1: Channel) -> list[np.ndarray]:
     return [k0.conj().T @ k1 for k0 in ch0.kraus for k1 in ch1.kraus]
 
 
-def _rank_constrained_search(grams, d: int, r: int, rng, restarts: int,
-                             iters: int = 300) -> tuple[float, np.ndarray]:
+def _rank_constrained_search(grams, d: int, r: int, rng,
+                             restarts: int) -> tuple[float, np.ndarray]:
     """Minimize max_l |Tr[rho G_l]| over rank-r states rho = AA†/Tr[AA†]."""
     best_val, best_rho = np.inf, None
     for _ in range(restarts):
@@ -313,7 +313,7 @@ def _rank_constrained_search(grams, d: int, r: int, rng, restarts: int,
         step = 0.1
         rho = a @ a.conj().T
         val = sum(abs(np.trace(rho @ g)) ** 2 for g in grams)
-        for _ in range(iters):
+        for _ in range(300):
             rho = a @ a.conj().T
             grad = np.zeros_like(a)
             for g in grams:
@@ -339,7 +339,7 @@ def _rank_constrained_search(grams, d: int, r: int, rng, restarts: int,
 
 
 def min_entanglement_rank(ch0: Channel, ch1: Channel, *, seed: int = 0,
-                          restarts: int = 30, tol: float = 1e-9) -> int | None:
+                          restarts: int = 30) -> int | None:
     """Smallest rank of a state satisfying the cross-Gram orthogonality.
 
     The rank of the witness state sets the amount of entanglement the
@@ -353,7 +353,7 @@ def min_entanglement_rank(ch0: Channel, ch1: Channel, *, seed: int = 0,
     rng = rng_from(seed)
     for r in range(1, d + 1):
         val, _ = _rank_constrained_search(grams, d, r, rng, restarts)
-        if val <= tol:
+        if val <= ORTHOGONALITY_TOL:
             return r
     return None
 
@@ -365,20 +365,19 @@ def _positive_support(w: np.ndarray) -> np.ndarray:
 
 
 def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
-                      witness: LabeledOperator,
-                      max_witness_residual: float = 1e-6) -> Tester:
+                      witness: LabeledOperator) -> Tester:
     """Two-outcome tester discriminating the combs, built from a witness.
 
     Sandwiches the Choi difference with the square root of the witness
     normalization, lifts the projector onto the positive part of the result
     back as outcome 0 and gives outcome 1 the rest of ``Xi ⊗ I``, kernel
     included, sandwiching on the blocks of the root (:func:`matcore.lift_sandwich`).
-    Refuses to certify when the witness residual is too large for the
-    construction to be meaningful, or its spaces do not match the combs'.
+    Refuses to certify when the witness residual exceeds 1e-6, too large for
+    the construction to be meaningful, or its spaces do not match the combs'.
     """
     res = product_residual(c0.choi, c1.choi, [2 * c0.uses - 1], witness)
-    if res > max_witness_residual:
-        raise ValueError(f"witness residual {res:.3e} exceeds {max_witness_residual:.1e}; "
+    if res > 1e-6:
+        raise ValueError(f"witness residual {res:.3e} exceeds 1.0e-06; "
                          "cannot certify perfect discrimination")
     witness = witness.sorted()
     xi, blocks = witness.matrix, witness.blocks  # the root vanishes off the blocks of xi

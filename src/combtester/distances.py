@@ -51,19 +51,19 @@ class DistanceEstimate:
     history: list = field(default_factory=list, metadata={"json": False})
 
 
-def unitary_cb_oracle(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> float:
+def unitary_cb_oracle(u: np.ndarray, v: np.ndarray) -> float:
     """Analytic cb distance between two unitary channels: 2 sqrt(1 - nu^2),
     with ``nu = unitary.discriminability(u† v)``.
 
     ``nu`` is taken at the unitary polar factor of ``u† v``: inputs that pass
-    the check here only to its tolerance can give a product that fails the
+    the check here only to its tolerance, 1e-10, can give a product that fails the
     stricter unitarity check of :mod:`unitary`.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     for m in (u, v):
         d = m.shape[0]
-        if m.shape != (d, d) or np.linalg.norm(m.conj().T @ m - np.eye(d)) > tol * max(1.0, d):
+        if m.shape != (d, d) or np.linalg.norm(m.conj().T @ m - np.eye(d)) > 1e-10 * max(1.0, d):
             raise ValueError("inputs must be unitary to tolerance")
     x, _, y = np.linalg.svd(u.conj().T @ v)
     nu = discriminability(x @ y)

@@ -72,14 +72,14 @@ def _labeled_from_doc(doc: dict, where: str) -> LabeledOperator:
     return LabeledOperator(m, labels, dims)
 
 
-def _require_psd(m: np.ndarray, where: str, tol: float = 1e-8) -> None:
-    if np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m)):
+def _require_psd(m: np.ndarray, where: str) -> None:
+    if np.linalg.norm(m - m.conj().T) > 1e-8 * max(1.0, np.linalg.norm(m)):
         raise FormatError(f"{where}: operator is not Hermitian")
     try:
         low = float(matcore.eigvalsh(matcore.hermitian_part(m)).min())
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    if low < -tol * max(1.0, float(np.abs(m).max())):
+    if low < -1e-8 * max(1.0, float(np.abs(m).max())):
         raise FormatError(
             f"{where}: operator has negative eigenvalue {low:.3e}; "
             "this kind requires a positive semidefinite operator"

@@ -36,6 +36,9 @@ from .matcore import Blocks, LabeledOperator, identity, tail_diagonal, tensor
 from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
 from .sampling import random_psd
 
+# steps a Dykstra projection onto PSD ∩ affine chain makes at most
+DYKSTRA_CAP = 5000
+
 
 # -- simple projections ------------------------------------------------------
 
@@ -210,20 +213,20 @@ class XiChainSet:
         out[blocks.diagonal] += (self.trace_target - trace) / self.side
         return blocks.like(out, x)
 
-    def project(self, x: np.ndarray, max_iter: int = 5000, tol: float = 1e-12) -> np.ndarray:
-        """Dykstra projection onto PSD ∩ affine chain."""
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Dykstra projection onto PSD ∩ affine chain, in at most ``DYKSTRA_CAP`` steps."""
         blocks = self.blocks
         if self.uses == 1:
             return project_to_density(x, self.trace_target, blocks)
         b = blocks.hermitian(blocks.packed(x))
         p = np.zeros_like(b)
         q = np.zeros_like(b)
-        for _ in range(max_iter):
+        for _ in range(DYKSTRA_CAP):
             a = project_psd(b + p, blocks)
             p = b + p - a
             b = self.project_affine(a + q)
             q = a + q - b
-            if np.linalg.norm(a - b) <= tol:
+            if np.linalg.norm(a - b) <= 1e-12:
                 break
         return blocks.like(project_psd(b, blocks), x)
 

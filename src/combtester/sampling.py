@@ -34,10 +34,9 @@ def random_pure_state(d: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(d: int, rng, rank: int | None = None) -> np.ndarray:
+def random_density(d: int, rng) -> np.ndarray:
     rng = rng_from(rng)
-    r = d if rank is None else rank
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

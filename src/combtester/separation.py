@@ -56,8 +56,6 @@ class ExampleInstance:
     d: int
     c0: MemoryChannel
     c1: MemoryChannel
-    shift: np.ndarray
-    clock: np.ndarray
 
 
 def _closed_form_chois(d: int) -> tuple[LabeledOperator, LabeledOperator]:
@@ -140,7 +138,6 @@ def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
         raise ValueError("dimension must be at least 2")
     if cross_check is None:
         cross_check = d <= 3
-    z, u = shift_clock(d)
     choi0, choi1 = _closed_form_chois(d)
     c0 = MemoryChannel(choi0, 2)
     c1 = MemoryChannel(choi1, 2)
@@ -153,7 +150,7 @@ def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
                     f"dilation of channel {which} deviates from the closed form "
                     f"by {err:.3e}"
                 )
-    return ExampleInstance(d=d, c0=c0, c1=c1, shift=z, clock=u)
+    return ExampleInstance(d=d, c0=c0, c1=c1)
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,9 @@ def causal_protocol(inst: ExampleInstance, psi: np.ndarray) -> tuple[Tester, np.
     return tester, delta_matrix(tester, (inst.c0, inst.c1))
 
 
-def comb_validation_summary(inst: ExampleInstance, tol: float = 1e-10) -> dict:
-    v0 = validate_comb(inst.c0, tol)
-    v1 = validate_comb(inst.c1, tol)
+def comb_validation_summary(inst: ExampleInstance) -> dict:
+    v0 = validate_comb(inst.c0, 1e-10)
+    v1 = validate_comb(inst.c1, 1e-10)
     return {
         "c0": {"valid": v0.valid, "max_residual": v0.max_residual},
         "c1": {"valid": v1.valid, "max_residual": v1.max_residual},

@@ -65,10 +65,6 @@ class Tester:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "chain", chain)
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.elements)
-
 
 def _element_sum(elements) -> np.ndarray:
     """Sum of the element matrices in the first element's factor order, as a

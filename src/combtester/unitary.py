@@ -40,12 +40,12 @@ class EigenphaseSet:
         object.__setattr__(self, "phases", tuple(sorted(ph)))
 
 
-def _check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     if u.ndim != 2 or u.shape != (d, d):
         raise ValueError("expected a square matrix")
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > tol * max(1.0, np.sqrt(d)):
+    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > UNITARITY_TOL * max(1.0, np.sqrt(d)):
         raise ValueError("matrix is not unitary to tolerance")
     return u
 
@@ -202,7 +202,15 @@ def parallel_optimality_check(u: np.ndarray, n: int) -> ParallelOptimalityReport
     """Joint-use spread accounting: n parallel uses accumulate n times the
     single-use spread (exactly, while the total stays at or below pi), and
     perfect discrimination from the identity needs the accumulated spread to
-    reach pi."""
+    reach pi.
+
+    The threshold ``m = ceil(pi/theta)`` is checked on m + 1 of the
+    C(m+d-1, d-1) m-use phase sums.  With ``a`` and ``b = a + theta`` the
+    ends of the covering arc, the sums ``(m - j) a + j b``, j = 0..m, lie
+    theta apart with a wrap gap of ``2 pi - m theta``.  From m = 2 on,
+    theta < pi <= m theta, so none of their gaps exceeds pi, and the other
+    sums only split gaps.  At m = 1 the spread is theta itself.
+    """
     if n < 1:
         raise ValueError("need at least one use")
     theta = angular_spread(u)
@@ -210,7 +218,11 @@ def parallel_optimality_check(u: np.ndarray, n: int) -> ParallelOptimalityReport
     threshold = int(np.ceil(np.pi / theta)) if theta > 1e-12 else None
     reached = False
     if threshold is not None:
-        reached = tensor_power_spread(u, threshold) >= np.pi - 1e-9
+        ph = np.asarray(eigenphases(u).phases)
+        gaps = np.diff(np.append(ph, ph[0] + 2 * np.pi))
+        b = int(np.argmax(gaps))  # the index of b: the largest gap follows it
+        ends = u if threshold == 1 else np.diag(np.exp(1j * ph[[(b + 1) % ph.size, b]]))
+        reached = tensor_power_spread(ends, threshold) >= np.pi - 1e-9
     return ParallelOptimalityReport(
         theta=theta, uses=n, theta_joint=joint,
         additive_prediction=min(n * theta, 2 * np.pi),

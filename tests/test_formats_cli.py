@@ -99,12 +99,27 @@ def test_non_psd_choi_rejected(tmp_path):
 
 
 def test_metadata_round_trip(tmp_path):
-    mc = comb_from_sequence([identity_channel(2)])
-    p = tmp_path / "c.json"
-    formats.save(p, mc, metadata="noiseless single use")
-    assert json.loads(p.read_text())["metadata"] == "noiseless single use"
-    back = formats.load(p)
-    assert np.array_equal(back.choi.matrix, mc.choi.matrix)
+    # every kind writes its metadata and loads back bit exact: saving what was
+    # loaded, with the same metadata, writes the same bytes
+    rng = np.random.default_rng(4)
+    ch = Channel(tuple(random_kraus(2, 3, 2, rng)), 2, 3)
+    mc = comb_from_sequence([ch])
+    tc = TesterCircuit(np.diag([0.25, 0.75]).astype(complex), (),
+                       tuple(random_povm(3, 2, rng)), (2, 3), (1,))
+    kinds = {"matrix": rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)),
+             "choi": mc.choi.permuted((1, 0)), "comb": mc, "channel": ch,
+             "tester": testers.tester_from_circuit(tc)}
+    for kind, obj in kinds.items():
+        p, again = tmp_path / f"{kind}.json", tmp_path / f"{kind}_again.json"
+        formats.save(p, obj, metadata=f"one {kind}")
+        doc = json.loads(p.read_text())
+        assert (doc["kind"], doc["metadata"]) == (kind, f"one {kind}")
+        formats.save(again, formats.load(p), metadata=f"one {kind}")
+        assert again.read_bytes() == p.read_bytes()
+    choi = formats.load(tmp_path / "choi.json")
+    assert isinstance(choi, LabeledOperator) and choi.labels == (1, 0)
+    assert np.array_equal(choi.matrix, kinds["choi"].matrix)
+    assert np.array_equal(formats.load(tmp_path / "comb.json").choi.matrix, mc.choi.matrix)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
@@ -213,9 +228,15 @@ def test_cli_theta_laws(capsys):
     assert all(np.isfinite(v) for v in out.values() if isinstance(v, float))
 
 
-def test_cli_paper_example(capsys):
+def test_cli_paper_example(tmp_path, capsys):
     assert main(["paper-example", "--d", "2"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    # an input state file holding |0> gives the default run
+    psi = tmp_path / "psi.json"
+    formats.save(psi, np.array([[1.0, 0.0]], dtype=complex))
+    assert main(["paper-example", "--d", "2", "--psi", str(psi)]) == 0
+    assert capsys.readouterr().out == text
+    out = json.loads(text)
     assert out["protocol"]["max_delta_error"] <= 1e-10
     assert out["protocol"]["tester_valid"] is True
     assert out["parallel_impossibility"]["identity_residual"] <= 1e-12
@@ -256,7 +277,7 @@ def test_cli_report_layouts(tmp_path, capsys):
     assert list(imp["solver"]) == _DECISION_KEYS
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["discriminate", "--mode", "sideways", "a", "b"])
     assert exc.value.code == 64
@@ -264,6 +285,30 @@ def test_cli_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["validate", str(f)])
     assert exc.value.code == 64
+    # a single-use choi file must carry the labels (0, 1)
+    fi, _ = _files(tmp_path)
+    choi = formats.load(fi).choi
+    bad = tmp_path / "relabelled.json"
+    formats.save(bad, LabeledOperator(choi.matrix, (3, 5), choi.dims))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["discriminate", "--mode", "causal", str(bad), fi])
+    assert exc.value.code == 64
+    assert "got (3, 5)" in capsys.readouterr().err
+
+
+def test_cli_reads_a_single_use_choi_file_as_its_comb(tmp_path, capsys):
+    combs = _files(tmp_path)
+    chois = []
+    for f in combs:
+        chois.append(f.replace(".json", "_choi.json"))
+        formats.save(chois[-1], formats.load(f).choi.permuted((1, 0)))
+    for command in (["discriminate", "--mode", "parallel"], ["distance", "--kind", "cb"]):
+        outs = []
+        for files in (list(combs), chois):
+            main(command + files + ["--restarts", "3"])
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("command", [["distance", "--kind", "cb"],

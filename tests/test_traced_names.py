@@ -2,8 +2,9 @@
 
 The tracer (``bench/tracer.py``) patches functions by name; a name that no
 longer resolves would only fail a traced benchmark run, so it is checked here,
-as is the tracer's count of the projection steps of a causal decision and
-of the solver iterations of a parallel one.
+as are the tracer's copy of the projection's Dykstra cap, its count of the
+projection steps of a causal decision and of the solver iterations of a
+parallel one.
 """
 
 import importlib
@@ -15,7 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracer  # noqa: E402
-from combtester import discrimination  # noqa: E402
+from combtester import discrimination, optim  # noqa: E402
 from combtester.discrimination import causal_discriminable  # noqa: E402
 from combtester.separation import build_example  # noqa: E402
 
@@ -30,6 +31,11 @@ def _resolve(module: str, qual: str):
 @pytest.mark.parametrize("module,qual", tracer.TIMED + (("optim", "partial_trace"),))
 def test_traced_name_resolves(module, qual):
     assert callable(_resolve(module, qual))
+
+
+def test_tracer_dykstra_cap_is_the_projections():
+    # the tracer counts a projection as capped at its own copy of the cap
+    assert tracer.DYKSTRA_CAP == optim.DYKSTRA_CAP
 
 
 def test_tracer_sees_every_step_of_the_causal_decision():

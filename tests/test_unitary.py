@@ -231,6 +231,14 @@ def test_parallel_optimality_small_spread_keeps_the_phase_sums_few():
         assert rep.threshold_uses == uses and rep.threshold_reached
 
 
+def test_parallel_optimality_threshold_reads_few_phase_sums_of_a_qudit():
+    # six phases in [0, 0.05] reach pi at 71 uses, which have C(76, 5), about
+    # 1.8e7, distinct phase sums; the threshold is read from 72 of them
+    u = np.diag(np.exp(1j * np.random.default_rng(0).uniform(0, 0.05, 6)))
+    rep = parallel_optimality_check(u, 2)
+    assert rep.threshold_uses == 71 and rep.threshold_reached
+
+
 def test_tensor_power_spread_matches_all_phase_sums():
     # reference: every ordered sum of n eigenphases, deduplicated only at the end
     rng = np.random.default_rng(7)
