@@ -252,19 +252,16 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
     """Diagonal of ``x`` on its last ``tail``-dimensional tensor factor.
 
-    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``.  The result is a
-    view, so it is writable when ``x`` is a contiguous array; summing it over
-    its last axis is the partial trace over that factor.
+    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``, also for ``x`` a
+    stripe of whole rows ``a``.  The result is a view, so it is writable when
+    ``x`` is contiguous; summing it over its last axis is the partial trace.
     """
-    head = x.shape[0] // tail
-    return np.einsum("aibi->abi", x.reshape(head, tail, head, tail))
+    return np.einsum("aibi->abi", x.reshape(x.shape[0] // tail, tail, -1, tail))
 
 
-def _lift_residual(traced: np.ndarray, lower: np.ndarray, odd: int, *,
-                   owned: bool = False) -> np.ndarray:
-    """``traced - lower ⊗ I_odd``, formed in ``traced`` itself when the
-    caller owns it and in a copy otherwise."""
-    out = traced if owned else traced.copy()
+def _lift_residual(traced: np.ndarray, lower: np.ndarray, odd: int) -> np.ndarray:
+    """``traced - lower ⊗ I_odd``, formed in a copy of ``traced``."""
+    out = traced.copy()
     tail_diagonal(out, odd)[...] -= lower[:, :, None]
     return out
 

@@ -66,25 +66,31 @@ class Tester:
         object.__setattr__(self, "chain", chain)
 
 
-def _element_sum(elements) -> np.ndarray:
-    """Sum of the element matrices in the first element's factor order, as a
-    fresh raw array that the caller owns: it is not scanned, and the first
-    two elements are added into it, so no element is copied first."""
-    first = elements[0]
-    if len(elements) == 1:
-        return first.matrix.copy()
-    total = first.matrix + first.aligned(elements[1])
-    for e in elements[2:]:
-        total += first.aligned(e)
-    return total
+# rows of the element sum formed at a time, in whole head rows: 1 MB at side 1024
+_STRIPE_ROWS = 64
+
+
+def _sum_stripes(elements):
+    """The element sum in fresh stripes of whole head rows (rows of its trace
+    over the last space), the elements added in their order, as ``(head
+    rows, stripe, the stripe's tail diagonal)``: no array of its size."""
+    first, tail = elements[0], elements[0].dims[-1]
+    others = [first.aligned(e) for e in elements[1:]]
+    step = max(1, _STRIPE_ROWS // tail) * tail
+    for r in range(0, first.side, step):
+        stripe = first.matrix[r:r + step].copy()
+        for m in others:
+            stripe += m[r:r + step]
+        yield slice(r // tail, (r + step) // tail), stripe, matcore.tail_diagonal(stripe, tail)
 
 
 def tester_from_elements(elements, uses: int) -> Tester:
     """The tester of ``elements``; its chain is the normalization chain of
-    the element sum, the lowers of its walk on ``dims + (1,)``."""
+    the element sum, topped by ``Tr_last(sum) / d_last`` read in stripes."""
     elements = tuple(e.permuted(tuple(range(2 * uses))) for e in elements)
     dims = elements[0].dims
-    lowers = [lower for lower, _ in matcore.chain_levels(_element_sum(elements), dims + (1,))]
+    top = np.concatenate([d.sum(axis=2) for _, _, d in _sum_stripes(elements)]) * (1.0 / dims[-1])
+    lowers = [top] + [lower for lower, _ in matcore.chain_levels(top, dims[:-1])]
     chain = tuple(LabeledOperator(x, tuple(range(2 * n - 1)), dims[:2 * n - 1])
                   for n, x in enumerate(reversed(lowers), start=1))
     return Tester(elements, chain, uses)
@@ -105,14 +111,15 @@ class TesterValidation:
 def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     """Check element positivity and the recursive chain normalization.  The
     normalization residual is ``sum_i P_i - Xi ⊗ I`` with ``Xi`` the top
-    chain level, formed in the element sum, which this check owns, once the
-    sum's norm is read; the lower residuals come from walking ``Xi`` as a
-    chain with the stored chain as its levels."""
-    total = _element_sum(t.elements)
-    scale = max(1.0, float(np.linalg.norm(total)))
-    xi = t.chain[-1]
-    norm_res = float(np.linalg.norm(
-        matcore._lift_residual(total, xi.matrix, t.elements[0].dims[-1], owned=True)))
+    chain level, formed in each stripe of the element sum once the stripe's
+    share of the sum's norm is read; the lower residuals come from walking
+    ``Xi`` as a chain with the stored chain as its levels."""
+    xi, total_sq, res_sq = t.chain[-1], 0.0, 0.0
+    for head, stripe, diagonal in _sum_stripes(t.elements):
+        total_sq += np.vdot(stripe, stripe).real
+        diagonal -= xi.matrix[head, :, None]
+        res_sq += np.vdot(stripe, stripe).real
+    scale, norm_res = max(1.0, float(np.sqrt(total_sq))), float(np.sqrt(res_sq))
     walk = matcore.chain_levels(xi.matrix, xi.dims, lowers=[x.matrix for x in t.chain[:-1]])
     chain_res = {n: float(np.linalg.norm(residual()))
                  for n, (_, residual) in zip(range(t.uses, 1, -1), walk)}
@@ -230,9 +237,10 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     (:func:`channels._ket_chain`) on (b_1, spaces 1..2N-2, b_N).  Element
     ``i`` is then one contraction of the input state, ``K``, its conjugate
     and ``M_i^T`` over b_1 and b_N, whose subscripts name the transposed,
-    label-sorted layout.  For the d = 4 protocol of ``separation`` no array
-    exceeds the 1024-side element (16 MB), where one 4096-side operator on
-    the whole network would take 268 MB.
+    label-sorted layout.  It is written one row ``x`` of space 0 at a time,
+    so for the d = 4 protocol of ``separation`` no temporary exceeds a
+    quarter of the 1024-side element (16 MB); one 4096-side operator on the
+    whole network would take 268 MB.
     """
     n = tc.uses
     sd, ad = tc.system_dims, tc.ancilla_dims
@@ -242,11 +250,13 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     bra, elements = ket.conj(), []
     for m in tc.povm:
         # P[x y z, X Y Z] = sum state[X S, x s] K[S Y T] conj(K[s y t]) M^T[Z T, z t],
-        # contracted into the element's own row-major array
+        # each row x contracted in the order picked for the whole element
+        m = m.reshape(sd[-1], ad[-1], sd[-1], ad[-1])
+        path = np.einsum_path("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, bra, m, optimize=True)[0]
         p = np.empty((side, side), dtype=complex)
-        np.einsum("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, bra,
-                  m.reshape(sd[-1], ad[-1], sd[-1], ad[-1]), optimize=True,
-                  out=p.reshape((sd[0], ket.shape[1], sd[-1]) * 2))
+        for x in range(sd[0]):
+            np.einsum("XSs,SYT,syt,ztZT->yzXYZ", state[:, :, x], ket, bra, m, optimize=path,
+                      out=p.reshape((sd[0], ket.shape[1], sd[-1]) * 2)[x])
         elements.append(LabeledOperator._built(p, range(2 * n), sd))
     return tester_from_elements(elements, n)
 

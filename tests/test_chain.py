@@ -8,6 +8,8 @@ each is checked against a textbook peel written with ``partial_trace`` and
 per-space dimensions.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -184,3 +186,77 @@ def test_tester_walk_matches_peel(sd, first, outcomes, seed, data):
     reported[n_uses + 1] = v.normalization_residual
     assert reported[k] > EPS / 100
     assert all(r <= TOL for n, r in reported.items() if n != k)
+
+
+def _dense_reference(t):
+    """Chain and check fields of ``t`` from its dense element sum: the
+    normalized chain of the sum, ``||sum - Xi ⊗ I||``, the level residuals
+    against the stored chain, and the sum's norm."""
+    n_uses, dims = t.uses, t.elements[0].dims
+    total = sum(t.elements[1:], t.elements[0])
+    x = partial_trace(total, [2 * n_uses - 1]) * (1.0 / dims[-1])
+    chain = [x]
+    for n in range(n_uses, 1, -1):
+        x = partial_trace(x, [2 * n - 2, 2 * n - 3]) * (1.0 / dims[2 * n - 3])
+        chain.insert(0, x)
+    last = identity([2 * n_uses - 1], [dims[-1]])
+    fields = {n_uses + 1: np.linalg.norm((total - tensor(t.chain[-1], last)).matrix)}
+    for n in range(n_uses, 1, -1):
+        odd = identity([2 * n - 3], [dims[2 * n - 3]])
+        residual = partial_trace(t.chain[n - 1], [2 * n - 2]) - tensor(t.chain[n - 2], odd)
+        fields[n] = np.linalg.norm(residual.matrix)
+    fields[1] = abs(t.chain[0].trace() - 1.0)
+    return chain, fields, np.linalg.norm(total.matrix)
+
+
+def _check_streamed(t):
+    chain, fields, norm = _dense_reference(t)
+    v = validate_tester(t)
+    reported = dict(v.chain_residuals)
+    reported[t.uses + 1] = v.normalization_residual
+    assert reported.keys() == fields.keys()
+    for n, r in fields.items():
+        assert abs(reported[n] - r) <= TOL * max(1.0, norm), (n, reported[n], r)
+    return chain, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(sd=st.integers(1, 2).flatmap(
+           lambda uses: st.lists(st.integers(1, 4), min_size=2 * uses, max_size=2 * uses)),
+       first=st.integers(1, 2), outcomes=st.integers(1, 3), stripe_rows=st.integers(1, 80),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_streamed_tester_sum_matches_dense_reference(sd, first, outcomes, stripe_rows, seed,
+                                                     data):
+    # the element sum is formed in stripes of whole head rows; small stripe
+    # counts put stripe edges inside these small testers
+    assume(np.prod(sd) <= 96)
+    rng = rng_from(seed)
+    n_uses = len(sd) // 2
+    ad = (first,) + _ancillas(sd[1:-1:2], sd[2::2], first)
+    assume(max(ad) <= 6)
+    t = testers.tester_from_circuit(random_tester_circuit(sd, ad, outcomes, rng))
+    with mock.patch.object(testers, "_STRIPE_ROWS", stripe_rows):
+        # elements handed over in shuffled factor orders give the same tester
+        orders = [data.draw(st.permutations(range(2 * n_uses))) for _ in t.elements]
+        shuffled = testers.tester_from_elements(
+            [e.permuted(order) for e, order in zip(t.elements, orders)], n_uses)
+        chain, v = _check_streamed(shuffled)
+        assert v.valid, v.max_residual
+        for got, want in zip(shuffled.chain, chain):
+            scale = max(1.0, np.abs(want.matrix).max())
+            assert np.abs(got.matrix - want.matrix).max() <= TOL * scale
+
+        # invalid testers: rescaled elements, and one entry moved off the tail
+        # diagonal, which leaves the traced sum as it was
+        rescaled = Tester(tuple(e * (1 + EPS) for e in t.elements), t.chain, n_uses)
+        _, v = _check_streamed(rescaled)
+        assert not v.valid
+        side, tail = t.elements[0].side, sd[-1]
+        i = data.draw(st.integers(0, side - 1))
+        j = data.draw(st.integers(0, side - 1).filter(lambda j: tail == 1 or j % tail != i % tail))
+        kick = np.zeros((side, side), dtype=complex)
+        kick[i, j] += EPS
+        kick[j, i] += EPS
+        kicked = t.elements[0] + LabeledOperator(kick, t.elements[0].labels, t.elements[0].dims)
+        _, v = _check_streamed(Tester((kicked,) + t.elements[1:], t.chain, n_uses))
+        assert v.normalization_residual > EPS / 2

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,7 @@ from combtester.optim import XiChainSet
 from combtester.sampling import haar_unitary, random_density, random_kraus
 from combtester.separation import build_example, causal_protocol
 from combtester.testers import povm_from_tester, reduced_state, validate_tester
-from util import random_isometric_comb
+from util import random_isometric_comb, traced_peak
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -487,12 +485,6 @@ def test_parallel_decision_makes_no_full_side_copy():
     c0, c1 = inst.c0.choi, inst.c1.choi
     # a first decision runs numpy's lazy imports, which tracing would count
     parallel_discriminable(c0, c1, restarts=1, max_iter=1)
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        rep = parallel_discriminable(c0, c1, restarts=2, seed=1, max_iter=100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(parallel_discriminable, c0, c1, restarts=2, seed=1, max_iter=100)
     assert rep.status != "feasible"
-    assert peak - live < c0.matrix.nbytes, (peak - live, c0.matrix.nbytes)
+    assert peak < c0.matrix.nbytes, (peak, c0.matrix.nbytes)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from combtester.separation import (
     verify_parallel_impossible,
 )
 from combtester.testers import born_probabilities, simulate_tester_circuit, validate_tester
+from util import traced_peak
 
 
 def test_shift_multiply_identity():
@@ -132,19 +131,31 @@ def test_protocol_large_dimension_random_state():
 
 def test_protocol_d4_peak_memory():
     # the tester elements are contracted from the protocol's kets: the largest
-    # arrays are the 1024-side elements (16 MB each) and their contraction's
-    # intermediate of the same size; one 4096-side network (268 MB) alone
-    # would break the bound
+    # arrays are the 1024-side elements (16 MB each), and the contraction's
+    # largest intermediate is a quarter of one; one 4096-side network
+    # (268 MB) alone would break the bound
     inst = build_example(4)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
-    tracemalloc.start()
-    try:
-        causal_protocol(inst, psi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(causal_protocol, inst, psi)
     assert peak < 200 * 2 ** 20
+
+
+def test_protocol_tester_holds_no_temporary_of_element_size():
+    # beside the two 16 MB elements, building the d = 4 tester holds one
+    # 4 MB slice of the contraction and checking it one 1 MB stripe of the
+    # element sum; a whole-element contraction result and a dense element sum
+    # would take them to about 3.1 and 1.3 elements
+    inst = build_example(4)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    causal_protocol(build_example(2), psi[:2])  # numpy's lazy imports, untraced
+    (tester, _), peak = traced_peak(causal_protocol, inst, psi)
+    element = tester.elements[0].matrix.nbytes
+    assert peak < 2.5 * element, peak / element
+    v, peak = traced_peak(validate_tester, tester, 1e-9)
+    assert v.valid
+    assert peak < 0.25 * element, peak / element
 
 
 def test_protocol_simulation_agrees_with_born():

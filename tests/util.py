@@ -1,4 +1,6 @@
-"""Shared generators for the test suite."""
+"""Shared generators and probes for the test suite."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -57,3 +59,16 @@ def unitary_with_spread_at_least(d: int, bound: float, rng) -> np.ndarray:
         u = haar_unitary(d, rng)
         if angular_spread(u) >= bound:
             return u
+
+
+def traced_peak(f, *args, **kwargs):
+    """``(f(*args, **kwargs), peak)``: the call's result and its tracemalloc
+    peak in bytes above the memory traced as live just before the call."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        result = f(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    return result, peak
