@@ -270,19 +270,20 @@ def validate_comb(mc: MemoryChannel, tol: float = 1e-9) -> CombValidation:
     """
     c = mc.choi
     levels: dict[int, float] = {}
-    w = c.blocks.eigvalsh(c.matrix)
+    w = c.blocks.eigvalsh(c.entries)
     scale = max(1.0, float(abs(w[-1])) if len(w) else 1.0)
     min_eig = float(w[0])
-    current = c.matrix
-    walk = matcore.chain_levels(current, (1,) + c.dims)
+    # the top output is traced on the comb's entries (matcore.trace_last);
+    # the walk starts from that trace, as over a one-dimensional top space
+    trace = c.trace()
+    walk = matcore.chain_levels(matcore.trace_last(c), (1,) + c.dims[:-1] + (1,))
     for n, (lower, residual) in zip(range(mc.uses, 0, -1), walk):
         # the n-use reduction of a valid comb has trace = product of its
         # input dimensions, so a normalization deficit is charged to the
         # level where it first appears instead of trickling to the bottom
         expected_trace = float(np.prod(c.dims[0:2 * n:2]))
-        trace_res = float(abs(np.trace(current) - expected_trace))
-        levels[n] = max(float(np.linalg.norm(residual())), trace_res)
-        current = lower
+        levels[n] = max(float(np.linalg.norm(residual())), float(abs(trace - expected_trace)))
+        trace, current = np.trace(lower), lower
     levels[0] = float(abs(current[0, 0] - 1.0))
     max_res = max(max(levels.values()), max(0.0, -min_eig / scale))
     return CombValidation(

@@ -82,7 +82,7 @@ def _pair_slices(c: LabeledOperator, order, df: int):
         q = blocks.square(blocks.pack(c.permuted(order).matrix)).reshape(de, df, de, df)
         return q.any(axis=(0, 2)), lambda o, b: q[:, o, :, b]
     rows, cols = blocks.index
-    square = blocks.square(c.matrix[index[rows], index[cols]])
+    square = blocks.square(c.at(index[rows], index[cols]))
     on = np.flatnonzero(square != 0)
     (e, o), (f, b) = np.divmod(rows[on], df), np.divmod(cols[on], df)
     nonzero = np.zeros((df, df), dtype=bool)

@@ -14,6 +14,7 @@ conventions are fixed once and for all:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Sequence
@@ -45,6 +46,11 @@ class LabeledOperator:
     every one holds finite entries, so a kernel given an operator's matrix
     need not scan it again.  Each labels its own matrix once, when first
     asked (:attr:`blocks`); a permuted copy is labelled afresh.
+
+    An operator this package builds as the entries of a known block
+    partition (:meth:`_packed`) holds those entries alone: its
+    :attr:`matrix` is formed when first read.  Kernels read either kind
+    through :attr:`entries`, :meth:`at` and :meth:`trace`.
     """
 
     matrix: np.ndarray
@@ -65,7 +71,29 @@ class LabeledOperator:
         op._own(_as_complex_matrix(m) if scan else m, labels, dims)
         return op
 
+    @classmethod
+    def _packed(cls, blocks: "Blocks", entries: np.ndarray, labels, dims) -> "LabeledOperator":
+        """Wrap the packed ``entries`` of a matrix on ``blocks`` that this
+        package has just built, after their NaN/Inf scan.  ``blocks`` must be
+        :meth:`Blocks.of` of that matrix, group for group."""
+        entries = np.asarray(entries, dtype=complex)
+        if entries.shape != (blocks.size,):
+            raise ValueError(f"{entries.shape} entries for a partition of {blocks.size}")
+        if not np.isfinite(entries).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        op = object.__new__(cls)
+        op._spaces(labels, dims, (blocks.side, blocks.side))
+        entries.flags.writeable = False
+        object.__setattr__(op, "blocks", blocks)
+        object.__setattr__(op, "_entries", entries)
+        return op
+
     def _own(self, m: np.ndarray, labels, dims) -> None:
+        self._spaces(labels, dims, m.shape)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    def _spaces(self, labels, dims, shape) -> None:
         labels = tuple(int(l) for l in labels)
         dims = tuple(int(d) for d in dims)
         if len(labels) != len(dims):
@@ -75,25 +103,57 @@ class LabeledOperator:
         if any(d < 1 for d in dims):
             raise ValueError(f"dimensions must be positive, got {dims}")
         side = int(np.prod(dims)) if dims else 1
-        if m.shape != (side, side):
+        if shape != (side, side):
             raise ValueError(
-                f"matrix side {m.shape} inconsistent with dims {dims} (product {side})"
+                f"matrix side {shape} inconsistent with dims {dims} (product {side})"
             )
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
+
+    def __getattr__(self, name):
+        # reached only for attributes missing from the instance: the matrix
+        # of an entry-built operator before its first read
+        entries = self.__dict__.get("_entries")
+        if name != "matrix" or entries is None:
+            raise AttributeError(name)
+        m = self.blocks.unpack(entries)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        return m
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def side(self) -> int:
-        return self.matrix.shape[0]
+        return math.prod(self.dims)
 
     def dim_of(self, label: int) -> int:
         return self.dims[self.labels.index(label)]
 
+    @property
+    def split(self) -> bool:
+        """Whether the operator was built as entries of a partition of more
+        than one block; never labels a matrix."""
+        return "_entries" in self.__dict__ and not self.blocks.whole
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The packed entries on :attr:`blocks`: as built, or packed from the
+        matrix on its partition."""
+        entries = self.__dict__.get("_entries")
+        return self.blocks.pack(self.matrix) if entries is None else entries
+
+    def at(self, rows, cols) -> np.ndarray:
+        """The entries at the broadcast positions ``(rows, cols)``: read from
+        the matrix, or from the entries of a split operator, 0 off its blocks."""
+        if not self.split:
+            return self.matrix[rows, cols]
+        where, on = self.blocks.locate(rows, cols)
+        return np.where(on, self._entries[where], 0)
+
     def trace(self) -> complex:
+        if self.split:
+            return complex(self._entries[self.blocks.diagonal].sum())
         return complex(np.trace(self.matrix))
 
     # -- structural operations --------------------------------------------
@@ -259,6 +319,30 @@ def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
     return np.einsum("aibi->abi", x.reshape(x.shape[0] // tail, tail, -1, tail))
 
 
+def trace_last(a: LabeledOperator) -> np.ndarray:
+    """The trace of ``a`` over its last factor, as a matrix.  A split
+    operator's entry ``(r, c)`` whose rows and column share the last index
+    adds to ``(r // top, c // top)``, in packed order; any other operator is
+    traced on its matrix."""
+    top = a.dims[-1]
+    if not a.split:
+        return tail_diagonal(a.matrix, top).sum(axis=2)
+    rows, cols = a.blocks.index
+    keep = rows % top == cols % top
+    side = a.side // top
+    return _summed((rows[keep] // top) * side + cols[keep] // top, a.entries[keep],
+                   side * side).reshape(side, side)
+
+
+def _summed(flat: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The length-``size`` vector adding each of ``values`` at its ``flat``
+    position, in the order given."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(flat, values.real, size)
+    out.imag = np.bincount(flat, values.imag, size)
+    return out
+
+
 def _lift_residual(traced: np.ndarray, lower: np.ndarray, odd: int) -> np.ndarray:
     """``traced - lower ⊗ I_odd``, formed in a copy of ``traced``."""
     out = traced.copy()
@@ -326,26 +410,47 @@ def block_groups(h: np.ndarray) -> list[np.ndarray]:
     ascending order, and the rows of a size are ordered by their first
     index, so a matrix with one component gives ``[arange(n)[None]]``.
 
-    The pattern is read as its edge list, one edge per nonzero entry.  Every
-    index starts as its own root.  Each round keeps the edges that join two
-    trees, hooks every root to the smallest root across them, jumps labels
-    to their roots and moves the edges onto the roots, until no edge joins
-    two trees.  Roots only ever hook to smaller ones, so each component
-    ends labelled by its smallest index, and after the one pass that finds
-    the edges the work per round is the edges, not the matrix.
+    The pattern is read as its edge list (:func:`edge_groups`), one edge per
+    nonzero entry, found in one pass over ``h``.
     """
     n = h.shape[0]
-    if n == 0:
-        return []
     flat = (h.reshape(-1) != 0).nonzero()[0]
     rows = flat // n
-    cols = flat - rows * n
+    return edge_groups(rows, flat - rows * n, n)
+
+
+def edge_groups(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
+    """:func:`block_groups` of the ``n``-side matrix whose nonzero entries
+    sit at ``(rows, cols)``, each position listed at most once.
+
+    A row with ``n`` entries joins every index, which the row degrees show
+    before any round.  Otherwise every index starts as its own root
+    (:func:`_roots`), and each component ends labelled by its smallest index.
+    """
+    if n == 0:
+        return []
+    if (np.bincount(rows, minlength=n) == n).any():
+        return [np.arange(n)[None]]
+    labels = _roots(rows, cols, n)
+    sizes = np.bincount(labels, minlength=n)[labels]
+    order = np.lexsort((labels, sizes))
+    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
+    return [g.reshape(-1, sizes[g[0]]) for g in np.split(order, cuts)]
+
+
+def _roots(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The smallest index of each index's component, by union rounds on the
+    edge list.  Each round keeps the edges that join two trees, hooks every
+    root to the smallest root across them, jumps labels to their roots and
+    moves the edges onto the roots, until no edge joins two trees.  Roots
+    only ever hook to smaller ones, and the work per round is the edges,
+    not the matrix."""
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     labels = np.arange(n)
     while True:
         cross = lo != hi
         if not cross.any():
-            break
+            return labels
         lo, hi = lo[cross], hi[cross]
         np.minimum.at(labels, hi, lo)
         jumped = labels[labels]
@@ -353,10 +458,6 @@ def block_groups(h: np.ndarray) -> list[np.ndarray]:
             labels, jumped = jumped, jumped[jumped]
         lo, hi = labels[lo], labels[hi]
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    sizes = np.bincount(labels, minlength=n)[labels]
-    order = np.lexsort((labels, sizes))
-    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
-    return [g.reshape(-1, sizes[g[0]]) for g in np.split(order, cuts)]
 
 
 def _dagger(b: np.ndarray) -> np.ndarray:
@@ -401,7 +502,8 @@ class Blocks:
     def of(cls, h: np.ndarray) -> "Blocks":
         """The components of the nonzero pattern of ``h`` (:func:`block_groups`).
         A row 0 without zero entries joins every index, so such a matrix
-        skips the labelling."""
+        skips the labelling; so does any other full row, once the edges are
+        found."""
         n = h.shape[0]
         if np.count_nonzero(h[:1]) == n:
             return cls.one(n)
@@ -438,6 +540,28 @@ class Blocks:
         rows, cols = self.index
         on = np.flatnonzero(rows == cols)
         return on[np.argsort(rows[on])]
+
+    @cached_property
+    def _place(self) -> tuple[np.ndarray, ...]:
+        """Per index: its block's number, the packed position of its block's
+        first entry, its block's size and its place in the block."""
+        block, start, size, place = (np.empty(self.side, dtype=np.intp) for _ in range(4))
+        first = 0
+        for g, (begin, _, (count, width, _)) in zip(self.groups, self._spans):
+            block[g] = first + np.arange(count)[:, None]
+            start[g] = begin + width * width * np.arange(count)[:, None]
+            size[g] = width
+            place[g] = np.arange(width)
+            first += count
+        return block, start, size, place
+
+    def locate(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Packed positions of the broadcast matrix positions ``(rows,
+        cols)``, and whether each lies on a block; off the blocks the
+        position is 0."""
+        block, start, size, place = self._place
+        on = block[rows] == block[cols]
+        return np.where(on, start[rows] + place[rows] * size[rows] + place[cols], 0), on
 
     def pattern(self) -> np.ndarray:
         """The entries a packed matrix can hold, as a boolean matrix."""
@@ -502,16 +626,16 @@ class Blocks:
         it is the block's square."""
         return self.join([b @ b for b in self.stacks(v)])
 
-    def eigvalsh(self, h: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues of a Hermitian ``h`` that vanishes off these
-        blocks, with :func:`eigh`'s check and no NaN/Inf scan.
+    def eigvalsh(self, v: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of the Hermitian matrix packed as ``v``, with
+        :func:`eigh`'s check and no NaN/Inf scan.
 
         Check and solve run on the packed blocks, one stacked call per block
-        size.  Both are exact reorderings: ``h`` and ``h^dagger`` vanish off
-        the blocks, so the packed Frobenius norms are those of the whole
+        size.  Both are exact reorderings: the matrix and its adjoint vanish
+        off the blocks, so the packed Frobenius norms are those of the whole
         matrices, and the spectrum is the union of the blocks'.
         """
-        v = _checked_hermitian(self, self.pack(h))
+        v = _checked_hermitian(self, v)
         return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in self.stacks(v)]))
 
     def map(self, v: np.ndarray, f) -> np.ndarray:
@@ -586,7 +710,8 @@ def eigvalsh(h) -> np.ndarray:
     :meth:`Blocks.eigvalsh` on its partition (:meth:`Blocks.of`), after the
     NaN/Inf scan."""
     h = _as_square_matrix(h)
-    return Blocks.of(h).eigvalsh(h)
+    blocks = Blocks.of(h)
+    return blocks.eigvalsh(blocks.pack(h))
 
 
 def trace_norm(x) -> float:

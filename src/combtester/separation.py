@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import IsometricComb, MemoryChannel, comb_from_isometries, validate_comb
 from .discrimination import FeasibilityReport, delta_matrix, parallel_discriminable
-from .matcore import LabeledOperator
+from .matcore import Blocks, LabeledOperator
 from .testers import Tester, TesterCircuit, tester_from_circuit
 
 
@@ -59,29 +59,38 @@ class ExampleInstance:
 
 
 def _closed_form_chois(d: int) -> tuple[LabeledOperator, LabeledOperator]:
-    """Choi operators on spaces (0,1,2,3) with dims (d, d^2, d, d).
+    """Choi operators on spaces (0,1,2,3) with dims (d, d^2, d, d), built as
+    their block entries.
 
-    ``C0 = sum_pq I_0 ⊗ |pq><pq|_1 ⊗ |W_pq>><<W_pq|_{2,3} / d^2`` is block
-    diagonal in (space 0, space 1), so each block is assigned in place.
+    ``C0 = sum_pq I_0 ⊗ |pq><pq|_1 ⊗ |W_pq>><<W_pq|_{2,3} / d^2``: ``W_pq``
+    maps ``|c>`` to a phase times ``|c + p>``, so each (space 0, space 1)
+    pair holds one block of side d on the indices ``(c, c + p)`` of spaces
+    (2, 3), and every other index is a zero singleton.
+    ``C1 = I_{0,1,2} ⊗ |0><0|_3 / d^2`` is diagonal.
     """
     d2 = d * d
     dims = (d, d2, d, d)
     side = int(np.prod(dims))
-    c0 = np.zeros((d, d2, d2, d, d2, d2), dtype=complex)
+    c = np.arange(d)
+    spots, blocks = [], []
     for pq in range(d2):
+        p = pq // d
         # |W_pq>> is ordered (3, 2); its transpose reorders it to (2, 3)
-        v = shift_multiply(*divmod(pq, d), d).T.reshape(-1)
-        ww = np.outer(v, v.conj()) / d2
-        for i in range(d):
-            c0[i, pq, :, i, pq, :] = ww
-    # C1 = I_{0,1,2} ⊗ |0><0|_3 / d^2 is diagonal
-    c1 = np.zeros((side, side), dtype=complex)
-    zero_out = np.arange(0, side, d)
-    c1[zero_out, zero_out] = 1.0 / d2
+        v = shift_multiply(p, pq % d, d).T.reshape(-1)
+        on = c * d + (c + p) % d  # its nonzero entries
+        spots.append(on)
+        blocks.append(np.outer(v[on], v[on].conj()) / d2)
+    on = (np.arange(d)[:, None, None] * d2 + np.arange(d2)[:, None]) * d2 + np.array(spots)
+    rest = np.ones(side, dtype=bool)
+    rest[on] = False
+    groups = [np.flatnonzero(rest)[:, None], on.reshape(-1, d)]
+    c0 = np.concatenate([np.zeros(side - on.size, dtype=complex),
+                         np.tile(np.array(blocks), (d, 1, 1)).reshape(-1)])
+    c1 = np.where(np.arange(side) % d == 0, 1.0 / d2, 0.0)
     labels = (0, 1, 2, 3)
     return (
-        LabeledOperator._built(c0.reshape(side, side), labels, dims),
-        LabeledOperator._built(c1, labels, dims),
+        LabeledOperator._packed(Blocks(groups, side), c0, labels, dims),
+        LabeledOperator._packed(Blocks([np.arange(side)[:, None]], side), c1, labels, dims),
     )
 
 
@@ -188,7 +197,7 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     k0, j1, k2, j3 = np.unravel_index(col, dims)
     i0, i2 = np.divmod(np.arange(side), dims[2])
     rows = np.ravel_multi_index((i0, j1[:, None], i2, j3[:, None]), dims)
-    terms = c0.matrix[rows, m[:, None]] * c1.blocks.pack(c1.matrix)[:, None]
+    terms = c0.at(rows, m[:, None]) * c1.entries[:, None]
     t = np.zeros((side, side), dtype=complex)
     np.add.at(t.T, k0 * dims[2] + k2, terms)
     eye = np.eye(side)

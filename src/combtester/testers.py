@@ -84,12 +84,32 @@ def _sum_stripes(elements):
         yield slice(r // tail, (r + step) // tail), stripe, matcore.tail_diagonal(stripe, tail)
 
 
+def _split_norms(elements, xi: np.ndarray) -> tuple[float, float]:
+    """``‖sum_i P_i‖²`` and ``‖sum_i P_i - Xi ⊗ I‖²`` for split elements,
+    from their entries: each position of the sum adds the elements' entries
+    there in their order, then subtracts its entry of ``Xi ⊗ I``."""
+    side, tail = elements[0].side, elements[0].dims[-1]
+    flat = np.concatenate([r * side + c for r, c in (e.blocks.index for e in elements)])
+    values = np.concatenate([e.entries for e in elements])
+    a, b = np.nonzero(xi)
+    lift = ((a * tail)[:, None] * side + b[:, None] * tail + np.arange(tail) * (side + 1)).ravel()
+
+    def norm_sq(at, v):
+        positions, slot = np.unique(at, return_inverse=True)
+        total = matcore._summed(slot, v, positions.size)
+        return float(np.vdot(total, total).real)
+
+    return norm_sq(flat, values), norm_sq(np.concatenate([flat, lift]),
+                                          np.concatenate([values, np.repeat(-xi[a, b], tail)]))
+
+
 def tester_from_elements(elements, uses: int) -> Tester:
     """The tester of ``elements``; its chain is the normalization chain of
-    the element sum, topped by ``Tr_last(sum) / d_last`` read in stripes."""
+    the element sum, topped by ``Tr_last(sum) / d_last``, the sum of the
+    elements' traces (:func:`matcore.trace_last`)."""
     elements = tuple(e.permuted(tuple(range(2 * uses))) for e in elements)
     dims = elements[0].dims
-    top = np.concatenate([d.sum(axis=2) for _, _, d in _sum_stripes(elements)]) * (1.0 / dims[-1])
+    top = sum(matcore.trace_last(e) for e in elements) * (1.0 / dims[-1])
     lowers = [top] + [lower for lower, _ in matcore.chain_levels(top, dims[:-1])]
     chain = tuple(LabeledOperator(x, tuple(range(2 * n - 1)), dims[:2 * n - 1])
                   for n, x in enumerate(reversed(lowers), start=1))
@@ -111,14 +131,19 @@ class TesterValidation:
 def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     """Check element positivity and the recursive chain normalization.  The
     normalization residual is ``sum_i P_i - Xi ⊗ I`` with ``Xi`` the top
-    chain level, formed in each stripe of the element sum once the stripe's
-    share of the sum's norm is read; the lower residuals come from walking
-    ``Xi`` as a chain with the stored chain as its levels."""
+    chain level: from the entries of split elements, otherwise formed in
+    each stripe of the element sum once the stripe's share of the sum's norm
+    is read.  The lower residuals come from walking ``Xi`` as a chain with
+    the stored chain as its levels, and the element spectra from their
+    packed blocks."""
     xi, total_sq, res_sq = t.chain[-1], 0.0, 0.0
-    for head, stripe, diagonal in _sum_stripes(t.elements):
-        total_sq += np.vdot(stripe, stripe).real
-        diagonal -= xi.matrix[head, :, None]
-        res_sq += np.vdot(stripe, stripe).real
+    if all(e.split for e in t.elements):
+        total_sq, res_sq = _split_norms(t.elements, xi.matrix)
+    else:
+        for head, stripe, diagonal in _sum_stripes(t.elements):
+            total_sq += np.vdot(stripe, stripe).real
+            diagonal -= xi.matrix[head, :, None]
+            res_sq += np.vdot(stripe, stripe).real
     scale, norm_res = max(1.0, float(np.sqrt(total_sq))), float(np.sqrt(res_sq))
     walk = matcore.chain_levels(xi.matrix, xi.dims, lowers=[x.matrix for x in t.chain[:-1]])
     chain_res = {n: float(np.linalg.norm(residual()))
@@ -127,7 +152,7 @@ def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
 
     min_eig = 0.0
     for e in t.elements:
-        min_eig = min(min_eig, float(e.blocks.eigvalsh(e.matrix)[0]))
+        min_eig = min(min_eig, float(e.blocks.eigvalsh(e.entries)[0]))
     residuals = [norm_res, max(0.0, -min_eig)] + list(chain_res.values())
     max_res = max(residuals)
     return TesterValidation(
@@ -149,8 +174,11 @@ def _require_same_spaces(t: Tester, mc: MemoryChannel) -> None:
 def born_probabilities(t: Tester, mc: MemoryChannel) -> np.ndarray:
     """Generalized Born rule ``p(i) = Tr[P_i C]``."""
     _require_same_spaces(t, mc)
-    # Re Tr[P C] = Re Tr[P† C] when P or C is Hermitian; vdot reads both rows in order
-    return np.array([float(np.vdot(e.matrix, mc.choi.matrix).real) for e in t.elements])
+    # Re Tr[P C] = Re Tr[P† C] when P or C is Hermitian: vdot over a split
+    # element's entries and the comb's entries there, or over both matrices
+    c = mc.choi
+    return np.array([float(np.vdot(e.entries, c.at(*e.blocks.index)).real if e.split
+                           else np.vdot(e.matrix, c.matrix).real) for e in t.elements])
 
 
 def povm_from_tester(t: Tester) -> list[LabeledOperator]:
@@ -237,27 +265,43 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     (:func:`channels._ket_chain`) on (b_1, spaces 1..2N-2, b_N).  Element
     ``i`` is then one contraction of the input state, ``K``, its conjugate
     and ``M_i^T`` over b_1 and b_N, whose subscripts name the transposed,
-    label-sorted layout.  It is written one row ``x`` of space 0 at a time,
-    so for the d = 4 protocol of ``separation`` no temporary exceeds a
-    quarter of the 1024-side element (16 MB); one 4096-side operator on the
-    whole network would take 268 MB.
+    label-sorted layout.  The state and ``conj(K)`` are contracted once per
+    circuit and ``K`` and ``M_i^T`` once per element; their product, the
+    last step, is formed one block ``(x, X)`` of space 0 at a time, skipping
+    the blocks that the state leaves zero, and only its nonzero entries are
+    kept.  The element is built as the entries of
+    the components of their pattern (:func:`matcore.edge_groups`), so for
+    the d = 4 protocol of ``separation`` the largest temporary is one such
+    block (1 MB) and no 1024-side element matrix (16 MB) is made.
     """
     n = tc.uses
     sd, ad = tc.system_dims, tc.ancilla_dims
     ket = _ket_chain(tc.blocks, sd, ad, 1)
     state = tc.input_state.reshape(sd[0], ad[0], sd[0], ad[0])
     side = int(np.prod(sd))
-    bra, elements = ket.conj(), []
+    w = side // sd[0]
+    # P[x y z, X Y Z] = sum B[S Z z t Y] G[S X x t y] over (S, t), with
+    # G = sum_s conj(K[s y t]) state[X S, x s] and B = sum_T M^T[Z T, z t] K[S Y T]
+    g, elements = np.einsum("syt,XSxs->SXxty", ket.conj(), state), []
+    part = np.empty((ket.shape[1], sd[-1]) * 2, dtype=complex)  # a block of P: [y z, Y Z]
     for m in tc.povm:
-        # P[x y z, X Y Z] = sum state[X S, x s] K[S Y T] conj(K[s y t]) M^T[Z T, z t],
-        # each row x contracted in the order picked for the whole element
-        m = m.reshape(sd[-1], ad[-1], sd[-1], ad[-1])
-        path = np.einsum_path("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, bra, m, optimize=True)[0]
-        p = np.empty((side, side), dtype=complex)
-        for x in range(sd[0]):
-            np.einsum("XSs,SYT,syt,ztZT->yzXYZ", state[:, :, x], ket, bra, m, optimize=path,
-                      out=p.reshape((sd[0], ket.shape[1], sd[-1]) * 2)[x])
-        elements.append(LabeledOperator._built(p, range(2 * n), sd))
+        b = np.einsum("ztZT,SYT->SZztY", m.reshape(sd[-1], ad[-1], sd[-1], ad[-1]), ket)
+        path = np.einsum_path("SZztY,Sty->yzYZ", b, g[:, 0, 0], optimize=True)[0]
+        flat, values = [], []
+        for x, X in np.ndindex(sd[0], sd[0]):
+            if not g[:, X, x].any():  # the block (x, X) of P vanishes
+                continue
+            np.einsum("SZztY,Sty->yzYZ", b, g[:, X, x], optimize=path, out=part)
+            on = np.flatnonzero(part)
+            r, c = np.divmod(on, w)
+            flat.append((x * w + r) * side + X * w + c)
+            values.append(part.reshape(-1)[on])
+        flat, values = np.concatenate(flat), np.concatenate(values)
+        rows, cols = np.divmod(flat, side)
+        blocks = matcore.Blocks(matcore.edge_groups(rows, cols, side), side)
+        entries = np.zeros(blocks.size, dtype=complex)
+        entries[flat if blocks.whole else blocks.locate(rows, cols)[0]] = values
+        elements.append(LabeledOperator._packed(blocks, entries, range(2 * n), sd))
     return tester_from_elements(elements, n)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtester.channels import MemoryChannel
+from combtester import matcore
 from combtester.matcore import (
     Blocks,
     LabeledOperator,
@@ -25,6 +26,7 @@ from combtester.matcore import (
     regroup_index,
     spectral_map,
     tensor,
+    trace_last,
     trace_norm,
     undouble_ket,
 )
@@ -254,6 +256,61 @@ def test_block_groups_matches_breadth_first_search(h):
     if h.size:
         partition = Blocks.of(h)
         assert [g.tolist() for g in partition.groups] == expected
+
+
+def test_any_full_row_makes_one_block_without_union_rounds(monkeypatch):
+    # row 0 has a zero, so Blocks.of reads the edges; row 1 has none, which
+    # the row degrees show before any union round runs
+    rng = np.random.default_rng(47)
+    g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    h = g + g.conj().T
+    h[0, 5] = h[5, 0] = 0.0
+    rounds = []
+    roots = matcore._roots
+    monkeypatch.setattr(matcore, "_roots", lambda *a: rounds.append(a) or roots(*a))
+    partition = Blocks.of(h)
+    one = [[list(range(256))]]
+    assert partition.whole and [g.tolist() for g in partition.groups] == one
+    assert [g.tolist() for g in block_groups(h)] == one
+    assert rounds == []
+    np.fill_diagonal(h, 0.0)  # no full row left: the rounds find the one component
+    assert [g.tolist() for g in block_groups(h)] == one
+    assert len(rounds) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_patterns(), seed=st.integers(0, 2 ** 32 - 1))
+def test_entry_built_operator_reads_as_its_matrix(h, seed):
+    # an operator built as the packed entries of its matrix's partition
+    # answers every read as the operator wrapping that matrix does
+    rng = np.random.default_rng(seed)
+    side = h.shape[0]
+    if side < 2:
+        return
+    dims = (side,) if side % 2 else (2, side // 2)
+    labels = tuple(rng.permutation(len(dims)))
+    partition = Blocks.of(h)
+    built = LabeledOperator._packed(partition, partition.pack(h), labels, dims)
+    unpickled = pickle.loads(pickle.dumps(built))
+    assert "matrix" not in unpickled.__dict__ and np.array_equal(unpickled.entries, built.entries)
+    dense = LabeledOperator(h, labels, dims)
+    assert built.split == (not partition.whole) and not dense.split
+    assert np.array_equal(built.entries, dense.entries)
+    rows, cols = rng.integers(0, side, (2, 40))
+    assert np.array_equal(built.at(rows[:, None], cols), h[rows[:, None], cols])
+    assert built.trace() == dense.trace()
+    # the entries add up in packed order, the matrix's in index order
+    traced = partial_trace(dense, [labels[-1]]).matrix
+    assert np.abs(trace_last(built) - traced).max() <= 1e-12 * max(1.0, np.abs(h).sum())
+    assert np.array_equal(trace_last(dense), traced)
+    assert np.array_equal(built.matrix, h) and not built.matrix.flags.writeable
+    assert np.array_equal(unpickled.matrix, h)
+    bad = partition.pack(h).copy()
+    bad[-1] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        LabeledOperator._packed(partition, bad, labels, dims)
+    with pytest.raises(ValueError):
+        LabeledOperator._packed(partition, bad[:-1], labels, dims)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

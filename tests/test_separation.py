@@ -1,8 +1,12 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from combtester import cli, matcore
+from combtester import cli, matcore, separation, testers
 from combtester.channels import comb_from_isometries, validate_comb
+from combtester.matcore import LabeledOperator
 from combtester.distances import memory_distance
 from combtester.separation import (
     build_example,
@@ -15,6 +19,7 @@ from combtester.separation import (
     verify_parallel_impossible,
 )
 from combtester.testers import born_probabilities, simulate_tester_circuit, validate_tester
+from test_testers import _reference_elements, assert_entry_built_as
 from util import traced_peak
 
 
@@ -130,10 +135,9 @@ def test_protocol_large_dimension_random_state():
 
 
 def test_protocol_d4_peak_memory():
-    # the tester elements are contracted from the protocol's kets: the largest
-    # arrays are the 1024-side elements (16 MB each), and the contraction's
-    # largest intermediate is a quarter of one; one 4096-side network
-    # (268 MB) alone would break the bound
+    # the tester elements are contracted from the protocol's kets and held
+    # as their entries; one 4096-side network (268 MB) alone would break
+    # the bound
     inst = build_example(4)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
@@ -142,10 +146,10 @@ def test_protocol_d4_peak_memory():
 
 
 def test_protocol_tester_holds_no_temporary_of_element_size():
-    # beside the two 16 MB elements, building the d = 4 tester holds one
-    # 4 MB slice of the contraction and checking it one 1 MB stripe of the
-    # element sum; a whole-element contraction result and a dense element sum
-    # would take them to about 3.1 and 1.3 elements
+    # the d = 4 elements are held as their entries: building the tester
+    # holds one 1 MB block of the contraction, and checking it reads the
+    # entries; a whole-element contraction result and a dense element sum
+    # would take them to about 3.1 and 1.3 elements (16 MB each)
     inst = build_example(4)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
@@ -224,23 +228,81 @@ def test_protocol_tester_matches_hand_built_elements():
 
 
 def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
-    # C0 and C1 are labelled once each: their regrouped forms in the parallel
-    # objective and the comb checks read those partitions; the other two
-    # full-side labellings are the protocol tester's elements
+    # C0 and C1 are built as their block entries, so they are never
+    # labelled; the two full-side labellings are the protocol tester's
+    # elements, from the entries collected while contracting them
     labelled = []
-    block_groups = matcore.block_groups
+    edge_groups = matcore.edge_groups
 
-    def counting(h):
-        labelled.append(h)
-        return block_groups(h)
+    def counting(rows, cols, n):
+        labelled.append((n, np.sort(rows * n + cols)))
+        return edge_groups(rows, cols, n)
 
-    monkeypatch.setattr(matcore, "block_groups", counting)
+    monkeypatch.setattr(matcore, "edge_groups", counting)
     assert cli.main(["paper-example", "--d", "3", "--seed", "1"]) == 0
     capsys.readouterr()
-    full = [h for h in labelled if h.shape[0] == 3 * 9 * 3 * 3]
-    # a rearranged copy has the same entries: compare them as sorted lists
-    entries = [np.sort_complex(h.ravel()) for h in full]
-    assert not any(np.array_equal(a, b) for i, a in enumerate(entries) for b in entries[:i])
-    assert len(full) == 4
+    full = [flat for n, flat in labelled if n == 3 * 9 * 3 * 3]
+    assert not any(np.array_equal(a, b) for i, a in enumerate(full) for b in full[:i])
+    assert len(full) == 2
     # with the two POVM elements, the input state and the parallel start
-    assert len(labelled) == 8
+    assert len(labelled) == 6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_combs_and_protocol_elements_are_entry_built_as_their_matrices(d):
+    # the closed-form combs against the dense sums that define them, and the
+    # protocol elements against one dense einsum each
+    d2 = d * d
+    c0 = np.zeros((d ** 5, d ** 5), dtype=complex)
+    for pq in range(d2):
+        v = shift_multiply(*divmod(pq, d), d).T.reshape(-1)
+        c0 += np.kron(np.eye(d), np.kron(np.diag(np.arange(d2) == pq), np.outer(v, v.conj())))
+    c1 = np.kron(np.eye(d ** 4), np.diag(np.arange(d) == 0))
+    chois = separation._closed_form_chois(d)
+    for op, dense in zip(chois, (c0 / d2, c1 / d2)):
+        assert op.split and op.dims == (d, d2, d, d)
+        assert_entry_built_as(op, dense)
+    rng = np.random.default_rng(d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    tc = protocol_circuit(build_example(d), psi / np.linalg.norm(psi))
+    for e, ref in zip(testers.tester_from_circuit(tc).elements, _reference_elements(tc)):
+        assert e.split
+        assert_entry_built_as(e, ref)
+
+
+def _dense(op: LabeledOperator) -> LabeledOperator:
+    return LabeledOperator(op.matrix, op.labels, op.dims)
+
+
+@pytest.mark.parametrize("argv", [["--d", "2"], ["--d", "3", "--seed", "1"]])
+def test_paper_example_prints_the_same_from_entries_and_from_matrices(monkeypatch, capsys,
+                                                                        argv):
+    # the same combs and tester elements, wrapped as matrices, take every
+    # stage down its matrix path; the report must not change by a bit
+    assert cli.main(["paper-example"] + argv) == 0
+    from_entries = capsys.readouterr().out
+    chois, circuit = separation._closed_form_chois, separation.tester_from_circuit
+    dense_reads = []
+
+    def dense_tester(tc):
+        t = circuit(tc)
+        dense_reads.append(t)
+        return testers.tester_from_elements([_dense(e) for e in t.elements], t.uses)
+
+    monkeypatch.setattr(separation, "_closed_form_chois",
+                        lambda d: tuple(_dense(op) for op in chois(d)))
+    monkeypatch.setattr(separation, "tester_from_circuit", dense_tester)
+    assert cli.main(["paper-example"] + argv) == 0
+    assert dense_reads and capsys.readouterr().out == from_entries
+
+
+def test_paper_example_d4_holds_no_side_1024_matrix():
+    # the combs and the protocol elements are held as their block entries
+    # (C0: 64 blocks of 4 and 768 zero singletons; C1 and the elements:
+    # diagonal), so no stage of the run needs a 16 MB side-1024 matrix
+    argv = ["paper-example", "--d", "4", "--seed", "1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["paper-example", "--d", "2"])  # numpy's lazy imports, untraced
+        code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    assert peak < 1024 * 1024 * 16, peak / 2 ** 20

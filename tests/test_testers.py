@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from combtester import matcore, testers
 from combtester.channels import (
     IsometricComb,
+    _ket_chain,
     comb_from_isometries,
     comb_from_sequence,
     identity_channel,
@@ -353,3 +354,55 @@ def test_builders_match_the_link_product_of_their_blocks(data, uses, outcomes, s
     for e, ref in zip(tester.elements, elements):
         assert e.labels == ref.labels and e.dims == ref.dims
         assert np.abs(e.matrix - ref.matrix).max() <= 1e-12
+
+
+def _reference_elements(tc: TesterCircuit) -> list[np.ndarray]:
+    """The tester elements of a circuit as one dense ``einsum`` each."""
+    sd, ad = tc.system_dims, tc.ancilla_dims
+    ket = _ket_chain(tc.blocks, sd, ad, 1)
+    state = tc.input_state.reshape(sd[0], ad[0], sd[0], ad[0])
+    side = int(np.prod(sd))
+    return [np.einsum("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, ket.conj(),
+                      m.reshape(sd[-1], ad[-1], sd[-1], ad[-1])).reshape(side, side)
+            for m in tc.povm]
+
+
+def assert_entry_built_as(op: LabeledOperator, reference: np.ndarray) -> None:
+    """``op`` holds the packed entries of a matrix within 1e-14 of
+    ``reference``, on that matrix's partition group for group, and has not
+    formed the matrix unless it is one block (then a view of the entries); a
+    matrix with a row without zeros is one block."""
+    assert op.blocks.whole or "matrix" not in op.__dict__
+    m = op.matrix
+    assert np.abs(m - reference).max() <= 1e-14 * max(np.abs(reference).max(), 1e-300)
+    fresh = matcore.Blocks.of(m)
+    assert [g.tolist() for g in op.blocks.groups] == [g.tolist() for g in fresh.groups]
+    assert np.array_equal(op.entries, fresh.pack(m))
+    if (m != 0).all(axis=1).any():
+        assert op.blocks.whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), uses=st.integers(1, 3), outcomes=st.integers(2, 3),
+       sparse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_circuit_elements_are_entry_built_as_their_dense_contraction(data, uses, outcomes,
+                                                                     sparse, seed):
+    # the sliced, entry-collecting contraction against one dense einsum per
+    # element; a basis input state and projective basis POVM give patterns
+    # of several blocks, Haar circuits mostly one
+    small = 3 if uses < 3 else 2
+    sd = tuple(data.draw(st.lists(st.integers(1, small), min_size=2 * uses, max_size=2 * uses)))
+    first = data.draw(st.integers(1, 2))
+    anc = (first,) + _draw_ancillas(data, sd[1:-1:2], sd[2::2], first)
+    assume(max(anc) <= 6)
+    rng = np.random.default_rng(seed)
+    tc = random_tester_circuit(sd, anc, outcomes, rng)
+    if sparse:
+        d0, dm = sd[0] * anc[0], sd[-1] * anc[-1]
+        owner = rng.integers(outcomes, size=dm)
+        state = np.diag(np.arange(d0) == rng.integers(d0)).astype(complex)
+        povm = tuple(np.diag(owner == i).astype(complex) for i in range(outcomes))
+        tc = TesterCircuit(state, tc.blocks, povm, sd, anc)
+    tester = testers.tester_from_circuit(tc)
+    for e, ref in zip(tester.elements, _reference_elements(tc)):
+        assert_entry_built_as(e, ref)
