@@ -14,9 +14,12 @@ minimizes the squared Frobenius norm of the product over the set with
 projected gradient descent, from the uniform point first and then from
 random points, each drawn only when the starts before it stayed above zero.
 The objective is a convex quadratic, so the minimum found is global and a
-small value is a constructive feasibility certificate.  Infeasibility is
-only certified empirically, by the converged minimum staying large across
-restarts.
+small value is a constructive feasibility certificate.  A one-use problem
+(every parallel decision) is proven infeasible by a distance bound below 2
+(:func:`distances.one_use_upper`), taken at the uniform point before any
+descent and at each start's end, stopping at the first proof; without a
+proof or a zero it is ``undetermined``.  A multi-use decision is certified
+infeasible only empirically, by its minimum staying above ``INFEASIBLE_TOL``.
 
 Each start runs on the finest block partition that it, the gradient map and
 the set's affine step keep (:func:`optim.invariant_blocks`), found once per
@@ -39,24 +42,27 @@ import numpy as np
 
 from . import matcore
 from .channels import Channel, MemoryChannel
+from .distances import one_use_upper
 from .matcore import Blocks, LabeledOperator
 from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_restarts
 from .sampling import rng_from
 from .testers import Tester, born_probabilities, tester_from_elements
 
 FEASIBLE_TOL = 1e-8
-INFEASIBLE_TOL = 1e-4
+INFEASIBLE_TOL = 1e-4  # multi-use decisions only
 ORTHOGONALITY_TOL = 1e-9  # the largest cross-Gram trace modulus counted as zero
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """A decision; ``restarts`` counts the starts that ran.  Its JSON report
-    leaves out ``witness`` and ``objective_history``."""
+    """A decision; ``restarts`` counts the starts that ran, and ``upper`` is
+    the least one-use distance bound taken (None for more uses).  Its JSON
+    report leaves out ``witness`` and ``objective_history``."""
 
     feasible: bool
     status: str
     residual: float
+    upper: float | None
     witness: LabeledOperator | None = field(metadata={"json": False})
     iterations: int
     restarts: int
@@ -222,24 +228,25 @@ def product_residual(c0: LabeledOperator, c1: LabeledOperator,
     return float(np.linalg.norm(matcore.lift_product(c0.matrix, y, c0.blocks)) ** 2)
 
 
-def _classify(best: float) -> str:
-    if best < FEASIBLE_TOL:
-        return "feasible"
-    if best > INFEASIBLE_TOL:
-        return "infeasible"
-    return "undetermined"
-
-
-def _decide(obj: _ProductObjective, xi_set: XiChainSet, restarts: int, seed,
-            max_iter: int) -> FeasibilityReport:
+def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiChainSet,
+            restarts: int, seed, max_iter: int) -> FeasibilityReport:
     """Minimize the objective over ``xi_set`` from each start, as a packed
-    iterate on its invariant partition, until one reaches zero.  The witness
-    carries the objective's free labels; ``restarts`` in the report counts
-    the starts that ran."""
+    iterate on its invariant partition, until one reaches zero or, for one
+    use, the bound at the uniform point or at a start's end proves
+    infeasibility.  The witness carries the objective's free labels;
+    ``restarts`` in the report counts the starts that ran."""
     require_restarts(restarts)
+    obj = _ProductObjective(c0, c1, fixed_labels)
+    uniform = xi_set.uniform()
+    upper, proof = None, False
+    if xi_set.uses == 1:
+        upper, allowance = one_use_upper(c0, c1, fixed_labels, uniform)
+        if upper < 2 - allowance:  # proven before any start
+            value = obj.value(uniform)
+            witness = LabeledOperator(uniform, obj.free_labels, obj.free_dims)
+            return FeasibilityReport(False, "infeasible", value, upper, witness, 0, 0, [value])
     rng = rng_from(seed)
-    starts = chain([xi_set.uniform()],
-                   (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
+    starts = chain([uniform], (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
     best, total_iter, ran = None, 0, 0
     for x0 in starts:
         blocks = invariant_blocks(x0, (obj.reach, xi_set.reach))
@@ -253,9 +260,19 @@ def _decide(obj: _ProductObjective, xi_set: XiChainSet, restarts: int, seed,
             best, best_blocks = res, blocks
         if best.value <= FEASIBLE_TOL * 1e-4:
             break
-    status = _classify(best.value)
+        if upper is not None:
+            bound, allowance = one_use_upper(c0, c1, fixed_labels, blocks.unpack(res.x))
+            upper = min(upper, bound)
+            if proof := bound < 2 - allowance:
+                break
+    if best.value < FEASIBLE_TOL:
+        status = "feasible"
+    elif proof or (upper is None and best.value > INFEASIBLE_TOL):
+        status = "infeasible"
+    else:
+        status = "undetermined"
     return FeasibilityReport(
-        feasible=status == "feasible", status=status, residual=best.value,
+        feasible=status == "feasible", status=status, residual=best.value, upper=upper,
         witness=LabeledOperator(best_blocks.unpack(best.x), obj.free_labels, obj.free_dims),
         iterations=total_iter, restarts=ran, objective_history=best.history,
     )
@@ -270,16 +287,16 @@ def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
     with every output fixed, which is that grouping, through its index map;
     the witness is a joint state of the inputs and carries their labels."""
     a, b = (MemoryChannel(c, len(c.labels) // 2).choi for c in (c0, c1))
-    obj = _ProductObjective(a, b, a.labels[1::2])
-    return _decide(obj, XiChainSet((obj.de,)), restarts, seed, max_iter)
+    xi_set = XiChainSet((int(np.prod(a.dims[0::2])),))
+    return _decide(a, b, a.labels[1::2], xi_set, restarts, seed, max_iter)
 
 
 def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
                          restarts: int = 20, seed: int = 0,
                          max_iter: int = 600) -> FeasibilityReport:
     """Decide the causal criterion by minimizing over tester normalizations."""
-    obj = _ProductObjective(c0.choi, c1.choi, [2 * c0.uses - 1])
-    return _decide(obj, XiChainSet(c0.dims[:-1]), restarts, seed, max_iter)
+    return _decide(c0.choi, c1.choi, [2 * c0.uses - 1], XiChainSet(c0.dims[:-1]),
+                   restarts, seed, max_iter)
 
 
 def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray) -> tuple[bool, float]:

@@ -501,13 +501,13 @@ class Blocks:
     @classmethod
     def of(cls, h: np.ndarray) -> "Blocks":
         """The components of the nonzero pattern of ``h`` (:func:`block_groups`).
-        A row 0 without zero entries joins every index, so such a matrix
-        skips the labelling; so does any other full row, once the edges are
-        found."""
+        A row without zero entries joins every index, so such a matrix skips
+        the labelling: row 0 is read first, then the row degrees of the
+        pattern, before any edge is listed."""
         n = h.shape[0]
-        if np.count_nonzero(h[:1]) == n:
+        if np.count_nonzero(h[:1]) == n or (pattern := h != 0).all(axis=1).any():
             return cls.one(n)
-        return cls(block_groups(h), n)
+        return cls(block_groups(pattern), n)
 
     def permuted(self, index: np.ndarray) -> "Blocks":
         """The partition of ``x[index][:, index]`` for a matrix ``x`` on this

@@ -182,9 +182,9 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
 
     Computes ``Tr_{13}[C0 C1]`` and compares it with ``I/d^3`` (the constant
     implied by the comb normalization; also reported against the quoted
-    ``I/d^2``), then runs the parallel feasibility solver, whose converged
-    minimum stays bounded away from zero - analytically it equals
-    ``Tr[rho^2]/d^6``, minimized at the maximally mixed input.
+    ``I/d^2``), then decides the parallel criterion: the distance bound at the
+    maximally mixed input, ``(d - 1 + sqrt((d - 1)(d + 3)))/d`` (fitted), is a
+    proof; the residual is the objective there, its minimum ``1/d^8``.
     """
     d = inst.d
     c0, c1 = inst.c0.choi, inst.c1.choi

@@ -222,7 +222,8 @@ def test_criterion_3_validators():
 def test_criterion_4_cb_distance_oracle():
     t0 = time.monotonic()
     rng = rng_from(4)
-    worst_rel = 0.0
+    worst_rel = widest = 0.0
+    outside = 0
     for d in (2, 3):
         for _ in range(50):
             u, v = haar_unitary(d, rng), haar_unitary(d, rng)
@@ -231,6 +232,9 @@ def test_criterion_4_cb_distance_oracle():
             est = cb_distance(a, b, restarts=10, seed=17)
             oracle = unitary_cb_oracle(u, v)
             worst_rel = max(worst_rel, abs(est.value - oracle) / max(oracle, 1e-12))
+            # the certified upper bound lies above the oracle
+            outside += not oracle <= est.upper
+            widest = max(widest, est.upper - est.value)
     ci = comb_from_sequence([identity_channel(2)]).choi
     same = cb_distance(ci, ci, restarts=3, seed=0).value
     cx = comb_from_sequence(
@@ -239,8 +243,10 @@ def test_criterion_4_cb_distance_oracle():
     flip = cb_distance(ci, cx, restarts=10, seed=0).value
     elapsed = time.monotonic() - t0
     ok = worst_rel <= 1e-3 and abs(same) <= 1e-9 and abs(flip - 2) <= 1e-3 \
-        and elapsed < 300
-    _line("4", ok, f"100 Haar pairs: worst relative error {worst_rel:.2e} (tol 1e-3); "
+        and elapsed < 300 and outside == 0
+    _line("4", ok, f"100 Haar pairs: worst relative error {worst_rel:.2e} (tol 1e-3), "
+                   f"oracle above the upper bound {outside} times, widest interval "
+                   f"{widest:.1e}; "
                    f"identical -> {same:.1e}; antipodal -> {flip:.6f}; "
                    f"runtime {elapsed:.0f}s (budget 300s)")
     assert ok

@@ -37,8 +37,9 @@ def test_parallel_identical_channels_infeasible():
     rep = parallel_discriminable(c, c, restarts=4, seed=0)
     assert rep.status == "infeasible"
     assert rep.residual > 1.0
-    # no start reaches zero, so every one of them runs
-    assert rep.restarts == 4
+    # the distance bound at the uniform point is 0, a proof before any start
+    assert rep.upper == 0.0
+    assert (rep.restarts, rep.iterations) == (0, 0)
 
 
 def test_parallel_identity_vs_exchange_feasible():
@@ -50,6 +51,11 @@ def test_parallel_identity_vs_exchange_feasible():
     ok, viol = kraus_orthogonality(identity_channel(2), unitary_channel(X),
                                    rep.witness.matrix)
     assert ok, viol
+    # halved, the pair is no pair of channels and its distance is 1, but the
+    # product still vanishes: the bound is read against the pair's own
+    # normalization, so it proves nothing and the descent finds the zero
+    half = parallel_discriminable(0.5 * ci, 0.5 * cx, restarts=4, seed=0)
+    assert half.feasible and abs(half.upper - 2.0) <= 1e-12
 
 
 def test_parallel_counterexample_infeasible():

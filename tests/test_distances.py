@@ -7,12 +7,14 @@ from combtester.channels import (
     identity_channel,
     unitary_channel,
 )
+from combtester import distances
 from combtester.cli import _jsonable
 from combtester.distances import (
     _lift,
     _memory_objective,
     cb_distance,
     memory_distance,
+    one_use_upper,
     unitary_cb_oracle,
 )
 from combtester.matcore import (
@@ -123,6 +125,47 @@ def test_cb_certified_at_achiever_and_in_range():
     direct = trace_norm(lift.matrix @ delta.matrix @ lift.matrix)
     assert abs(est.value - direct) <= 1e-9
     assert -1e-12 <= est.value <= 2 + 1e-9
+
+
+def test_cb_upper_bound_brackets_the_oracle_and_widens_when_truncated():
+    # a qutrit pair below distance 2: the converged seesaw's interval is
+    # narrow, one step of one restart leaves it visibly wide
+    rng = np.random.default_rng(3)
+    haar_unitary(2, rng), haar_unitary(2, rng)
+    u, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    a, b = (comb_from_sequence([unitary_channel(m)]).choi for m in (u, v))
+    oracle = unitary_cb_oracle(u, v)
+    assert oracle < 2 - 1e-3
+    full = cb_distance(a, b, restarts=10, seed=0)
+    short = cb_distance(a, b, restarts=1, seed=0, max_iter=1)
+    for est in (full, short):
+        assert est.value <= oracle <= est.upper <= 2.0
+    assert full.upper - full.value < 1e-5
+    assert short.upper - short.value > 0.1
+
+
+def test_memory_distance_bounds_one_use_only():
+    one = [comb_from_sequence([c]) for c in (identity_channel(2), unitary_channel(X))]
+    two = [comb_from_sequence([c, c]) for c in (identity_channel(2), unitary_channel(X))]
+    est = memory_distance(*one, restarts=2, seed=0)
+    assert est.upper == 2.0 and abs(est.value - 2.0) <= 1e-9
+    assert memory_distance(*two, restarts=1, seed=0, max_iter=5).upper is None
+
+
+@pytest.mark.parametrize("ladder", [(1e-8,), distances.EPS_LADDER])
+def test_one_use_upper_never_proves_a_feasible_pair_infeasible(ladder, monkeypatch):
+    # identity against exchange, one use and two, is perfectly discriminated
+    # by a product basis input: at that rank-deficient state, and at the
+    # smallest mixing alone, where ||rho_eps^-1/2||^2 = d_in / 1e-8, the bound
+    # stays at 2 within its allowance
+    monkeypatch.setattr(distances, "EPS_LADDER", ladder)
+    for uses in (1, 2):
+        c0, c1 = (comb_from_sequence([c] * uses).choi
+                  for c in (identity_channel(2), unitary_channel(X)))
+        pure = np.diag(np.arange(2 ** uses) == 0).astype(complex)
+        upper, allowance = one_use_upper(c0, c1, c0.labels[1::2], pure)
+        assert upper >= 2 - allowance
+        assert 0 < allowance < 1e-4
 
 
 def test_cb_symmetry():

@@ -192,15 +192,18 @@ def test_cli_discriminate_exit_codes(tmp_path):
 
 
 def test_cli_discriminate_undetermined(tmp_path):
-    # spread just below pi: the converged minimum lands between the
-    # feasibility and infeasibility thresholds
-    fi, _ = _files(tmp_path)
-    theta = np.pi - 2e-3
-    cu = comb_from_sequence([unitary_channel(np.diag([1.0, np.exp(1j * theta)]))])
-    fu = tmp_path / "cu.json"
-    formats.save(fu, cu)
-    assert main(["discriminate", "--mode", "parallel", fi, str(fu),
-                 "--restarts", "3"]) == 3
+    # spread just below pi: one use is proven infeasible by the distance
+    # bound at the uniform point; followed by an identity use, the causal
+    # minimum lands between the feasibility and infeasibility thresholds,
+    # and a multi-use decision has no bound
+    u = unitary_channel(np.diag([1.0, np.exp(1j * (np.pi - 2e-3))]))
+    files = []
+    for rest in ([], [identity_channel(2)]):
+        for first in (identity_channel(2), u):
+            files.append(str(tmp_path / f"c{len(files)}.json"))
+            formats.save(files[-1], comb_from_sequence([first] + rest))
+    assert main(["discriminate", "--mode", "parallel", *files[:2], "--restarts", "3"]) == 2
+    assert main(["discriminate", "--mode", "causal", *files[2:], "--restarts", "3"]) == 3
 
 
 def test_cli_distance(tmp_path, capsys):
@@ -243,7 +246,7 @@ def test_cli_paper_example(tmp_path, capsys):
     assert out["combs"]["c0"]["valid"] and out["combs"]["c1"]["valid"]
 
 
-_DECISION_KEYS = ["feasible", "status", "residual", "iterations", "restarts"]
+_DECISION_KEYS = ["feasible", "status", "residual", "upper", "iterations", "restarts"]
 
 
 def test_cli_report_layouts(tmp_path, capsys):
@@ -264,7 +267,7 @@ def test_cli_report_layouts(tmp_path, capsys):
         == _DECISION_KEYS
     for kind in ("cb", "memory"):
         out = report(["distance", "--kind", kind, fi, fx, "--restarts", "2"])
-        assert list(out) == ["value", "iterations", "restarts", "capped"]
+        assert list(out) == ["value", "upper", "iterations", "restarts", "capped"]
     assert list(report(["validate", fi])) == [
         "kind", "valid", "max_residual", "level_residuals", "min_eigenvalue"]
     assert list(report(["validate", str(ft)])) == [

@@ -278,6 +278,21 @@ def test_any_full_row_makes_one_block_without_union_rounds(monkeypatch):
     assert len(rounds) == 1
 
 
+def test_dense_matrix_with_a_zero_in_row_0_is_one_block_without_an_edge_list(monkeypatch):
+    # the row degrees of the pattern show the full rows before any edge is
+    # listed; a block diagonal matrix still gets the edge list's groups
+    rng = np.random.default_rng(48)
+    h = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+    h[0, 0] = 0.0
+    blocks = np.kron(np.eye(30), np.ones((10, 10)))[np.ix_(*[rng.permutation(300)] * 2)] * h
+    expected = [g.tolist() for g in block_groups(blocks)]
+    listed = []
+    edge_groups = matcore.edge_groups
+    monkeypatch.setattr(matcore, "edge_groups", lambda *a: listed.append(a) or edge_groups(*a))
+    assert Blocks.of(h).whole and listed == []
+    assert [g.tolist() for g in Blocks.of(blocks).groups] == expected and len(expected[0]) == 30
+
+
 @settings(max_examples=150, deadline=None)
 @given(h=_patterns(), seed=st.integers(0, 2 ** 32 - 1))
 def test_entry_built_operator_reads_as_its_matrix(h, seed):

@@ -7,7 +7,8 @@ import pytest
 from combtester import cli, matcore, separation, testers
 from combtester.channels import comb_from_isometries, validate_comb
 from combtester.matcore import LabeledOperator
-from combtester.distances import memory_distance
+from combtester.discrimination import parallel_discriminable
+from combtester.distances import memory_distance, one_use_upper
 from combtester.separation import (
     build_example,
     causal_protocol,
@@ -95,6 +96,27 @@ def test_parallel_impossibility_identity():
         assert rep.solver.residual > 1e-8
         assert abs(rep.solver.residual - 1.0 / d**8) < 1e-6
         assert rep.solver.status in ("infeasible", "undetermined")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_parallel_distance_of_the_counterexample_is_its_closed_form(d):
+    # the dual bound at the maximally mixed input is the fitted closed form
+    # (d - 1 + sqrt((d - 1)(d + 3))) / d, below 2 by far more than its
+    # allowance: a certified parallel distance, read from the entries
+    inst = build_example(d, cross_check=False)
+    upper, allowance = one_use_upper(inst.c0.choi, inst.c1.choi, [1, 3], np.eye(d * d))
+    assert abs(upper - (d - 1 + np.sqrt((d - 1) * (d + 3))) / d) <= 1e-12
+    assert allowance < 1e-8 and upper < 2 - 1e-2
+    assert "matrix" not in inst.c0.choi.__dict__
+
+
+def test_parallel_decision_on_d5_is_proven_without_descent():
+    inst = build_example(5, cross_check=False)
+    rep = parallel_discriminable(inst.c0.choi, inst.c1.choi, restarts=3, seed=0)
+    assert rep.status == "infeasible"
+    assert (rep.iterations, rep.restarts) == (0, 0)
+    assert abs(rep.upper - (4 + np.sqrt(32)) / 5) <= 1e-12
+    assert rep.residual == pytest.approx(1 / 5 ** 8, rel=1e-9)
 
 
 def test_quoted_constant_mismatch_is_reported():
@@ -229,8 +251,10 @@ def test_protocol_tester_matches_hand_built_elements():
 
 def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
     # C0 and C1 are built as their block entries, so they are never
-    # labelled; the two full-side labellings are the protocol tester's
-    # elements, from the entries collected while contracting them
+    # labelled; the three full-side labellings are the union partition of
+    # C0 - C1 that the parallel decision's distance bound reads, and the
+    # protocol tester's elements, from the entries collected while
+    # contracting them
     labelled = []
     edge_groups = matcore.edge_groups
 
@@ -243,8 +267,9 @@ def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
     capsys.readouterr()
     full = [flat for n, flat in labelled if n == 3 * 9 * 3 * 3]
     assert not any(np.array_equal(a, b) for i, a in enumerate(full) for b in full[:i])
-    assert len(full) == 2
-    # with the two POVM elements, the input state and the parallel start
+    assert len(full) == 3
+    # with the two POVM elements and the input state; the bound proves the
+    # parallel decision at the uniform point, so no start is labelled
     assert len(labelled) == 6
 
 

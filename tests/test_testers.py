@@ -363,7 +363,8 @@ def _reference_elements(tc: TesterCircuit) -> list[np.ndarray]:
     state = tc.input_state.reshape(sd[0], ad[0], sd[0], ad[0])
     side = int(np.prod(sd))
     return [np.einsum("XSxs,SYT,syt,ztZT->xyzXYZ", state, ket, ket.conj(),
-                      m.reshape(sd[-1], ad[-1], sd[-1], ad[-1])).reshape(side, side)
+                      m.reshape(sd[-1], ad[-1], sd[-1], ad[-1]),
+                      optimize=True).reshape(side, side)
             for m in tc.povm]
 
 
