@@ -17,9 +17,11 @@ The objective is a convex quadratic, so the minimum found is global and a
 small value is a constructive feasibility certificate.  A one-use problem
 (every parallel decision) is proven infeasible by a distance bound below 2
 (:func:`distances.one_use_upper`), taken at the uniform point before any
-descent and at each start's end, stopping at the first proof; without a
-proof or a zero it is ``undetermined``.  A multi-use decision is certified
-infeasible only empirically, by its minimum staying above ``INFEASIBLE_TOL``.
+descent, with the residual there read off the combs' block squares, and at
+each start's end, stopping at the first proof; without a proof or a zero it
+is ``undetermined``.  A multi-use decision is certified infeasible only
+empirically, by its minimum staying above ``INFEASIBLE_TOL``.  Synthesis
+runs on the block entries of the combs and the lifted witness.
 
 Each start runs on the finest block partition that it, the gradient map and
 the set's affine step keep (:func:`optim.invariant_blocks`), found once per
@@ -46,7 +48,7 @@ from .distances import one_use_upper
 from .matcore import Blocks, LabeledOperator
 from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_restarts
 from .sampling import rng_from
-from .testers import Tester, born_probabilities, tester_from_elements
+from .testers import Tester, born_probabilities, tester_from_elements, validate_tester
 
 FEASIBLE_TOL = 1e-8
 INFEASIBLE_TOL = 1e-4  # multi-use decisions only
@@ -211,9 +213,9 @@ class _ProductObjective:
 
 def product_residual(c0: LabeledOperator, c1: LabeledOperator,
                      fixed_labels, x: LabeledOperator) -> float:
-    """Direct ``||C0 ((x ⊗ I_fixed) C1)||_F^2`` (:func:`matcore.lift_product`
-    on the partitions of ``x`` and ``C0``), to cross-check the fast
-    objective; raises on any mismatch of spaces."""
+    """Direct ``||C0 (x ⊗ I_fixed) C1||_F^2``, block by block on the combs'
+    joint partition with ``x ⊗ I`` (:func:`matcore._lifted`), to cross-check
+    the fast objective; raises on any mismatch of spaces."""
     spaces, fixed = dict(zip(c0.labels, c0.dims)), set(fixed_labels)
     if not fixed <= spaces.keys():
         raise ValueError(f"fixed labels {sorted(fixed - spaces.keys())} are not on the combs")
@@ -222,10 +224,18 @@ def product_residual(c0: LabeledOperator, c1: LabeledOperator,
     free = {l: d for l, d in spaces.items() if l not in fixed}
     if dict(zip(x.labels, x.dims)) != free:
         raise ValueError(f"witness dims {x.dims} on {x.labels} are not the free spaces {free}")
+    x = x.permuted(tuple(free))
     order = tuple(free) + tuple(l for l in c0.labels if l in fixed)
-    x, c0 = x.permuted(tuple(free)), c0.permuted(order)
-    y = matcore.lift_product(x.matrix, c1.permuted(order).matrix, x.blocks)
-    return float(np.linalg.norm(matcore.lift_product(c0.matrix, y, c0.blocks)) ** 2)
+    blocks, (a, b), lift = matcore._lifted((c0, c1), order, x.matrix, x.blocks.index)
+    return float(np.linalg.norm(blocks.product(a, lift, b)) ** 2)
+
+
+def _squares_trace(c0: LabeledOperator, c1: LabeledOperator) -> float:
+    """``Tr[C0² C1²]``, the objective at ``x = I``, from the block squares of
+    combs in one factor order."""
+    q, r = (c.blocks.square(c.entries) for c in (c0, c1))
+    where, on = c1.blocks.locate(*c0.blocks.index)
+    return float(np.vdot(np.where(on, r[where], 0), q).real)
 
 
 def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiChainSet,
@@ -236,15 +246,16 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
     infeasibility.  The witness carries the objective's free labels;
     ``restarts`` in the report counts the starts that ran."""
     require_restarts(restarts)
-    obj = _ProductObjective(c0, c1, fixed_labels)
+    free = [l for l in c0.labels if l not in set(fixed_labels)]  # the witness's spaces
     uniform = xi_set.uniform()
     upper, proof = None, False
     if xi_set.uses == 1:
         upper, allowance = one_use_upper(c0, c1, fixed_labels, uniform)
         if upper < 2 - allowance:  # proven before any start
-            value = obj.value(uniform)
-            witness = LabeledOperator(uniform, obj.free_labels, obj.free_dims)
+            value = float(uniform[0, 0] ** 2 * _squares_trace(c0, c1))
+            witness = LabeledOperator(uniform, free, [c0.dim_of(l) for l in free])
             return FeasibilityReport(False, "infeasible", value, upper, witness, 0, 0, [value])
+    obj = _ProductObjective(c0, c1, fixed_labels)
     rng = rng_from(seed)
     starts = chain([uniform], (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
     best, total_iter, ran = None, 0, 0
@@ -273,7 +284,7 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
         status = "undetermined"
     return FeasibilityReport(
         feasible=status == "feasible", status=status, residual=best.value, upper=upper,
-        witness=LabeledOperator(best_blocks.unpack(best.x), obj.free_labels, obj.free_dims),
+        witness=LabeledOperator(best_blocks.unpack(best.x), free, [c0.dim_of(l) for l in free]),
         iterations=total_iter, restarts=ran, objective_history=best.history,
     )
 
@@ -385,26 +396,29 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
                       witness: LabeledOperator) -> Tester:
     """Two-outcome tester discriminating the combs, built from a witness.
 
-    Sandwiches the Choi difference with the square root of the witness
-    normalization, lifts the projector onto the positive part of the result
-    back as outcome 0 and gives outcome 1 the rest of ``Xi ⊗ I``, kernel
-    included, sandwiching on the blocks of the root (:func:`matcore.lift_sandwich`).
-    Refuses to certify when the witness residual exceeds 1e-6, too large for
-    the construction to be meaningful, or its spaces do not match the combs'.
+    ``P0 = L Π₊(LΔL) L`` with ``L = Xi^1/2 ⊗ I``, and ``P1 = Xi ⊗ I - P0``,
+    block by block on the combs' joint partition with ``L``
+    (:func:`matcore._lifted`).  Refuses to certify when the witness residual
+    exceeds 1e-6, too large for the construction to be meaningful, when its
+    spaces do not match the combs', or when the tester fails validation.
     """
     res = product_residual(c0.choi, c1.choi, [2 * c0.uses - 1], witness)
     if res > 1e-6:
         raise ValueError(f"witness residual {res:.3e} exceeds 1.0e-06; "
                          "cannot certify perfect discrimination")
-    witness = witness.sorted()
-    xi, blocks = witness.matrix, witness.blocks  # the root vanishes off the blocks of xi
-    root = matcore.psd_sqrt_matrix(xi, blocks)
-    t = matcore.lift_sandwich(root, c0.choi.matrix - c1.choi.matrix, blocks)
-    pos = matcore.spectral_map(t, _positive_support, checked=True)
-    p0 = matcore.lift_sandwich(root, pos, blocks)
-    p1 = -p0  # Xi ⊗ I_top - p0, adding xi on the top space's diagonal
-    matcore.tail_diagonal(p1, c0.dims[-1])[...] += xi[:, :, None]
-    return tester_from_elements([c0.choi._like(p) for p in (p0, p1)], c0.uses)
+    witness, labels, top = witness.sorted(), c0.choi.labels, c0.dims[-1]
+    root = matcore.psd_sqrt_matrix(witness.matrix, witness.blocks)  # vanishes off those blocks
+    blocks, (a, b), lift = matcore._lifted((c0.choi, c1.choi), labels, root, witness.blocks.index)
+    tilted = matcore._checked_hermitian(blocks, blocks.product(lift, a - b, lift))
+    p0 = blocks.product(lift, blocks.map(tilted, _positive_support), lift)
+    rows, cols = blocks.index
+    p1 = np.where(rows % top == cols % top, witness.matrix[rows // top, cols // top], 0) - p0
+    t = tester_from_elements([LabeledOperator._nonzeros(rows, cols, p, labels, c0.dims)
+                              for p in (p0, p1)], c0.uses)
+    if not (check := validate_tester(t, 1e-8)).valid:
+        raise ValueError(f"synthesized tester has max_residual {check.max_residual:.3e}; "
+                         "cannot certify perfect discrimination")
+    return t
 
 
 def delta_matrix(t: Tester, combs) -> np.ndarray:

@@ -20,7 +20,8 @@ at its iteration cap rather than by its stopping rule is counted in
 All estimates are certified lower bounds: the returned value is the
 objective re-evaluated at the returned achiever, never the raw iterate
 score.  A one-use estimate's ``upper`` is certified (:func:`one_use_upper`);
-2 bounds every distance, attained exactly for perfectly discriminable inputs.
+2 bounds every distance, clips both ends, and is attained exactly for
+perfectly discriminable inputs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import matcore
 from .channels import MemoryChannel
-from .matcore import Blocks, LabeledOperator, psd_sqrt_matrix, regroup_index, trace_norm
+from .matcore import LabeledOperator, psd_sqrt_matrix, trace_norm
 from .optim import XiChainSet, require_restarts
 from .sampling import random_pure_state, rng_from
 from .unitary import discriminability
@@ -95,9 +96,9 @@ def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
     channels, a bound below 2 less its allowance proves that no state makes
     ``C0 (x ⊗ I) C1`` vanish.  It is the least, with its allowance ``4·side
     ·eps·(||LΔL||_1·d_in/ε + 1)``, over the ε of :data:`EPS_LADDER` (one ε
-    for ``ρ ∝ I``), clipped at 2.  The ladder runs as copies of one
-    partition: the combs' partitions read in (inputs, outputs) order joined
-    with that of ``ρ_ε ⊗ I``, on which ``|LΔL|`` is one :meth:`Blocks.map`.
+    for ``ρ ∝ I``), clipped at 2.  The ladder runs as copies of the combs'
+    joint partition with ``ρ_ε ⊗ I`` (:func:`matcore._lifted`), on which
+    ``|LΔL|`` is one :meth:`Blocks.map`.
     """
     order = sorted(c0.labels, key=set(fixed_labels).__contains__)  # inputs, then outputs
     n, d_in = c0.side, rho.shape[0]
@@ -105,28 +106,16 @@ def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
     rho = matcore._hermitian(rho / np.trace(rho).real)
     mixed = np.array_equal(rho, np.eye(d_in) * rho[0, 0])
     ladder = np.array(EPS_LADDER[:1] if mixed else EPS_LADDER)
-    combs = [(c, regroup_index(c.dims, [c.labels.index(l) for l in order])) for c in (c0, c1)]
-    a, b = np.nonzero((rho != 0) | np.eye(d_in, dtype=bool))
-    o = np.arange(out)
-    flat = [((a[:, None] * out + o) * n + b[:, None] * out + o).ravel()]
-    flat += [r * n + c for r, c in (comb.blocks.permuted(i).index for comb, i in combs)]
-    flat = np.sort(np.concatenate(flat))  # each position once; faster than np.unique
-    groups = matcore.edge_groups(*np.divmod(flat[np.diff(flat, prepend=-1) != 0], n), n)
-    k = ladder.size
-    blocks = Blocks([np.concatenate([g + n * e for e in range(k)]) for g in groups], k * n)
-    rows, cols = blocks.index
-    e, r = np.divmod(rows, n)  # the ladder step, and the row and column in it
-    c = cols % n
-    c0_at, c1_at = (comb.at(i[r], i[c]) for comb, i in combs)
     mixings = ladder[:, None, None]
     w, u = np.linalg.eigh((1 - mixings) * rho + mixings * np.eye(d_in) / d_in)
     w = np.maximum(w, ladder[:, None] / d_in)[:, None, :]
     root, inv_root = ((u * f) @ matcore._dagger(u) for f in (np.sqrt(w), 1 / np.sqrt(w)))
-    same = r % out == c % out  # the entries of L, and those Tr_out reads
-    lift = blocks.stacks(np.where(same, root[e, r // out, c // out], 0))
-    x = blocks.join([l @ dl @ l for l, dl in zip(lift, blocks.stacks(c0_at - c1_at))])
+    blocks, (c0_at, c1_at), lift = matcore._lifted((c0, c1), order, root, np.nonzero(rho))
+    x = blocks.product(lift, c0_at - c1_at, lift)
+    (e, r), c = np.divmod(blocks.index[0], n), blocks.index[1] % n  # ladder step, row, column
+    same = r % out == c % out  # the entries Tr_out reads
     at = ((e * d_in + r // out) * d_in + c // out)[same]
-    t, s = (matcore._summed(at, v[same], k * d_in * d_in).reshape(k, d_in, d_in)
+    t, s = (matcore._summed(at, v[same], ladder.size * d_in ** 2).reshape(-1, d_in, d_in)
             for v in (blocks.map(x, np.abs), c0_at + c1_at))
     lam = np.linalg.eigvalsh(matcore._hermitian(inv_root @ t @ inv_root - s))[:, -1]
     norm = np.trace(t, axis1=1, axis2=2).real  # ||LΔL||_1
@@ -206,7 +195,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     value = _memory_objective(diff, out_label)[0](rho)
     achiever = LabeledOperator(rho, (in_label,), (d_in,))
     return DistanceEstimate(
-        value=float(value), upper=min(2.0, sum(one_use_upper(c0, c1, [out_label], rho))),
+        value=min(2.0, float(value)), upper=min(2.0, sum(one_use_upper(c0, c1, [out_label], rho))),
         achiever=achiever, iterations=total_iter,
         restarts=count, capped=live.size, history=histories[first],
     )
@@ -297,6 +286,6 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     achiever = LabeledOperator(best_xi, xi_set.labels, xi_set.dims)
     upper = min(2.0, sum(one_use_upper(a, b, [top], best_xi))) if c0.uses == 1 else None
     return DistanceEstimate(
-        value=float(cert), upper=upper, achiever=achiever, iterations=total_iter,
+        value=min(2.0, float(cert)), upper=upper, achiever=achiever, iterations=total_iter,
         restarts=len(starts), capped=capped, history=best_hist,
     )

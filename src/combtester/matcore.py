@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,6 +87,17 @@ class LabeledOperator:
         object.__setattr__(op, "blocks", blocks)
         object.__setattr__(op, "_entries", entries)
         return op
+
+    @classmethod
+    def _nonzeros(cls, rows, cols, values, labels, dims) -> "LabeledOperator":
+        """``values`` at the distinct positions ``(rows, cols)``, 0 elsewhere,
+        built as the entries of its nonzero pattern's components (:meth:`_packed`)."""
+        on = values != 0
+        rows, cols, side = rows[on], cols[on], math.prod(dims)
+        blocks = Blocks(edge_groups(rows, cols, side), side)
+        entries = np.zeros(blocks.size, dtype=complex)
+        entries[blocks.locate(rows, cols)[0]] = values[on]
+        return cls._packed(blocks, entries, labels, dims)
 
     def _own(self, m: np.ndarray, labels, dims) -> None:
         self._spaces(labels, dims, m.shape)
@@ -619,12 +630,14 @@ class Blocks:
         """``(x + x^dagger) / 2`` in packed form, without a scan."""
         return (np.asarray(v) + self.dagger(v)) / 2
 
+    def product(self, *vs) -> np.ndarray:
+        """The product of the matrices packed as ``vs``, which vanish off these
+        blocks, block by block: exact up to rounding, as it vanishes off them too."""
+        return self.join([reduce(np.matmul, bs) for bs in zip(*map(self.stacks, vs))])
+
     def square(self, v: np.ndarray) -> np.ndarray:
-        """``h @ h`` in packed form for the packed ``v`` of an ``h`` that
-        vanishes off these blocks, multiplied block by block.  Exact up to
-        rounding: the square vanishes off the blocks too, and each block of
-        it is the block's square."""
-        return self.join([b @ b for b in self.stacks(v)])
+        """:meth:`product` of the packed ``v`` with itself."""
+        return self.product(v, v)
 
     def eigvalsh(self, v: np.ndarray) -> np.ndarray:
         """Ascending eigenvalues of the Hermitian matrix packed as ``v``, with
@@ -656,31 +669,26 @@ class Blocks:
         return self.join(out)
 
 
-def lift_product(l: np.ndarray, m: np.ndarray, blocks: Blocks | None = None) -> np.ndarray:
-    """``(l ⊗ I_top) @ m`` on the blocks of ``l`` (:meth:`Blocks.of`, unless
-    given), stacked per block size: a block of size 1 scales its rows of ``m``
-    and one block is one GEMM; exact up to rounding, since ``l`` vanishes off its blocks."""
-    blocks = blocks or Blocks.of(l)
-    if blocks.groups[0].shape == (blocks.side, 1):  # diagonal: scale m in its memory order
-        return np.repeat(l.diagonal(), m.shape[0] // blocks.side)[:, None] * m
-    rows = m.reshape(blocks.side, -1)
-    if blocks.whole:
-        return (l @ rows).reshape(m.shape)
-    out = np.empty(rows.shape, dtype=complex)
-    for g in blocks.groups:
-        if g.shape[1] == 1:
-            out[g[:, 0]] = l[g, g] * rows[g[:, 0]]
-        else:
-            out[g] = l[g[:, :, None], g[:, None, :]] @ rows[g]
-    return out.reshape(m.shape)
-
-
-def lift_sandwich(l: np.ndarray, m: np.ndarray, blocks: Blocks | None = None) -> np.ndarray:
-    """``(l ⊗ I_top) m (l ⊗ I_top)``: :func:`lift_product` from the left,
-    then on the transposes from the right, on one labelling of ``l``
-    (:meth:`Blocks.of`, unless given)."""
-    blocks = blocks or Blocks.of(l)
-    return lift_product(l.T, lift_product(l, m, blocks).T, blocks).T
+def _lifted(ops, order, root: np.ndarray, support) -> tuple[Blocks, list, np.ndarray]:
+    """The joint partition (:func:`edge_groups`) of operators on one set of spaces,
+    read in ``order`` (free first, fixed last) by :func:`regroup_index`, and of
+    ``root ⊗ I_fixed`` for a root on the free spaces that vanishes off ``support``;
+    and the packed entries on it of each operator and of the lift, so products and
+    spectral maps run block by block.  ``k`` stacked roots tile it ``k`` times."""
+    if len({frozenset(zip(op.labels, op.dims)) for op in ops}) > 1:
+        raise ValueError("operators act on different spaces")
+    n, roots = ops[0].side, root.reshape((-1,) + root.shape[-2:])
+    k, out, (a, b) = len(roots), n // roots.shape[-1], support
+    index = [regroup_index(op.dims, [op.labels.index(l) for l in order]) for op in ops]
+    o = np.arange(out)
+    flat = [((a[:, None] * out + o) * n + b[:, None] * out + o).ravel()]
+    flat += [r * n + c for r, c in (op.blocks.permuted(i).index for op, i in zip(ops, index))]
+    flat = np.sort(np.concatenate(flat))  # each position once; faster than np.unique
+    groups = edge_groups(*np.divmod(flat[np.diff(flat, prepend=-1) != 0], n), n)
+    blocks = Blocks([np.concatenate([g + n * e for e in range(k)]) for g in groups], k * n)
+    (e, r), c = np.divmod(blocks.index[0], n), blocks.index[1] % n
+    lift = np.where(r % out == c % out, roots[e, r // out, c // out], 0)
+    return blocks, [op.at(i[r], i[c]) for op, i in zip(ops, index)], lift
 
 
 def _checked_hermitian(blocks: Blocks, v: np.ndarray) -> np.ndarray:

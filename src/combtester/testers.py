@@ -17,7 +17,8 @@ explicitly; the two must agree, which pins down every transpose convention.
 The key fact, fixed by the row-major vectorization: a circuit that prepares
 ``sigma`` and measures ``M_i`` directly on a single channel use has tester
 elements ``sigma^T``-weighted, i.e. the chain element is the transpose of
-the prepared reduced input state.
+the prepared reduced input state.  The POVM reduction and the reduced state
+sandwich by the lifted chain root block by block (:func:`matcore._lifted`).
 """
 
 from __future__ import annotations
@@ -185,22 +186,26 @@ def povm_from_tester(t: Tester) -> list[LabeledOperator]:
     """POVM on the reduced output state, inverting the chain sandwiching.
 
     The inverse square root of the top chain element, taken on its support,
-    sandwiches each element (:func:`matcore.lift_sandwich`); the completion
-    defect (its kernel, lifted) is assigned to the last outcome so the
-    operators sum to the identity exactly.
+    sandwiches each element block by block (:func:`matcore._lifted`); the
+    completion defect (its kernel, lifted) is assigned to the last outcome so
+    the operators sum to the identity exactly.
     """
-    root = matcore.psd_inv_sqrt_matrix(t.chain[-1].matrix)
-    povm = [matcore.lift_sandwich(root, e.matrix) for e in t.elements]
-    povm[-1] = povm[-1] + (np.eye(len(povm[0])) - sum(povm[1:], povm[0]))
-    return [e._like(p) for e, p in zip(t.elements, povm)]
+    root, labels = matcore.psd_inv_sqrt_matrix(t.chain[-1].matrix), t.elements[0].labels
+    blocks, elements, lift = matcore._lifted(t.elements, labels, root, np.nonzero(root))
+    rows, cols = blocks.index
+    povm = [blocks.product(lift, e, lift) for e in elements]
+    povm[-1] = povm[-1] + ((rows == cols) - sum(povm[1:], povm[0]))
+    return [LabeledOperator._nonzeros(rows, cols, p, labels, t.elements[0].dims) for p in povm]
 
 
 def reduced_state(mc: MemoryChannel, t: Tester) -> LabeledOperator:
     """Output state after the tester's processing: the Choi operator
-    sandwiched by the root of the top chain element (:func:`matcore.lift_sandwich`)."""
+    sandwiched by the root of the top chain element (:func:`matcore._lifted`)."""
     _require_same_spaces(t, mc)
     root = matcore.psd_sqrt_matrix(t.chain[-1].matrix)
-    return mc.choi._like(matcore.lift_sandwich(root, mc.choi.matrix))
+    blocks, (c,), lift = matcore._lifted((mc.choi,), mc.choi.labels, root, np.nonzero(root))
+    c = blocks.product(lift, c, lift)
+    return LabeledOperator._nonzeros(*blocks.index, c, mc.choi.labels, mc.dims)
 
 
 @dataclass(frozen=True)
@@ -296,12 +301,9 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
             r, c = np.divmod(on, w)
             flat.append((x * w + r) * side + X * w + c)
             values.append(part.reshape(-1)[on])
-        flat, values = np.concatenate(flat), np.concatenate(values)
-        rows, cols = np.divmod(flat, side)
-        blocks = matcore.Blocks(matcore.edge_groups(rows, cols, side), side)
-        entries = np.zeros(blocks.size, dtype=complex)
-        entries[flat if blocks.whole else blocks.locate(rows, cols)[0]] = values
-        elements.append(LabeledOperator._packed(blocks, entries, range(2 * n), sd))
+        rows, cols = np.divmod(np.concatenate(flat), side)
+        elements.append(LabeledOperator._nonzeros(rows, cols, np.concatenate(values),
+                                                  range(2 * n), sd))
     return tester_from_elements(elements, n)
 
 

@@ -165,12 +165,21 @@ def test_causal_draws_random_starts_only_when_they_run(monkeypatch):
 
 
 def test_causal_counterexample_d4_feasible_and_synthesis():
+    # synthesis, its check and the Born table run on block entries: together
+    # they hold less than one side-1024 complex matrix (16 MB), where dense
+    # sandwiches of the combs took synthesis alone to about 101 MB
     inst = build_example(4)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=1, seed=0, max_iter=1500)
     assert rep.status == "feasible", rep.residual
-    t = synthesize_tester(inst.c0, inst.c1, rep.witness)
-    assert np.abs(delta_matrix(t, [inst.c0, inst.c1]) - np.eye(2)).max() <= 1e-6
-    assert validate_tester(t, 1e-8).valid
+
+    def synthesized():
+        t = synthesize_tester(inst.c0, inst.c1, rep.witness)
+        return validate_tester(t, 1e-8), delta_matrix(t, [inst.c0, inst.c1])
+
+    (check, table), peak = traced_peak(synthesized)
+    assert np.abs(table - np.eye(2)).max() <= 1e-6
+    assert check.valid
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
 
 
 def test_causal_consistent_with_parallel_on_memoryless():
@@ -253,6 +262,18 @@ def test_synthesize_refuses_bad_witness():
     xi = LabeledOperator(xi_set.uniform(), xi_set.labels, xi_set.dims)
     with pytest.raises(ValueError):
         synthesize_tester(mc, mc, xi)
+
+
+def test_synthesize_refuses_a_tester_that_fails_validation():
+    # a feasible witness scaled by 1.5 keeps its zero product residual, but
+    # the tester built from it has a chain of trace 1.5
+    inst = build_example(2)
+    rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=0, max_iter=1500)
+    assert rep.feasible, rep.residual
+    scaled = rep.witness * 1.5
+    assert product_residual(inst.c0.choi, inst.c1.choi, [3], scaled) <= 1e-20
+    with pytest.raises(ValueError, match="max_residual"):
+        synthesize_tester(inst.c0, inst.c1, scaled)
 
 
 def test_fast_objective_matches_direct_product():
@@ -368,8 +389,9 @@ def _dense_sandwich(root, m):
 def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     # the counterexample's iterates and witness are diagonal and its
     # sandwiched difference has blocks of side d, so no dense eigh runs;
-    # synthesis, POVM reduction and reduced state lift the root of the top
-    # chain element on its blocks, with no product of labeled operators
+    # synthesis, POVM reduction and reduced state sandwich on the joint
+    # partition of their operands and the lifted root, with no product of
+    # labeled operators
     shapes = []
     eigh = np.linalg.eigh
 
@@ -385,13 +407,13 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     inst = build_example(3)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
     assert rep.feasible, rep.residual
-    # the decision labelled C0; synthesis labels the witness, once for its
-    # residual and its root, and the sandwiched difference
+    # synthesis labels the witness once, for its residual and its root; the
+    # sandwiched difference is never a matrix, so it is not labelled
     labelled = []
     block_groups = matcore.block_groups
     monkeypatch.setattr(matcore, "block_groups", lambda h: labelled.append(h) or block_groups(h))
     t = synthesize_tester(inst.c0, inst.c1, rep.witness)
-    assert [h.shape[0] for h in labelled] == [81, 243]
+    assert [h.shape[0] for h in labelled] == [81]
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
     povm = povm_from_tester(t)

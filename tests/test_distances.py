@@ -149,6 +149,7 @@ def test_memory_distance_bounds_one_use_only():
     two = [comb_from_sequence([c, c]) for c in (identity_channel(2), unitary_channel(X))]
     est = memory_distance(*one, restarts=2, seed=0)
     assert est.upper == 2.0 and abs(est.value - 2.0) <= 1e-9
+    assert est.value <= est.upper
     assert memory_distance(*two, restarts=1, seed=0, max_iter=5).upper is None
 
 

@@ -17,8 +17,6 @@ from combtester.matcore import (
     eigh,
     eigvalsh,
     identity,
-    lift_product,
-    lift_sandwich,
     link,
     partial_trace,
     psd_inv_sqrt,
@@ -513,23 +511,57 @@ def test_blocks_map_reads_size_one_blocks_as_eigh(blocks, dense_side, dense_kind
 
 
 @settings(max_examples=60, deadline=None)
-@given(**block_diagonal_cases, top=st.integers(1, 3), diagonal=st.booleans(),
-       cols=st.integers(1, 4))
-def test_lift_product_and_sandwich_match_kron(blocks, dense_side, dense_kind, seed,
-                                              top, diagonal, cols):
+@given(**block_diagonal_cases, fixed=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       diagonal=st.booleans(), deficient=st.booleans(), coarse=st.booleans(),
+       parts=st.integers(1, 6), density=st.sampled_from([0.2, 0.6, 1.0]))
+def test_lifted_sandwich_matches_kron(blocks, dense_side, dense_kind, seed, fixed, diagonal,
+                                      deficient, coarse, parts, density):
     # size-1, zero and dense blocks under a shuffle; the complex factor makes
-    # l non-Hermitian, so the sandwich's right product must use l itself
+    # the root non-Hermitian, so the sandwich's right product must use the
+    # root itself.  A root with a zeroed row and column is rank-deficient;
+    # its support is read off its entries or, coarser, off the partition of
+    # the matrix it came from.  The operators sit on the free space and the
+    # fixed spaces in shuffled factor orders, one of them entry-built.
     h, _ = _permuted_block_diagonal(blocks, dense_side, dense_kind, seed)
-    l = (np.diag(np.diag(h)) if diagonal else h) * (1.0 - 0.5j)
     rng = np.random.default_rng(seed)
-    side = len(l) * top
-    m = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    lift = np.kron(l, np.eye(top))
-    norm_l, norm_m = max(1.0, np.linalg.norm(l)), np.linalg.norm(m)
-    assert np.abs(lift_product(l, m) - lift @ m).max() <= 1e-12 * norm_l * norm_m
-    assert np.abs(lift_product(l, m[:, :cols]) - lift @ m[:, :cols]).max() <= (
-        1e-12 * norm_l * norm_m)
-    assert np.abs(lift_sandwich(l, m) - lift @ m @ lift).max() <= 1e-12 * norm_l ** 2 * norm_m
+    root = (np.diag(np.diag(h)) if diagonal else h) * (1.0 - 0.5j)
+    if deficient:
+        drop = rng.integers(len(root))
+        root[drop], root[:, drop] = 0, 0
+    support = Blocks.of(h).index if coarse else np.nonzero(root)
+    dims = {0: len(root)} | {1 + k: d for k, d in enumerate(fixed)}
+    side, top = int(np.prod(list(dims.values()))), int(np.prod(fixed))
+    order = tuple(dims)
+    ops = []
+    for built in (False, True):
+        labels = tuple(rng.permutation(order))
+        m = _block_sparse(side, parts, density, rng)
+        op = LabeledOperator(m, labels, [dims[l] for l in labels])
+        ops.append(LabeledOperator._nonzeros(*np.nonzero(m), m[np.nonzero(m)], labels, op.dims)
+                   if built else op)
+    partition, entries, lift = matcore._lifted(ops, order, root, support)
+    kron = np.kron(root, np.eye(top))
+    assert np.array_equal(partition.unpack(lift), kron)
+    norm_l = max(1.0, np.linalg.norm(root))
+    for op, v in zip(ops, entries):
+        m = op.permuted(order).matrix
+        assert np.array_equal(partition.unpack(v), m)
+        sandwich = partition.unpack(partition.product(lift, v, lift))
+        assert np.abs(sandwich - kron @ m @ kron).max() <= 1e-12 * norm_l ** 2 * np.linalg.norm(m)
+    # a stack of roots tiles the partition, one copy per root
+    tiled, stacked, lifts = matcore._lifted(ops, order, np.stack([root, 2 * root]), support)
+    assert tiled.side == 2 * side and tiled.size == 2 * partition.size
+    expected = np.zeros((2 * side, 2 * side), dtype=complex)
+    expected[:side, :side], expected[side:, side:] = kron, 2 * kron
+    assert np.array_equal(tiled.unpack(lifts), expected)
+    assert np.array_equal(tiled.unpack(stacked[0])[side:, side:], ops[0].permuted(order).matrix)
+
+
+def test_lifted_rejects_operators_on_other_spaces():
+    a = LabeledOperator(np.eye(6), (0, 1), (2, 3))
+    b = LabeledOperator(np.eye(6), (0, 1), (3, 2))
+    with pytest.raises(ValueError, match="different spaces"):
+        matcore._lifted((a, b), (0, 1), np.eye(2), np.nonzero(np.eye(2)))
 
 
 def test_spectral_map_checked_rejects_non_hermitian_blocks():

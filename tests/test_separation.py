@@ -7,7 +7,9 @@ import pytest
 from combtester import cli, matcore, separation, testers
 from combtester.channels import comb_from_isometries, validate_comb
 from combtester.matcore import LabeledOperator
-from combtester.discrimination import parallel_discriminable
+from combtester.discrimination import (
+    causal_discriminable, parallel_discriminable, synthesize_tester,
+)
 from combtester.distances import memory_distance, one_use_upper
 from combtester.separation import (
     build_example,
@@ -19,7 +21,9 @@ from combtester.separation import (
     shift_multiply,
     verify_parallel_impossible,
 )
-from combtester.testers import born_probabilities, simulate_tester_circuit, validate_tester
+from combtester.testers import (
+    born_probabilities, povm_from_tester, reduced_state, simulate_tester_circuit, validate_tester,
+)
 from test_testers import _reference_elements, assert_entry_built_as
 from util import traced_peak
 
@@ -184,6 +188,23 @@ def test_protocol_tester_holds_no_temporary_of_element_size():
     assert peak < 0.25 * element, peak / element
 
 
+def test_protocol_d4_reduction_holds_no_side_1024_matrix():
+    # the POVM reduction and the reduced state sandwich the entry-built
+    # elements and comb block by block: each holds less than one side-1024
+    # complex matrix (16 MB), where dense sandwiches peaked at 105 and 49 MB
+    inst = build_example(4)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    tester, _ = causal_protocol(inst, psi)
+    povm, peak = traced_peak(povm_from_tester, tester)
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
+    assert abs(sum(p.trace() for p in povm) - tester.elements[0].side) <= 1e-9
+    reduced, peak = traced_peak(reduced_state, inst.c0, tester)
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
+    # Tr[(Xi^1/2 ⊗ I) C (Xi^1/2 ⊗ I)] = Tr[(Xi ⊗ I) C], the sum of the Born table
+    assert abs(reduced.trace() - 1.0) <= 1e-9
+
+
 def test_protocol_simulation_agrees_with_born():
     inst = build_example(2)
     psi = np.array([1.0, 0.0], dtype=complex)
@@ -293,6 +314,13 @@ def test_combs_and_protocol_elements_are_entry_built_as_their_matrices(d):
     for e, ref in zip(testers.tester_from_circuit(tc).elements, _reference_elements(tc)):
         assert e.split
         assert_entry_built_as(e, ref)
+    if d < 4:  # the synthesized elements, on the partitions of their matrices
+        inst = build_example(d)
+        rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
+        for e in synthesize_tester(inst.c0, inst.c1, rep.witness).elements:
+            assert e.split
+            fresh = matcore.Blocks.of(e.matrix)
+            assert [g.tolist() for g in e.blocks.groups] == [g.tolist() for g in fresh.groups]
 
 
 def _dense(op: LabeledOperator) -> LabeledOperator:
