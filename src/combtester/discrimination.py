@@ -78,17 +78,13 @@ def _pair_slices(c: LabeledOperator, order, df: int):
     function stacking the slices of the pairs ``(o, b)`` as ``[k, e, f]``.
 
     The square is taken block by block in packed form on ``C``'s partition
-    read in that order (:meth:`matcore.Blocks.permuted`).  One block packs
-    as the regrouped matrix itself, whose square the slices view.  Smaller
-    blocks are gathered from ``C``'s matrix through the regrouping's index
-    map and the slices are scattered from the square's nonzero entries, so
-    no regrouped or squared full-side matrix is made."""
+    read in that order (:meth:`matcore.Blocks.permuted`): the blocks are
+    gathered from ``C``'s entries through the regrouping's index map and
+    the slices are scattered from the square's nonzero entries, so no
+    regrouped or squared full-side matrix is made."""
     index = matcore.regroup_index(c.dims, [c.labels.index(l) for l in order])
     blocks = c.blocks.permuted(index)
     de = c.side // df
-    if blocks.whole:
-        q = blocks.square(blocks.pack(c.permuted(order).matrix)).reshape(de, df, de, df)
-        return q.any(axis=(0, 2)), lambda o, b: q[:, o, :, b]
     rows, cols = blocks.index
     square = blocks.square(c.at(index[rows], index[cols]))
     on = np.flatnonzero(square != 0)

@@ -49,8 +49,8 @@ class LabeledOperator:
 
     An operator this package builds as the entries of a known block
     partition (:meth:`_packed`) holds those entries alone: its
-    :attr:`matrix` is formed when first read.  Kernels read either kind
-    through :attr:`entries`, :meth:`at` and :meth:`trace`.
+    :attr:`matrix` is formed when first read.  Readers take either kind the
+    same way, through :attr:`entries` on :attr:`blocks`.
     """
 
     matrix: np.ndarray
@@ -142,30 +142,19 @@ class LabeledOperator:
         return self.dims[self.labels.index(label)]
 
     @property
-    def split(self) -> bool:
-        """Whether the operator was built as entries of a partition of more
-        than one block; never labels a matrix."""
-        return "_entries" in self.__dict__ and not self.blocks.whole
-
-    @property
     def entries(self) -> np.ndarray:
         """The packed entries on :attr:`blocks`: as built, or packed from the
-        matrix on its partition."""
+        matrix on its partition (a view, for one block)."""
         entries = self.__dict__.get("_entries")
         return self.blocks.pack(self.matrix) if entries is None else entries
 
     def at(self, rows, cols) -> np.ndarray:
-        """The entries at the broadcast positions ``(rows, cols)``: read from
-        the matrix, or from the entries of a split operator, 0 off its blocks."""
-        if not self.split:
-            return self.matrix[rows, cols]
+        """The entries at the broadcast positions ``(rows, cols)``, 0 off the blocks."""
         where, on = self.blocks.locate(rows, cols)
-        return np.where(on, self._entries[where], 0)
+        return np.where(on, self.entries[where], 0)
 
     def trace(self) -> complex:
-        if self.split:
-            return complex(self._entries[self.blocks.diagonal].sum())
-        return complex(np.trace(self.matrix))
+        return complex(self.entries[self.blocks.diagonal].sum())
 
     # -- structural operations --------------------------------------------
 
@@ -323,21 +312,18 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
     """Diagonal of ``x`` on its last ``tail``-dimensional tensor factor.
 
-    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``, also for ``x`` a
-    stripe of whole rows ``a``.  The result is a view, so it is writable when
-    ``x`` is contiguous; summing it over its last axis is the partial trace.
+    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``.  The result is a
+    view, so it is writable when ``x`` is contiguous; summing it over its
+    last axis is the partial trace.
     """
     return np.einsum("aibi->abi", x.reshape(x.shape[0] // tail, tail, -1, tail))
 
 
 def trace_last(a: LabeledOperator) -> np.ndarray:
-    """The trace of ``a`` over its last factor, as a matrix.  A split
-    operator's entry ``(r, c)`` whose rows and column share the last index
-    adds to ``(r // top, c // top)``, in packed order; any other operator is
-    traced on its matrix."""
+    """The trace of ``a`` over its last factor, as a matrix: each entry
+    ``(r, c)`` whose row and column share the last index adds to
+    ``(r // top, c // top)``, in packed order."""
     top = a.dims[-1]
-    if not a.split:
-        return tail_diagonal(a.matrix, top).sum(axis=2)
     rows, cols = a.blocks.index
     keep = rows % top == cols % top
     side = a.side // top
@@ -548,9 +534,8 @@ class Blocks:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """Packed positions of the diagonal entries, in ascending index order."""
-        rows, cols = self.index
-        on = np.flatnonzero(rows == cols)
-        return on[np.argsort(rows[on])]
+        i = np.arange(self.side)
+        return self.locate(i, i)[0]
 
     @cached_property
     def _place(self) -> tuple[np.ndarray, ...]:

@@ -17,8 +17,10 @@ explicitly; the two must agree, which pins down every transpose convention.
 The key fact, fixed by the row-major vectorization: a circuit that prepares
 ``sigma`` and measures ``M_i`` directly on a single channel use has tester
 elements ``sigma^T``-weighted, i.e. the chain element is the transpose of
-the prepared reduced input state.  The POVM reduction and the reduced state
-sandwich by the lifted chain root block by block (:func:`matcore._lifted`).
+the prepared reduced input state.  The check and the Born rule read each
+element as its entries on its block partition, however it was built.  The
+POVM reduction and the reduced state sandwich by the lifted chain root
+block by block (:func:`matcore._lifted`).
 """
 
 from __future__ import annotations
@@ -67,28 +69,10 @@ class Tester:
         object.__setattr__(self, "chain", chain)
 
 
-# rows of the element sum formed at a time, in whole head rows: 1 MB at side 1024
-_STRIPE_ROWS = 64
-
-
-def _sum_stripes(elements):
-    """The element sum in fresh stripes of whole head rows (rows of its trace
-    over the last space), the elements added in their order, as ``(head
-    rows, stripe, the stripe's tail diagonal)``: no array of its size."""
-    first, tail = elements[0], elements[0].dims[-1]
-    others = [first.aligned(e) for e in elements[1:]]
-    step = max(1, _STRIPE_ROWS // tail) * tail
-    for r in range(0, first.side, step):
-        stripe = first.matrix[r:r + step].copy()
-        for m in others:
-            stripe += m[r:r + step]
-        yield slice(r // tail, (r + step) // tail), stripe, matcore.tail_diagonal(stripe, tail)
-
-
-def _split_norms(elements, xi: np.ndarray) -> tuple[float, float]:
-    """``‖sum_i P_i‖²`` and ``‖sum_i P_i - Xi ⊗ I‖²`` for split elements,
-    from their entries: each position of the sum adds the elements' entries
-    there in their order, then subtracts its entry of ``Xi ⊗ I``."""
+def _sum_norms(elements, xi: np.ndarray) -> tuple[float, float]:
+    """``‖sum_i P_i‖²`` and ``‖sum_i P_i - Xi ⊗ I‖²`` from the elements'
+    entries: each position of the sum adds the elements' entries there in
+    their order, then subtracts its entry of ``Xi ⊗ I``."""
     side, tail = elements[0].side, elements[0].dims[-1]
     flat = np.concatenate([r * side + c for r, c in (e.blocks.index for e in elements)])
     values = np.concatenate([e.entries for e in elements])
@@ -132,24 +116,16 @@ class TesterValidation:
 def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     """Check element positivity and the recursive chain normalization.  The
     normalization residual is ``sum_i P_i - Xi ⊗ I`` with ``Xi`` the top
-    chain level: from the entries of split elements, otherwise formed in
-    each stripe of the element sum once the stripe's share of the sum's norm
-    is read.  The lower residuals come from walking ``Xi`` as a chain with
-    the stored chain as its levels, and the element spectra from their
-    packed blocks."""
-    xi, total_sq, res_sq = t.chain[-1], 0.0, 0.0
-    if all(e.split for e in t.elements):
-        total_sq, res_sq = _split_norms(t.elements, xi.matrix)
-    else:
-        for head, stripe, diagonal in _sum_stripes(t.elements):
-            total_sq += np.vdot(stripe, stripe).real
-            diagonal -= xi.matrix[head, :, None]
-            res_sq += np.vdot(stripe, stripe).real
+    chain level, read from the elements' entries.  The lower residuals come
+    from walking ``Xi`` as a chain with the stored chain as its levels, and
+    the element spectra from their packed blocks."""
+    xi = t.chain[-1]
+    total_sq, res_sq = _sum_norms(t.elements, xi.matrix)
     scale, norm_res = max(1.0, float(np.sqrt(total_sq))), float(np.sqrt(res_sq))
     walk = matcore.chain_levels(xi.matrix, xi.dims, lowers=[x.matrix for x in t.chain[:-1]])
     chain_res = {n: float(np.linalg.norm(residual()))
                  for n, (_, residual) in zip(range(t.uses, 1, -1), walk)}
-    chain_res[1] = float(abs(t.chain[0].trace() - 1.0))
+    chain_res[1] = float(abs(np.trace(t.chain[0].matrix) - 1.0))
 
     min_eig = 0.0
     for e in t.elements:
@@ -175,11 +151,11 @@ def _require_same_spaces(t: Tester, mc: MemoryChannel) -> None:
 def born_probabilities(t: Tester, mc: MemoryChannel) -> np.ndarray:
     """Generalized Born rule ``p(i) = Tr[P_i C]``."""
     _require_same_spaces(t, mc)
-    # Re Tr[P C] = Re Tr[P† C] when P or C is Hermitian: vdot over a split
-    # element's entries and the comb's entries there, or over both matrices
+    # Re Tr[P C] = Re Tr[P† C] when P or C is Hermitian: vdot over each
+    # element's entries and the comb's entries at their positions
     c = mc.choi
-    return np.array([float(np.vdot(e.entries, c.at(*e.blocks.index)).real if e.split
-                           else np.vdot(e.matrix, c.matrix).real) for e in t.elements])
+    return np.array([float(np.vdot(e.entries, c.at(*e.blocks.index)).real)
+                     for e in t.elements])
 
 
 def povm_from_tester(t: Tester) -> list[LabeledOperator]:

@@ -8,8 +8,6 @@ each is checked against a textbook peel written with ``partial_trace`` and
 per-space dimensions.
 """
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,7 +25,7 @@ from combtester.optim import XiChainSet
 from combtester.sampling import rng_from
 from combtester import testers
 from combtester.testers import Tester, validate_tester
-from util import random_isometric_comb, random_tester_circuit
+from util import matrix_built, random_isometric_comb, random_tester_circuit
 
 TOL = 1e-12
 EPS = 1e-3
@@ -223,40 +221,56 @@ def _check_streamed(t):
 @settings(max_examples=100, deadline=None)
 @given(sd=st.integers(1, 2).flatmap(
            lambda uses: st.lists(st.integers(1, 4), min_size=2 * uses, max_size=2 * uses)),
-       first=st.integers(1, 2), outcomes=st.integers(1, 3), stripe_rows=st.integers(1, 80),
+       first=st.integers(1, 2), outcomes=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_streamed_tester_sum_matches_dense_reference(sd, first, outcomes, stripe_rows, seed,
-                                                     data):
-    # the element sum is formed in stripes of whole head rows; small stripe
-    # counts put stripe edges inside these small testers
+def test_streamed_tester_sum_matches_dense_reference(sd, first, outcomes, seed, data):
     assume(np.prod(sd) <= 96)
     rng = rng_from(seed)
     n_uses = len(sd) // 2
     ad = (first,) + _ancillas(sd[1:-1:2], sd[2::2], first)
     assume(max(ad) <= 6)
     t = testers.tester_from_circuit(random_tester_circuit(sd, ad, outcomes, rng))
-    with mock.patch.object(testers, "_STRIPE_ROWS", stripe_rows):
-        # elements handed over in shuffled factor orders give the same tester
-        orders = [data.draw(st.permutations(range(2 * n_uses))) for _ in t.elements]
-        shuffled = testers.tester_from_elements(
-            [e.permuted(order) for e, order in zip(t.elements, orders)], n_uses)
-        chain, v = _check_streamed(shuffled)
-        assert v.valid, v.max_residual
-        for got, want in zip(shuffled.chain, chain):
-            scale = max(1.0, np.abs(want.matrix).max())
-            assert np.abs(got.matrix - want.matrix).max() <= TOL * scale
+    # elements handed over in shuffled factor orders give the same tester
+    orders = [data.draw(st.permutations(range(2 * n_uses))) for _ in t.elements]
+    shuffled = testers.tester_from_elements(
+        [e.permuted(order) for e, order in zip(t.elements, orders)], n_uses)
+    chain, v = _check_streamed(shuffled)
+    assert v.valid, v.max_residual
+    for got, want in zip(shuffled.chain, chain):
+        scale = max(1.0, np.abs(want.matrix).max())
+        assert np.abs(got.matrix - want.matrix).max() <= TOL * scale
 
-        # invalid testers: rescaled elements, and one entry moved off the tail
-        # diagonal, which leaves the traced sum as it was
-        rescaled = Tester(tuple(e * (1 + EPS) for e in t.elements), t.chain, n_uses)
-        _, v = _check_streamed(rescaled)
-        assert not v.valid
-        side, tail = t.elements[0].side, sd[-1]
-        i = data.draw(st.integers(0, side - 1))
-        j = data.draw(st.integers(0, side - 1).filter(lambda j: tail == 1 or j % tail != i % tail))
-        kick = np.zeros((side, side), dtype=complex)
-        kick[i, j] += EPS
-        kick[j, i] += EPS
-        kicked = t.elements[0] + LabeledOperator(kick, t.elements[0].labels, t.elements[0].dims)
-        _, v = _check_streamed(Tester((kicked,) + t.elements[1:], t.chain, n_uses))
-        assert v.normalization_residual > EPS / 2
+    # the same elements entry-built, wrapped as matrices or mixed: every
+    # reader takes both kinds one way, so chain, check and Born table agree
+    # bit for bit, and no read forms an entry-built element's matrix
+    side = t.elements[0].side
+    rows, cols = np.divmod(np.arange(side * side), side)
+    built = [LabeledOperator._nonzeros(rows, cols, e.matrix.reshape(-1), e.labels, e.dims)
+             for e in t.elements]
+    wrapped = [matrix_built(e) for e in t.elements]
+    mixed = [pair[data.draw(st.booleans())] for pair in zip(built, wrapped)]
+    mc = comb_from_isometries(random_isometric_comb(sd, _ancillas(sd[::2], sd[1::2], 1), rng))
+    reads = []
+    for elements in (built, wrapped, mixed):
+        form = testers.tester_from_elements(elements, n_uses)
+        reads.append(([x.matrix for x in form.chain], validate_tester(form),
+                      testers.born_probabilities(form, mc)))
+    for chain, report, table in reads[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(chain, reads[0][0]))
+        assert report == reads[0][1] and np.array_equal(table, reads[0][2])
+    assert not any("matrix" in vars(e) for e in built)
+
+    # invalid testers: rescaled elements, and one entry moved off the tail
+    # diagonal, which leaves the traced sum as it was
+    rescaled = Tester(tuple(e * (1 + EPS) for e in t.elements), t.chain, n_uses)
+    _, v = _check_streamed(rescaled)
+    assert not v.valid
+    tail = sd[-1]
+    i = data.draw(st.integers(0, side - 1))
+    j = data.draw(st.integers(0, side - 1).filter(lambda j: tail == 1 or j % tail != i % tail))
+    kick = np.zeros((side, side), dtype=complex)
+    kick[i, j] += EPS
+    kick[j, i] += EPS
+    kicked = t.elements[0] + LabeledOperator(kick, t.elements[0].labels, t.elements[0].dims)
+    _, v = _check_streamed(Tester((kicked,) + t.elements[1:], t.chain, n_uses))
+    assert v.normalization_residual > EPS / 2

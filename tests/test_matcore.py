@@ -307,15 +307,15 @@ def test_entry_built_operator_reads_as_its_matrix(h, seed):
     unpickled = pickle.loads(pickle.dumps(built))
     assert "matrix" not in unpickled.__dict__ and np.array_equal(unpickled.entries, built.entries)
     dense = LabeledOperator(h, labels, dims)
-    assert built.split == (not partition.whole) and not dense.split
     assert np.array_equal(built.entries, dense.entries)
     rows, cols = rng.integers(0, side, (2, 40))
     assert np.array_equal(built.at(rows[:, None], cols), h[rows[:, None], cols])
     assert built.trace() == dense.trace()
-    # the entries add up in packed order, the matrix's in index order
+    # both add up their entries in packed order, partial_trace in index order
     traced = partial_trace(dense, [labels[-1]]).matrix
     assert np.abs(trace_last(built) - traced).max() <= 1e-12 * max(1.0, np.abs(h).sum())
-    assert np.array_equal(trace_last(dense), traced)
+    assert np.array_equal(trace_last(dense), trace_last(built))
+    assert "matrix" not in vars(built)  # none of the reads above formed it
     assert np.array_equal(built.matrix, h) and not built.matrix.flags.writeable
     assert np.array_equal(unpickled.matrix, h)
     bad = partition.pack(h).copy()

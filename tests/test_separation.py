@@ -6,7 +6,6 @@ import pytest
 
 from combtester import cli, matcore, separation, testers
 from combtester.channels import comb_from_isometries, validate_comb
-from combtester.matcore import LabeledOperator
 from combtester.discrimination import (
     causal_discriminable, parallel_discriminable, synthesize_tester,
 )
@@ -22,10 +21,11 @@ from combtester.separation import (
     verify_parallel_impossible,
 )
 from combtester.testers import (
-    born_probabilities, povm_from_tester, reduced_state, simulate_tester_circuit, validate_tester,
+    Tester, born_probabilities, povm_from_tester, reduced_state, simulate_tester_circuit,
+    validate_tester,
 )
 from test_testers import _reference_elements, assert_entry_built_as
-from util import traced_peak
+from util import matrix_built, traced_peak
 
 
 def test_shift_multiply_identity():
@@ -186,6 +186,17 @@ def test_protocol_tester_holds_no_temporary_of_element_size():
     v, peak = traced_peak(validate_tester, tester, 1e-9)
     assert v.valid
     assert peak < 0.25 * element, peak / element
+    # one element wrapped as its matrix, the other entry-built: both are
+    # read as their entries, and the entry-built one never forms its matrix
+    fresh, _ = causal_protocol(inst, psi)
+    mixed = Tester((matrix_built(tester.elements[0]), fresh.elements[1]), fresh.chain, 2)
+    v, peak = traced_peak(validate_tester, mixed, 1e-9)
+    assert v.valid
+    assert peak < 0.25 * element, peak / element
+    table, peak = traced_peak(born_probabilities, mixed, inst.c0)
+    assert abs(table.sum() - 1.0) <= 1e-9
+    assert peak < 0.25 * element, peak / element
+    assert "matrix" not in vars(mixed.elements[1])
 
 
 def test_protocol_d4_reduction_holds_no_side_1024_matrix():
@@ -306,32 +317,28 @@ def test_combs_and_protocol_elements_are_entry_built_as_their_matrices(d):
     c1 = np.kron(np.eye(d ** 4), np.diag(np.arange(d) == 0))
     chois = separation._closed_form_chois(d)
     for op, dense in zip(chois, (c0 / d2, c1 / d2)):
-        assert op.split and op.dims == (d, d2, d, d)
+        assert not op.blocks.whole and "matrix" not in vars(op) and op.dims == (d, d2, d, d)
         assert_entry_built_as(op, dense)
     rng = np.random.default_rng(d)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     tc = protocol_circuit(build_example(d), psi / np.linalg.norm(psi))
     for e, ref in zip(testers.tester_from_circuit(tc).elements, _reference_elements(tc)):
-        assert e.split
+        assert not e.blocks.whole and "matrix" not in vars(e)
         assert_entry_built_as(e, ref)
     if d < 4:  # the synthesized elements, on the partitions of their matrices
         inst = build_example(d)
         rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
         for e in synthesize_tester(inst.c0, inst.c1, rep.witness).elements:
-            assert e.split
+            assert not e.blocks.whole and "matrix" not in vars(e)
             fresh = matcore.Blocks.of(e.matrix)
             assert [g.tolist() for g in e.blocks.groups] == [g.tolist() for g in fresh.groups]
-
-
-def _dense(op: LabeledOperator) -> LabeledOperator:
-    return LabeledOperator(op.matrix, op.labels, op.dims)
 
 
 @pytest.mark.parametrize("argv", [["--d", "2"], ["--d", "3", "--seed", "1"]])
 def test_paper_example_prints_the_same_from_entries_and_from_matrices(monkeypatch, capsys,
                                                                         argv):
-    # the same combs and tester elements, wrapped as matrices, take every
-    # stage down its matrix path; the report must not change by a bit
+    # the same combs and tester elements, wrapped as matrices, are read as
+    # their entries on their partitions; the report must not change by a bit
     assert cli.main(["paper-example"] + argv) == 0
     from_entries = capsys.readouterr().out
     chois, circuit = separation._closed_form_chois, separation.tester_from_circuit
@@ -340,10 +347,10 @@ def test_paper_example_prints_the_same_from_entries_and_from_matrices(monkeypatc
     def dense_tester(tc):
         t = circuit(tc)
         dense_reads.append(t)
-        return testers.tester_from_elements([_dense(e) for e in t.elements], t.uses)
+        return testers.tester_from_elements([matrix_built(e) for e in t.elements], t.uses)
 
     monkeypatch.setattr(separation, "_closed_form_chois",
-                        lambda d: tuple(_dense(op) for op in chois(d)))
+                        lambda d: tuple(matrix_built(op) for op in chois(d)))
     monkeypatch.setattr(separation, "tester_from_circuit", dense_tester)
     assert cli.main(["paper-example"] + argv) == 0
     assert dense_reads and capsys.readouterr().out == from_entries

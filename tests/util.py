@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 
 from combtester.channels import IsometricComb
+from combtester.matcore import LabeledOperator
 from combtester.sampling import (
     haar_isometry,
     haar_unitary,
@@ -39,6 +40,11 @@ def random_tester_circuit(system_dims, ancilla_dims, n_outcomes, rng) -> TesterC
         blocks.append(haar_isometry(dout, din, rng))
     povm = random_povm(sd[-1] * ad[-1], n_outcomes, rng)
     return TesterCircuit(state, tuple(blocks), tuple(povm), sd, ad)
+
+
+def matrix_built(op: LabeledOperator) -> LabeledOperator:
+    """``op`` wrapped as its matrix, as a user's operator is built."""
+    return LabeledOperator(op.matrix, op.labels, op.dims)
 
 
 def random_spread_unitary(d: int, max_spread: float, rng) -> np.ndarray:
