@@ -18,7 +18,6 @@ from .discrimination import (
     causal_discriminable,
     delta_matrix,
     kraus_orthogonality,
-    min_entanglement_rank,
     parallel_discriminable,
     synthesize_tester,
 )

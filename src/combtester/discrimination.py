@@ -311,7 +311,11 @@ def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray) -> tuple[bo
 
     True iff ``Tr[rho K0j† K1k] = 0`` for all j, k up to ``ORTHOGONALITY_TOL``
     in modulus, which characterizes the states witnessing perfect parallel
-    discriminability of the two channels.
+    discriminability of the two channels.  That is stricter than a
+    ``feasible`` decision: for a unitary pair on dimension d its residual at
+    the witness ``w`` is ``d² |Tr[wᵀ U]|²``, so ``FEASIBLE_TOL`` admits a
+    violation up to ``1e-4/d`` at ``rho = wᵀ``, and a feasible witness can
+    fail this check.
     """
     if ch0.in_dim != ch1.in_dim or ch0.out_dim != ch1.out_dim:
         raise ValueError("channels must share input and output dimensions")
@@ -321,65 +325,6 @@ def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray) -> tuple[bo
         for k1 in ch1.kraus:
             worst = max(worst, abs(np.trace(rho @ k0.conj().T @ k1)))
     return worst <= ORTHOGONALITY_TOL, float(worst)
-
-
-def _cross_gram(ch0: Channel, ch1: Channel) -> list[np.ndarray]:
-    return [k0.conj().T @ k1 for k0 in ch0.kraus for k1 in ch1.kraus]
-
-
-def _rank_constrained_search(grams, d: int, r: int, rng,
-                             restarts: int) -> tuple[float, np.ndarray]:
-    """Minimize max_l |Tr[rho G_l]| over rank-r states rho = AA†/Tr[AA†]."""
-    best_val, best_rho = np.inf, None
-    for _ in range(restarts):
-        a = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-        a /= np.linalg.norm(a)
-        step = 0.1
-        rho = a @ a.conj().T
-        val = sum(abs(np.trace(rho @ g)) ** 2 for g in grams)
-        for _ in range(300):
-            rho = a @ a.conj().T
-            grad = np.zeros_like(a)
-            for g in grams:
-                c = np.trace(rho @ g)
-                grad += np.conj(c) * (g @ a) + c * (g.conj().T @ a)
-            grad -= np.real(np.vdot(a, grad)) * a  # keep unit Frobenius norm
-            cand = a - step * grad
-            cand /= np.linalg.norm(cand)
-            crho = cand @ cand.conj().T
-            cval = sum(abs(np.trace(crho @ g)) ** 2 for g in grams)
-            if cval < val:
-                a, val = cand, cval
-                step *= 1.2
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        rho = a @ a.conj().T
-        worst = max(abs(np.trace(rho @ g)) for g in grams)
-        if worst < best_val:
-            best_val, best_rho = worst, rho
-    return float(best_val), best_rho
-
-
-def min_entanglement_rank(ch0: Channel, ch1: Channel, *, seed: int = 0,
-                          restarts: int = 30) -> int | None:
-    """Smallest rank of a state satisfying the cross-Gram orthogonality.
-
-    The rank of the witness state sets the amount of entanglement the
-    discriminating input needs (rank 1: no entanglement).  Returns None when
-    no state of any rank works.
-    """
-    if ch0.in_dim != ch1.in_dim or ch0.out_dim != ch1.out_dim:
-        raise ValueError("channels must share input and output dimensions")
-    grams = _cross_gram(ch0, ch1)
-    d = ch0.in_dim
-    rng = rng_from(seed)
-    for r in range(1, d + 1):
-        val, _ = _rank_constrained_search(grams, d, r, rng, restarts)
-        if val <= ORTHOGONALITY_TOL:
-            return r
-    return None
 
 
 def _positive_support(w: np.ndarray) -> np.ndarray:

@@ -132,6 +132,13 @@ class LabeledOperator:
         object.__setattr__(self, "matrix", m)
         return m
 
+    def __repr__(self) -> str:
+        # names the spaces only: neither forms the matrix nor labels it
+        entries = self.__dict__.get("_entries")
+        built = "" if entries is None else (
+            f", blocks={sum(len(g) for g in self.blocks.groups)}, entries={entries.size}")
+        return f"LabeledOperator(labels={self.labels}, dims={self.dims}{built})"
+
     # -- basic queries ----------------------------------------------------
 
     @property

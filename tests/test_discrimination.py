@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from combtester import matcore
@@ -16,17 +16,17 @@ from combtester.discrimination import (
     causal_discriminable,
     delta_matrix,
     kraus_orthogonality,
-    min_entanglement_rank,
     parallel_discriminable,
     product_residual,
     synthesize_tester,
 )
-from combtester.distances import cb_distance, memory_distance
+from combtester.distances import cb_distance, memory_distance, unitary_cb_oracle
 from combtester.matcore import LabeledOperator
 from combtester.optim import XiChainSet
 from combtester.sampling import haar_unitary, random_density, random_kraus
 from combtester.separation import build_example, causal_protocol
 from combtester.testers import povm_from_tester, reduced_state, validate_tester
+from combtester.unitary import _arc_sorted_eigensystem, angular_spread
 from util import random_isometric_comb, traced_peak
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,7 +84,9 @@ def test_kraus_orthogonality_cases():
 
 def test_phase_gate_never_orthogonal_below_pi():
     idc = identity_channel(2)
-    for theta in (0.3, 1.2, np.pi - 0.2):
+    # below pi no input of any rank gives orthogonal outputs, and the
+    # decision proves it at the uniform point (at pi/2, upper is sqrt 2)
+    for theta in (0.3, 1.2, np.pi / 2, np.pi - 0.2):
         u = np.diag([1.0, np.exp(1j * theta)])
         uc = unitary_channel(u)
         floor = np.cos(theta / 2)  # hull distance of {1, e^{i theta}}
@@ -97,7 +99,8 @@ def test_phase_gate_never_orthogonal_below_pi():
             comb_from_sequence([idc]).choi, comb_from_sequence([uc]).choi,
             restarts=4, seed=0,
         )
-        assert rep.status in ("infeasible", "undetermined")
+        assert rep.status == "infeasible" and rep.restarts == 0
+        assert abs(rep.upper - unitary_cb_oracle(np.eye(2), u)) <= 1e-12
 
 
 def test_orthogonality_iff_zero_objective():
@@ -117,19 +120,60 @@ def test_orthogonality_iff_zero_objective():
         assert ok == (f <= 1e-16 * max(1.0, f + 1.0))
 
 
-def test_min_entanglement_rank_examples():
-    idc = identity_channel(2)
-    assert min_entanglement_rank(idc, unitary_channel(X)) == 1
-    assert min_entanglement_rank(idc, identity_channel(2)) is None
-    flip = unitary_channel(np.diag([1.0, np.exp(1j * np.pi)]))
-    assert min_entanglement_rank(idc, flip) == 1
+def _unitary_pair(u):
+    return tuple(comb_from_sequence([c]).choi
+                 for c in (identity_channel(len(u)), unitary_channel(u)))
 
 
-def test_min_entanglement_rank_none_below_threshold():
-    # spread below pi: no input state of any rank gives orthogonal outputs
-    idc = identity_channel(2)
-    u = np.diag([1.0, 1j])
-    assert min_entanglement_rank(idc, unitary_channel(u)) is None
+def _pure_input(u, witness):
+    """The pure state with the weights of ``witness^T`` on the eigenbasis of
+    ``u``: ``Tr[rho u]`` is the same weighted mean of the eigenvalues, so it
+    has the witness's orthogonality violation."""
+    _, basis = _arc_sorted_eigensystem(u)
+    weights = np.einsum("ik,ij,jk->k", basis.conj(), witness.matrix.T, basis).real
+    psi = basis @ np.sqrt(np.clip(weights, 0, None))
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("u", [X, np.diag([1.0, -1.0])], ids=["X", "Z"])
+def test_unitary_pair_discriminable_with_a_pure_input(u):
+    # for a unitary pair a pure input works whenever any input does: the
+    # numerical range of a normal matrix is the hull of its eigenvalues
+    rep = parallel_discriminable(*_unitary_pair(u), seed=0)
+    assert rep.feasible, rep.residual
+    idc, uc = identity_channel(2), unitary_channel(u)
+    ok, viol = kraus_orthogonality(idc, uc, rep.witness.matrix.T)
+    assert ok, viol
+    pure = _pure_input(u, rep.witness)
+    assert abs(np.trace(pure) - 1) <= 1e-12 and np.linalg.matrix_rank(pure) == 1
+    ok, pure_viol = kraus_orthogonality(idc, uc, pure)
+    assert ok and abs(pure_viol - viol) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_unitary_pair_one_use_law(d, seed):
+    # the paper's claim at one use: I and U are perfectly discriminable iff
+    # the angular spread of U reaches pi, and each verdict is certified
+    u = haar_unitary(d, np.random.default_rng(seed))
+    spread = angular_spread(u)
+    assume(abs(spread - np.pi) >= 0.05)
+    rep = parallel_discriminable(*_unitary_pair(u), seed=0)
+    assert rep.feasible == (spread >= np.pi), (rep.status, spread)
+    oracle = unitary_cb_oracle(np.eye(d), u)
+    if not rep.feasible:
+        assert rep.status == "infeasible"
+        assert oracle - 1e-9 <= rep.upper < 2
+        if d == 2:
+            assert abs(rep.upper - oracle) <= 1e-12
+        return
+    # the residual is d^2 |Tr[w^T U]|^2 at the witness w; the identity is
+    # checked squared, since a square root magnifies the residual's rounding
+    idc, uc = identity_channel(d), unitary_channel(u)
+    viol = kraus_orthogonality(idc, uc, rep.witness.matrix.T)[1]
+    assert abs(d**2 * viol**2 - rep.residual) <= 1e-14
+    pure_viol = kraus_orthogonality(idc, uc, _pure_input(u, rep.witness))[1]
+    assert abs(pure_viol - viol) <= 1e-12
 
 
 def test_causal_identical_infeasible():

@@ -199,6 +199,21 @@ def test_protocol_tester_holds_no_temporary_of_element_size():
     assert "matrix" not in vars(mixed.elements[1])
 
 
+def test_repr_names_the_spaces_and_forms_no_matrix():
+    # a repr (or hypothesis logging a drawn operator) would otherwise form
+    # and cache the 16 MB matrix of an entry-built d = 4 element
+    inst = build_example(4)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    tester, _ = causal_protocol(inst, psi)
+    e = tester.elements[1]
+    text = repr(e), repr(tester), repr(inst.c0)
+    assert "matrix" not in vars(e) and "matrix" not in vars(inst.c0.choi)
+    assert text[0] == (f"LabeledOperator(labels={e.labels}, dims={e.dims}, "
+                       f"blocks=1024, entries={e.entries.size})")
+    assert text[0] in text[1] and repr(inst.c0.choi) in text[2]
+
+
 def test_protocol_d4_reduction_holds_no_side_1024_matrix():
     # the POVM reduction and the reduced state sandwich the entry-built
     # elements and comb block by block: each holds less than one side-1024
