@@ -1,5 +1,7 @@
 """Combs, testers, discrimination criteria and distances for quantum memory channels."""
 
+from types import ModuleType as _Module
+
 from .channels import (
     Channel,
     IsometricComb,
@@ -65,5 +67,7 @@ from .unitary import (
     reduce_sequences,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the functions and classes imported above; submodules stay importable by name
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _Module)))
 __version__ = "0.1.0"

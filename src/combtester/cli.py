@@ -243,8 +243,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--d", type=_at_least(2), default=2)
     sp.add_argument("--psi", default=None,
                     help="matrix file with the protocol input state (default |0>)")
-    # the parallel objective is convex, so a few confirmation restarts suffice
-    # and keep the d=4 run well inside its time budget
+    # the bound at the uniform point proves the parallel verdict before any
+    # start at d = 2..6, so these restarts run only where it cannot
     sp.set_defaults(func=cmd_paper_example, restarts=3)
     return p
 

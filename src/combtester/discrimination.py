@@ -159,8 +159,7 @@ class _ProductObjective:
         self._bind(Blocks.one(de))
 
     def on(self, blocks: Blocks) -> "_ProductObjective":
-        """This objective, evaluated on ``blocks``: at packed vectors of
-        that partition, or at matrices that vanish off it."""
+        """This objective, evaluated at packed vectors of ``blocks``."""
         bound = copy.copy(self)
         bound._bind(blocks)
         return bound
@@ -181,14 +180,14 @@ class _ProductObjective:
         return half | half.T
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """The value and the gradient, in the form of ``x``, at a packed
-        vector or a matrix on the objective's partition.
+        """The value and the packed gradient at a packed vector ``x`` of the
+        objective's partition.
 
         ``t = x r_`` is formed row block by row block; the gradient keeps the
         partition, so ``half = q_ t`` is formed on its blocks alone.
         """
         blocks = self.blocks
-        parts = list(zip(self._parts, blocks.stacks(blocks.packed(x))))
+        parts = list(zip(self._parts, blocks.stacks(x)))
         t = np.empty(self.r_.shape, dtype=complex)
         for (_, rows, _, r_g), xb in parts:
             t[rows] = (xb @ r_g).reshape(rows.size, -1)
@@ -201,10 +200,7 @@ class _ProductObjective:
             halves.append(hb)
         half = Blocks.join(halves)
         grad = half + blocks.dagger(half)
-        return float(f), blocks.like(grad, x)
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_grad(x)[0]
+        return float(f), grad
 
 
 def product_residual(c0: LabeledOperator, c1: LabeledOperator,

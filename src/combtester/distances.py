@@ -253,6 +253,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     top = 2 * c0.uses - 1
     delta = LabeledOperator(a.matrix - b.matrix, a.labels, a.dims)
     xi_set = XiChainSet(a.dims[:-1])
+    whole = xi_set.blocks  # one block: packing is a reshape
     value, value_and_subgrad = _memory_objective(delta, top)
     rng = rng_from(seed)
 
@@ -267,7 +268,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
         step = 0.5 * max(1.0, np.linalg.norm(xi)) / max(np.linalg.norm(g), 1e-12)
         for _ in range(max_iter):
             total_iter += 1
-            cand = xi_set.project(xi + step * g)
+            cand = whole.unpack(xi_set.project(whole.pack(xi + step * g)))
             cval, cg = value_and_subgrad(cand)
             if cval > val + 1e-15:
                 xi, val, g = cand, cval, cg

@@ -34,14 +34,13 @@ def _decode_matrix(data, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{where}: expected a non-empty nested array")
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(entry[0], entry[1]) for entry in row])
-        m = np.array(rows, dtype=complex)
+        m = np.array([[complex(e[0], e[1]) for e in row] for row in data], dtype=complex)
     except (TypeError, IndexError) as exc:
         raise FormatError(f"{where}: entries must be [re, im] pairs") from exc
-    if m.ndim != 2:
-        raise FormatError(f"{where}: expected a rectangular matrix")
+    except ValueError as exc:  # rows of unequal lengths
+        raise FormatError(f"{where}: expected a rectangular matrix") from exc
+    if not np.isfinite(m).all():
+        raise FormatError(f"{where}: entries must be finite")
     return m
 
 
@@ -75,10 +74,7 @@ def _labeled_from_doc(doc: dict, where: str) -> LabeledOperator:
 def _require_psd(m: np.ndarray, where: str) -> None:
     if np.linalg.norm(m - m.conj().T) > 1e-8 * max(1.0, np.linalg.norm(m)):
         raise FormatError(f"{where}: operator is not Hermitian")
-    try:
-        low = float(matcore.eigvalsh(matcore.hermitian_part(m)).min())
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    low = float(matcore.eigvalsh(matcore.hermitian_part(m)).min())
     if low < -1e-8 * max(1.0, float(np.abs(m).max())):
         raise FormatError(
             f"{where}: operator has negative eigenvalue {low:.3e}; "
@@ -137,6 +133,18 @@ def to_document(obj, metadata: str | None = None) -> dict:
 
 
 def from_document(doc: dict, where: str = "document"):
+    """The object a document describes; any check it fails, the document's
+    own or that of the object built from it, raises :class:`FormatError`
+    naming ``where``."""
+    try:
+        return _decode_document(doc, where)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _decode_document(doc: dict, where: str):
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a JSON object")
     kind = doc.get("kind")
@@ -153,10 +161,7 @@ def from_document(doc: dict, where: str = "document"):
             raise FormatError(f"{where}: comb requires 'uses'")
         op = _labeled_from_doc(doc, where)
         _require_psd(op.matrix, where)
-        try:
-            return MemoryChannel(op, int(doc["uses"]))
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
+        return MemoryChannel(op, int(doc["uses"]))
     if kind == "channel":
         for fieldname in ("in_dim", "out_dim", "kraus"):
             if fieldname not in doc:
@@ -164,10 +169,7 @@ def from_document(doc: dict, where: str = "document"):
         kraus = [
             _decode_matrix(k, f"{where}.kraus[{j}]") for j, k in enumerate(doc["kraus"])
         ]
-        try:
-            return Channel(tuple(kraus), int(doc["in_dim"]), int(doc["out_dim"]))
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
+        return Channel(tuple(kraus), int(doc["in_dim"]), int(doc["out_dim"]))
     # tester
     required = ("uses", "labels", "dims", "elements", "chain")
     missing = [f for f in required if f not in doc]
@@ -181,15 +183,12 @@ def from_document(doc: dict, where: str = "document"):
         _require_psd(m, f"{where}.elements[{j}]")
         elements.append(m)
     chain = [_decode_matrix(x, f"{where}.chain[{j}]") for j, x in enumerate(doc["chain"])]
-    try:
-        return Tester(
-            tuple(LabeledOperator(m, labels, dims) for m in elements),
-            tuple(LabeledOperator(m, labels[: 2 * n - 1], dims[: 2 * n - 1])
-                  for n, m in enumerate(chain, start=1)),
-            uses,
-        )
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    return Tester(
+        tuple(LabeledOperator(m, labels, dims) for m in elements),
+        tuple(LabeledOperator(m, labels[: 2 * n - 1], dims[: 2 * n - 1])
+              for n, m in enumerate(chain, start=1)),
+        uses,
+    )
 
 
 def save(path, obj, metadata: str | None = None) -> None:
@@ -202,6 +201,6 @@ def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     return from_document(doc, where=str(path))

@@ -581,16 +581,6 @@ class Blocks:
             return x.reshape(-1)
         return self.join([x[entries] for entries in self._entries()])
 
-    def packed(self, x) -> np.ndarray:
-        """``x`` as a packed vector: a 1-d ``x`` as it stands, a matrix
-        packed here after the NaN/Inf scan of a public entry."""
-        return x if np.ndim(x) == 1 else self.pack(_as_complex_matrix(x))
-
-    def like(self, v: np.ndarray, x) -> np.ndarray:
-        """The packed ``v`` in the form of ``x``, as :meth:`packed` read it:
-        packed for a 1-d ``x``, unpacked to a matrix otherwise."""
-        return v if np.ndim(x) == 1 else self.unpack(v)
-
     def unpack(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         if self.whole:

@@ -18,9 +18,9 @@ each step is exact in packed form.  It binds the set to that partition
 once (:meth:`XiChainSet.on`), and passes the partition to the PSD and
 density steps, which run one stacked ``eigh`` per block size.  The affine
 step sums and replaces the packed entries on each level's tail diagonal
-through index maps built once per bound set.  A projection given a matrix
-packs it on its partition (one block for a set that was not bound) and
-returns a matrix.
+through index maps built once per bound set.  Every projection takes and
+returns packed vectors of its partition (one block for a set that was not
+bound); a caller holding a matrix packs it there and unpacks the result.
 """
 
 from __future__ import annotations
@@ -54,24 +54,16 @@ def project_simplex(w: np.ndarray, total: float = 1.0) -> np.ndarray:
     return np.maximum(w - tau, 0.0)
 
 
-def _spectral_step(h, f, blocks: Blocks | None) -> np.ndarray:
-    """``f`` over the spectrum of the Hermitian part of ``h``.  On a
-    partition ``h`` is mapped blockwise and returned in the form given
-    (:meth:`Blocks.like`); with none, ``h`` is a matrix, scanned for NaN/Inf
-    and labelled once."""
-    if blocks is None:
-        return matcore.spectral_map(matcore.hermitian_part(h), f)
-    return blocks.like(blocks.map(blocks.hermitian(blocks.packed(h)), f), h)
+def project_to_density(v: np.ndarray, total: float, blocks: Blocks) -> np.ndarray:
+    """Nearest (Frobenius) positive operator with trace ``total`` to the
+    Hermitian part of the matrix packed as ``v`` on ``blocks``, packed."""
+    return blocks.map(blocks.hermitian(v), lambda w: project_simplex(w, total))
 
 
-def project_to_density(h: np.ndarray, total: float = 1.0,
-                       blocks: Blocks | None = None) -> np.ndarray:
-    """Nearest (Frobenius) positive operator with fixed trace."""
-    return _spectral_step(h, lambda w: project_simplex(w, total), blocks)
-
-
-def project_psd(h: np.ndarray, blocks: Blocks | None = None) -> np.ndarray:
-    return _spectral_step(h, lambda w: np.maximum(w, 0.0), blocks)
+def project_psd(v: np.ndarray, blocks: Blocks) -> np.ndarray:
+    """Nearest positive operator to the Hermitian part of the matrix packed
+    as ``v`` on ``blocks``, packed."""
+    return blocks.map(blocks.hermitian(v), lambda w: np.maximum(w, 0.0))
 
 
 def invariant_blocks(x0: np.ndarray, reaches) -> Blocks:
@@ -168,8 +160,7 @@ class XiChainSet:
         self.blocks = Blocks.one(self.side)
 
     def on(self, blocks: Blocks) -> "XiChainSet":
-        """This set, projecting on ``blocks``: packed vectors of that
-        partition, or matrices that vanish off it."""
+        """This set, projecting packed vectors of ``blocks``."""
         bound = XiChainSet(self.dims)
         bound.blocks = blocks
         return bound
@@ -202,23 +193,23 @@ class XiChainSet:
                 for tails in self._level_tails()]
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form projection onto the affine chain constraints."""
+        """Closed-form projection of the packed ``x`` onto the affine chain constraints."""
         blocks = self.blocks
-        out = blocks.hermitian(blocks.packed(x))  # a fresh array, updated in place
+        out = blocks.hermitian(x)  # a fresh array, updated in place
         trace = out[blocks.diagonal].sum().real
         for even, odd in self._level_traces:
             r_even, r_odd = even.mean(out), odd.mean(out)
             out[even.on] -= r_even[even.pair]
             out[odd.on] += r_odd[odd.pair]
         out[blocks.diagonal] += (self.trace_target - trace) / self.side
-        return blocks.like(out, x)
+        return out
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Dykstra projection onto PSD ∩ affine chain, in at most ``DYKSTRA_CAP`` steps."""
         blocks = self.blocks
         if self.uses == 1:
             return project_to_density(x, self.trace_target, blocks)
-        b = blocks.hermitian(blocks.packed(x))
+        b = blocks.hermitian(x)
         p = np.zeros_like(b)
         q = np.zeros_like(b)
         for _ in range(DYKSTRA_CAP):
@@ -228,7 +219,7 @@ class XiChainSet:
             q = a + q - b
             if np.linalg.norm(a - b) <= 1e-12:
                 break
-        return blocks.like(project_psd(b, blocks), x)
+        return project_psd(b, blocks)
 
     def membership_residual(self, x: np.ndarray) -> float:
         res = [np.linalg.norm(r) for r in self.chain_residuals(x)]
@@ -243,7 +234,7 @@ class XiChainSet:
     def random_feasible(self, rng) -> np.ndarray:
         x = random_psd(self.side, rng)
         x *= self.trace_target / np.trace(x).real
-        return self.project(x)
+        return self.blocks.unpack(self.project(self.blocks.pack(x)))
 
     def embed_state(self, rho: LabeledOperator) -> np.ndarray:
         """Lift a joint input state (on the even spaces) to a chain element.

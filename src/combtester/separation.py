@@ -203,9 +203,7 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     eye = np.eye(side)
     fitted = float(np.trace(t).real / side)
     report_solver = parallel_discriminable(
-        inst.c0.choi, inst.c1.choi,
-        restarts=solver_restarts, seed=seed, max_iter=300,
-    )
+        inst.c0.choi, inst.c1.choi, restarts=solver_restarts, seed=seed)
     return ParallelImpossibilityReport(
         d=d,
         identity_residual=float(np.linalg.norm(t - eye / d**3)),

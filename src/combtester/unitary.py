@@ -216,10 +216,10 @@ def parallel_optimality_check(u: np.ndarray, n: int) -> ParallelOptimalityReport
     """
     if n < 1:
         raise ValueError("need at least one use")
-    theta = angular_spread(u)
     ph = np.asarray(eigenphases(u).phases)
     gaps = np.diff(np.append(ph, ph[0] + 2 * np.pi))
     b = int(np.argmax(gaps))  # the index of b: the largest gap follows it
+    theta = float(2 * np.pi - gaps[b])  # the spread, as spread_of_phases reads it
     ends = np.diag(np.exp(1j * ph[[(b + 1) % ph.size, b]]))
     joint = tensor_power_spread(ends if n * theta <= np.pi else u, n)
     threshold = int(np.ceil(np.pi / theta)) if theta > 1e-12 else None

@@ -330,7 +330,7 @@ def test_fast_objective_matches_direct_product():
         rho = random_density(2, rng)
         witness = LabeledOperator(rho, (0,), (2,))
         obj = _ProductObjective(a, b, [1])
-        fast, _ = obj.value_and_grad(rho)
+        fast, _ = obj.value_and_grad(obj.blocks.pack(rho))
         assert abs(fast - product_residual(a, b, [1], witness)) < 1e-10
 
 
@@ -396,12 +396,18 @@ def _check_value_and_gradient(obj, a, b, fixed, rng):
     x = random_density(obj.de, rng)
     y = rng.normal(size=(obj.de, obj.de)) + 1j * rng.normal(size=(obj.de, obj.de))
     y = y + y.conj().T
-    fx, grad = obj.value_and_grad(x)
+    blocks = obj.blocks
+
+    def value(m):
+        return obj.value_and_grad(blocks.pack(m))[0]
+
+    fx, grad = obj.value_and_grad(blocks.pack(x))
+    grad = blocks.unpack(grad)
     direct = product_residual(a, b, fixed, LabeledOperator(x, obj.free_labels, obj.free_dims))
     assert abs(fx - direct) <= 1e-10 * max(1.0, direct)
     assert np.abs(grad - grad.conj().T).max() == 0.0
     # f is a real quadratic form, so its polarization is exact
-    fy, fxy = obj.value(y), obj.value(x + y)
+    fy, fxy = value(y), value(x + y)
     cross = float(np.einsum("ij,ji->", grad, y).real)
     assert abs(fxy - fx - fy - cross) <= 1e-10 * max(1.0, fxy, fy)
 

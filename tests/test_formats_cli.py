@@ -122,6 +122,63 @@ def test_metadata_round_trip(tmp_path):
     assert np.array_equal(formats.load(tmp_path / "comb.json").choi.matrix, mc.choi.matrix)
 
 
+_PAIR = [1.0, 0.0]
+_CHOI = {"kind": "choi", "labels": [0], "dims": {"0": 1}, "data": [[_PAIR]]}
+_NOT_TP = [[[2.0, 0.0]]]  # the Kraus operator 2 on a qubit's first level
+
+
+@pytest.mark.parametrize("doc,message", [
+    (dict(_CHOI, data=5), "non-empty nested array"),
+    (dict(_CHOI, data=[[[1.0]]]), r"\[re, im\] pairs"),
+    (dict(_CHOI, data=[[_PAIR, _PAIR], [_PAIR]]), "rectangular matrix"),
+    (dict(_CHOI, data=[[[float("nan"), 0.0]]]), "finite"),
+    (dict(_CHOI, labels=None), "missing or empty 'labels'"),
+    (dict(_CHOI, labels=[]), "missing or empty 'labels'"),
+    (dict(_CHOI, dims=[1]), "'dims' must map"),
+    (dict(_CHOI, labels=[0, 1], dims={"0": 1, "1": 2},
+          data=[[_PAIR, _PAIR], [[0.0, 0.0], _PAIR]]), "not Hermitian"),
+    ([_CHOI], "expected a JSON object"),
+    (dict(_CHOI, kind="state"), "'kind' must be one of"),
+    (dict(_CHOI, kind="comb"), "comb requires 'uses'"),
+    (dict(_CHOI, kind="comb", uses=1, labels=[0, 0]), "labels must be distinct"),
+    ({"kind": "channel", "in_dim": 1, "out_dim": 1}, "channel requires 'kraus'"),
+    ({"kind": "channel", "in_dim": 1, "out_dim": 1, "kraus": [_NOT_TP]},
+     "trace preservation"),
+    ("{not json", "invalid JSON"),
+    (b"\xff{", "invalid JSON"),  # not UTF-8 text
+])
+def test_malformed_documents_are_format_errors_naming_the_file(tmp_path, doc, message):
+    p = tmp_path / "bad.json"
+    if isinstance(doc, bytes):
+        p.write_bytes(doc)
+    else:
+        p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(formats.FormatError, match=message) as exc:
+        formats.load(p)
+    assert str(exc.value).startswith(str(p))
+
+
+def test_saving_an_unknown_type_is_a_format_error(tmp_path):
+    with pytest.raises(formats.FormatError, match="cannot serialize object of type dict"):
+        formats.save(tmp_path / "x.json", {"kind": "choi"})
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("validate", {"kind": "matrix", "data": [[_PAIR, _PAIR], [_PAIR]]}),
+    ("theta", {"kind": "matrix", "data": [[_PAIR, _PAIR], [_PAIR]]}),
+    ("validate", dict(_CHOI, kind="comb", uses=1, data=[[[float("nan"), 0.0]]])),
+    ("validate", dict(_CHOI, kind="comb", uses=1, labels=[0, 0])),
+    ("theta", {"kind": "matrix", "data": [[_PAIR, [float("nan"), 0.0]], [_PAIR, _PAIR]]}),
+])
+def test_cli_malformed_file_is_a_usage_error(tmp_path, capsys, command, doc):
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f)])
+    assert exc.value.code == 64
+    assert str(f) in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     f = tmp_path / "not_unitary.json"
     formats.save(f, np.diag([1.0, 2.0]).astype(complex))

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combtester.matcore import LabeledOperator, hermitian_part
+from combtester.matcore import Blocks, LabeledOperator, hermitian_part
 from combtester.optim import XiChainSet, project_simplex, project_to_density
 from combtester.sampling import random_density, rng_from
 
@@ -15,22 +15,32 @@ def test_project_simplex():
     assert np.abs(project_simplex(already) - already).max() < 1e-12
 
 
+def _on_matrix(step, blocks, m):
+    """``step`` on packed vectors of ``blocks``, applied to the matrix ``m``."""
+    return blocks.unpack(step(blocks.pack(m)))
+
+
 def test_project_to_density():
     rng = rng_from(1)
+    whole = Blocks.one(4)
+
+    def density(m):
+        return _on_matrix(lambda v: project_to_density(v, 1.0, whole), whole, m)
+
     h = hermitian_part(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    rho = project_to_density(h)
+    rho = density(h)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
     rho0 = random_density(4, rng)
-    assert np.abs(project_to_density(rho0) - rho0).max() < 1e-10
+    assert np.abs(density(rho0) - rho0).max() < 1e-10
 
 
 def test_affine_projection_is_idempotent_and_feasible():
     rng = rng_from(3)
     xi_set = XiChainSet((2, 2, 2))
     x = hermitian_part(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    p1 = xi_set.project_affine(x)
-    p2 = xi_set.project_affine(p1)
+    p1 = _on_matrix(xi_set.project_affine, xi_set.blocks, x)
+    p2 = _on_matrix(xi_set.project_affine, xi_set.blocks, p1)
     assert np.abs(p1 - p2).max() < 1e-10
     violation = [np.linalg.norm(r) for r in xi_set.chain_residuals(p1)]
     violation.append(np.trace(p1).real - xi_set.trace_target)
@@ -84,15 +94,19 @@ def test_affine_projection_laws(dims, seed):
     rng = rng_from(seed)
     xi_set = XiChainSet(dims)
     x, y = (_random_hermitian(xi_set.side, rng) for _ in range(2))
-    p = xi_set.project_affine(x)
+
+    def affine(m):
+        return _on_matrix(xi_set.project_affine, xi_set.blocks, m)
+
+    p = affine(x)
     # idempotent
-    assert np.abs(xi_set.project_affine(p) - p).max() <= 1e-12
+    assert np.abs(affine(p) - p).max() <= 1e-12
     # trace-exact, and every chain level holds
     assert abs(np.trace(p).real - xi_set.trace_target) <= 1e-12
     assert all(np.linalg.norm(r) <= 1e-12 for r in xi_set.chain_residuals(p))
     # the linear part is self-adjoint under the Hilbert-Schmidt inner product
-    p0 = xi_set.project_affine(np.zeros_like(x))
-    lx, ly = p - p0, xi_set.project_affine(y) - p0
+    p0 = affine(np.zeros_like(x))
+    lx, ly = p - p0, affine(y) - p0
     assert abs(np.vdot(lx, y) - np.vdot(x, ly)) <= 1e-12
     if xi_set.side <= 16:
         assert np.abs(_lstsq_projection(xi_set, x) - p).max() <= 1e-12
@@ -106,7 +120,7 @@ def test_full_projection_lands_in_the_set():
             rng.normal(size=(xi_set.side, xi_set.side))
             + 1j * rng.normal(size=(xi_set.side, xi_set.side))
         )
-        p = xi_set.project(x)
+        p = _on_matrix(xi_set.project, xi_set.blocks, x)
         assert xi_set.membership_residual(p) < 1e-9
         assert xi_set.membership_residual(xi_set.uniform()) < 1e-12
         assert xi_set.membership_residual(xi_set.random_feasible(rng)) < 1e-9

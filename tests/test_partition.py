@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from combtester import discrimination
 from combtester.channels import Channel, comb_from_sequence
 from combtester.discrimination import _ProductObjective, causal_discriminable
-from combtester.matcore import Blocks
+from combtester.matcore import Blocks, hermitian_part
 from combtester.optim import XiChainSet, invariant_blocks, project_psd, project_to_density
 from combtester.sampling import random_kraus
 from combtester.separation import build_example
@@ -96,14 +96,22 @@ def test_partition_is_kept_by_every_step(case):
     assert np.array_equal(blocks.unpack(packed), y)
     assert np.array_equal(blocks.pack(blocks.unpack(packed)), packed)
 
-    f, grad = obj.value_and_grad(y)
+    # the dense references: the objective and the affine step on one block,
+    # the PSD and density steps on the labelling of the Hermitian part of y
+    whole, labelled = Blocks.one(xi_set.side), Blocks.of(hermitian_part(y))
+
+    def dense(step, partition):
+        return partition.unpack(step(partition.pack(y)))
+
+    f, grad = obj.value_and_grad(whole.pack(y))
     f_packed, grad_packed = obj.on(blocks).value_and_grad(packed)
     assert abs(f_packed - f) <= 1e-12 * max(1.0, abs(f))
     steps = [
-        (grad, grad_packed),
-        (xi_set.project_affine(y), xi_set.on(blocks).project_affine(packed)),
-        (project_psd(y), project_psd(packed, blocks)),
-        (project_to_density(y), project_to_density(packed, 1.0, blocks)),
+        (whole.unpack(grad), grad_packed),
+        (dense(xi_set.project_affine, whole), xi_set.on(blocks).project_affine(packed)),
+        (dense(lambda v: project_psd(v, labelled), labelled), project_psd(packed, blocks)),
+        (dense(lambda v: project_to_density(v, 1.0, labelled), labelled),
+         project_to_density(packed, 1.0, blocks)),
     ]
     for dense_out, packed_out in steps:
         # the dense maps leave exact zeros off the partition ...
@@ -121,7 +129,8 @@ def test_bound_projection_matches_the_matrix_projection(case):
     # uses, can take thousands of inner iterations
     _, xi_set, _, blocks, rng = _decision(case)
     y = xi_set.uniform() + 0.05 * _random_on(blocks, rng)
-    dense_out = xi_set.project(y)
+    whole = xi_set.blocks
+    dense_out = whole.unpack(xi_set.project(whole.pack(y)))
     packed_out = xi_set.on(blocks).project(blocks.pack(y))
     assert packed_out.shape == (blocks.size,)
     scale = max(1.0, np.linalg.norm(dense_out))
