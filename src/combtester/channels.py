@@ -264,27 +264,27 @@ def validate_comb(mc: MemoryChannel, tol: float = 1e-9) -> CombValidation:
     """Check the recursive causal-structure constraints of a comb.
 
     A comb on spaces ``D`` is a normalization chain on ``(1,) + D``; one
-    :func:`matcore.chain_levels` walk peels its uses from the last: tracing
-    output ``2n-1`` of the n-use reduction must leave (the (n-1)-use reduction,
-    its normalized trace over input ``2n-2``) ⊗ I, down to a scalar 1.
+    :func:`matcore.chain_levels` walk on its entries peels its uses from the
+    last: tracing output ``2n-1`` of the n-use reduction must leave (the
+    (n-1)-use reduction, its normalized trace over input ``2n-2``) ⊗ I, down
+    to a scalar 1.
     """
     c = mc.choi
     levels: dict[int, float] = {}
     w = c.blocks.eigvalsh(c.entries)
     scale = max(1.0, float(abs(w[-1])) if len(w) else 1.0)
     min_eig = float(w[0])
-    # the top output is traced on the comb's entries (matcore.trace_last);
-    # the walk starts from that trace, as over a one-dimensional top space
     trace = c.trace()
-    walk = matcore.chain_levels(matcore.trace_last(c), (1,) + c.dims[:-1] + (1,))
+    walk = matcore.chain_levels(matcore.Entries.of(c), (1,) + c.dims)
     for n, (lower, residual) in zip(range(mc.uses, 0, -1), walk):
         # the n-use reduction of a valid comb has trace = product of its
         # input dimensions, so a normalization deficit is charged to the
         # level where it first appears instead of trickling to the bottom
         expected_trace = float(np.prod(c.dims[0:2 * n:2]))
-        levels[n] = max(float(np.linalg.norm(residual())), float(abs(trace - expected_trace)))
-        trace, current = np.trace(lower), lower
-    levels[0] = float(abs(current[0, 0] - 1.0))
+        levels[n] = max(float(np.linalg.norm(residual().values)),
+                        float(abs(trace - expected_trace)))
+        trace = lower.trace()
+    levels[0] = float(abs(trace - 1.0))
     max_res = max(max(levels.values()), max(0.0, -min_eig / scale))
     return CombValidation(
         valid=bool(max_res <= tol and min_eig >= -tol * scale),

@@ -130,6 +130,8 @@ def cmd_distance(args, parser) -> int:
 
 def cmd_theta(args, parser) -> int:
     u = _load(args.file, parser, expect=np.ndarray)
+    if u.shape[0] != u.shape[1]:
+        parser.error(f"{args.file}: expected a square matrix, got shape {u.shape}")
     theta = unitary.angular_spread(u)
     _emit({"theta": theta, "discriminability": unitary.discriminability(u)})
     return 0

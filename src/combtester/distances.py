@@ -163,7 +163,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     histories: list[list[float]] = [[] for _ in range(count)]
     live = np.arange(count)
     total_iter = 0
-    for _ in range(max_iter):
+    for step in range(max_iter):
         lift = _lift(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
         x = lift @ delta @ matcore._dagger(lift)
         w, v = np.linalg.eigh(matcore._hermitian(x))
@@ -177,7 +177,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         going = ~(val <= val_prev[live] + tol)
         val_prev[live] = val
         live, psi, w, v = live[going], psi[going], w[going], v[going]
-        if live.size == 0:
+        if live.size == 0 or step == max_iter - 1:  # no step left to value a new psi
             break
         s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
         # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]

@@ -72,6 +72,8 @@ def _labeled_from_doc(doc: dict, where: str) -> LabeledOperator:
 
 
 def _require_psd(m: np.ndarray, where: str) -> None:
+    if m.shape[0] != m.shape[1]:
+        raise FormatError(f"{where}: expected a square matrix, got shape {m.shape}")
     if np.linalg.norm(m - m.conj().T) > 1e-8 * max(1.0, np.linalg.norm(m)):
         raise FormatError(f"{where}: operator is not Hermitian")
     low = float(matcore.eigvalsh(matcore.hermitian_part(m)).min())

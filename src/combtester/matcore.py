@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class LabeledOperator:
             raise ValueError(f"labels must be distinct, got {labels}")
         if any(d < 1 for d in dims):
             raise ValueError(f"dimensions must be positive, got {dims}")
-        side = int(np.prod(dims)) if dims else 1
+        side = math.prod(dims)
         if shape != (side, side):
             raise ValueError(
                 f"matrix side {shape} inconsistent with dims {dims} (product {side})"
@@ -326,18 +326,6 @@ def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
     return np.einsum("aibi->abi", x.reshape(x.shape[0] // tail, tail, -1, tail))
 
 
-def trace_last(a: LabeledOperator) -> np.ndarray:
-    """The trace of ``a`` over its last factor, as a matrix: each entry
-    ``(r, c)`` whose row and column share the last index adds to
-    ``(r // top, c // top)``, in packed order."""
-    top = a.dims[-1]
-    rows, cols = a.blocks.index
-    keep = rows % top == cols % top
-    side = a.side // top
-    return _summed((rows[keep] // top) * side + cols[keep] // top, a.entries[keep],
-                   side * side).reshape(side, side)
-
-
 def _summed(flat: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """The length-``size`` vector adding each of ``values`` at its ``flat``
     position, in the order given."""
@@ -347,31 +335,91 @@ def _summed(flat: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _lift_residual(traced: np.ndarray, lower: np.ndarray, odd: int) -> np.ndarray:
-    """``traced - lower ⊗ I_odd``, formed in a copy of ``traced``."""
-    out = traced.copy()
-    tail_diagonal(out, odd)[...] -= lower[:, :, None]
-    return out
+class Entries(NamedTuple):
+    """A side-``side`` operator as its ``values`` at the flat positions
+    ``flat`` (``row * side + col``), 0 elsewhere.  The levels of a chain walk
+    hold each position once, ascending; the entries of a sum (:meth:`of`)
+    may repeat one, and then add up there."""
+
+    flat: np.ndarray
+    values: np.ndarray
+    side: int
+
+    @classmethod
+    def of(cls, *ops: LabeledOperator) -> "Entries":
+        """The entries of the sum of operators on one set of spaces: each
+        one's packed entries, one operator after another."""
+        if len({op.dims for op in ops}) > 1:
+            raise ValueError("operators act on different spaces")
+        side = ops[0].side
+        flat = [rows * side + cols for rows, cols in (op.blocks.index for op in ops)]
+        return cls(np.concatenate(flat), np.concatenate([op.entries for op in ops]), side)
+
+    def combined(self) -> "Entries":
+        """The level holding each distinct position, ascending, with the sum
+        of the values there in the order given."""
+        order = np.argsort(self.flat, kind="stable")
+        flat = self.flat[order]
+        first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        return Entries(flat[first], np.add.reduceat(self.values[order], first), self.side)
+
+    def trace(self) -> complex:
+        return complex(self.values[self.flat % (self.side + 1) == 0].sum())
+
+    def matrix(self) -> np.ndarray:
+        """The matrix of a level, each position held once."""
+        out = np.zeros(self.side * self.side, dtype=complex)
+        out[self.flat] = self.values
+        return out.reshape(self.side, self.side)
+
+    def operator(self, labels, dims) -> LabeledOperator:
+        """A level as the operator built from its nonzero entries."""
+        return LabeledOperator._nonzeros(*np.divmod(self.flat, self.side), self.values,
+                                         labels, dims)
 
 
-def chain_levels(x: np.ndarray, dims: Sequence[int], lowers=None):
+def trace_last(x: Entries, tail: int) -> Entries:
+    """The trace of ``x`` over its last factor, of dimension ``tail``, as a
+    level: each entry ``(r, c)`` whose row and column share the last index
+    adds to ``(r // tail, c // tail)``, in the order given."""
+    rows, cols = np.divmod(x.flat, x.side)
+    (rows, i), (cols, j) = np.divmod(rows, tail), np.divmod(cols, tail)
+    keep = i == j
+    side = x.side // tail
+    return Entries(rows[keep] * side + cols[keep], x.values[keep], side).combined()
+
+
+def _level_residual(x: Entries, top: int, lower: Entries, odd: int) -> Entries:
+    """``Tr_top x - lower ⊗ I_odd`` as a level, from the entries of both."""
+    traced = x if top == 1 else trace_last(x, top)  # the trace of a 1-d space is x
+    rows, cols = np.divmod(lower.flat, lower.side)
+    i = np.arange(odd)
+    lift = (rows[:, None] * odd + i) * traced.side + cols[:, None] * odd + i
+    return Entries(np.concatenate([traced.flat, lift.ravel()]),
+                   np.concatenate([traced.values, np.repeat(-lower.values, odd)]),
+                   traced.side).combined()
+
+
+def chain_levels(x: Entries, dims: Sequence[int], lowers=None):
     """Walk the normalization chain of ``x`` on spaces ``dims`` (odd length
-    2N-1, ascending) top down, yielding ``(X_{n-1}, residual)`` for n = N..2.
+    2N-1, ascending) top down on its entries, yielding the levels
+    ``(X_{n-1}, residual)`` for n = N..2.
 
     ``X_N = x``, and the lower level ``X_{n-1}`` is ``Tr_{2n-3} Tr_{2n-2} X_n /
-    d_{2n-3}`` or, when given, ``lowers[n-2]``.  ``residual()`` forms
-    ``Tr_{2n-2} X_n - X_{n-1} ⊗ I_{2n-3}`` only when called, so a walk for the
-    lowers alone never copies a full-side top level.
+    d_{2n-3}``, one :func:`trace_last` over both factors, or, when given,
+    ``lowers[n-2]``.  ``residual()`` forms ``Tr_{2n-2} X_n - X_{n-1} ⊗
+    I_{2n-3}`` only when called, so a walk for the lowers alone forms none.
+    ``x`` may repeat a position (the entries of a sum); each level below is
+    built from the entries of the one above, so no step forms a matrix.
     """
     for n in range((len(dims) + 1) // 2, 1, -1):
         top, odd = dims[2 * n - 2], dims[2 * n - 3]
-        # tracing a one-dimensional space is the identity map
-        traced = x if top == 1 else tail_diagonal(x, top).sum(axis=2)
         if lowers is None:
-            lower = tail_diagonal(traced, odd).sum(axis=2) * (1.0 / odd)
+            lower = trace_last(x, top * odd)
+            lower = lower._replace(values=lower.values * (1.0 / odd))
         else:
             lower = lowers[n - 2]
-        yield lower, partial(_lift_residual, traced, lower, odd)
+        yield lower, partial(_level_residual, x, top, lower, odd)
         x = lower
 
 
@@ -438,8 +486,9 @@ def edge_groups(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
     labels = _roots(rows, cols, n)
     sizes = np.bincount(labels, minlength=n)[labels]
     order = np.lexsort((labels, sizes))
-    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
-    return [g.reshape(-1, sizes[g[0]]) for g in np.split(order, cuts)]
+    sizes = sizes[order]
+    cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), n]
+    return [order[a:b].reshape(-1, sizes[a]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _roots(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -533,9 +582,11 @@ class Blocks:
     def index(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column, in the full matrix, of each packed entry."""
         rows, cols = [], []
-        for (r, c), (_, _, shape) in zip(self._entries(), self._spans):
-            rows.append(np.broadcast_to(r, shape))
-            cols.append(np.broadcast_to(c, shape))
+        for g in self.groups:
+            size = g.shape[1]
+            place = np.arange(size * size)
+            rows.append(g[:, place // size])
+            cols.append(g[:, place % size])
         return self.join(rows), self.join(cols)
 
     @cached_property

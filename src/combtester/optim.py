@@ -166,8 +166,11 @@ class XiChainSet:
         return bound
 
     def chain_residuals(self, x: np.ndarray) -> list[np.ndarray]:
-        """Hermitian residual of each chain level (levels N..2)."""
-        return [residual() for _, residual in matcore.chain_levels(x, self.dims)]
+        """Hermitian residual of each chain level (levels N..2), as a matrix,
+        from the walk on the entries of ``x``."""
+        x = np.asarray(x, dtype=complex).reshape(-1)
+        walk = matcore.chain_levels(matcore.Entries(np.arange(x.size), x, self.side), self.dims)
+        return [residual().matrix() for _, residual in walk]
 
     def _level_tails(self):
         """The even and odd tail of each chain level ``n = N..2``."""

@@ -141,7 +141,8 @@ def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
 
     With ``cross_check`` (default for d <= 3) the Choi operators are also
     constructed independently through the isometric dilations and the two
-    must agree to 1e-10.
+    must agree to 1e-10, compared with a temporary matrix of the closed
+    form, so the returned combs keep their entries alone.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -153,7 +154,7 @@ def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
     if cross_check:
         for mc, which in ((c0, 0), (c1, 1)):
             built = comb_from_isometries(dilation_blocks(d, which))
-            err = np.linalg.norm(built.choi.matrix - mc.choi.matrix)
+            err = np.linalg.norm(built.choi.matrix - mc.choi.blocks.unpack(mc.choi.entries))
             if err > 1e-10:
                 raise RuntimeError(
                     f"dilation of channel {which} deviates from the closed form "

@@ -69,35 +69,17 @@ class Tester:
         object.__setattr__(self, "chain", chain)
 
 
-def _sum_norms(elements, xi: np.ndarray) -> tuple[float, float]:
-    """``‖sum_i P_i‖²`` and ``‖sum_i P_i - Xi ⊗ I‖²`` from the elements'
-    entries: each position of the sum adds the elements' entries there in
-    their order, then subtracts its entry of ``Xi ⊗ I``."""
-    side, tail = elements[0].side, elements[0].dims[-1]
-    flat = np.concatenate([r * side + c for r, c in (e.blocks.index for e in elements)])
-    values = np.concatenate([e.entries for e in elements])
-    a, b = np.nonzero(xi)
-    lift = ((a * tail)[:, None] * side + b[:, None] * tail + np.arange(tail) * (side + 1)).ravel()
-
-    def norm_sq(at, v):
-        positions, slot = np.unique(at, return_inverse=True)
-        total = matcore._summed(slot, v, positions.size)
-        return float(np.vdot(total, total).real)
-
-    return norm_sq(flat, values), norm_sq(np.concatenate([flat, lift]),
-                                          np.concatenate([values, np.repeat(-xi[a, b], tail)]))
-
-
 def tester_from_elements(elements, uses: int) -> Tester:
     """The tester of ``elements``; its chain is the normalization chain of
-    the element sum, topped by ``Tr_last(sum) / d_last``, the sum of the
-    elements' traces (:func:`matcore.trace_last`)."""
+    the element sum, topped by ``Tr_last(sum) / d_last``, walked on the
+    elements' entries (:func:`matcore.chain_levels`) and held as the
+    entry-built levels of that walk."""
     elements = tuple(e.permuted(tuple(range(2 * uses))) for e in elements)
     dims = elements[0].dims
-    top = sum(matcore.trace_last(e) for e in elements) * (1.0 / dims[-1])
-    lowers = [top] + [lower for lower, _ in matcore.chain_levels(top, dims[:-1])]
-    chain = tuple(LabeledOperator(x, tuple(range(2 * n - 1)), dims[:2 * n - 1])
-                  for n, x in enumerate(reversed(lowers), start=1))
+    walk = matcore.chain_levels(matcore.Entries.of(*elements), dims + (1,))
+    lowers = [lower for lower, _ in walk][::-1]
+    chain = tuple(x.operator(range(2 * n - 1), dims[:2 * n - 1])
+                  for n, x in enumerate(lowers, start=1))
     return Tester(elements, chain, uses)
 
 
@@ -114,18 +96,19 @@ class TesterValidation:
 
 
 def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
-    """Check element positivity and the recursive chain normalization.  The
-    normalization residual is ``sum_i P_i - Xi ⊗ I`` with ``Xi`` the top
-    chain level, read from the elements' entries.  The lower residuals come
-    from walking ``Xi`` as a chain with the stored chain as its levels, and
-    the element spectra from their packed blocks."""
-    xi = t.chain[-1]
-    total_sq, res_sq = _sum_norms(t.elements, xi.matrix)
-    scale, norm_res = max(1.0, float(np.sqrt(total_sq))), float(np.sqrt(res_sq))
-    walk = matcore.chain_levels(xi.matrix, xi.dims, lowers=[x.matrix for x in t.chain[:-1]])
-    chain_res = {n: float(np.linalg.norm(residual()))
-                 for n, (_, residual) in zip(range(t.uses, 1, -1), walk)}
-    chain_res[1] = float(abs(np.trace(t.chain[0].matrix) - 1.0))
+    """Check element positivity and the recursive chain normalization.  One
+    walk on the entries of the element sum (:func:`matcore.chain_levels`),
+    with the stored chain as its levels, gives every residual: the
+    normalization residual ``sum_i P_i - Xi ⊗ I``, with ``Xi`` the top chain
+    level, and then each lower one.  The element spectra come from their
+    packed blocks."""
+    total = matcore.Entries.of(*t.elements).combined()  # the sum, each position once
+    lowers = [matcore.Entries.of(x) for x in t.chain]
+    walk = matcore.chain_levels(total, t.elements[0].dims + (1,), lowers)
+    norm_res, *lower_res = (float(np.linalg.norm(residual().values)) for _, residual in walk)
+    scale = max(1.0, float(np.linalg.norm(total.values)))
+    chain_res = dict(zip(range(t.uses, 1, -1), lower_res))
+    chain_res[1] = float(abs(t.chain[0].trace() - 1.0))
 
     min_eig = 0.0
     for e in t.elements:
@@ -247,36 +230,41 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     ``i`` is then one contraction of the input state, ``K``, its conjugate
     and ``M_i^T`` over b_1 and b_N, whose subscripts name the transposed,
     label-sorted layout.  The state and ``conj(K)`` are contracted once per
-    circuit and ``K`` and ``M_i^T`` once per element; their product, the
-    last step, is formed one block ``(x, X)`` of space 0 at a time, skipping
-    the blocks that the state leaves zero, and only its nonzero entries are
-    kept.  The element is built as the entries of
-    the components of their pattern (:func:`matcore.edge_groups`), so for
-    the d = 4 protocol of ``separation`` the largest temporary is one such
-    block (1 MB) and no 1024-side element matrix (16 MB) is made.
+    circuit into ``G`` and ``K`` and ``M_i^T`` once per element into ``B``;
+    their product, the last step, is formed one block ``(x, X)`` of space 0
+    at a time, as the GEMM of the rows of ``G`` that the state reaches in
+    that block with the columns that ``B`` reaches, and only its nonzero
+    entries are kept.  The element is built as the entries of the
+    components of their pattern (:func:`matcore.edge_groups`).  For the
+    protocol of ``separation`` a block holds ``d²`` rows and at most
+    ``(d - 1) d²`` columns, so the largest temporaries are ``G`` and ``B``,
+    ``d⁷`` entries each (256 kB at d = 4), and no square array of side
+    ``d⁴`` (1 MB at d = 4) is made.
     """
     n = tc.uses
     sd, ad = tc.system_dims, tc.ancilla_dims
     ket = _ket_chain(tc.blocks, sd, ad, 1)
     state = tc.input_state.reshape(sd[0], ad[0], sd[0], ad[0])
-    side = int(np.prod(sd))
+    side, dz, ny = int(np.prod(sd)), sd[-1], ket.shape[1]
     w = side // sd[0]
-    # P[x y z, X Y Z] = sum B[S Z z t Y] G[S X x t y] over (S, t), with
+    # P[x y z, X Y Z] = sum G[X x, S t, y] B[S t, z Y Z] over (S, t), with
     # G = sum_s conj(K[s y t]) state[X S, x s] and B = sum_T M^T[Z T, z t] K[S Y T]
-    g, elements = np.einsum("syt,XSxs->SXxty", ket.conj(), state), []
-    part = np.empty((ket.shape[1], sd[-1]) * 2, dtype=complex)  # a block of P: [y z, Y Z]
+    g = np.einsum("syt,XSxs->XxSty", ket.conj(), state, order="C")
+    g = g.reshape(sd[0], sd[0], -1, ny)  # views, as the layouts are C
+    elements = []
     for m in tc.povm:
-        b = np.einsum("ztZT,SYT->SZztY", m.reshape(sd[-1], ad[-1], sd[-1], ad[-1]), ket)
-        path = np.einsum_path("SZztY,Sty->yzYZ", b, g[:, 0, 0], optimize=True)[0]
+        b = np.einsum("ztZT,SYT->StzYZ", m.reshape(dz, ad[-1], dz, ad[-1]), ket, order="C")
+        b = b.reshape(g.shape[2], -1)
+        reach = np.flatnonzero(b.any(axis=0))
+        z, Y, Z = np.unravel_index(reach, (dz, ny, dz))
+        b = b[:, reach]
         flat, values = [], []
-        for x, X in np.ndindex(sd[0], sd[0]):
-            if not g[:, X, x].any():  # the block (x, X) of P vanishes
-                continue
-            np.einsum("SZztY,Sty->yzYZ", b, g[:, X, x], optimize=path, out=part)
-            on = np.flatnonzero(part)
-            r, c = np.divmod(on, w)
-            flat.append((x * w + r) * side + X * w + c)
-            values.append(part.reshape(-1)[on])
+        for X, x in np.ndindex(sd[0], sd[0]):
+            ys = np.flatnonzero(g[X, x].any(axis=0))  # none where the block of P vanishes
+            part = g[X, x][:, ys].T @ b
+            i, j = np.nonzero(part)
+            flat.append((x * w + ys[i] * dz + z[j]) * side + X * w + Y[j] * dz + Z[j])
+            values.append(part[i, j])
         rows, cols = np.divmod(np.concatenate(flat), side)
         elements.append(LabeledOperator._nonzeros(rows, cols, np.concatenate(values),
                                                   range(2 * n), sd))

@@ -9,12 +9,15 @@ per-space dimensions.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from combtester.channels import MemoryChannel, comb_from_isometries, validate_comb
 from combtester.matcore import (
+    Entries,
     LabeledOperator,
+    chain_levels,
     hermitian_part,
     identity,
     partial_trace,
@@ -24,7 +27,7 @@ from combtester.matcore import (
 from combtester.optim import XiChainSet
 from combtester.sampling import rng_from
 from combtester import testers
-from combtester.testers import Tester, validate_tester
+from combtester.testers import Tester, TesterCircuit, validate_tester
 from util import matrix_built, random_isometric_comb, random_tester_circuit
 
 TOL = 1e-12
@@ -274,3 +277,113 @@ def test_streamed_tester_sum_matches_dense_reference(sd, first, outcomes, seed, 
     kicked = t.elements[0] + LabeledOperator(kick, t.elements[0].labels, t.elements[0].dims)
     _, v = _check_streamed(Tester((kicked,) + t.elements[1:], t.chain, n_uses))
     assert v.normalization_residual > EPS / 2
+
+
+# -- the entry walk against dense reshapes, to 1e-14 --------------------------
+
+
+def _traced(x, tail):
+    """``Tr_last x`` over a last factor of dimension ``tail``, by a reshape."""
+    s = x.shape[0] // tail
+    return np.einsum("aibi->ab", x.reshape(s, tail, s, tail))
+
+
+def _dense_levels(x, dims, lowers=None):
+    """``(X_{n-1}, Tr_{2n-2} X_n - X_{n-1} ⊗ I)`` of each level of the chain
+    of the matrix ``x`` on ``dims``, by dense reshapes."""
+    out = []
+    for n in range((len(dims) + 1) // 2, 1, -1):
+        top, odd = dims[2 * n - 2], dims[2 * n - 3]
+        traced = _traced(x, top)
+        lower = _traced(traced, odd) / odd if lowers is None else lowers[n - 2]
+        out.append((lower, traced - np.kron(lower, np.eye(odd))))
+        x = lower
+    return out
+
+
+def _close(got, want, scale):
+    assert np.abs(got - want).max() <= 1e-14 * scale, np.abs(got - want).max() / scale
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 1, 2), (2, 3, 1, 2, 3), (3, 2, 2, 1, 2)])
+def test_entry_walk_matches_dense_levels(dims):
+    # a sparse operator handed over as two summands on the same positions,
+    # so every level adds up repeated entries
+    rng = rng_from(int("".join(map(str, dims))))
+    side = int(np.prod(dims))
+    x = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    x[rng.random((side, side)) < 0.6] = 0
+    flat = np.flatnonzero(x)
+    part = x.reshape(-1)[flat] * rng.random(flat.size)
+    summands = Entries(np.concatenate([flat, flat]),
+                       np.concatenate([part, x.reshape(-1)[flat] - part]), side)
+    walked = list(chain_levels(summands, dims))
+    dense = _dense_levels(x, dims)
+    assert len(walked) == len(dense) == len(dims) // 2
+    scale = np.linalg.norm(x)
+    for (lower, residual), (want_lower, want_residual) in zip(walked, dense):
+        _close(lower.matrix(), want_lower, scale)
+        level = residual()
+        assert (np.diff(level.flat) > 0).all()
+        _close(level.matrix(), want_residual, scale)
+    # the same walk through XiChainSet, on the dense matrix
+    for got, (_, want) in zip(XiChainSet(dims).chain_residuals(x), dense):
+        _close(got, want, scale)
+
+
+@pytest.mark.parametrize("sd", [(2, 3, 3, 2), (3, 2, 1, 2, 2, 3)])
+def test_comb_check_matches_dense_levels(sd):
+    # a random comb, and the same comb off its chain by 1e-3 at every level
+    rng = rng_from(int("".join(map(str, sd))))
+    n_uses, side = len(sd) // 2, int(np.prod(sd))
+    mc = comb_from_isometries(
+        random_isometric_comb(sd, _ancillas(sd[0::2], sd[1::2], 1), rng))
+    kick = _random_hermitian(tuple(range(len(sd))), sd, rng) * EPS
+    for comb in (mc, MemoryChannel(mc.choi + kick, n_uses)):
+        c = comb.choi.matrix
+        v = validate_comb(comb)
+        trace, scale = np.trace(c), max(1.0, np.linalg.norm(c))
+        dense = _dense_levels(c, (1,) + sd)
+        for n, (lower, residual) in zip(range(n_uses, 0, -1), dense):
+            want = max(np.linalg.norm(residual), abs(trace - np.prod(sd[0:2 * n:2])))
+            assert abs(v.level_residuals[n] - want) <= 1e-14 * scale
+            trace = np.trace(lower)
+        assert abs(v.level_residuals[0] - abs(trace - 1.0)) <= 1e-14 * scale
+    assert np.linalg.matrix_rank(mc.choi.matrix) < side
+
+
+def _tester_cases(rng):
+    """Random tester circuits on unequal dims for N = 2 and N = 3, and one
+    whose chain is rank-deficient: a basis input state on space 0."""
+    cases = []
+    for sd, first in (((2, 3, 2, 3), 2), ((3, 2, 1, 2, 2, 2), 1), ((3, 2, 2, 3), 1)):
+        ad = (first,) + _ancillas(sd[1:-1:2], sd[2::2], first)
+        cases.append(random_tester_circuit(sd, ad, 2, rng))
+    tc = cases[-1]
+    state = np.zeros_like(tc.input_state)
+    state[0, 0] = 1.0
+    cases[-1] = TesterCircuit(state, tc.blocks, tc.povm, tc.system_dims, tc.ancilla_dims)
+    return [testers.tester_from_circuit(tc) for tc in cases]
+
+
+def test_tester_chain_and_check_match_dense_levels():
+    # the chain the walk builds and the residuals of the check, for valid
+    # testers and for the same testers with their top level scaled off
+    for t in _tester_cases(rng_from(11)):
+        total = sum(e.matrix for e in t.elements)
+        dims, scale = t.elements[0].dims, max(1.0, np.linalg.norm(total))
+        want = [x for x, _ in _dense_levels(total, dims + (1,))][::-1]
+        for got, x in zip(t.chain, want):
+            assert "matrix" not in vars(got)
+            _close(got.matrix, x, scale)
+        off = Tester(t.elements, t.chain[:-1] + (t.chain[-1] * (1 + EPS),), t.uses)
+        for tester in (t, off):
+            v = validate_tester(tester)
+            chain = [x.matrix for x in tester.chain]
+            dense = _dense_levels(total, dims + (1,), lowers=chain)
+            reported = [v.normalization_residual] + [v.chain_residuals[n]
+                                                     for n in range(t.uses, 1, -1)]
+            for got, (_, residual) in zip(reported, dense):
+                assert abs(got - np.linalg.norm(residual)) <= 1e-14 * scale
+            assert abs(v.chain_residuals[1] - abs(np.trace(chain[0]) - 1.0)) <= 1e-14
+    assert np.linalg.matrix_rank(t.chain[0].matrix) == 1 < t.chain[0].side

@@ -354,3 +354,20 @@ def test_memory_starts_are_projected_once(monkeypatch):
     est = memory_distance(a, b, restarts=2, seed=0, max_iter=0)
     assert len(calls) == 1
     assert est.restarts == 2 and est.iterations == 0
+
+
+@pytest.mark.parametrize("max_iter", [1, 4])
+def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter):
+    # each step values psi with one stacked eigh, and the half-step that
+    # moves psi runs between steps only: a last half-step would move a psi
+    # that no step values.  The eighs are counted until the best psi is read
+    # out after the loop (_memory_objective)
+    rng = rng_from(3)
+    a, b = (qubit_choi(haar_unitary(3, rng)) for _ in range(2))
+    calls, seen, eigh, objective = [], [], np.linalg.eigh, distances._memory_objective
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(1) or eigh(h))
+    monkeypatch.setattr(distances, "_memory_objective",
+                        lambda *args: seen.append(len(calls)) or objective(*args))
+    est = cb_distance(a, b, restarts=3, max_iter=max_iter, tol=-np.inf)
+    assert est.iterations == 3 * max_iter and est.capped == 3
+    assert seen == [2 * max_iter - 1]

@@ -179,6 +179,23 @@ def test_cli_malformed_file_is_a_usage_error(tmp_path, capsys, command, doc):
     assert str(f) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,doc,where", [
+    ("theta", {"kind": "matrix", "data": [[_PAIR, _PAIR]]}, ""),
+    ("theta", {"kind": "matrix", "data": [[]]}, ""),
+    # a tester element of shape (1, 2) on dims {0: 1, 1: 2}
+    ("validate", {"kind": "tester", "uses": 1, "labels": [0, 1], "dims": {"0": 1, "1": 2},
+                  "elements": [[[[1, 0], [0, 0]]]], "chain": [[[[1, 0]]]]}, ".elements[0]"),
+])
+def test_cli_non_square_matrix_is_a_usage_error(tmp_path, capsys, command, doc, where):
+    # the shape is the fault, named with the file (and element) it sits in
+    f = tmp_path / "non_square.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f)])
+    assert exc.value.code == 64
+    assert f"{f}{where}: expected a square matrix" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     f = tmp_path / "not_unitary.json"
     formats.save(f, np.diag([1.0, 2.0]).astype(complex))

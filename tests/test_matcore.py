@@ -10,6 +10,7 @@ from combtester.channels import MemoryChannel
 from combtester import matcore
 from combtester.matcore import (
     Blocks,
+    Entries,
     LabeledOperator,
     allclose,
     block_groups,
@@ -313,8 +314,10 @@ def test_entry_built_operator_reads_as_its_matrix(h, seed):
     assert built.trace() == dense.trace()
     # both add up their entries in packed order, partial_trace in index order
     traced = partial_trace(dense, [labels[-1]]).matrix
-    assert np.abs(trace_last(built) - traced).max() <= 1e-12 * max(1.0, np.abs(h).sum())
-    assert np.array_equal(trace_last(dense), trace_last(built))
+    level = trace_last(Entries.of(built), dims[-1])
+    assert (np.diff(level.flat) > 0).all()  # each position once, ascending
+    assert np.abs(level.matrix() - traced).max() <= 1e-12 * max(1.0, np.abs(h).sum())
+    assert all(map(np.array_equal, trace_last(Entries.of(dense), dims[-1]), level))
     assert "matrix" not in vars(built)  # none of the reads above formed it
     assert np.array_equal(built.matrix, h) and not built.matrix.flags.writeable
     assert np.array_equal(unpickled.matrix, h)

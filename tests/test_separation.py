@@ -1,9 +1,14 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import combtester
 from combtester import cli, matcore, separation, testers
 from combtester.channels import comb_from_isometries, validate_comb
 from combtester.discrimination import (
@@ -70,6 +75,13 @@ def test_build_example_traces_and_validity():
             assert v.valid, v.max_residual
         summary = comb_validation_summary(inst)
         assert summary["c0"]["valid"] and summary["c1"]["valid"]
+
+
+def test_cross_check_keeps_the_combs_entry_built():
+    # the d <= 3 cross-check compares with a temporary matrix of the closed
+    # form, so the returned combs hold their entries alone
+    inst = build_example(3)
+    assert "matrix" not in vars(inst.c0.choi) and "matrix" not in vars(inst.c1.choi)
 
 
 def test_dilation_matches_closed_form():
@@ -162,30 +174,33 @@ def test_protocol_large_dimension_random_state():
 
 def test_protocol_d4_peak_memory():
     # the tester elements are contracted from the protocol's kets and held
-    # as their entries; one 4096-side network (268 MB) alone would break
-    # the bound
+    # as their entries, and its chain is walked on them; the largest
+    # temporaries are the contraction's two d^7-entry factors (256 kB
+    # each), where one side-256 block of the contraction or of the chain
+    # is 1 MB
     inst = build_example(4)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     _, peak = traced_peak(causal_protocol, inst, psi)
-    assert peak < 200 * 2 ** 20
+    assert peak < 2 * 2 ** 20, peak / 2 ** 20
 
 
 def test_protocol_tester_holds_no_temporary_of_element_size():
     # the d = 4 elements are held as their entries: building the tester
-    # holds one 1 MB block of the contraction, and checking it reads the
-    # entries; a whole-element contraction result and a dense element sum
-    # would take them to about 3.1 and 1.3 elements (16 MB each)
+    # holds the rows and columns of the contraction that the state and the
+    # POVM reach, and checking it reads the entries; a whole-element
+    # contraction result and a dense element sum would take them to about
+    # 3.1 and 1.3 elements (16 MB each)
     inst = build_example(4)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     causal_protocol(build_example(2), psi[:2])  # numpy's lazy imports, untraced
     (tester, _), peak = traced_peak(causal_protocol, inst, psi)
     element = tester.elements[0].matrix.nbytes
-    assert peak < 2.5 * element, peak / element
+    assert peak < 0.125 * element, peak / element
     v, peak = traced_peak(validate_tester, tester, 1e-9)
     assert v.valid
-    assert peak < 0.25 * element, peak / element
+    assert peak < 0.05 * element, peak / element
     # one element wrapped as its matrix, the other entry-built: both are
     # read as their entries, and the entry-built one never forms its matrix
     fresh, _ = causal_protocol(inst, psi)
@@ -301,7 +316,8 @@ def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
     # labelled; the three full-side labellings are the union partition of
     # C0 - C1 that the parallel decision's distance bound reads, and the
     # protocol tester's elements, from the entries collected while
-    # contracting them
+    # contracting them; its two chain levels are labelled from the entries
+    # of the chain walk
     labelled = []
     edge_groups = matcore.edge_groups
 
@@ -315,9 +331,10 @@ def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
     full = [flat for n, flat in labelled if n == 3 * 9 * 3 * 3]
     assert not any(np.array_equal(a, b) for i, a in enumerate(full) for b in full[:i])
     assert len(full) == 3
-    # with the two POVM elements and the input state; the bound proves the
-    # parallel decision at the uniform point, so no start is labelled
-    assert len(labelled) == 6
+    # with the two chain levels (sides 81 and 3), the two POVM elements
+    # (27) and the input state (3); the bound proves the parallel decision at the uniform
+    # point, so no start is labelled
+    assert sorted(n for n, _ in labelled if n != 3 * 9 * 3 * 3) == [3, 3, 27, 27, 81]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -374,10 +391,30 @@ def test_paper_example_prints_the_same_from_entries_and_from_matrices(monkeypatc
 def test_paper_example_d4_holds_no_side_1024_matrix():
     # the combs and the protocol elements are held as their block entries
     # (C0: 64 blocks of 4 and 768 zero singletons; C1 and the elements:
-    # diagonal), so no stage of the run needs a 16 MB side-1024 matrix
+    # diagonal), and the comb and tester chains are walked on them, so no
+    # stage of the run needs a 16 MB side-1024 matrix, nor a 1 MB side-256
+    # level of a chain: the dense walk and contraction held three of those
     argv = ["paper-example", "--d", "4", "--seed", "1"]
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["paper-example", "--d", "2"])  # numpy's lazy imports, untraced
         code, peak = traced_peak(cli.main, argv)
     assert code == 0
-    assert peak < 1024 * 1024 * 16, peak / 2 ** 20
+    assert peak < 2.5 * 2 ** 20, peak / 2 ** 20
+    summary, peak = traced_peak(comb_validation_summary, build_example(4))
+    assert summary["c0"]["valid"] and summary["c1"]["valid"]
+    assert peak < 0.5 * 2 ** 20, peak / 2 ** 20
+
+
+def test_paper_example_d6_peak_rss_in_a_child_process():
+    # the whole run, interpreter and numpy included, in a fresh process; an
+    # intermediate process reads its peak resident set (RUSAGE_CHILDREN), so
+    # no other child of the test run is counted.  The dense chain walk and
+    # contraction, with their side-1296 arrays, took it to 144 MB
+    script = ("import resource, subprocess, sys; "
+              "subprocess.run([sys.executable, '-m', 'combtester.cli', 'paper-example', "
+              "'--d', '6'], stdout=subprocess.DEVNULL, check=True); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(Path(combtester.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert int(out.stdout) < 80 * 1024, int(out.stdout) / 1024  # kB on Linux
