@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -57,9 +58,10 @@ ORTHOGONALITY_TOL = 1e-9  # the largest cross-Gram trace modulus counted as zero
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """A decision; ``restarts`` counts the starts that ran, and ``upper`` is
-    the least one-use distance bound taken (None for more uses).  Its JSON
-    report leaves out ``witness`` and ``objective_history``."""
+    """A decision; ``restarts`` counts the starts that ran, ``capped`` those
+    that ended at ``max_iter``, and ``upper`` is the least one-use distance
+    bound taken (None for more uses).  Its JSON report leaves out
+    ``witness`` and ``objective_history``."""
 
     feasible: bool
     status: str
@@ -68,6 +70,7 @@ class FeasibilityReport:
     witness: LabeledOperator | None = field(metadata={"json": False})
     iterations: int
     restarts: int
+    capped: int
     objective_history: list = field(default_factory=list, metadata={"json": False})
 
 
@@ -246,11 +249,11 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
         if upper < 2 - allowance:  # proven before any start
             value = float(uniform[0, 0] ** 2 * _squares_trace(c0, c1))
             witness = LabeledOperator(uniform, free, [c0.dim_of(l) for l in free])
-            return FeasibilityReport(False, "infeasible", value, upper, witness, 0, 0, [value])
+            return FeasibilityReport(False, "infeasible", value, upper, witness, 0, 0, 0, [value])
     obj = _ProductObjective(c0, c1, fixed_labels)
-    rng = rng_from(seed)
-    starts = chain([uniform], (xi_set.random_feasible(rng) for _ in range(restarts - 1)))
-    best, total_iter, ran = None, 0, 0
+    rng = cache(lambda: rng_from(seed))  # made at the first random start
+    starts = chain([uniform], (xi_set.random_feasible(rng()) for _ in range(restarts - 1)))
+    best, total_iter, ran, capped = None, 0, 0, 0
     for x0 in starts:
         blocks = invariant_blocks(x0, (obj.reach, xi_set.reach))
         res = projected_gradient_min(
@@ -259,6 +262,7 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
         )
         ran += 1
         total_iter += res.iterations
+        capped += res.stop == "max_iter"
         if best is None or res.value < best.value:
             best, best_blocks = res, blocks
         if best.value <= FEASIBLE_TOL * 1e-4:
@@ -277,7 +281,7 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
     return FeasibilityReport(
         feasible=status == "feasible", status=status, residual=best.value, upper=upper,
         witness=LabeledOperator(best_blocks.unpack(best.x), free, [c0.dim_of(l) for l in free]),
-        iterations=total_iter, restarts=ran, objective_history=best.history,
+        iterations=total_iter, restarts=ran, capped=capped, objective_history=best.history,
     )
 
 

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import combtester
 from combtester import matcore
 from combtester.channels import (
     Channel,
@@ -12,6 +19,7 @@ from combtester.channels import (
     unitary_channel,
 )
 from combtester.discrimination import (
+    FEASIBLE_TOL,
     _ProductObjective,
     causal_discriminable,
     delta_matrix,
@@ -22,7 +30,7 @@ from combtester.discrimination import (
 )
 from combtester.distances import cb_distance, memory_distance, unitary_cb_oracle
 from combtester.matcore import LabeledOperator
-from combtester.optim import XiChainSet
+from combtester.optim import XiChainSet, invariant_blocks
 from combtester.sampling import haar_unitary, random_density, random_kraus
 from combtester.separation import build_example, causal_protocol
 from combtester.testers import povm_from_tester, reduced_state, validate_tester
@@ -206,6 +214,39 @@ def test_causal_draws_random_starts_only_when_they_run(monkeypatch):
     rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=0)
     assert rep.feasible and rep.restarts == 1
     assert drawn == []
+
+
+def test_settled_decision_imports_no_random_generator():
+    # the restart generator is made only when a random start runs, so a
+    # decision settled at the uniform start never imports numpy.random
+    script = ("import sys; from combtester.separation import build_example; "
+              "from combtester.discrimination import causal_discriminable; "
+              "inst = build_example(2); rep = causal_discriminable(inst.c0, inst.c1); "
+              "print(rep.status, rep.restarts, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(combtester.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["feasible", "1", "False"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_causal_counterexample_settles_in_a_few_steps(d):
+    # the first step is the exact line minimizer along -g, so the uniform
+    # start reaches the target in a few steps (20, 30 and 37 from a unit step)
+    inst = build_example(d)
+    rep = causal_discriminable(inst.c0, inst.c1, restarts=1, seed=0)
+    assert (rep.restarts, rep.capped) == (1, 0)
+    assert rep.iterations <= 5, rep.iterations
+    assert rep.residual <= FEASIBLE_TOL * 1e-4
+    assert np.all(np.diff(rep.objective_history) <= 0)
+
+
+def test_capped_starts_are_counted():
+    inst = build_example(3)
+    capped = causal_discriminable(inst.c0, inst.c1, restarts=2, seed=0, max_iter=1)
+    assert (capped.restarts, capped.capped, capped.iterations) == (2, 2, 2)
+    settled = causal_discriminable(inst.c0, inst.c1)
+    assert settled.feasible and settled.capped == 0
 
 
 def test_causal_counterexample_d4_feasible_and_synthesis():
@@ -410,6 +451,48 @@ def _check_value_and_gradient(obj, a, b, fixed, rng):
     fy, fxy = value(y), value(x + y)
     cross = float(np.einsum("ij,ji->", grad, y).real)
     assert abs(fxy - fx - fy - cross) <= 1e-10 * max(1.0, fxy, fy)
+
+
+@lru_cache(maxsize=None)
+def _bound_objective(case: str, seed: int) -> _ProductObjective:
+    """The causal objective of a qubit comb pair (one or two uses, or the
+    d = 2 counterexample), bound to the invariant partition of the uniform
+    start, as a decision binds it."""
+    if case == "counterexample":
+        inst = build_example(2)
+        a, b, uses = inst.c0.choi, inst.c1.choi, 2
+    else:
+        uses = 1 if case == "one-use" else 2
+        rng = np.random.default_rng(seed)
+        a, b = (comb_from_isometries(random_isometric_comb((2,) * 2 * uses, (2,) * uses, rng)).choi
+                for _ in range(2))
+    fixed = [2 * uses - 1]
+    obj = _ProductObjective(a, b, fixed)
+    xi_set = XiChainSet(a.dims[:-1])
+    return obj.on(invariant_blocks(xi_set.uniform(), (obj.reach, xi_set.reach)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["one-use", "two-use", "counterexample"]),
+       seed=st.integers(0, 3), data=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(-3.0, 3.0))
+def test_product_objective_is_a_homogeneous_quadratic(case, seed, data, t):
+    # the law the descent's first step relies on: along v the objective is
+    # f(x) - t<g, v> + t^2 f(v), and Euler's identity <g, x> = 2 f(x)
+    obj = _bound_objective(case, seed)
+    rng = np.random.default_rng(data)
+
+    def hermitian():
+        m = rng.normal(size=(obj.de, obj.de)) + 1j * rng.normal(size=(obj.de, obj.de))
+        return obj.blocks.pack(m + m.conj().T)
+
+    x, v = hermitian(), hermitian()
+    fx, g = obj.value_and_grad(x)
+    fv = obj.value_and_grad(v)[0]
+    gv = np.vdot(g, v).real
+    scale = max(1.0, fx, abs(t * gv), t * t * fv)
+    assert abs(obj.value_and_grad(x - t * v)[0] - (fx - t * gv + t * t * fv)) <= 1e-12 * scale
+    assert abs(np.vdot(g, x).real - 2 * fx) <= 1e-12 * max(1.0, fx)
 
 
 @pytest.mark.parametrize("restarts", [0, -3])

@@ -320,7 +320,7 @@ def test_cli_paper_example(tmp_path, capsys):
     assert out["combs"]["c0"]["valid"] and out["combs"]["c1"]["valid"]
 
 
-_DECISION_KEYS = ["feasible", "status", "residual", "upper", "iterations", "restarts"]
+_DECISION_KEYS = ["feasible", "status", "residual", "upper", "iterations", "restarts", "capped"]
 
 
 def test_cli_report_layouts(tmp_path, capsys):

@@ -3,7 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtester.matcore import Blocks, LabeledOperator, hermitian_part
-from combtester.optim import XiChainSet, project_simplex, project_to_density
+from combtester.optim import (
+    XiChainSet,
+    project_simplex,
+    project_to_density,
+    projected_gradient_min,
+)
 from combtester.sampling import random_density, rng_from
 
 
@@ -133,3 +138,41 @@ def test_embed_state_is_feasible_and_consistent():
     lifted = xi_set.embed_state(LabeledOperator(rho, (0, 2), (2, 2)))
     assert xi_set.membership_residual(lifted) < 1e-10
     assert abs(np.trace(lifted).real - xi_set.trace_target) < 1e-10
+
+
+def _quadratic(h):
+    """The homogeneous quadratic ``x·Hx`` and its gradient ``2Hx``."""
+    return lambda x: (float(x @ h @ x), 2 * h @ x)
+
+
+def test_first_trial_step_is_the_exact_line_minimizer():
+    h = np.diag([1.0, 4.0, 10.0])
+    x0 = np.array([1.0, -2.0, 0.5])
+    tried = []
+
+    def project(x):
+        tried.append(x)
+        return x
+
+    value_and_grad = _quadratic(h)
+    projected_gradient_min(value_and_grad, project, x0, max_iter=1)
+    g = value_and_grad(x0)[1]
+    step = (g @ g) / (2 * value_and_grad(g)[0])
+    assert np.allclose(tried[0], x0 - step * g, rtol=1e-14, atol=0)
+    # it minimizes the objective along -g
+    fc = value_and_grad(tried[0])[0]
+    assert all(fc <= value_and_grad(x0 - s * g)[0] for s in step * np.array([0.9, 1.1]))
+
+
+def test_descent_reports_why_it_stopped():
+    value_and_grad, same = _quadratic(np.diag([1.0, 4.0, 10.0])), (lambda x: x)
+    x0 = np.array([1.0, -2.0, 0.5])
+
+    def stop(x, **kw):
+        return projected_gradient_min(value_and_grad, same, x, **kw).stop
+
+    assert stop(x0, max_iter=1) == "max_iter"
+    assert stop(x0, stop_below=1e-6) == "target"
+    assert stop(x0) == "stalled"
+    # a zero gradient has no curvature along it, and no step moves
+    assert stop(np.zeros(3)) == "no decrease"
