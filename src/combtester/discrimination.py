@@ -20,8 +20,9 @@ small value is a constructive feasibility certificate.  A one-use problem
 descent, with the residual there read off the combs' block squares, and at
 each start's end, stopping at the first proof; without a proof or a zero it
 is ``undetermined``.  A multi-use decision is certified infeasible only
-empirically, by its minimum staying above ``INFEASIBLE_TOL``.  Synthesis
-runs on the block entries of the combs and the lifted witness.
+empirically, by its minimum staying above ``INFEASIBLE_TOL`` from converged
+starts; if any start stopped at ``max_iter`` it is ``undetermined``.
+Synthesis runs on the block entries of the combs and the lifted witness.
 
 Each start runs on the finest block partition that it, the gradient map and
 the set's affine step keep (:func:`optim.invariant_blocks`), found once per
@@ -274,7 +275,7 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
                 break
     if best.value < FEASIBLE_TOL:
         status = "feasible"
-    elif proof or (upper is None and best.value > INFEASIBLE_TOL):
+    elif proof or (upper is None and best.value > INFEASIBLE_TOL and not capped):
         status = "infeasible"
     else:
         status = "undetermined"

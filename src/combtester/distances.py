@@ -112,11 +112,13 @@ def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
     root, inv_root = ((u * f) @ matcore._dagger(u) for f in (np.sqrt(w), 1 / np.sqrt(w)))
     blocks, (c0_at, c1_at), lift = matcore._lifted((c0, c1), order, root, np.nonzero(rho))
     x = blocks.product(lift, c0_at - c1_at, lift)
-    (e, r), c = np.divmod(blocks.index[0], n), blocks.index[1] % n  # ladder step, row, column
-    same = r % out == c % out  # the entries Tr_out reads
-    at = ((e * d_in + r // out) * d_in + c // out)[same]
-    t, s = (matcore._summed(at, v[same], ladder.size * d_in ** 2).reshape(-1, d_in, d_in)
-            for v in (blocks.map(x, np.abs), c0_at + c1_at))
+    flat = np.ravel_multi_index(blocks.index, (blocks.side,) * 2)
+    trace = matcore.TailTrace(flat, blocks.side, out)  # Tr_out, copy by copy
+    rows, cols = np.divmod(trace.flat, trace.side)
+    at = rows * d_in + cols % d_in  # (ladder step, row, column): the copies are block-diagonal
+    t, s = np.zeros((2, ladder.size, d_in, d_in), dtype=complex)
+    for block, v in ((t, blocks.map(x, np.abs)), (s, c0_at + c1_at)):
+        block.reshape(-1)[at] = trace(v)
     lam = np.linalg.eigvalsh(matcore._hermitian(inv_root @ t @ inv_root - s))[:, -1]
     norm = np.trace(t, axis1=1, axis2=2).real  # ||LΔL||_1
     allowance = 4 * n * np.finfo(float).eps * (norm * d_in / ladder + 1)

@@ -10,6 +10,10 @@ conventions are fixed once and for all:
   ``labels`` tuple.  All reshuffling goes through :meth:`LabeledOperator.permuted`
   rather than raw reshapes, because transpose-convention bugs are the
   dominant failure mode in Choi calculus.
+
+Operators held as entries are traced over a last factor by :class:`TailTrace`
+alone, and lifted to ``⊗ I`` there by :func:`lift_last`; :func:`partial_trace`
+is the dense reference over any labels.
 """
 
 from __future__ import annotations
@@ -316,23 +320,46 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     return LabeledOperator._built(out.reshape(da * db, da * db), labels, dims)
 
 
-def tail_diagonal(x: np.ndarray, tail: int) -> np.ndarray:
-    """Diagonal of ``x`` on its last ``tail``-dimensional tensor factor.
+def lift_last(flat: np.ndarray, side: int, tail: int) -> np.ndarray:
+    """The flat positions of ``x ⊗ I_tail`` (side ``side * tail``) that the
+    entries of a side-``side`` ``x`` at ``flat`` replace: ``tail`` per entry,
+    ``(r * tail + i, c * tail + i)`` for ``i < tail``, entry after entry."""
+    rows, cols = np.divmod(flat, side)
+    i = np.arange(tail)
+    return ((rows[:, None] * tail + i) * (side * tail) + cols[:, None] * tail + i).ravel()
 
-    Entry ``[a, b, i]`` is ``x[a*tail + i, b*tail + i]``.  The result is a
-    view, so it is writable when ``x`` is contiguous; summing it over its
-    last axis is the partial trace.
+
+class TailTrace:
+    """The trace over the last factor, of dimension ``tail``, of side-``side``
+    operators held as values at the flat positions ``flat`` (``row * side +
+    col``), which may repeat: built once from the positions, applied to any
+    values at them.  ``on`` lists the entries on the tail's diagonal (row and
+    column equal modulo ``tail``), grouped by the position they add to, in
+    the order given within a group; ``flat`` holds those positions, distinct
+    and ascending, on side ``side // tail``.  At tail 1 it adds up repeats.
     """
-    return np.einsum("aibi->abi", x.reshape(x.shape[0] // tail, tail, -1, tail))
 
+    def __init__(self, flat: np.ndarray, side: int, tail: int):
+        self.side, self.tail = side // tail, tail
+        rows, cols = np.divmod(flat, side)
+        on = np.flatnonzero((rows - cols) % tail == 0)  # the same index on the tail
+        traced = rows[on] // tail * self.side + cols[on] // tail
+        order = np.argsort(traced, kind="stable")
+        self.on, traced = on[order], traced[order]
+        head = np.ones(traced.size, dtype=bool)  # each group's first entry
+        np.not_equal(traced[1:], traced[:-1], out=head[1:])
+        self._first = np.flatnonzero(head)
+        self.flat = traced[self._first]
 
-def _summed(flat: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The length-``size`` vector adding each of ``values`` at its ``flat``
-    position, in the order given."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(flat, values.real, size)
-    out.imag = np.bincount(flat, values.imag, size)
-    return out
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The sums at :attr:`flat` of ``values`` at the built positions, each
+        group added up in the order given."""
+        return np.add.reduceat(values[self.on], self._first)
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """Each entry's index in :attr:`flat`, where a replace reads it back."""
+        return np.repeat(np.arange(self._first.size), np.diff(self._first, append=self.on.size))
 
 
 class Entries(NamedTuple):
@@ -355,14 +382,6 @@ class Entries(NamedTuple):
         flat = [rows * side + cols for rows, cols in (op.blocks.index for op in ops)]
         return cls(np.concatenate(flat), np.concatenate([op.entries for op in ops]), side)
 
-    def combined(self) -> "Entries":
-        """The level holding each distinct position, ascending, with the sum
-        of the values there in the order given."""
-        order = np.argsort(self.flat, kind="stable")
-        flat = self.flat[order]
-        first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-        return Entries(flat[first], np.add.reduceat(self.values[order], first), self.side)
-
     def trace(self) -> complex:
         return complex(self.values[self.flat % (self.side + 1) == 0].sum())
 
@@ -380,24 +399,18 @@ class Entries(NamedTuple):
 
 def trace_last(x: Entries, tail: int) -> Entries:
     """The trace of ``x`` over its last factor, of dimension ``tail``, as a
-    level: each entry ``(r, c)`` whose row and column share the last index
-    adds to ``(r // tail, c // tail)``, in the order given."""
-    rows, cols = np.divmod(x.flat, x.side)
-    (rows, i), (cols, j) = np.divmod(rows, tail), np.divmod(cols, tail)
-    keep = i == j
-    side = x.side // tail
-    return Entries(rows[keep] * side + cols[keep], x.values[keep], side).combined()
+    level: the one-shot :class:`TailTrace`.  At tail 1 it is the level of
+    the entries of a sum, each position once."""
+    trace = TailTrace(x.flat, x.side, tail)
+    return Entries(trace.flat, trace(x.values), trace.side)
 
 
 def _level_residual(x: Entries, top: int, lower: Entries, odd: int) -> Entries:
     """``Tr_top x - lower ⊗ I_odd`` as a level, from the entries of both."""
     traced = x if top == 1 else trace_last(x, top)  # the trace of a 1-d space is x
-    rows, cols = np.divmod(lower.flat, lower.side)
-    i = np.arange(odd)
-    lift = (rows[:, None] * odd + i) * traced.side + cols[:, None] * odd + i
-    return Entries(np.concatenate([traced.flat, lift.ravel()]),
-                   np.concatenate([traced.values, np.repeat(-lower.values, odd)]),
-                   traced.side).combined()
+    flat = np.concatenate([traced.flat, lift_last(lower.flat, lower.side, odd)])
+    values = np.concatenate([traced.values, np.repeat(-lower.values, odd)])
+    return trace_last(Entries(flat, values, traced.side), 1)
 
 
 def chain_levels(x: Entries, dims: Sequence[int], lowers=None):
@@ -713,8 +726,7 @@ def _lifted(ops, order, root: np.ndarray, support) -> tuple[Blocks, list, np.nda
     n, roots = ops[0].side, root.reshape((-1,) + root.shape[-2:])
     k, out, (a, b) = len(roots), n // roots.shape[-1], support
     index = [regroup_index(op.dims, [op.labels.index(l) for l in order]) for op in ops]
-    o = np.arange(out)
-    flat = [((a[:, None] * out + o) * n + b[:, None] * out + o).ravel()]
+    flat = [lift_last(a * (n // out) + b, n // out, out)]
     flat += [r * n + c for r, c in (op.blocks.permuted(i).index for op, i in zip(ops, index))]
     flat = np.sort(np.concatenate(flat))  # each position once; faster than np.unique
     groups = edge_groups(*np.divmod(flat[np.diff(flat, prepend=-1) != 0], n), n)

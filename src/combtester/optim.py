@@ -17,22 +17,23 @@ that holds its start and that its gradient map and affine step keep, so
 each step is exact in packed form.  It binds the set to that partition
 once (:meth:`XiChainSet.on`), and passes the partition to the PSD and
 density steps, which run one stacked ``eigh`` per block size.  The affine
-step sums and replaces the packed entries on each level's tail diagonal
-through index maps built once per bound set.  Every projection takes and
-returns packed vectors of its partition (one block for a set that was not
-bound); a caller holding a matrix packs it there and unpacks the result.
+step traces and replaces each level's tails on the packed entries with
+:class:`matcore.TailTrace`, built once per bound set.  Every projection
+takes and returns packed vectors of its partition (one block for a set that
+was not bound); a caller holding a matrix packs it there and unpacks the
+result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import matcore
-from .matcore import Blocks, LabeledOperator, identity, tail_diagonal, tensor
+from .matcore import Blocks, LabeledOperator, TailTrace, identity, lift_last, tensor
 from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
 from .sampling import random_psd
 
@@ -96,36 +97,6 @@ def invariant_blocks(x0: np.ndarray, reaches) -> Blocks:
 # -- tester-normalization feasible set ---------------------------------------
 
 
-class _TailTrace(NamedTuple):
-    """The partial trace over a tail factor, on the entries of a partition.
-
-    ``on`` are the packed positions on the tail's diagonal (row and column
-    equal modulo ``tail``), ``pair`` the id of each one's prefix pair
-    ``(i // tail, j // tail)`` among the pairs that occur, and ``parts`` the
-    ids ``2 pair`` and ``2 pair + 1`` of its real and imaginary parts.
-    """
-
-    on: np.ndarray
-    pair: np.ndarray
-    parts: np.ndarray
-    tail: int
-
-    @classmethod
-    def of(cls, blocks: Blocks, tail: int) -> "_TailTrace":
-        rows, cols = blocks.index
-        on = np.flatnonzero(rows % tail == cols % tail)
-        pair = (rows[on] // tail) * (blocks.side // tail) + cols[on] // tail
-        pair = np.unique(pair, return_inverse=True)[1]
-        parts = (2 * pair[:, None] + np.arange(2)).reshape(-1)
-        return cls(on, pair, parts, tail)
-
-    def mean(self, v: np.ndarray) -> np.ndarray:
-        """``Tr_tail x / tail`` for each prefix pair of the packed ``v``, each
-        sum taken in the order of ``on``."""
-        sums = np.bincount(self.parts, weights=v[self.on].view(float))
-        return sums.view(complex) / self.tail
-
-
 class XiChainSet:
     """Feasible top-level normalizations on spaces ``0..2N-2``.
 
@@ -155,8 +126,6 @@ class XiChainSet:
         self.side = int(np.prod(self.dims))
         self.labels = tuple(range(len(self.dims)))
         self.trace_target = float(np.prod(self.dims[1::2])) if self.uses > 1 else 1.0
-        # tails[k]: dimension of spaces k..2N-2, the factor that R_k replaces
-        self._tails = tuple(int(np.prod(self.dims[k:])) for k in range(len(self.dims)))
         self.blocks = Blocks.one(self.side)
 
     def on(self, blocks: Blocks) -> "XiChainSet":
@@ -172,36 +141,37 @@ class XiChainSet:
         walk = matcore.chain_levels(matcore.Entries(np.arange(x.size), x, self.side), self.dims)
         return [residual().matrix() for _, residual in walk]
 
-    def _level_tails(self):
-        """The even and odd tail of each chain level ``n = N..2``."""
-        return [(self._tails[2 * n - 2], self._tails[2 * n - 3]) for n in range(self.uses, 1, -1)]
+    def _level_traces(self, flat: np.ndarray) -> list:
+        """The even and odd :class:`matcore.TailTrace` of each chain level ``n
+        = N..2`` on the positions ``flat``: over spaces ``2n-2..`` and
+        ``2n-3..``, the factors that ``R_k`` replaces."""
+        return [tuple(TailTrace(flat, self.side, math.prod(self.dims[k:]))
+                      for k in (2 * n - 2, 2 * n - 3)) for n in range(self.uses, 1, -1)]
 
     def reach(self, pattern: np.ndarray) -> np.ndarray:
         """Entries the affine step can make nonzero from the boolean nonzero
-        pattern of a matrix: ``R_k`` lands on ``kron(T, I_tail)`` with ``T``
-        the pattern of the partial trace over the tail, and the trace pin on
-        the diagonal."""
+        pattern of a matrix: ``R_k`` lands on the lift to ``⊗ I_tail`` of the
+        positions its trace over the tail reaches, and the trace pin on the
+        diagonal."""
         out = pattern | np.eye(self.side, dtype=bool)
-        for tails in self._level_tails():
-            for tail in tails:
-                traced = tail_diagonal(pattern, tail).any(axis=2)
-                out |= np.kron(traced, np.eye(tail, dtype=bool))
+        for traces in self._level_traces(np.flatnonzero(pattern)):
+            for trace in traces:
+                out.reshape(-1)[lift_last(trace.flat, trace.side, trace.tail)] = True
         return out
 
     @cached_property
-    def _level_traces(self) -> list:
-        """The even and odd :class:`_TailTrace` of each level on ``blocks``,
-        built at the set's first affine step."""
-        return [tuple(_TailTrace.of(self.blocks, tail) for tail in tails)
-                for tails in self._level_tails()]
+    def _affine_traces(self) -> list:
+        """:meth:`_level_traces` on the entries of ``blocks``, built at the
+        set's first affine step."""
+        return self._level_traces(np.ravel_multi_index(self.blocks.index, (self.side,) * 2))
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Closed-form projection of the packed ``x`` onto the affine chain constraints."""
         blocks = self.blocks
         out = blocks.hermitian(x)  # a fresh array, updated in place
         trace = out[blocks.diagonal].sum().real
-        for even, odd in self._level_traces:
-            r_even, r_odd = even.mean(out), odd.mean(out)
+        for even, odd in self._affine_traces:
+            r_even, r_odd = even(out) / even.tail, odd(out) / odd.tail
             out[even.on] -= r_even[even.pair]
             out[odd.on] += r_odd[odd.pair]
         out[blocks.diagonal] += (self.trace_target - trace) / self.side

@@ -102,7 +102,7 @@ def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     normalization residual ``sum_i P_i - Xi ⊗ I``, with ``Xi`` the top chain
     level, and then each lower one.  The element spectra come from their
     packed blocks."""
-    total = matcore.Entries.of(*t.elements).combined()  # the sum, each position once
+    total = matcore.trace_last(matcore.Entries.of(*t.elements), 1)  # the sum, each position once
     lowers = [matcore.Entries.of(x) for x in t.chain]
     walk = matcore.chain_levels(total, t.elements[0].dims + (1,), lowers)
     norm_res, *lower_res = (float(np.linalg.norm(residual().values)) for _, residual in walk)

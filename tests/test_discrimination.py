@@ -20,6 +20,7 @@ from combtester.channels import (
 )
 from combtester.discrimination import (
     FEASIBLE_TOL,
+    INFEASIBLE_TOL,
     _ProductObjective,
     causal_discriminable,
     delta_matrix,
@@ -188,7 +189,18 @@ def test_causal_identical_infeasible():
     mc = comb_from_sequence([identity_channel(2), identity_channel(2)])
     rep = causal_discriminable(mc, mc, restarts=3, seed=0, max_iter=150)
     assert rep.status == "infeasible"
-    assert rep.restarts == 3
+    assert rep.restarts == 3 and rep.capped == 0
+
+
+def test_capped_multi_use_decision_is_undetermined():
+    # a start stopped at max_iter above INFEASIBLE_TOL was still descending,
+    # so its residual proves nothing
+    rng = np.random.default_rng(3)
+    a, b = (Channel(tuple(random_kraus(2, 2, 2, rng)), 2, 2) for _ in range(2))
+    rep = causal_discriminable(comb_from_sequence([a, a]), comb_from_sequence([b, b]),
+                               restarts=1, max_iter=10, seed=0)
+    assert (rep.status, rep.capped) == ("undetermined", 1)
+    assert rep.residual > INFEASIBLE_TOL
 
 
 def test_causal_counterexample_feasible_and_synthesis():

@@ -12,6 +12,7 @@ from combtester.matcore import (
     Blocks,
     Entries,
     LabeledOperator,
+    TailTrace,
     allclose,
     block_groups,
     double_ket,
@@ -758,3 +759,51 @@ def test_link_is_invariant_under_label_permutation(la, lb, seed, data):
     got = link(a.permuted(data.draw(st.permutations(a.labels))),
                b.permuted(data.draw(st.permutations(b.labels))))
     assert allclose(got, expect, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       traced=st.integers(0, 3), groups=st.integers(1, 6), summands=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tail_trace_matches_dense_partial_trace(dims, traced, groups, summands, seed):
+    # an operator on a random block partition, handed over as summands on
+    # shuffled copies of its positions, traced over its last ``traced``
+    # factors as one tail (none: tail 1, which adds up the summands)
+    rng = np.random.default_rng(seed)
+    side, traced = int(np.prod(dims)), min(traced, len(dims))
+    tail = int(np.prod(dims[len(dims) - traced:]))
+    group = rng.integers(0, groups, side)
+    mask = group[:, None] == group[None, :]
+    h = (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))) * mask
+    where = np.flatnonzero(mask)
+    parts = rng.normal(size=(summands, where.size)) * h.reshape(-1)[where]
+    parts[-1] = h.reshape(-1)[where] - parts[:-1].sum(axis=0)
+    shuffles = [rng.permutation(where.size) for _ in range(summands)]
+    flat = np.concatenate([where[p] for p in shuffles])
+    values = np.concatenate([part[p] for part, p in zip(parts, shuffles)])
+
+    trace = TailTrace(flat, side, tail)
+    labels = tuple(range(len(dims)))
+    want = partial_trace(LabeledOperator(h, labels, dims), labels[len(dims) - traced:]).matrix
+    got = Entries(trace.flat, trace(values), trace.side).matrix()
+    assert trace.side == side // tail and (np.diff(trace.flat) > 0).all()
+    scale = max(1.0, float(np.abs(parts).sum()))
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    # the positions reached are those of the mask's tail diagonal
+    view = mask.reshape(trace.side, tail, trace.side, tail)
+    assert np.array_equal(trace.flat, np.flatnonzero(np.einsum("aibi->ab", view)))
+    # every entry on the tail's diagonal, grouped by the position it adds
+    # to, in the order given within a group
+    rows, cols = np.divmod(flat, side)
+    assert np.array_equal(np.sort(trace.on), np.flatnonzero(rows % tail == cols % tail))
+    rows, cols = rows[trace.on] // tail, cols[trace.on] // tail
+    assert np.array_equal(trace.flat[trace.pair], rows * trace.side + cols)
+    assert (np.diff(trace.on)[np.diff(trace.pair) == 0] > 0).all()
+    assert all(map(np.array_equal, trace_last(Entries(flat, values, side), tail),
+                   Entries(trace.flat, trace(values), trace.side)))
+
+
+def test_tail_trace_of_no_diagonal_entries_is_empty():
+    trace = TailTrace(np.array([1, 3]), 4, 2)  # (0, 1) and (0, 3): off the tail's diagonal
+    assert trace.flat.size == trace.on.size == trace.pair.size == 0
+    assert trace(np.ones(2, dtype=complex)).size == 0

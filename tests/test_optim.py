@@ -117,6 +117,27 @@ def test_affine_projection_laws(dims, seed):
         assert np.abs(_lstsq_projection(xi_set, x) - p).max() <= 1e-12
 
 
+def _dense_reach(xi_set, pattern):
+    """The affine step's reach on the dense pattern: each level's tail
+    diagonal, any over the tail, lifted by ``kron`` with ``I_tail``."""
+    out = pattern | np.eye(xi_set.side, dtype=bool)
+    for n in range(xi_set.uses, 1, -1):
+        for k in (2 * n - 2, 2 * n - 3):
+            tail = int(np.prod(xi_set.dims[k:]))
+            view = pattern.reshape(xi_set.side // tail, tail, -1, tail)
+            out |= np.kron(np.einsum("aibi->abi", view).any(axis=2), np.eye(tail, dtype=bool))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=chain_dims, seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]))
+def test_reach_matches_dense_tail_diagonals(dims, seed, density):
+    xi_set = XiChainSet(dims)
+    pattern = rng_from(seed).random((xi_set.side, xi_set.side)) < density
+    assert np.array_equal(xi_set.reach(pattern), _dense_reach(xi_set, pattern))
+
+
 def test_full_projection_lands_in_the_set():
     rng = rng_from(4)
     for dims in ((2,), (2, 2, 2), (2, 4, 2)):
