@@ -222,7 +222,7 @@ def product_residual(c0: LabeledOperator, c1: LabeledOperator,
         raise ValueError(f"witness dims {x.dims} on {x.labels} are not the free spaces {free}")
     x = x.permuted(tuple(free))
     order = tuple(free) + tuple(l for l in c0.labels if l in fixed)
-    blocks, (a, b), lift = matcore._lifted((c0, c1), order, x.matrix, x.blocks.index)
+    blocks, (a, b), lift = matcore._lifted((c0, c1), order, x.entries, x.blocks)
     return float(np.linalg.norm(blocks.product(a, lift, b)) ** 2)
 
 
@@ -349,8 +349,8 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
         raise ValueError(f"witness residual {res:.3e} exceeds 1.0e-06; "
                          "cannot certify perfect discrimination")
     witness, labels, top = witness.sorted(), c0.choi.labels, c0.dims[-1]
-    root = matcore.psd_sqrt_matrix(witness.matrix, witness.blocks)  # vanishes off those blocks
-    blocks, (a, b), lift = matcore._lifted((c0.choi, c1.choi), labels, root, witness.blocks.index)
+    root = matcore.root_entries(witness)
+    blocks, (a, b), lift = matcore._lifted((c0.choi, c1.choi), labels, root, witness.blocks)
     tilted = matcore._checked_hermitian(blocks, blocks.product(lift, a - b, lift))
     p0 = blocks.product(lift, blocks.map(tilted, _positive_support), lift)
     rows, cols = blocks.index

@@ -2,7 +2,7 @@
 
 Both distances maximize the trace norm of the Choi difference ``Δ`` under
 one lift, ``L = R ⊗ I_top`` with the top (last output) space last, formed
-on raw arrays by :func:`_lift`.  ``memory_distance`` takes ``R = Ξ^1/2`` for
+on raw arrays by ``np.kron``.  ``memory_distance`` takes ``R = Ξ^1/2`` for
 ``Ξ`` in the tester normalization chain set and ascends ``||L Δ L||_1`` by
 projected subgradient steps.  ``cb_distance`` is its single-use case,
 ``max_rho || (rho^1/2 ⊗ I) Δ (rho^1/2 ⊗ I) ||_1``, estimated by a seesaw on
@@ -77,12 +77,6 @@ def unitary_cb_oracle(u: np.ndarray, v: np.ndarray) -> float:
     return 2.0 * float(np.sqrt(max(0.0, 1.0 - nu * nu)))
 
 
-def _lift(root: np.ndarray, top_dim: int) -> np.ndarray:
-    """``root ⊗ I_top``, the top space last; a stack of roots gives the stack
-    of their lifts."""
-    return np.kron(root, np.eye(top_dim))
-
-
 def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
                   rho: np.ndarray) -> tuple[float, float]:
     """The strategy-norm dual bound on the one-use distance of two Choi
@@ -110,10 +104,10 @@ def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
     w, u = np.linalg.eigh((1 - mixings) * rho + mixings * np.eye(d_in) / d_in)
     w = np.maximum(w, ladder[:, None] / d_in)[:, None, :]
     root, inv_root = ((u * f) @ matcore._dagger(u) for f in (np.sqrt(w), 1 / np.sqrt(w)))
-    blocks, (c0_at, c1_at), lift = matcore._lifted((c0, c1), order, root, np.nonzero(rho))
+    free = matcore.Blocks.of(rho)
+    blocks, (c0_at, c1_at), lift = matcore._lifted((c0, c1), order, free.pack(root), free)
     x = blocks.product(lift, c0_at - c1_at, lift)
-    flat = np.ravel_multi_index(blocks.index, (blocks.side,) * 2)
-    trace = matcore.TailTrace(flat, blocks.side, out)  # Tr_out, copy by copy
+    trace = matcore.TailTrace(blocks.flat, blocks.side, out)  # Tr_out, copy by copy
     rows, cols = np.divmod(trace.flat, trace.side)
     at = rows * d_in + cols % d_in  # (ladder step, row, column): the copies are block-diagonal
     t, s = np.zeros((2, ladder.size, d_in, d_in), dtype=complex)
@@ -166,7 +160,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     live = np.arange(count)
     total_iter = 0
     for step in range(max_iter):
-        lift = _lift(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
+        lift = np.kron(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), np.eye(d_out))
         x = lift @ delta @ matcore._dagger(lift)
         w, v = np.linalg.eigh(matcore._hermitian(x))
         val = np.abs(w).sum(axis=-1)
@@ -204,7 +198,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
 
 
 def _memory_objective(delta: LabeledOperator, top_label: int):
-    """``Ξ -> ||L Δ L||_1`` with ``L = _lift(Ξ^1/2)``, and a subgradient of it.
+    """``Ξ -> ||L Δ L||_1`` with ``L = Ξ^1/2 ⊗ I_top``, and a subgradient of it.
 
     ``top_label`` must be the last factor of ``delta``.
     """
@@ -214,7 +208,7 @@ def _memory_objective(delta: LabeledOperator, top_label: int):
     dmat = delta.matrix
 
     def value(xi: np.ndarray) -> float:
-        lift = _lift(psd_sqrt_matrix(xi), top)
+        lift = np.kron(psd_sqrt_matrix(xi), np.eye(top))
         return trace_norm(lift @ dmat @ lift)
 
     def value_and_subgrad(xi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -222,7 +216,7 @@ def _memory_objective(delta: LabeledOperator, top_label: int):
         w, v = np.linalg.eigh(matcore._hermitian(xi))
         w = np.clip(w, 0.0, None)
         root = (v * np.sqrt(w)) @ v.conj().T
-        lift = _lift(root, top)
+        lift = np.kron(root, np.eye(top))
         x = lift @ dmat @ lift
         xw, xv = np.linalg.eigh(matcore._hermitian(x))
         val = float(np.abs(xw).sum())

@@ -379,8 +379,8 @@ class Entries(NamedTuple):
         if len({op.dims for op in ops}) > 1:
             raise ValueError("operators act on different spaces")
         side = ops[0].side
-        flat = [rows * side + cols for rows, cols in (op.blocks.index for op in ops)]
-        return cls(np.concatenate(flat), np.concatenate([op.entries for op in ops]), side)
+        flat = np.concatenate([op.blocks.flat for op in ops])
+        return cls(flat, np.concatenate([op.entries for op in ops]), side)
 
     def trace(self) -> complex:
         return complex(self.values[self.flat % (self.side + 1) == 0].sum())
@@ -406,11 +406,10 @@ def trace_last(x: Entries, tail: int) -> Entries:
 
 
 def _level_residual(x: Entries, top: int, lower: Entries, odd: int) -> Entries:
-    """``Tr_top x - lower ⊗ I_odd`` as a level, from the entries of both."""
-    traced = x if top == 1 else trace_last(x, top)  # the trace of a 1-d space is x
-    flat = np.concatenate([traced.flat, lift_last(lower.flat, lower.side, odd)])
-    values = np.concatenate([traced.values, np.repeat(-lower.values, odd)])
-    return trace_last(Entries(flat, values, traced.side), 1)
+    """``Tr_top x - lower ⊗ I_odd``, traced once: ``Tr_top (x - lower ⊗ I_odd ⊗ I_top / top)``."""
+    flat = np.concatenate([x.flat, lift_last(lower.flat, lower.side, odd * top)])
+    values = np.concatenate([x.values, np.repeat(lower.values / -top, odd * top)])
+    return trace_last(Entries(flat, values, x.side), top)
 
 
 def chain_levels(x: Entries, dims: Sequence[int], lowers=None):
@@ -545,15 +544,14 @@ class Blocks:
     group after group.  Packing keeps Frobenius norms, sums and scalar
     multiples, so a solver can step on packed vectors as on matrices.  A
     partition of one block (``whole``) packs a matrix as its row-major
-    entries, and its blockwise arithmetic is the dense arithmetic.
+    entries, locates by that arithmetic, and its arithmetic is the dense one.
     """
 
     def __init__(self, groups, side: int):
         self.groups = tuple(groups)
         self.side = int(side)
         self.whole = len(self.groups) == 1 and self.groups[0].shape[1] == self.side
-        self._spans = []
-        start = 0
+        self._spans, start = [], 0
         for g in self.groups:
             count, size = g.shape
             self._spans.append((start, start + count * size * size, (count, size, size)))
@@ -579,6 +577,8 @@ class Blocks:
         """The partition of ``x[index][:, index]`` for a matrix ``x`` on this
         one, in :func:`block_groups`' order: each block's new indices
         ascending, and the blocks of a size by their first index."""
+        if self.whole:
+            return self
         where = np.empty_like(index)
         where[index] = np.arange(index.size)
         groups = []
@@ -587,20 +587,20 @@ class Blocks:
             groups.append(rows[np.argsort(rows[:, 0])])
         return Blocks(groups, self.side)
 
-    def _entries(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per block size, the index of the stacked blocks in a full matrix."""
-        return [(g[:, :, None], g[:, None, :]) for g in self.groups]
+    @property
+    def flat(self) -> np.ndarray:
+        """The position ``row * side + col``, in the full matrix, of each packed
+        entry: ``arange(side ** 2)`` for a whole partition, else listed once."""
+        return np.arange(self.side ** 2) if self.whole else self._flat
 
     @cached_property
+    def _flat(self) -> np.ndarray:
+        return self.join([g[:, :, None] * self.side + g[:, None, :] for g in self.groups])
+
+    @property
     def index(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column, in the full matrix, of each packed entry."""
-        rows, cols = [], []
-        for g in self.groups:
-            size = g.shape[1]
-            place = np.arange(size * size)
-            rows.append(g[:, place // size])
-            cols.append(g[:, place % size])
-        return self.join(rows), self.join(cols)
+        return np.divmod(self.flat, self.side)
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -610,48 +610,41 @@ class Blocks:
 
     @cached_property
     def _place(self) -> tuple[np.ndarray, ...]:
-        """Per index: its block's number, the packed position of its block's
-        first entry, its block's size and its place in the block."""
-        block, start, size, place = (np.empty(self.side, dtype=np.intp) for _ in range(4))
-        first = 0
+        """Per index: the packed position of its block's first entry, which
+        names the block, its block's size and its place in the block."""
+        start, size, place = (np.empty(self.side, dtype=np.intp) for _ in range(3))
         for g, (begin, _, (count, width, _)) in zip(self.groups, self._spans):
-            block[g] = first + np.arange(count)[:, None]
             start[g] = begin + width * width * np.arange(count)[:, None]
             size[g] = width
             place[g] = np.arange(width)
-            first += count
-        return block, start, size, place
+        return start, size, place
 
     def locate(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
         """Packed positions of the broadcast matrix positions ``(rows,
         cols)``, and whether each lies on a block; off the blocks the
         position is 0."""
-        block, start, size, place = self._place
-        on = block[rows] == block[cols]
+        if self.whole:
+            return rows * self.side + cols, np.ones(np.broadcast(rows, cols).shape, dtype=bool)
+        start, size, place = self._place
+        on = start[rows] == start[cols]
         return np.where(on, start[rows] + place[rows] * size[rows] + place[cols], 0), on
 
     def pattern(self) -> np.ndarray:
         """The entries a packed matrix can hold, as a boolean matrix."""
-        out = np.zeros((self.side, self.side), dtype=bool)
-        for entries in self._entries():
-            out[entries] = True
-        return out
+        return self.unpack(np.ones(self.size, dtype=bool))
 
     def pack(self, x: np.ndarray) -> np.ndarray:
         """The block entries, as complex numbers, of a matrix that vanishes
-        off the blocks."""
+        off the blocks; a stack of them packs one after another."""
         x = np.asarray(x, dtype=complex)
-        if self.whole:
-            return x.reshape(-1)
-        return self.join([x[entries] for entries in self._entries()])
+        return x.reshape(-1) if self.whole else x[(..., *self.index)].reshape(-1)
 
     def unpack(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         if self.whole:
             return v.reshape(self.side, self.side)
         out = np.zeros((self.side, self.side), dtype=v.dtype)
-        for entries, b in zip(self._entries(), self.stacks(v)):
-            out[entries] = b
+        out[self.index] = v
         return out
 
     def stacks(self, v: np.ndarray) -> list[np.ndarray]:
@@ -711,28 +704,38 @@ class Blocks:
         for w, u in systems:
             part = fw[start:start + w.size].reshape(w.shape)
             start += w.size
-            out.append(part + 0j if u is None else (u * part[:, None, :]) @ _dagger(u))
+            out.append(part + 0j if u is None else  # u conjugated in place once scaled
+                       (u * part[:, None, :]) @ np.conj(u, out=u).swapaxes(-1, -2))
         return self.join(out)
 
 
-def _lifted(ops, order, root: np.ndarray, support) -> tuple[Blocks, list, np.ndarray]:
+def _lifted(ops, order, roots: np.ndarray, free: Blocks) -> tuple[Blocks, list, np.ndarray]:
     """The joint partition (:func:`edge_groups`) of operators on one set of spaces,
     read in ``order`` (free first, fixed last) by :func:`regroup_index`, and of
-    ``root ⊗ I_fixed`` for a root on the free spaces that vanishes off ``support``;
-    and the packed entries on it of each operator and of the lift, so products and
-    spectral maps run block by block.  ``k`` stacked roots tile it ``k`` times."""
+    ``root ⊗ I_fixed`` for a root on the free spaces packed on ``free``; and the
+    packed entries on it of each operator and of the lift, so products and spectral
+    maps run block by block.  ``k`` stacked roots tile it ``k`` times.  A whole operand
+    makes it whole per root, with no sort or labelling: a whole operand's entries
+    are read in order as they stand, and the lift is ``kron(root, I_fixed)``."""
     if len({frozenset(zip(op.labels, op.dims)) for op in ops}) > 1:
         raise ValueError("operators act on different spaces")
-    n, roots = ops[0].side, root.reshape((-1,) + root.shape[-2:])
-    k, out, (a, b) = len(roots), n // roots.shape[-1], support
+    n, roots = ops[0].side, np.reshape(roots, (-1, free.size))
+    k, out = len(roots), n // free.side
     index = [regroup_index(op.dims, [op.labels.index(l) for l in order]) for op in ops]
-    flat = [lift_last(a * (n // out) + b, n // out, out)]
-    flat += [r * n + c for r, c in (op.blocks.permuted(i).index for op, i in zip(ops, index))]
+    if any(op.blocks.whole for op in ops):
+        entries = [np.broadcast_to(op.permuted(order).matrix if op.blocks.whole  # tiled k times
+                                   else op.at(i[:, None], i), (k, n, n)).reshape(-1)
+                   for op, i in zip(ops, index)]
+        lift = np.kron(np.stack([free.unpack(r) for r in roots]), np.eye(out))
+        return Blocks([np.arange(k * n).reshape(k, n)], k * n), entries, lift.reshape(-1)
+    flat = [lift_last(free.flat, free.side, out)]
+    flat += [op.blocks.permuted(i).flat for op, i in zip(ops, index)]
     flat = np.sort(np.concatenate(flat))  # each position once; faster than np.unique
     groups = edge_groups(*np.divmod(flat[np.diff(flat, prepend=-1) != 0], n), n)
     blocks = Blocks([np.concatenate([g + n * e for e in range(k)]) for g in groups], k * n)
-    (e, r), c = np.divmod(blocks.index[0], n), blocks.index[1] % n
-    lift = np.where(r % out == c % out, roots[e, r // out, c // out], 0)
+    (e, r), (_, c) = (np.divmod(i, n) for i in blocks.index)
+    where, on = free.locate(r // out, c // out)
+    lift = np.where(on & (r % out == c % out), roots[e, where], 0)
     return blocks, [op.at(i[r], i[c]) for op, i in zip(ops, index)], lift
 
 
@@ -775,22 +778,18 @@ def trace_norm(x) -> float:
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
-def spectral_map(h: np.ndarray, f, *, checked: bool = False,
-                 blocks: Blocks | None = None) -> np.ndarray:
+def spectral_map(h: np.ndarray, f, *, checked: bool = False) -> np.ndarray:
     """``sum v f(w) v^dagger`` over the eigensystem of a Hermitian matrix.
 
-    Labels ``h`` once (:meth:`Blocks.of`, unless given a partition off whose
-    blocks ``h`` vanishes) and maps its packed blocks with
+    Labels ``h`` once (:meth:`Blocks.of`) and maps its packed blocks with
     :meth:`Blocks.map`.  Exact up to rounding, since ``h`` vanishes off its
     diagonal blocks, and a matrix with one component is mapped as it stands.
     With ``checked`` the blocks first pass :func:`eigh`'s Hermiticity check,
     and their Hermitian parts are mapped.
     """
-    blocks = blocks or Blocks.of(h)
+    blocks = Blocks.of(h)
     v = blocks.pack(h)
-    if checked:
-        v = _checked_hermitian(blocks, v)
-    return blocks.unpack(blocks.map(v, f))
+    return blocks.unpack(blocks.map(_checked_hermitian(blocks, v) if checked else v, f))
 
 
 def require_psd_spectrum(w: np.ndarray, what: str) -> None:
@@ -802,25 +801,34 @@ def require_psd_spectrum(w: np.ndarray, what: str) -> None:
                          f"eigenvalue {lowest:.3e} is significantly negative")
 
 
-def _psd_map(h, what: str, f, blocks: Blocks | None = None) -> np.ndarray:
-    """:func:`spectral_map` of ``f`` on the clipped spectrum of a PSD ``h``;
-    raises if an eigenvalue is significantly negative on the global scale."""
-    def clipped(w):
-        require_psd_spectrum(w, what)
-        return f(np.maximum(w, 0.0))
-
-    return spectral_map(_as_square_matrix(h), clipped, checked=True, blocks=blocks)
+def _clipped(what: str, f, w: np.ndarray) -> np.ndarray:
+    """``f`` on the clipped spectrum ``w`` of a PSD matrix; raises if an
+    eigenvalue is significantly negative on the global scale."""
+    require_psd_spectrum(w, what)
+    return f(np.maximum(w, 0.0))
 
 
-def psd_sqrt_matrix(h, blocks: Blocks | None = None) -> np.ndarray:
-    """PSD square root, on the blocks of ``h`` or of the given partition."""
-    return _psd_map(h, "psd_sqrt argument", np.sqrt, blocks)
+_SQRT = partial(_clipped, "psd_sqrt argument", np.sqrt)
+_INV_SQRT = partial(_clipped, "psd_inv_sqrt argument", lambda w: np.where(  # 0 on the kernel
+    w > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0))
+
+
+def root_entries(op: LabeledOperator, inverse: bool = False) -> np.ndarray:
+    """The PSD square root of ``op``, or its inverse square root on the
+    support, as packed entries on ``op.blocks``: :meth:`Blocks.map` on its
+    entries after :func:`eigh`'s Hermiticity check, so no matrix is formed."""
+    return op.blocks.map(_checked_hermitian(op.blocks, op.entries),
+                         _INV_SQRT if inverse else _SQRT)
+
+
+def psd_sqrt_matrix(h) -> np.ndarray:
+    """PSD square root, on the blocks of ``h``."""
+    return spectral_map(_as_square_matrix(h), _SQRT, checked=True)
 
 
 def psd_inv_sqrt_matrix(h) -> np.ndarray:
     """Inverse square root on the support; zero on the kernel."""
-    return _psd_map(h, "psd_inv_sqrt argument", lambda w: np.where(
-        w > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0))
+    return spectral_map(_as_square_matrix(h), _INV_SQRT, checked=True)
 
 
 def psd_sqrt(h: LabeledOperator) -> LabeledOperator:

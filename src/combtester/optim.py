@@ -163,7 +163,7 @@ class XiChainSet:
     def _affine_traces(self) -> list:
         """:meth:`_level_traces` on the entries of ``blocks``, built at the
         set's first affine step."""
-        return self._level_traces(np.ravel_multi_index(self.blocks.index, (self.side,) * 2))
+        return self._level_traces(self.blocks.flat)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Closed-form projection of the packed ``x`` onto the affine chain constraints."""

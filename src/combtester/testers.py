@@ -19,8 +19,8 @@ The key fact, fixed by the row-major vectorization: a circuit that prepares
 elements ``sigma^T``-weighted, i.e. the chain element is the transpose of
 the prepared reduced input state.  The check and the Born rule read each
 element as its entries on its block partition, however it was built.  The
-POVM reduction and the reduced state sandwich by the lifted chain root
-block by block (:func:`matcore._lifted`).
+POVM reduction and the reduced state sandwich by the lifted root of the top
+level, from its entries, block by block (:func:`matcore._lifted`).
 """
 
 from __future__ import annotations
@@ -110,11 +110,8 @@ def validate_tester(t: Tester, tol: float = 1e-9) -> TesterValidation:
     chain_res = dict(zip(range(t.uses, 1, -1), lower_res))
     chain_res[1] = float(abs(t.chain[0].trace() - 1.0))
 
-    min_eig = 0.0
-    for e in t.elements:
-        min_eig = min(min_eig, float(e.blocks.eigvalsh(e.entries)[0]))
-    residuals = [norm_res, max(0.0, -min_eig)] + list(chain_res.values())
-    max_res = max(residuals)
+    min_eig = min([0.0] + [float(e.blocks.eigvalsh(e.entries)[0]) for e in t.elements])
+    max_res = max([norm_res, max(0.0, -min_eig), *chain_res.values()])
     return TesterValidation(
         valid=bool(norm_res <= tol and max(chain_res.values()) <= tol
                    and min_eig >= -tol * scale),
@@ -149,8 +146,9 @@ def povm_from_tester(t: Tester) -> list[LabeledOperator]:
     completion defect (its kernel, lifted) is assigned to the last outcome so
     the operators sum to the identity exactly.
     """
-    root, labels = matcore.psd_inv_sqrt_matrix(t.chain[-1].matrix), t.elements[0].labels
-    blocks, elements, lift = matcore._lifted(t.elements, labels, root, np.nonzero(root))
+    level, labels = t.chain[-1], t.elements[0].labels
+    root = matcore.root_entries(level, inverse=True)
+    blocks, elements, lift = matcore._lifted(t.elements, labels, root, level.blocks)
     rows, cols = blocks.index
     povm = [blocks.product(lift, e, lift) for e in elements]
     povm[-1] = povm[-1] + ((rows == cols) - sum(povm[1:], povm[0]))
@@ -161,8 +159,9 @@ def reduced_state(mc: MemoryChannel, t: Tester) -> LabeledOperator:
     """Output state after the tester's processing: the Choi operator
     sandwiched by the root of the top chain element (:func:`matcore._lifted`)."""
     _require_same_spaces(t, mc)
-    root = matcore.psd_sqrt_matrix(t.chain[-1].matrix)
-    blocks, (c,), lift = matcore._lifted((mc.choi,), mc.choi.labels, root, np.nonzero(root))
+    level = t.chain[-1]
+    root = matcore.root_entries(level)
+    blocks, (c,), lift = matcore._lifted((mc.choi,), mc.choi.labels, root, level.blocks)
     c = blocks.product(lift, c, lift)
     return LabeledOperator._nonzeros(*blocks.index, c, mc.choi.labels, mc.dims)
 
@@ -281,8 +280,6 @@ def _wire(uses: int, space: int, d_sys: int, k: int, d_anc: int):
     if d_anc == 1:
         return (space,), (d_sys,)
     return (space, 2 * uses + k), (d_sys, d_anc)
-
-
 
 
 def _apply_block(state: LabeledOperator, block: np.ndarray,

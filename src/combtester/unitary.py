@@ -57,10 +57,15 @@ def eigenphases(u: np.ndarray) -> EigenphaseSet:
     return EigenphaseSet(tuple(ph))
 
 
+def _covering_arc(ph: np.ndarray) -> tuple[int, float]:
+    """The largest circular gap of the ascending phases ``ph``: the index of
+    the phase it follows, and the minimal covering arc, 2*pi less the gap."""
+    gaps = np.diff(ph, append=ph[0] + 2 * np.pi)
+    return int(np.argmax(gaps)), float(2 * np.pi - gaps.max())
+
+
 def spread_of_phases(ph: EigenphaseSet) -> float:
-    a = np.asarray(ph.phases)
-    gaps = np.diff(np.concatenate([a, [a[0] + 2 * np.pi]]))
-    return float(2 * np.pi - gaps.max())
+    return _covering_arc(np.asarray(ph.phases))[1]
 
 
 def angular_spread(u: np.ndarray) -> float:
@@ -139,8 +144,7 @@ def _arc_sorted_eigensystem(u: np.ndarray):
     order = np.argsort(ph)
     ph = ph[order]
     n = len(ph)
-    gaps = np.diff(np.concatenate([ph, [ph[0] + 2 * np.pi]]))
-    start = (int(np.argmax(gaps)) + 1) % n
+    start = (_covering_arc(ph)[0] + 1) % n
     arc = np.roll(np.arange(n), -start)
     unwrapped = ph[arc] + np.where(arc < start, 2 * np.pi, 0.0)
     basis = vecs[:, order[arc]]
@@ -193,9 +197,7 @@ def tensor_power_spread(u: np.ndarray, n: int) -> float:
         sums = np.mod(np.add.outer(sums, ph).reshape(-1), 2 * np.pi)
         _, first = np.unique(np.round(sums, 12), return_index=True)
         sums = sums[first]
-    uniq = np.round(sums, 12)  # sorted and distinct, as np.unique left them
-    gaps = np.diff(np.concatenate([uniq, [uniq[0] + 2 * np.pi]]))
-    return float(2 * np.pi - gaps.max())
+    return _covering_arc(np.round(sums, 12))[1]  # sorted and distinct, as np.unique left them
 
 
 def parallel_optimality_check(u: np.ndarray, n: int) -> ParallelOptimalityReport:
@@ -217,9 +219,7 @@ def parallel_optimality_check(u: np.ndarray, n: int) -> ParallelOptimalityReport
     if n < 1:
         raise ValueError("need at least one use")
     ph = np.asarray(eigenphases(u).phases)
-    gaps = np.diff(np.append(ph, ph[0] + 2 * np.pi))
-    b = int(np.argmax(gaps))  # the index of b: the largest gap follows it
-    theta = float(2 * np.pi - gaps[b])  # the spread, as spread_of_phases reads it
+    b, theta = _covering_arc(ph)  # the index of b, which the largest gap follows, and the spread
     ends = np.diag(np.exp(1j * ph[[(b + 1) % ph.size, b]]))
     joint = tensor_power_spread(ends if n * theta <= np.pi else u, n)
     threshold = int(np.ceil(np.pi / theta)) if theta > 1e-12 else None

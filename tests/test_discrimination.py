@@ -32,7 +32,7 @@ from combtester.discrimination import (
 from combtester.distances import cb_distance, memory_distance, unitary_cb_oracle
 from combtester.matcore import LabeledOperator
 from combtester.optim import XiChainSet, invariant_blocks
-from combtester.sampling import haar_unitary, random_density, random_kraus
+from combtester.sampling import haar_unitary, random_density, random_kraus, random_psd
 from combtester.separation import build_example, causal_protocol
 from combtester.testers import povm_from_tester, reduced_state, validate_tester
 from combtester.unitary import _arc_sorted_eigensystem, angular_spread
@@ -661,3 +661,26 @@ def test_parallel_decision_makes_no_full_side_copy():
     rep, peak = traced_peak(parallel_discriminable, c0, c1, restarts=2, seed=1, max_iter=100)
     assert rep.status != "feasible"
     assert peak < c0.matrix.nbytes, (peak, c0.matrix.nbytes)
+
+
+def test_product_residual_on_dense_combs_holds_what_dense_numpy_does():
+    # dense two-use combs of dims (4, 4, 4, 4) (side 256) and a dense side-64
+    # witness: a whole operand makes the joint partition whole, so the combs'
+    # entries are read as they stand and the lift is one kron, and the call
+    # holds what the plain dense product does (three side-256 matrices, 3 MB);
+    # listing and gathering the side² positions of the joint partition held
+    # 9.7 MB
+    rng = np.random.default_rng(7)
+    c0, c1 = (comb_from_isometries(random_isometric_comb((4, 4, 4, 4), (4, 4), rng)).choi
+              for _ in range(2))
+    x = LabeledOperator(random_psd(64, rng), (0, 1, 2), (4, 4, 4))
+
+    def dense():
+        lift = np.kron(x.matrix, np.eye(4))
+        return float(np.linalg.norm(c0.matrix @ lift @ c1.matrix) ** 2)
+
+    expected, numpy_peak = traced_peak(dense)
+    value, peak = traced_peak(product_residual, c0, c1, [3], x)
+    assert c0.blocks.whole and c1.blocks.whole and x.blocks.whole
+    assert abs(value - expected) <= 1e-12 * expected
+    assert peak <= 1.25 * numpy_peak, (peak, numpy_peak)

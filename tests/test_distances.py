@@ -10,7 +10,6 @@ from combtester.channels import (
 from combtester import distances
 from combtester.cli import _jsonable
 from combtester.distances import (
-    _lift,
     _memory_objective,
     cb_distance,
     memory_distance,
@@ -214,7 +213,7 @@ def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
     for psi in starts:
         val_prev, local_val, local_psi, history = -np.inf, -1.0, psi, []
         for _ in range(max_iter):
-            lift = _lift(psi.reshape(d_in, d_in).T, d_out)
+            lift = np.kron(psi.reshape(d_in, d_in).T, np.eye(d_out))
             w, v = np.linalg.eigh(hermitian_part(lift @ delta @ lift.conj().T))
             val = float(np.abs(w).sum())
             history.append(val)

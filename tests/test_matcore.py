@@ -523,7 +523,7 @@ def test_lifted_sandwich_matches_kron(blocks, dense_side, dense_kind, seed, fixe
     # size-1, zero and dense blocks under a shuffle; the complex factor makes
     # the root non-Hermitian, so the sandwich's right product must use the
     # root itself.  A root with a zeroed row and column is rank-deficient;
-    # its support is read off its entries or, coarser, off the partition of
+    # it is packed on its own partition or, coarser, on the partition of
     # the matrix it came from.  The operators sit on the free space and the
     # fixed spaces in shuffled factor orders, one of them entry-built.
     h, _ = _permuted_block_diagonal(blocks, dense_side, dense_kind, seed)
@@ -532,7 +532,7 @@ def test_lifted_sandwich_matches_kron(blocks, dense_side, dense_kind, seed, fixe
     if deficient:
         drop = rng.integers(len(root))
         root[drop], root[:, drop] = 0, 0
-    support = Blocks.of(h).index if coarse else np.nonzero(root)
+    free = Blocks.of(h) if coarse else Blocks.of(root)
     dims = {0: len(root)} | {1 + k: d for k, d in enumerate(fixed)}
     side, top = int(np.prod(list(dims.values()))), int(np.prod(fixed))
     order = tuple(dims)
@@ -543,7 +543,7 @@ def test_lifted_sandwich_matches_kron(blocks, dense_side, dense_kind, seed, fixe
         op = LabeledOperator(m, labels, [dims[l] for l in labels])
         ops.append(LabeledOperator._nonzeros(*np.nonzero(m), m[np.nonzero(m)], labels, op.dims)
                    if built else op)
-    partition, entries, lift = matcore._lifted(ops, order, root, support)
+    partition, entries, lift = matcore._lifted(ops, order, free.pack(root), free)
     kron = np.kron(root, np.eye(top))
     assert np.array_equal(partition.unpack(lift), kron)
     norm_l = max(1.0, np.linalg.norm(root))
@@ -553,7 +553,8 @@ def test_lifted_sandwich_matches_kron(blocks, dense_side, dense_kind, seed, fixe
         sandwich = partition.unpack(partition.product(lift, v, lift))
         assert np.abs(sandwich - kron @ m @ kron).max() <= 1e-12 * norm_l ** 2 * np.linalg.norm(m)
     # a stack of roots tiles the partition, one copy per root
-    tiled, stacked, lifts = matcore._lifted(ops, order, np.stack([root, 2 * root]), support)
+    tiled, stacked, lifts = matcore._lifted(ops, order, [free.pack(root), free.pack(2 * root)],
+                                            free)
     assert tiled.side == 2 * side and tiled.size == 2 * partition.size
     expected = np.zeros((2 * side, 2 * side), dtype=complex)
     expected[:side, :side], expected[side:, side:] = kron, 2 * kron
@@ -565,7 +566,7 @@ def test_lifted_rejects_operators_on_other_spaces():
     a = LabeledOperator(np.eye(6), (0, 1), (2, 3))
     b = LabeledOperator(np.eye(6), (0, 1), (3, 2))
     with pytest.raises(ValueError, match="different spaces"):
-        matcore._lifted((a, b), (0, 1), np.eye(2), np.nonzero(np.eye(2)))
+        matcore._lifted((a, b), (0, 1), np.ones(4), Blocks.one(2))
 
 
 def test_spectral_map_checked_rejects_non_hermitian_blocks():

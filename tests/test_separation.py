@@ -246,6 +246,21 @@ def test_protocol_d4_reduction_holds_no_side_1024_matrix():
     assert abs(reduced.trace() - 1.0) <= 1e-9
 
 
+def test_protocol_d4_reduction_roots_the_level_on_its_partition():
+    # both reductions take the root of the top chain level (side 256) from
+    # its entries on its own partition, so neither forms or caches its 1 MB
+    # matrix; reading the level as a matrix held 2.5 and 2.8 MB
+    inst = build_example(4)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    tester, _ = causal_protocol(inst, psi)
+    _, peak = traced_peak(povm_from_tester, tester)
+    assert peak <= 1.3e6, peak
+    _, peak = traced_peak(reduced_state, inst.c0, tester)
+    assert peak <= 1.3e6, peak
+    assert "matrix" not in tester.chain[-1].__dict__
+
+
 def test_protocol_simulation_agrees_with_born():
     inst = build_example(2)
     psi = np.array([1.0, 0.0], dtype=complex)
@@ -332,9 +347,10 @@ def test_paper_example_labels_each_full_side_operator_once(monkeypatch, capsys):
     assert not any(np.array_equal(a, b) for i, a in enumerate(full) for b in full[:i])
     assert len(full) == 3
     # with the two chain levels (sides 81 and 3), the two POVM elements
-    # (27) and the input state (3); the bound proves the parallel decision at the uniform
-    # point, so no start is labelled
-    assert sorted(n for n, _ in labelled if n != 3 * 9 * 3 * 3) == [3, 3, 27, 27, 81]
+    # (27), the input state (3) and the uniform input state (9) whose roots
+    # the distance bound packs on its partition; the bound proves the
+    # parallel decision at the uniform point, so no start is labelled
+    assert sorted(n for n, _ in labelled if n != 3 * 9 * 3 * 3) == [3, 3, 9, 27, 27, 81]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
