@@ -48,7 +48,7 @@ from . import matcore
 from .channels import Channel, MemoryChannel
 from .distances import one_use_upper
 from .matcore import Blocks, LabeledOperator
-from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_restarts
+from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_budget
 from .sampling import rng_from
 from .testers import Tester, born_probabilities, tester_from_elements, validate_tester
 
@@ -241,7 +241,7 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
     use, the bound at the uniform point or at a start's end proves
     infeasibility.  The witness carries the objective's free labels;
     ``restarts`` in the report counts the starts that ran."""
-    require_restarts(restarts)
+    require_budget(restarts, max_iter)
     free = [l for l in c0.labels if l not in set(fixed_labels)]  # the witness's spaces
     uniform = xi_set.uniform()
     upper, proof = None, False

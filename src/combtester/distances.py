@@ -2,9 +2,10 @@
 
 Both distances maximize the trace norm of the Choi difference ``Δ`` under
 one lift, ``L = R ⊗ I_top`` with the top (last output) space last, formed
-on raw arrays by ``np.kron``.  ``memory_distance`` takes ``R = Ξ^1/2`` for
-``Ξ`` in the tester normalization chain set and ascends ``||L Δ L||_1`` by
-projected subgradient steps.  ``cb_distance`` is its single-use case,
+on raw arrays, one matrix or a stack, by :func:`matcore.kron_eye`.
+``memory_distance`` takes ``R = Ξ^1/2`` for ``Ξ`` in the tester
+normalization chain set and ascends ``||L Δ L||_1`` by projected
+subgradient steps.  ``cb_distance`` is its single-use case,
 ``max_rho || (rho^1/2 ⊗ I) Δ (rho^1/2 ⊗ I) ||_1``, estimated by a seesaw on
 the equivalent pure-input form ``R = Ψ^T`` for an input ket ``|ψ>`` on
 (input, ancilla): one half-step takes the trace-norm sign operator ``S`` of
@@ -33,7 +34,7 @@ import numpy as np
 from . import matcore
 from .channels import MemoryChannel
 from .matcore import LabeledOperator, psd_sqrt_matrix, trace_norm
-from .optim import XiChainSet, require_restarts
+from .optim import XiChainSet, require_budget
 from .sampling import random_pure_state, rng_from
 from .unitary import discriminability
 
@@ -66,12 +67,12 @@ def unitary_cb_oracle(u: np.ndarray, v: np.ndarray) -> float:
     the check here only to its tolerance, 1e-10, can give a product that fails the
     stricter unitarity check of :mod:`unitary`.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    for m in (u, v):
-        d = m.shape[0]
-        if m.shape != (d, d) or np.linalg.norm(m.conj().T @ m - np.eye(d)) > 1e-10 * max(1.0, d):
-            raise ValueError("inputs must be unitary to tolerance")
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or v.shape != u.shape:
+        raise ValueError(f"inputs must be square and of one size, got {u.shape} and {v.shape}")
+    d = u.shape[0]
+    if any(np.linalg.norm(m.conj().T @ m - np.eye(d)) > 1e-10 * max(1.0, d) for m in (u, v)):
+        raise ValueError("inputs must be unitary to tolerance")
     x, _, y = np.linalg.svd(u.conj().T @ v)
     nu = discriminability(x @ y)
     return 2.0 * float(np.sqrt(max(0.0, 1.0 - nu * nu)))
@@ -123,8 +124,13 @@ def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
 def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
                 restarts: int = 20, seed: int = 0,
                 max_iter: int = 300, tol: float = 1e-12) -> DistanceEstimate:
-    """Seesaw lower bound on the cb distance of two channels given as Chois."""
-    require_restarts(restarts)
+    """Seesaw lower bound on the cb distance of two channels given as Chois.
+
+    An estimate reproduces only under bit-identical arithmetic: ``L Δ L†`` has
+    low rank for unitary pairs, so the signs of its kernel eigenvalues, and
+    with them ``S``, ``H`` and the next input, come from rounding.
+    """
+    require_budget(restarts, max_iter)
     c0 = c0.sorted()
     if len(c0.labels) != 2:
         raise ValueError("cb_distance expects single-use Choi operators")
@@ -148,31 +154,30 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     maximally_entangled = np.eye(d_in).reshape(-1) / np.sqrt(d_in)
     starts = [maximally_entangled]
     starts += [random_pure_state(side, rng) for _ in range(restarts - 1)]
-    # every restart steps in lockstep; row r of psi, best_psi, best_val and
-    # val_prev belongs to restart r, and ``live`` indexes the unstopped ones.
+    # every restart steps in lockstep; row r of best_psi and best_val belongs
+    # to restart r, ``live`` indexes the unstopped ones, and psi, prev (the
+    # last value) and each step's values follow ``live``.
     # Complex from the start: with one restart the only start is real.
     psi = np.array(starts, dtype=complex)
     count = len(starts)
     best_psi = psi.copy()
     best_val = np.full(count, -1.0)
-    val_prev = np.full(count, -np.inf)
-    histories: list[list[float]] = [[] for _ in range(count)]
+    prev = np.full(count, -np.inf)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []  # (live, values) per step
     live = np.arange(count)
-    total_iter = 0
     for step in range(max_iter):
-        lift = np.kron(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), np.eye(d_out))
+        lift = matcore.kron_eye(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
         x = lift @ delta @ matcore._dagger(lift)
         w, v = np.linalg.eigh(matcore._hermitian(x))
         val = np.abs(w).sum(axis=-1)
-        total_iter += live.size
-        for r, y in zip(live, val.tolist()):
-            histories[r].append(y)
+        steps.append((live, val))
         better = val > best_val[live]
         best_val[live[better]] = val[better]
         best_psi[live[better]] = psi[better]
-        going = ~(val <= val_prev[live] + tol)
-        val_prev[live] = val
-        live, psi, w, v = live[going], psi[going], w[going], v[going]
+        going = ~(val <= prev + tol)
+        prev = val
+        if not going.all():
+            live, psi, w, v, prev = live[going], psi[going], w[going], v[going], val[going]
         if live.size == 0 or step == max_iter - 1:  # no step left to value a new psi
             break
         s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
@@ -185,6 +190,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
 
     # the first restart that reaches the largest value, as a sequential scan keeps
     first = int(np.argmax(best_val))
+    history = [float(y) for at, val in steps for y in val[at == first]]
     psi_mat = best_psi[first].reshape(d_in, d_in)
     rho = psi_mat.conj() @ psi_mat.T
     rho = matcore.hermitian_part(rho / np.trace(rho).real)
@@ -192,8 +198,8 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     achiever = LabeledOperator(rho, (in_label,), (d_in,))
     return DistanceEstimate(
         value=min(2.0, float(value)), upper=min(2.0, sum(one_use_upper(c0, c1, [out_label], rho))),
-        achiever=achiever, iterations=total_iter,
-        restarts=count, capped=live.size, history=histories[first],
+        achiever=achiever, iterations=sum(at.size for at, _ in steps),
+        restarts=count, capped=live.size, history=history,
     )
 
 
@@ -208,7 +214,7 @@ def _memory_objective(delta: LabeledOperator, top_label: int):
     dmat = delta.matrix
 
     def value(xi: np.ndarray) -> float:
-        lift = np.kron(psd_sqrt_matrix(xi), np.eye(top))
+        lift = matcore.kron_eye(psd_sqrt_matrix(xi), top)
         return trace_norm(lift @ dmat @ lift)
 
     def value_and_subgrad(xi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -216,7 +222,7 @@ def _memory_objective(delta: LabeledOperator, top_label: int):
         w, v = np.linalg.eigh(matcore._hermitian(xi))
         w = np.clip(w, 0.0, None)
         root = (v * np.sqrt(w)) @ v.conj().T
-        lift = np.kron(root, np.eye(top))
+        lift = matcore.kron_eye(root, top)
         x = lift @ dmat @ lift
         xw, xv = np.linalg.eigh(matcore._hermitian(x))
         val = float(np.abs(xw).sum())
@@ -242,7 +248,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     this reduces to the cb distance.  Restart points are the uniform
     normalization and random feasible points, each feasible as drawn.
     """
-    require_restarts(restarts)
+    require_budget(restarts, max_iter)
     a, b = c0.choi, c1.choi
     if a.dims != b.dims:
         raise ValueError("memory channels act on different spaces")

@@ -13,7 +13,8 @@ conventions are fixed once and for all:
 
 Operators held as entries are traced over a last factor by :class:`TailTrace`
 alone, and lifted to ``⊗ I`` there by :func:`lift_last`; :func:`partial_trace`
-is the dense reference over any labels.
+is the dense reference over any labels.  A raw matrix or stack is lifted to
+``⊗ I`` by :func:`kron_eye` alone.
 """
 
 from __future__ import annotations
@@ -320,6 +321,13 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     return LabeledOperator._built(out.reshape(da * db, da * db), labels, dims)
 
 
+def kron_eye(r: np.ndarray, n: int) -> np.ndarray:
+    """``r ⊗ I_n`` for a matrix or a stack of matrices: one broadcast multiply,
+    equal to ``np.kron(r, np.eye(n))`` bit for bit."""
+    *stack, rows, cols = r.shape
+    return (r[..., :, None, :, None] * np.eye(n)[:, None, :]).reshape(*stack, rows * n, cols * n)
+
+
 def lift_last(flat: np.ndarray, side: int, tail: int) -> np.ndarray:
     """The flat positions of ``x ⊗ I_tail`` (side ``side * tail``) that the
     entries of a side-``side`` ``x`` at ``flat`` replace: ``tail`` per entry,
@@ -530,8 +538,12 @@ def _dagger(b: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(b: np.ndarray) -> np.ndarray:
-    """``(b + b^dagger) / 2`` per matrix of a stack, without a scan."""
-    return (b + _dagger(b)) / 2
+    """``(b + b^dagger) / 2`` per matrix of a stack, without a scan, summed
+    and halved in place in one buffer (the same bits as the plain sum)."""
+    h = np.conjugate(np.swapaxes(b, -1, -2), out=np.empty_like(b, order="C"))
+    h += b
+    h /= 2
+    return h
 
 
 class Blocks:
@@ -716,7 +728,7 @@ def _lifted(ops, order, roots: np.ndarray, free: Blocks) -> tuple[Blocks, list, 
     packed entries on it of each operator and of the lift, so products and spectral
     maps run block by block.  ``k`` stacked roots tile it ``k`` times.  A whole operand
     makes it whole per root, with no sort or labelling: a whole operand's entries
-    are read in order as they stand, and the lift is ``kron(root, I_fixed)``."""
+    are read in order as they stand, and the lift is :func:`kron_eye`."""
     if len({frozenset(zip(op.labels, op.dims)) for op in ops}) > 1:
         raise ValueError("operators act on different spaces")
     n, roots = ops[0].side, np.reshape(roots, (-1, free.size))
@@ -726,7 +738,7 @@ def _lifted(ops, order, roots: np.ndarray, free: Blocks) -> tuple[Blocks, list, 
         entries = [np.broadcast_to(op.permuted(order).matrix if op.blocks.whole  # tiled k times
                                    else op.at(i[:, None], i), (k, n, n)).reshape(-1)
                    for op, i in zip(ops, index)]
-        lift = np.kron(np.stack([free.unpack(r) for r in roots]), np.eye(out))
+        lift = kron_eye(np.stack([free.unpack(r) for r in roots]), out)
         return Blocks([np.arange(k * n).reshape(k, n)], k * n), entries, lift.reshape(-1)
     flat = [lift_last(free.flat, free.side, out)]
     flat += [op.blocks.permuted(i).flat for op, i in zip(ops, index)]

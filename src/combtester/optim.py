@@ -225,10 +225,13 @@ class XiChainSet:
 # -- projected gradient minimization -----------------------------------------
 
 
-def require_restarts(restarts: int) -> None:
-    """Raise unless a solver is asked for at least one start."""
+def require_budget(restarts: int, max_iter: int) -> None:
+    """Raise unless a solver is asked for at least one start and a
+    non-negative iteration cap (0 runs no step)."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
 
 
 @dataclass

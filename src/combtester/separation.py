@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import IsometricComb, MemoryChannel, comb_from_isometries, validate_comb
 from .discrimination import FeasibilityReport, delta_matrix, parallel_discriminable
-from .matcore import Blocks, LabeledOperator
+from .matcore import Blocks, LabeledOperator, kron_eye
 from .testers import Tester, TesterCircuit, tester_from_circuit
 
 
@@ -239,8 +239,8 @@ def protocol_circuit(inst: ExampleInstance, psi: np.ndarray) -> TesterCircuit:
             block[c * d2 + pq, pq] = target[c]
     ket1 = np.zeros((d, d), dtype=complex)
     ket1[1, 1] = 1.0
-    m0 = np.kron(ket1, np.eye(d2))
-    m1 = np.kron(np.eye(d) - ket1, np.eye(d2))
+    m0 = kron_eye(ket1, d2)
+    m1 = kron_eye(np.eye(d) - ket1, d2)
     return TesterCircuit(
         input_state=np.outer(psi, psi.conj()),
         blocks=(block,),

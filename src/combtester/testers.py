@@ -31,7 +31,7 @@ import numpy as np
 
 from . import matcore
 from .channels import IsometricComb, MemoryChannel, _isometry_chain, _ket_chain
-from .matcore import LabeledOperator, partial_trace
+from .matcore import LabeledOperator, kron_eye, partial_trace
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def _apply_block(state: LabeledOperator, block: np.ndarray,
     rest = [l for l in state.labels if l not in in_labels]
     s = state.permuted(tuple(in_labels + rest))
     d_rest = int(np.prod([s.dim_of(l) for l in rest])) if rest else 1
-    full = np.kron(block, np.eye(d_rest))
+    full = kron_eye(block, d_rest)
     out = full @ s.matrix @ full.conj().T
     labels = tuple(list(out_labels) + rest)
     dims = tuple(list(out_dims) + [s.dim_of(l) for l in rest])

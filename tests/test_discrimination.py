@@ -521,6 +521,22 @@ def test_solvers_reject_fewer_than_one_restart(restarts):
             solve()
 
 
+@pytest.mark.parametrize("entry", ["cb_distance", "memory_distance", "causal_discriminable",
+                                   "parallel_discriminable"])
+def test_solvers_reject_a_negative_iteration_cap(entry):
+    mc, inst = comb_from_sequence([identity_channel(2)]), build_example(2)
+    solve = {
+        "cb_distance": lambda: cb_distance(mc.choi, mc.choi, max_iter=-1),
+        "memory_distance": lambda: memory_distance(mc, mc, max_iter=-1),
+        "causal_discriminable": lambda: causal_discriminable(inst.c0, inst.c1, restarts=2,
+                                                             max_iter=-1),
+        "parallel_discriminable": lambda: parallel_discriminable(inst.c0.choi, inst.c1.choi,
+                                                                 max_iter=-1),
+    }[entry]
+    with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
+        solve()
+
+
 def _dense_map(h, f):
     w, v = np.linalg.eigh(h)
     return (v * f(w)) @ v.conj().T

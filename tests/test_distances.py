@@ -83,6 +83,13 @@ def test_oracle_rejects_non_unitary():
         unitary_cb_oracle(np.eye(2) * 2.0, np.eye(2))
 
 
+@pytest.mark.parametrize("u,v", [(np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))),
+                                 (np.eye(3), np.ones((2, 3))), (np.ones(3), np.ones(3))])
+def test_oracle_rejects_bad_shapes_before_testing_unitarity(u, v):
+    with pytest.raises(ValueError, match="inputs must be square and of one size"):
+        unitary_cb_oracle(u, v)
+
+
 def test_cb_identical_channels():
     c = qubit_choi(np.eye(2))
     est = cb_distance(c, c, restarts=3, seed=0)
@@ -253,6 +260,19 @@ def test_cb_stacked_restarts_match_one_at_a_time(d_in, d_out):
                 restarts, iterations, len(history))
             assert abs(est.value - value) <= 1e-12
             assert np.allclose(est.history, history, rtol=0, atol=1e-12)
+
+
+def test_cb_haar_qutrit_calls_match_the_reference_bit_for_bit():
+    # the shape of a cb-haar call: ten restarts of 30 steps each, none stopping
+    rng = np.random.default_rng(40)
+    for k in range(3):
+        a, b = (comb_from_sequence([unitary_channel(haar_unitary(3, rng))]).choi for _ in "ab")
+        kw = {"restarts": 10, "seed": k, "max_iter": 30, "tol": -np.inf}
+        est = cb_distance(a, b, **kw)
+        value, iterations, _, history = _reference_cb(a, b, **kw)
+        assert est.history == history
+        assert est.value == min(2.0, value)
+        assert est.iterations == iterations == 300
 
 
 def test_cb_max_iter_zero_certifies_the_maximally_entangled_start():

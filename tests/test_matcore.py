@@ -804,6 +804,39 @@ def test_tail_trace_matches_dense_partial_trace(dims, traced, groups, summands, 
                    Entries(trace.flat, trace(values), trace.side)))
 
 
+def _stack(rng, shape, complex_, zeros):
+    r = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0)
+    r[rng.random(shape) < zeros] = -0.0  # signed zeros keep their sign through both
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=st.sampled_from([(), (1,), (3,), (2, 2)]), rows=st.integers(1, 4),
+       cols=st.integers(1, 4), n=st.integers(1, 4), complex_=st.booleans(),
+       transposed=st.booleans(), zeros=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_kron_eye_is_kron_with_the_identity_bit_for_bit(stack, rows, cols, n, complex_,
+                                                        transposed, zeros, seed):
+    r = _stack(np.random.default_rng(seed), stack + (rows, cols), complex_, zeros)
+    r = r.swapaxes(-1, -2) if transposed else r  # the seesaw lifts a transposed view
+    want, got = np.kron(r, np.eye(n)), matcore.kron_eye(r, n)
+    assert np.array_equal(got, want)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=st.sampled_from([(), (1,), (3,), (2, 2)]), side=st.integers(1, 9),
+       complex_=st.booleans(), transposed=st.booleans(), zeros=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hermitian_part_has_the_bits_of_the_plain_sum(stack, side, complex_, transposed,
+                                                      zeros, seed):
+    b = _stack(np.random.default_rng(seed), stack + (side, side), complex_, zeros)
+    b = b.swapaxes(-1, -2) if transposed else b
+    before = b.copy()
+    want, got = (b + b.conj().swapaxes(-1, -2)) / 2, matcore._hermitian(b)
+    assert got.flags.c_contiguous and np.array_equal(b, before)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_tail_trace_of_no_diagonal_entries_is_empty():
     trace = TailTrace(np.array([1, 3]), 4, 2)  # (0, 1) and (0, 3): off the tail's diagonal
     assert trace.flat.size == trace.on.size == trace.pair.size == 0
