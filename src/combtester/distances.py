@@ -14,9 +14,8 @@ the lifted observable ``H`` with ``<ψ|H|ψ> = Tr[S L Δ L†]``, which is ``Δ^
 contracted with ``S`` over the output.  Both half-steps are exact, so the
 seesaw is monotone.  The seesaw's restarts run as one stacked batch: each
 step lifts, eigensolves and contracts every unstopped restart at once, with
-the same arithmetic per restart as a loop over them.  A restart that stops
-at its iteration cap rather than by its stopping rule is counted in
-``DistanceEstimate.capped``.
+the same arithmetic per restart as a loop over them.  A restart stops when
+its value stalls, the batch once its best certified interval is within ``GAP``.
 
 All estimates are certified lower bounds: the returned value is the
 objective re-evaluated at the returned achiever, never the raw iterate
@@ -41,6 +40,8 @@ from .unitary import discriminability
 
 # the input mixings ε of :func:`one_use_upper`'s ladder
 EPS_LADDER = (1.0, 1e-2, 1e-4, 1e-6, 1e-8)
+CHECK_EVERY = 5  # seesaw steps between cb_distance's first certifications of its best input
+GAP = 1e-6  # the certified width at which cb_distance's batch stops
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class DistanceEstimate:
     achiever: LabeledOperator = field(metadata={"json": False})
     iterations: int
     restarts: int
-    # restarts that stopped at ``max_iter`` rather than by their stopping rule
+    # open restarts: memory_distance's at ``max_iter``, cb_distance's all unless it closed
     capped: int
     history: list = field(default_factory=list, metadata={"json": False})
 
@@ -126,11 +127,17 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
                 max_iter: int = 300, tol: float = 1e-12) -> DistanceEstimate:
     """Seesaw lower bound on the cb distance of two channels given as Chois.
 
-    An estimate reproduces only under bit-identical arithmetic: ``L Δ L†`` has
-    low rank for unitary pairs, so the signs of its kernel eigenvalues, and
-    with them ``S``, ``H`` and the next input, come from rounding.
+    The batch stops once ``upper - value <= GAP`` at its best input, checked
+    every :data:`CHECK_EVERY` steps and, past 25, a quarter more steps apart;
+    a restart, once its value gains at most ``tol`` (``-inf`` turns off only
+    that rule).  An open batch counts all in ``capped``.  An estimate
+    reproduces only under bit-identical arithmetic: ``L Δ L†`` has low rank
+    for unitary pairs, so the signs of its kernel eigenvalues, and with them
+    ``S``, ``H`` and the next input, come from rounding.
     """
     require_budget(restarts, max_iter)
+    if np.isnan(tol):
+        raise ValueError(f"tol must be a number, got {tol}")
     c0 = c0.sorted()
     if len(c0.labels) != 2:
         raise ValueError("cb_distance expects single-use Choi operators")
@@ -145,6 +152,12 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         rho = LabeledOperator(np.eye(d_in) / d_in, (in_label,), (d_in,))
         upper = min(2.0, sum(one_use_upper(c0, c1, [out_label], rho.matrix)))
         return DistanceEstimate(0.0, upper, rho, 0, 0, 0, [0.0])
+
+    def certify(psi: np.ndarray) -> tuple[float, float, np.ndarray]:  # value, upper, state
+        rho = psi.reshape(d_in, d_in).conj() @ psi.reshape(d_in, d_in).T
+        rho = matcore.hermitian_part(rho / np.trace(rho).real)
+        value = min(2.0, float(_memory_objective(diff, out_label)[0](rho)))
+        return value, min(2.0, sum(one_use_upper(c0, c1, [out_label], rho))), rho
 
     side = d_in * d_in
     # Δ^T[(a', o'), (a, o)] as a matrix from (a', a) to (o', o)
@@ -165,6 +178,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     prev = np.full(count, -np.inf)
     steps: list[tuple[np.ndarray, np.ndarray]] = []  # (live, values) per step
     live = np.arange(count)
+    check = min(CHECK_EVERY, max_iter)  # the step count of the next certification
     for step in range(max_iter):
         lift = matcore.kron_eye(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
         x = lift @ delta @ matcore._dagger(lift)
@@ -178,8 +192,11 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         prev = val
         if not going.all():
             live, psi, w, v, prev = live[going], psi[going], w[going], v[going], val[going]
-        if live.size == 0 or step == max_iter - 1:  # no step left to value a new psi
-            break
+        if live.size == 0 or step + 1 == check:
+            value, upper, rho = certify(best_psi[int(np.argmax(best_val))])
+            if live.size == 0 or check == max_iter or upper - value <= GAP:
+                break  # no step left to value a new psi, or the interval closed
+            check = min(max_iter, check + max(CHECK_EVERY, check // 4))  # ever sparser
         s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
         # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
         s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)
@@ -187,19 +204,17 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         h = h.transpose(0, 1, 3, 2, 4).reshape(-1, side, side)
         _, vecs = np.linalg.eigh(matcore._hermitian(h))
         psi = vecs[:, :, -1]
+    else:  # max_iter is 0: the maximally entangled start, unvalued
+        value, upper, rho = certify(best_psi[0])
 
     # the first restart that reaches the largest value, as a sequential scan keeps
     first = int(np.argmax(best_val))
     history = [float(y) for at, val in steps for y in val[at == first]]
-    psi_mat = best_psi[first].reshape(d_in, d_in)
-    rho = psi_mat.conj() @ psi_mat.T
-    rho = matcore.hermitian_part(rho / np.trace(rho).real)
-    value = _memory_objective(diff, out_label)[0](rho)
     achiever = LabeledOperator(rho, (in_label,), (d_in,))
     return DistanceEstimate(
-        value=min(2.0, float(value)), upper=min(2.0, sum(one_use_upper(c0, c1, [out_label], rho))),
-        achiever=achiever, iterations=sum(at.size for at, _ in steps),
-        restarts=count, capped=live.size, history=history,
+        value=value, upper=upper, achiever=achiever,
+        iterations=sum(at.size for at, _ in steps), restarts=count,
+        capped=0 if upper - value <= GAP else count, history=history,
     )
 
 

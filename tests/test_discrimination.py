@@ -537,6 +537,13 @@ def test_solvers_reject_a_negative_iteration_cap(entry):
         solve()
 
 
+def test_cb_distance_rejects_a_nan_tolerance():
+    # a NaN stall tolerance would never stop a restart
+    mc = comb_from_sequence([identity_channel(2)])
+    with pytest.raises(ValueError, match="tol must be a number"):
+        cb_distance(mc.choi, mc.choi, tol=np.nan)
+
+
 def _dense_map(h, f):
     w, v = np.linalg.eigh(h)
     return (v * f(w)) @ v.conj().T

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combtester.channels import (
     Channel,
@@ -184,7 +186,8 @@ def test_cb_symmetry():
     assert abs(ab - ba) <= 1e-6
 
 
-def test_cb_history_monotone_at_fixed_steps():
+def test_cb_history_monotone_at_fixed_steps(monkeypatch):
+    monkeypatch.setattr(distances, "GAP", -np.inf)  # no certified stop: fixed steps
     rng = np.random.default_rng(8)
     pairs = [(qubit_choi(haar_unitary(2, rng)), qubit_choi(haar_unitary(2, rng)))]
     pairs += [(comb_from_sequence([random_qubit_channel(rng)]).choi,
@@ -244,7 +247,8 @@ def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
 
 
 @pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_cb_stacked_restarts_match_one_at_a_time(d_in, d_out):
+def test_cb_stacked_restarts_match_one_at_a_time(d_in, d_out, monkeypatch):
+    monkeypatch.setattr(distances, "GAP", -np.inf)  # the reference has no certified stop
     rng = np.random.default_rng(12 + 4 * d_in + d_out)
     channels = [Channel(tuple(random_kraus(d_in, d_out, 2, rng)), d_in, d_out)
                 for _ in range(4)]
@@ -262,8 +266,9 @@ def test_cb_stacked_restarts_match_one_at_a_time(d_in, d_out):
             assert np.allclose(est.history, history, rtol=0, atol=1e-12)
 
 
-def test_cb_haar_qutrit_calls_match_the_reference_bit_for_bit():
+def test_cb_haar_qutrit_calls_match_the_reference_bit_for_bit(monkeypatch):
     # the shape of a cb-haar call: ten restarts of 30 steps each, none stopping
+    monkeypatch.setattr(distances, "GAP", -np.inf)
     rng = np.random.default_rng(40)
     for k in range(3):
         a, b = (comb_from_sequence([unitary_channel(haar_unitary(3, rng))]).choi for _ in "ab")
@@ -285,11 +290,13 @@ def test_cb_max_iter_zero_certifies_the_maximally_entangled_start():
     assert abs(est.value - _memory_objective(a - b, 1)[0](np.eye(2) / 2)) <= 1e-12
 
 
-def test_capped_restarts_are_counted():
+def test_capped_restarts_are_counted(monkeypatch):
     rng = np.random.default_rng(14)
     a = comb_from_sequence([random_qubit_channel(rng)]).choi
     b = comb_from_sequence([random_qubit_channel(rng)]).choi
-    fixed = cb_distance(a, b, restarts=4, seed=1, max_iter=10, tol=-np.inf)
+    with monkeypatch.context() as m:
+        m.setattr(distances, "GAP", -np.inf)  # every restart runs to max_iter
+        fixed = cb_distance(a, b, restarts=4, seed=1, max_iter=10, tol=-np.inf)
     assert fixed.capped == 4 and _jsonable(fixed)["capped"] == 4
     assert cb_distance(a, b, restarts=4, seed=1).capped == 0
     assert cb_distance(a, a, restarts=3, seed=0).capped == 0
@@ -298,6 +305,67 @@ def test_capped_restarts_are_counted():
     assert memory_distance(ma, mc, restarts=2, seed=0, max_iter=1).capped == 2
     # identical combs: every step is rejected, so the step shrinks below 1e-10
     assert memory_distance(mc, mc, restarts=2, seed=0, max_iter=200).capped == 0
+
+
+def test_cb_interval_closes_on_most_haar_qutrit_pairs():
+    # the cb-haar call shape, ten restarts of at most 30 steps
+    rng = np.random.default_rng(41)
+    closed = 0
+    for k in range(20):
+        a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
+        est = cb_distance(a, b, restarts=10, seed=k, max_iter=30, tol=-np.inf)
+        closed += est.upper - est.value <= distances.GAP
+    assert closed >= 10
+
+
+def test_cb_open_interval_counts_every_restart():
+    rng = np.random.default_rng(16)
+    a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
+    at_cap = cb_distance(a, b, restarts=4, seed=0, max_iter=2, tol=-np.inf)
+    assert at_cap.upper - at_cap.value > 1e-6
+    assert (at_cap.capped, at_cap.iterations) == (4, 8)
+    # a stall rule this loose stops every restart at its second step, open
+    stalled = cb_distance(a, b, restarts=4, seed=0, tol=1.0)
+    assert stalled.upper - stalled.value > 1e-6
+    assert (stalled.capped, stalled.iterations) == (4, 8)
+
+
+def test_cb_closed_call_certifies_once_per_check(monkeypatch):
+    calls, upper = [], distances.one_use_upper
+    monkeypatch.setattr(distances, "one_use_upper",
+                        lambda *args: calls.append(1) or upper(*args))
+    rng = np.random.default_rng(17)
+    a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
+    est = cb_distance(a, b, restarts=4, seed=0, tol=-np.inf)
+    steps = est.iterations // 4
+    assert est.upper - est.value <= distances.GAP
+    assert steps < 300 and steps % distances.CHECK_EVERY == 0
+    assert len(calls) == steps // distances.CHECK_EVERY
+
+
+def test_cb_open_call_certifies_ever_less_often(monkeypatch):
+    calls, upper = [], distances.one_use_upper
+    monkeypatch.setattr(distances, "one_use_upper",
+                        lambda *args: calls.append(1) or upper(*args))
+    rng = np.random.default_rng(2)
+    a, b = (comb_from_sequence([Channel(tuple(random_kraus(3, 3, 2, rng)), 3, 3)]).choi
+            for _ in "ab")
+    est = cb_distance(a, b, restarts=4, seed=0, max_iter=100)
+    assert est.upper - est.value > distances.GAP and est.iterations == 400
+    # checks after steps 5, 10, 15, 20, 25, 31, 38, 47, 58, 72, 90 and 100, not every 5
+    assert len(calls) == 12
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_cb_interval_brackets_the_unitary_oracle(d, seed):
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(d, rng), haar_unitary(d, rng)
+    est = cb_distance(qubit_choi(u), qubit_choi(v), restarts=4, seed=seed % 7)
+    oracle = unitary_cb_oracle(u, v)
+    assert est.value <= oracle + 1e-12
+    assert oracle <= est.upper
+    assert est.capped > 0 or est.upper - est.value <= distances.GAP
 
 
 def test_memory_identical():

@@ -285,6 +285,8 @@ def test_cli_distance(tmp_path, capsys):
     assert main(["distance", "--kind", "cb", fi, fx, "--restarts", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - 2.0) < 1e-3
+    # the default stop rule closes the certified interval
+    assert out["upper"] - out["value"] <= 1e-6
 
 
 def test_cli_theta(tmp_path, capsys):
