@@ -246,7 +246,8 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
     uniform = xi_set.uniform()
     upper, proof = None, False
     if xi_set.uses == 1:
-        upper, allowance = one_use_upper(c0, c1, fixed_labels, uniform)
+        diagonal = Blocks.of(uniform)
+        upper, allowance = one_use_upper(c0, c1, fixed_labels, diagonal, diagonal.pack(uniform))
         if upper < 2 - allowance:  # proven before any start
             value = float(uniform[0, 0] ** 2 * _squares_trace(c0, c1))
             witness = LabeledOperator(uniform, free, [c0.dim_of(l) for l in free])
@@ -269,7 +270,7 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
         if best.value <= FEASIBLE_TOL * 1e-4:
             break
         if upper is not None:
-            bound, allowance = one_use_upper(c0, c1, fixed_labels, blocks.unpack(res.x))
+            bound, allowance = one_use_upper(c0, c1, fixed_labels, blocks, res.x)
             upper = min(upper, bound)
             if proof := bound < 2 - allowance:
                 break

@@ -12,10 +12,10 @@ the equivalent pure-input form ``R = Ψ^T`` for an input ket ``|ψ>`` on
 the output difference ``L Δ L†``, the other takes the top eigenvector of
 the lifted observable ``H`` with ``<ψ|H|ψ> = Tr[S L Δ L†]``, which is ``Δ^T``
 contracted with ``S`` over the output.  Both half-steps are exact, so the
-seesaw is monotone.  The seesaw's restarts run as one stacked batch: each
-step lifts, eigensolves and contracts every unstopped restart at once, with
-the same arithmetic per restart as a loop over them.  A restart stops when
-its value stalls, the batch once its best certified interval is within ``GAP``.
+seesaw is monotone.  Its maximally entangled start runs alone, and only if
+its certified interval is open the random restarts follow as one stacked
+batch, with the same arithmetic per restart as a loop over them.  A restart
+stops when its value stalls, a wave once the best interval is within ``GAP``.
 
 All estimates are certified lower bounds: the returned value is the
 objective re-evaluated at the returned achiever, never the raw iterate
@@ -54,8 +54,8 @@ class DistanceEstimate:
     upper: float | None
     achiever: LabeledOperator = field(metadata={"json": False})
     iterations: int
-    restarts: int
-    # open restarts: memory_distance's at ``max_iter``, cb_distance's all unless it closed
+    restarts: int  # the restarts that ran
+    # open restarts: memory_distance's at ``max_iter``, cb_distance's all that ran unless it closed
     capped: int
     history: list = field(default_factory=list, metadata={"json": False})
 
@@ -80,10 +80,11 @@ def unitary_cb_oracle(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
-                  rho: np.ndarray) -> tuple[float, float]:
+                  free: matcore.Blocks, state: np.ndarray) -> tuple[float, float]:
     """The strategy-norm dual bound on the one-use distance of two Choi
     operators with outputs ``fixed_labels``, from a state ``rho`` of the
-    other (input) factors in label order, and its rounding allowance.
+    other (input) factors in label order, packed as ``state`` on a partition
+    ``free`` of them that it vanishes off, and its rounding allowance.
 
     With ``ρ_ε = (1 - ε) ρ + ε I/d_in`` and ``L = ρ_ε^1/2 ⊗ I_out``, ``Y =
     L⁻¹|LΔL|L⁻¹ ≥ ±Δ``, so ``λmax(Tr_out Y)`` bounds the distance (Watrous,
@@ -97,8 +98,9 @@ def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
     ``|LΔL|`` is one :meth:`Blocks.map`.
     """
     order = sorted(c0.labels, key=set(fixed_labels).__contains__)  # inputs, then outputs
-    n, d_in = c0.side, rho.shape[0]
+    n, d_in = c0.side, free.side
     out = n // d_in
+    rho = free.unpack(state)
     rho = matcore._hermitian(rho / np.trace(rho).real)
     mixed = np.array_equal(rho, np.eye(d_in) * rho[0, 0])
     ladder = np.array(EPS_LADDER[:1] if mixed else EPS_LADDER)
@@ -106,7 +108,6 @@ def one_use_upper(c0: LabeledOperator, c1: LabeledOperator, fixed_labels,
     w, u = np.linalg.eigh((1 - mixings) * rho + mixings * np.eye(d_in) / d_in)
     w = np.maximum(w, ladder[:, None] / d_in)[:, None, :]
     root, inv_root = ((u * f) @ matcore._dagger(u) for f in (np.sqrt(w), 1 / np.sqrt(w)))
-    free = matcore.Blocks.of(rho)
     blocks, (c0_at, c1_at), lift = matcore._lifted((c0, c1), order, free.pack(root), free)
     x = blocks.product(lift, c0_at - c1_at, lift)
     trace = matcore.TailTrace(blocks.flat, blocks.side, out)  # Tr_out, copy by copy
@@ -127,12 +128,16 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
                 max_iter: int = 300, tol: float = 1e-12) -> DistanceEstimate:
     """Seesaw lower bound on the cb distance of two channels given as Chois.
 
-    The batch stops once ``upper - value <= GAP`` at its best input, checked
-    every :data:`CHECK_EVERY` steps and, past 25, a quarter more steps apart;
-    a restart, once its value gains at most ``tol`` (``-inf`` turns off only
-    that rule).  An open batch counts all in ``capped``.  An estimate
-    reproduces only under bit-identical arithmetic: ``L Δ L†`` has low rank
-    for unitary pairs, so the signs of its kernel eigenvalues, and with them
+    Each wave, the maximally entangled start and then, if it is left open,
+    the random restarts, stops once ``upper - value <= GAP`` at the best
+    input, checked at its last step and every :data:`CHECK_EVERY` steps, past
+    25 a quarter more apart, unless the best value rose by more than ``GAP``
+    in that step (proof that the last best is open, as ``upper >= optimum``,
+    and evidence for the new one) or has not moved since its check.  The
+    first restart to reach the largest value gives the estimate; a restart
+    stops once its value gains at most ``tol`` (``-inf`` turns off only that
+    rule).  The estimate reproduces only under bit-identical arithmetic: ``L
+    Δ L†`` has low rank for unitary pairs, so its kernel signs, and with them
     ``S``, ``H`` and the next input, come from rounding.
     """
     require_budget(restarts, max_iter)
@@ -148,71 +153,75 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     in_label, out_label = diff.labels
     d_in, d_out = diff.dims
     delta = diff.matrix
-    if np.linalg.norm(delta) < 1e-15:
-        rho = LabeledOperator(np.eye(d_in) / d_in, (in_label,), (d_in,))
-        upper = min(2.0, sum(one_use_upper(c0, c1, [out_label], rho.matrix)))
-        return DistanceEstimate(0.0, upper, rho, 0, 0, 0, [0.0])
+    whole = matcore.Blocks.one(d_in)  # a state's partition: packing is a reshape
 
-    def certify(psi: np.ndarray) -> tuple[float, float, np.ndarray]:  # value, upper, state
+    def certify(psi: np.ndarray) -> tuple[float, float, LabeledOperator]:  # value, upper, state
         rho = psi.reshape(d_in, d_in).conj() @ psi.reshape(d_in, d_in).T
         rho = matcore.hermitian_part(rho / np.trace(rho).real)
         value = min(2.0, float(_memory_objective(diff, out_label)[0](rho)))
-        return value, min(2.0, sum(one_use_upper(c0, c1, [out_label], rho))), rho
+        upper = min(2.0, sum(one_use_upper(c0, c1, [out_label], whole, whole.pack(rho))))
+        return value, upper, LabeledOperator(rho, (in_label,), (d_in,))
 
     side = d_in * d_in
+    psi = (np.eye(d_in).reshape(1, -1) / np.sqrt(d_in)).astype(complex)  # maximally entangled
+    if np.linalg.norm(delta) < 1e-15:
+        _, upper, rho = certify(psi[0])
+        return DistanceEstimate(0.0, upper, rho, 0, 0, 0, [0.0])
     # Δ^T[(a', o'), (a, o)] as a matrix from (a', a) to (o', o)
     dt = delta.T.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(side, -1)
     rng = rng_from(seed)
 
-    maximally_entangled = np.eye(d_in).reshape(-1) / np.sqrt(d_in)
-    starts = [maximally_entangled]
-    starts += [random_pure_state(side, rng) for _ in range(restarts - 1)]
-    # every restart steps in lockstep; row r of best_psi and best_val belongs
-    # to restart r, ``live`` indexes the unstopped ones, and psi, prev (the
-    # last value) and each step's values follow ``live``.
-    # Complex from the start: with one restart the only start is real.
-    psi = np.array(starts, dtype=complex)
-    count = len(starts)
-    best_psi = psi.copy()
-    best_val = np.full(count, -1.0)
-    prev = np.full(count, -np.inf)
+    # row r of best_psi and best_val belongs to restart r, row 0 to the first
+    # start; ``live`` indexes a wave's unstopped restarts, and psi (complex,
+    # as row 0 is real), prev (the last value) and each step's values follow it
+    best_psi = np.zeros((restarts, side), dtype=complex)
+    best_val = np.full(restarts, -1.0)
     steps: list[tuple[np.ndarray, np.ndarray]] = []  # (live, values) per step
-    live = np.arange(count)
-    check = min(CHECK_EVERY, max_iter)  # the step count of the next certification
-    for step in range(max_iter):
-        lift = matcore.kron_eye(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
-        x = lift @ delta @ matcore._dagger(lift)
-        w, v = np.linalg.eigh(matcore._hermitian(x))
-        val = np.abs(w).sum(axis=-1)
-        steps.append((live, val))
-        better = val > best_val[live]
-        best_val[live[better]] = val[better]
-        best_psi[live[better]] = psi[better]
-        going = ~(val <= prev + tol)
-        prev = val
-        if not going.all():
-            live, psi, w, v, prev = live[going], psi[going], w[going], v[going], val[going]
-        if live.size == 0 or step + 1 == check:
-            value, upper, rho = certify(best_psi[int(np.argmax(best_val))])
-            if live.size == 0 or check == max_iter or upper - value <= GAP:
-                break  # no step left to value a new psi, or the interval closed
-            check = min(max_iter, check + max(CHECK_EVERY, check // 4))  # ever sparser
-        s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
-        # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
-        s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)
-        h = (dt @ s.reshape(-1, d_out * d_out, side)).reshape((-1,) + (d_in,) * 4)
-        h = h.transpose(0, 1, 3, 2, 4).reshape(-1, side, side)
-        _, vecs = np.linalg.eigh(matcore._hermitian(h))
-        psi = vecs[:, :, -1]
-    else:  # max_iter is 0: the maximally entangled start, unvalued
-        value, upper, rho = certify(best_psi[0])
+    count, top, live = 1, -np.inf, np.arange(1)  # top: the best value last certified
+    while True:
+        prev = np.full(live.size, -np.inf)
+        check = min(CHECK_EVERY, max_iter)  # the step count of the next certification
+        for step in range(max_iter):
+            lift = matcore.kron_eye(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
+            x = lift @ delta @ matcore._dagger(lift)
+            w, v = np.linalg.eigh(matcore._hermitian(x))
+            val = np.abs(w).sum(axis=-1)
+            steps.append((live, val))
+            rise = val.max() - best_val.max()  # beyond GAP, proof that the last best is open
+            better = val > best_val[live]
+            best_val[live[better]] = val[better]
+            best_psi[live[better]] = psi[better]
+            going = ~(val <= prev + tol)
+            prev = val
+            if not going.all():
+                live, psi, w, v, prev = live[going], psi[going], w[going], v[going], val[going]
+            if live.size == 0 or step + 1 == check:
+                last = live.size == 0 or check == max_iter
+                if (last or rise <= GAP) and best_val.max() > top:
+                    top = best_val.max()
+                    value, upper, rho = certify(best_psi[int(np.argmax(best_val))])
+                if last or best_val.max() == top and upper - value <= GAP:
+                    break  # no step left to value a new psi, or the interval closed
+                check = min(max_iter, check + max(CHECK_EVERY, check // 4))  # ever sparser
+            s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
+            # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
+            s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)
+            h = (dt @ s.reshape(-1, d_out * d_out, side)).reshape((-1,) + (d_in,) * 4)
+            h = h.transpose(0, 1, 3, 2, 4).reshape(-1, side, side)
+            _, vecs = np.linalg.eigh(matcore._hermitian(h))
+            psi = vecs[:, :, -1]
+        else:  # max_iter is 0: the maximally entangled start, unvalued
+            value, upper, rho = certify(psi[0])
+        if count == restarts or not max_iter or upper - value <= GAP:
+            break
+        live, count = np.arange(1, restarts), restarts
+        psi = np.array([random_pure_state(side, rng) for _ in live], dtype=complex)
 
     # the first restart that reaches the largest value, as a sequential scan keeps
     first = int(np.argmax(best_val))
     history = [float(y) for at, val in steps for y in val[at == first]]
-    achiever = LabeledOperator(rho, (in_label,), (d_in,))
     return DistanceEstimate(
-        value=value, upper=upper, achiever=achiever,
+        value=value, upper=upper, achiever=rho,
         iterations=sum(at.size for at, _ in steps), restarts=count,
         capped=0 if upper - value <= GAP else count, history=history,
     )
@@ -302,7 +311,8 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
 
     cert = value(best_xi)
     achiever = LabeledOperator(best_xi, xi_set.labels, xi_set.dims)
-    upper = min(2.0, sum(one_use_upper(a, b, [top], best_xi))) if c0.uses == 1 else None
+    upper = (min(2.0, sum(one_use_upper(a, b, [top], whole, whole.pack(best_xi))))
+             if c0.uses == 1 else None)
     return DistanceEstimate(
         value=min(2.0, float(cert)), upper=upper, achiever=achiever, iterations=total_iter,
         restarts=len(starts), capped=capped, history=best_hist,

@@ -19,6 +19,7 @@ from combtester.distances import (
     unitary_cb_oracle,
 )
 from combtester.matcore import (
+    Blocks,
     LabeledOperator,
     hermitian_part,
     identity,
@@ -172,7 +173,8 @@ def test_one_use_upper_never_proves_a_feasible_pair_infeasible(ladder, monkeypat
         c0, c1 = (comb_from_sequence([c] * uses).choi
                   for c in (identity_channel(2), unitary_channel(X)))
         pure = np.diag(np.arange(2 ** uses) == 0).astype(complex)
-        upper, allowance = one_use_upper(c0, c1, c0.labels[1::2], pure)
+        diagonal = Blocks.of(pure)
+        upper, allowance = one_use_upper(c0, c1, c0.labels[1::2], diagonal, diagonal.pack(pure))
         assert upper >= 2 - allowance
         assert 0 < allowance < 1e-4
 
@@ -210,7 +212,8 @@ def test_cb_ignores_factor_order():
 
 def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
     """The seesaw one restart at a time, as ``cb_distance`` ran it before its
-    restarts were stacked: (value, iterations, restarts, history)."""
+    restarts were stacked: (value, iterations, restarts that ran, history).
+    A call of no steps runs no random start."""
     c0 = c0.sorted()
     diff = c0 - c1.permuted(c0.labels)
     d_in, d_out = diff.dims
@@ -243,7 +246,7 @@ def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
     rho = m.conj() @ m.T
     rho = hermitian_part(rho / np.trace(rho).real)
     value = _memory_objective(diff, diff.labels[-1])[0](rho)
-    return value, total_iter, len(starts), best_hist
+    return value, total_iter, len(starts) if max_iter else 1, best_hist
 
 
 @pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -285,7 +288,7 @@ def test_cb_max_iter_zero_certifies_the_maximally_entangled_start():
     a = comb_from_sequence([random_qubit_channel(rng)]).choi
     b = comb_from_sequence([random_qubit_channel(rng)]).choi
     est = cb_distance(a, b, restarts=4, seed=0, max_iter=0)
-    assert (est.iterations, est.restarts, est.capped, est.history) == (0, 4, 4, [])
+    assert (est.iterations, est.restarts, est.capped, est.history) == (0, 1, 1, [])
     assert np.allclose(est.achiever.matrix, np.eye(2) / 2, rtol=0, atol=1e-15)
     assert abs(est.value - _memory_objective(a - b, 1)[0](np.eye(2) / 2)) <= 1e-12
 
@@ -330,30 +333,65 @@ def test_cb_open_interval_counts_every_restart():
     assert (stalled.capped, stalled.iterations) == (4, 8)
 
 
+def _counted(monkeypatch, name):
+    """A list that grows by one at each call of ``distances.<name>``."""
+    calls, f = [], getattr(distances, name)
+    monkeypatch.setattr(distances, name, lambda *args: calls.append(1) or f(*args))
+    return calls
+
+
+def _open_qutrit_pair():
+    rng = np.random.default_rng(2)
+    return [comb_from_sequence([Channel(tuple(random_kraus(3, 3, 2, rng)), 3, 3)]).choi
+            for _ in "ab"]
+
+
 def test_cb_closed_call_certifies_once_per_check(monkeypatch):
-    calls, upper = [], distances.one_use_upper
-    monkeypatch.setattr(distances, "one_use_upper",
-                        lambda *args: calls.append(1) or upper(*args))
+    # the lead closes alone at step 20; its value rose by more than GAP in
+    # steps 5, 10 and 15, so the check that closes it is the only one made
+    calls = _counted(monkeypatch, "one_use_upper")
     rng = np.random.default_rng(17)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
     est = cb_distance(a, b, restarts=4, seed=0, tol=-np.inf)
-    steps = est.iterations // 4
     assert est.upper - est.value <= distances.GAP
-    assert steps < 300 and steps % distances.CHECK_EVERY == 0
-    assert len(calls) == steps // distances.CHECK_EVERY
+    assert (est.iterations, est.restarts, est.capped, len(calls)) == (20, 1, 0, 1)
 
 
 def test_cb_open_call_certifies_ever_less_often(monkeypatch):
-    calls, upper = [], distances.one_use_upper
-    monkeypatch.setattr(distances, "one_use_upper",
-                        lambda *args: calls.append(1) or upper(*args))
-    rng = np.random.default_rng(2)
-    a, b = (comb_from_sequence([Channel(tuple(random_kraus(3, 3, 2, rng)), 3, 3)]).choi
-            for _ in "ab")
-    est = cb_distance(a, b, restarts=4, seed=0, max_iter=100)
-    assert est.upper - est.value > distances.GAP and est.iterations == 400
-    # checks after steps 5, 10, 15, 20, 25, 31, 38, 47, 58, 72, 90 and 100, not every 5
-    assert len(calls) == 12
+    calls = _counted(monkeypatch, "one_use_upper")
+    est = cb_distance(*_open_qutrit_pair(), restarts=4, seed=0, max_iter=100)
+    assert est.upper - est.value > distances.GAP
+    assert (est.iterations, est.restarts, est.capped) == (400, 4, 4)
+    # each wave schedules checks after steps 5, 10, 15, 20, 25, 31, 38, 47,
+    # 58, 72, 90 and 100.  The lead's value rose by more than GAP at each but
+    # the last; the random restarts stayed below it through step 25, then
+    # rose by more than GAP at each check but the last: one each
+    assert len(calls) == 2
+
+
+def test_cb_check_waits_while_the_best_rises(monkeypatch):
+    # one restart, the lead alone: a scheduled check is made only where its
+    # best value rose by at most GAP in that step, and at the last step
+    calls = _counted(monkeypatch, "one_use_upper")
+    est = cb_distance(*_open_qutrit_pair(), restarts=1)
+    assert est.iterations == 300 and est.upper - est.value > distances.GAP
+    schedule = [5, 10, 15, 20, 25, 31, 38, 47, 58, 72, 90, 112, 140, 175, 218, 272]
+    best = np.maximum.accumulate(est.history)
+    rose = [best[k - 1] - best[k - 2] > distances.GAP for k in schedule]
+    assert rose == [True] * 13 + [False] * 3
+    assert len(calls) == 3 + 1
+
+
+def test_cb_closed_lead_draws_no_random_start(monkeypatch):
+    draws = _counted(monkeypatch, "random_pure_state")
+    rng = np.random.default_rng(17)
+    a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
+    closed = cb_distance(a, b, restarts=4, seed=0, tol=-np.inf)
+    assert closed.upper - closed.value <= distances.GAP
+    assert (closed.restarts, len(draws)) == (1, 0)
+    est = cb_distance(*_open_qutrit_pair(), restarts=4, seed=0, max_iter=10)
+    assert est.upper - est.value > distances.GAP
+    assert (est.restarts, est.capped, len(draws)) == (4, 4, 3)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -447,14 +485,25 @@ def test_memory_starts_are_projected_once(monkeypatch):
 def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter):
     # each step values psi with one stacked eigh, and the half-step that
     # moves psi runs between steps only: a last half-step would move a psi
-    # that no step values.  The eighs are counted until the best psi is read
-    # out after the loop (_memory_objective)
+    # that no step values.  A wave's eighs are counted from the end of the
+    # certification before it (one_use_upper) until the best psi is read
+    # out at its end (_memory_objective)
     rng = rng_from(3)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in range(2))
-    calls, seen, eigh, objective = [], [], np.linalg.eigh, distances._memory_objective
+    calls, seen, done = [], [], []
+    eigh, objective, upper = np.linalg.eigh, distances._memory_objective, distances.one_use_upper
+
+    def counted_upper(*args):
+        bound = upper(*args)
+        done.append(len(calls))
+        return bound
+
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(1) or eigh(h))
     monkeypatch.setattr(distances, "_memory_objective",
                         lambda *args: seen.append(len(calls)) or objective(*args))
+    monkeypatch.setattr(distances, "one_use_upper", counted_upper)
     est = cb_distance(a, b, restarts=3, max_iter=max_iter, tol=-np.inf)
     assert est.iterations == 3 * max_iter and est.capped == 3
-    assert seen == [2 * max_iter - 1]
+    # the lead alone, then the two random restarts, each certified once
+    assert len(seen) == 2
+    assert [seen[0], seen[1] - done[0]] == [2 * max_iter - 1] * 2

@@ -120,7 +120,9 @@ def test_parallel_distance_of_the_counterexample_is_its_closed_form(d):
     # (d - 1 + sqrt((d - 1)(d + 3))) / d, below 2 by far more than its
     # allowance: a certified parallel distance, read from the entries
     inst = build_example(d, cross_check=False)
-    upper, allowance = one_use_upper(inst.c0.choi, inst.c1.choi, [1, 3], np.eye(d * d))
+    mixed = matcore.Blocks.of(np.eye(d * d))
+    upper, allowance = one_use_upper(inst.c0.choi, inst.c1.choi, [1, 3], mixed,
+                                     mixed.pack(np.eye(d * d)))
     assert abs(upper - (d - 1 + np.sqrt((d - 1) * (d + 3))) / d) <= 1e-12
     assert allowance < 1e-8 and upper < 2 - 1e-2
     assert "matrix" not in inst.c0.choi.__dict__
