@@ -87,8 +87,8 @@ class MemoryChannel:
             return self
         c = self.choi.permuted(self.choi.labels[0::2] + self.choi.labels[1::2])
         dims = (int(np.prod(self.input_dims)), int(np.prod(self.output_dims)))
-        # the permuted entries are already checked: wrap them without a copy
-        return MemoryChannel(LabeledOperator._built(c.matrix, (0, 1), dims, scan=False), 1)
+        # the same matrix on two factors: the permuted entries on their partition
+        return MemoryChannel(LabeledOperator(c.entries, (0, 1), dims, blocks=c.blocks), 1)
 
 
 def identity_channel(d: int) -> Channel:
@@ -238,15 +238,18 @@ def _ket_chain(blocks, system_dims, ancilla_dims, space0: int) -> np.ndarray:
 
 
 def comb_from_isometries(comb: IsometricComb) -> MemoryChannel:
-    """Choi operator of the comb induced by an isometric block chain.
+    """Choi operator of the comb induced by an isometric block chain
+    (:func:`_comb_matrix`)."""
+    return MemoryChannel(LabeledOperator(_comb_matrix(comb), range(2 * comb.uses),
+                                         comb.system_dims), comb.uses)
 
-    It is ``K K^dagger``, with ``K`` the chain's composed ket
-    (:func:`_ket_chain`) read as a (comb side x final ancilla) matrix, so
-    the GEMM itself traces out the final ancilla.
-    """
+
+def _comb_matrix(comb: IsometricComb) -> np.ndarray:
+    """``K K^dagger``, with ``K`` the chain's composed ket (:func:`_ket_chain`)
+    read as a (comb side x final ancilla) matrix, so the GEMM itself traces
+    out the final ancilla."""
     ket = _ket_chain(comb.blocks, comb.system_dims, (1, *comb.ancilla_dims), 0)[0]
-    choi = LabeledOperator._built(ket @ ket.conj().T, range(2 * comb.uses), comb.system_dims)
-    return MemoryChannel(choi, comb.uses)
+    return ket @ ket.conj().T
 
 
 @dataclass(frozen=True)

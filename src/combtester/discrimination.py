@@ -250,7 +250,8 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
         upper, allowance = one_use_upper(c0, c1, fixed_labels, diagonal, diagonal.pack(uniform))
         if upper < 2 - allowance:  # proven before any start
             value = float(uniform[0, 0] ** 2 * _squares_trace(c0, c1))
-            witness = LabeledOperator(uniform, free, [c0.dim_of(l) for l in free])
+            witness = LabeledOperator(diagonal.pack(uniform), free,
+                                      [c0.dim_of(l) for l in free], blocks=diagonal)
             return FeasibilityReport(False, "infeasible", value, upper, witness, 0, 0, 0, [value])
     obj = _ProductObjective(c0, c1, fixed_labels)
     rng = cache(lambda: rng_from(seed))  # made at the first random start
@@ -355,7 +356,7 @@ def synthesize_tester(c0: MemoryChannel, c1: MemoryChannel,
     tilted = matcore._checked_hermitian(blocks, blocks.product(lift, a - b, lift))
     p0 = blocks.product(lift, blocks.map(tilted, _positive_support), lift)
     rows, cols = blocks.index
-    p1 = np.where(rows % top == cols % top, witness.matrix[rows // top, cols // top], 0) - p0
+    p1 = np.where(rows % top == cols % top, witness.at(rows // top, cols // top), 0) - p0
     t = tester_from_elements([LabeledOperator._nonzeros(rows, cols, p, labels, c0.dims)
                               for p in (p0, p1)], c0.uses)
     if not (check := validate_tester(t, 1e-8)).valid:

@@ -277,7 +277,7 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     if a.dims != b.dims:
         raise ValueError("memory channels act on different spaces")
     top = 2 * c0.uses - 1
-    delta = LabeledOperator(a.matrix - b.matrix, a.labels, a.dims)
+    delta = a - b
     xi_set = XiChainSet(a.dims[:-1])
     whole = xi_set.blocks  # one block: packing is a reshape
     value, value_and_subgrad = _memory_objective(delta, top)

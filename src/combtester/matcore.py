@@ -20,7 +20,6 @@ is the dense reference over any labels.  A raw matrix or stack is lifted to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from typing import Iterable, NamedTuple, Sequence
 
@@ -41,75 +40,26 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class LabeledOperator:
     """A square operator on a tensor product of labeled subsystems.
 
     ``labels[k]`` names the k-th tensor factor and ``dims[k]`` is its
-    dimension; ``prod(dims)`` must equal the matrix side.  Instances are
-    immutable (the stored array is marked read-only) and safe to share, and
-    every one holds finite entries, so a kernel given an operator's matrix
-    need not scan it again.  Each labels its own matrix once, when first
-    asked (:attr:`blocks`); a permuted copy is labelled afresh.
+    dimension; ``prod(dims)`` is the matrix side.  An operator is held one
+    way: as the read-only packed :attr:`entries` of its matrix on
+    :attr:`blocks`, the partition :meth:`Blocks.of` gives that matrix.  Every
+    one holds finite entries, so a kernel given them need not scan again.
+    Instances are immutable and safe to share.
 
-    An operator this package builds as the entries of a known block
-    partition (:meth:`_packed`) holds those entries alone: its
-    :attr:`matrix` is formed when first read.  Readers take either kind the
-    same way, through :attr:`entries` on :attr:`blocks`.
+    ``LabeledOperator(matrix, labels, dims)`` labels ``matrix`` and packs a
+    copy of it; ``LabeledOperator(entries, labels, dims, blocks=blocks)``
+    keeps packed ``entries`` on a ``blocks`` that must be :meth:`Blocks.of`
+    of their matrix, group for group, as given.  Either way the constructor
+    checks the spaces and scans the entries for NaN/Inf.  :attr:`matrix` is
+    a view of the entries for a one-block partition, and otherwise formed on
+    first read and kept.
     """
 
-    matrix: np.ndarray
-    labels: tuple[int, ...]
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        self._own(_as_complex_matrix(self.matrix).copy(), self.labels, self.dims)
-
-    @classmethod
-    def _built(cls, m: np.ndarray, labels, dims, *, scan: bool = True) -> "LabeledOperator":
-        """Wrap an array this package has just built, without a copy.
-
-        ``scan=False`` skips the NaN/Inf scan; it is for rearrangements of an
-        already-checked operator's entries only.
-        """
-        op = object.__new__(cls)
-        op._own(_as_complex_matrix(m) if scan else m, labels, dims)
-        return op
-
-    @classmethod
-    def _packed(cls, blocks: "Blocks", entries: np.ndarray, labels, dims) -> "LabeledOperator":
-        """Wrap the packed ``entries`` of a matrix on ``blocks`` that this
-        package has just built, after their NaN/Inf scan.  ``blocks`` must be
-        :meth:`Blocks.of` of that matrix, group for group."""
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (blocks.size,):
-            raise ValueError(f"{entries.shape} entries for a partition of {blocks.size}")
-        if not np.isfinite(entries).all():
-            raise ValueError("matrix contains NaN or Inf entries")
-        op = object.__new__(cls)
-        op._spaces(labels, dims, (blocks.side, blocks.side))
-        entries.flags.writeable = False
-        object.__setattr__(op, "blocks", blocks)
-        object.__setattr__(op, "_entries", entries)
-        return op
-
-    @classmethod
-    def _nonzeros(cls, rows, cols, values, labels, dims) -> "LabeledOperator":
-        """``values`` at the distinct positions ``(rows, cols)``, 0 elsewhere,
-        built as the entries of its nonzero pattern's components (:meth:`_packed`)."""
-        on = values != 0
-        rows, cols, side = rows[on], cols[on], math.prod(dims)
-        blocks = Blocks(edge_groups(rows, cols, side), side)
-        entries = np.zeros(blocks.size, dtype=complex)
-        entries[blocks.locate(rows, cols)[0]] = values[on]
-        return cls._packed(blocks, entries, labels, dims)
-
-    def _own(self, m: np.ndarray, labels, dims) -> None:
-        self._spaces(labels, dims, m.shape)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def _spaces(self, labels, dims, shape) -> None:
+    def __init__(self, matrix, labels, dims, *, blocks: "Blocks | None" = None):
         labels = tuple(int(l) for l in labels)
         dims = tuple(int(d) for d in dims)
         if len(labels) != len(dims):
@@ -119,30 +69,49 @@ class LabeledOperator:
         if any(d < 1 for d in dims):
             raise ValueError(f"dimensions must be positive, got {dims}")
         side = math.prod(dims)
-        if shape != (side, side):
-            raise ValueError(
-                f"matrix side {shape} inconsistent with dims {dims} (product {side})"
-            )
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dims", dims)
+        entries = np.asarray(matrix, dtype=complex).view()  # freezing a view spares the caller
+        if blocks is None:
+            if entries.shape != (side, side):
+                raise ValueError(
+                    f"matrix side {entries.shape} inconsistent with dims {dims} (product {side})")
+            blocks = Blocks.of(entries)
+            entries = blocks.pack(entries)
+            if np.may_share_memory(entries, matrix):  # a view of the caller's array
+                entries = entries.copy()
+        elif entries.shape != (blocks.size,) or blocks.side != side:
+            raise ValueError(f"{entries.shape} entries for a partition of {blocks.size} "
+                             f"on side {blocks.side}, with dims {dims}")
+        if not np.isfinite(entries).all():  # every NaN or Inf is nonzero, so on the blocks
+            raise ValueError("matrix contains NaN or Inf entries")
+        entries.flags.writeable = False
+        vars(self).update(labels=labels, dims=dims, blocks=blocks, entries=entries)
 
-    def __getattr__(self, name):
-        # reached only for attributes missing from the instance: the matrix
-        # of an entry-built operator before its first read
-        entries = self.__dict__.get("_entries")
-        if name != "matrix" or entries is None:
-            raise AttributeError(name)
-        m = self.blocks.unpack(entries)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LabeledOperator is immutable: cannot set {name}")
+
+    @classmethod
+    def _nonzeros(cls, rows, cols, values, labels, dims) -> "LabeledOperator":
+        """``values`` at the distinct positions ``(rows, cols)``, 0 elsewhere,
+        built as the entries of its nonzero pattern's components."""
+        on = values != 0
+        rows, cols, side = rows[on], cols[on], math.prod(dims)
+        blocks = Blocks(edge_groups(rows, cols, side), side)
+        entries = np.zeros(blocks.size, dtype=complex)
+        entries[blocks.locate(rows, cols)[0]] = values[on]
+        return cls(entries, labels, dims, blocks=blocks)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only: a view of the entries for one block,
+        otherwise formed from them on first read."""
+        m = self.blocks.unpack(self.entries)
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
         return m
 
     def __repr__(self) -> str:
-        # names the spaces only: neither forms the matrix nor labels it
-        entries = self.__dict__.get("_entries")
-        built = "" if entries is None else (
-            f", blocks={sum(len(g) for g in self.blocks.groups)}, entries={entries.size}")
-        return f"LabeledOperator(labels={self.labels}, dims={self.dims}{built})"
+        # names the spaces only: does not form the matrix
+        return (f"LabeledOperator(labels={self.labels}, dims={self.dims}, "
+                f"blocks={sum(len(g) for g in self.blocks.groups)}, entries={self.entries.size})")
 
     # -- basic queries ----------------------------------------------------
 
@@ -152,13 +121,6 @@ class LabeledOperator:
 
     def dim_of(self, label: int) -> int:
         return self.dims[self.labels.index(label)]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The packed entries on :attr:`blocks`: as built, or packed from the
-        matrix on its partition (a view, for one block)."""
-        entries = self.__dict__.get("_entries")
-        return self.blocks.pack(self.matrix) if entries is None else entries
 
     def at(self, rows, cols) -> np.ndarray:
         """The entries at the broadcast positions ``(rows, cols)``, 0 off the blocks."""
@@ -184,9 +146,9 @@ class LabeledOperator:
         k = len(self.labels)
         perm = [self.labels.index(l) for l in new_labels]
         t = self._tensor_view().transpose(perm + [p + k for p in perm])
-        new_dims = tuple(self.dims[p] for p in perm)
-        side = self.side
-        return LabeledOperator._built(t.reshape(side, side), new_labels, new_dims, scan=False)
+        blocks = self.blocks.permuted(regroup_index(self.dims, perm))
+        return LabeledOperator(blocks.pack(t.reshape(self.side, self.side)), new_labels,
+                               [self.dims[p] for p in perm], blocks=blocks)
 
     def sorted(self) -> "LabeledOperator":
         return self.permuted(tuple(np.sort(self.labels)))
@@ -202,23 +164,17 @@ class LabeledOperator:
             if l in on:
                 axes[i], axes[i + k] = axes[i + k], axes[i]
         t = self._tensor_view().transpose(axes)
-        return self._like(t.reshape(self.side, self.side), scan=False)
+        return self._like(t.reshape(self.side, self.side))
 
     def conj(self) -> "LabeledOperator":
-        return self._like(self.matrix.conj(), scan=False)
+        return self._like(self.matrix.conj())
 
     def transpose(self) -> "LabeledOperator":
-        return self._like(self.matrix.T, scan=False)
+        return self._like(self.matrix.T)
 
-    @cached_property
-    def blocks(self) -> "Blocks":
-        """The block partition of the matrix (:meth:`Blocks.of`), found on
-        first use."""
-        return Blocks.of(self.matrix)
-
-    def _like(self, m: np.ndarray, *, scan: bool = True) -> "LabeledOperator":
-        """A freshly built ``m`` on this operator's factors (see :meth:`_built`)."""
-        return LabeledOperator._built(m, self.labels, self.dims, scan=scan)
+    def _like(self, m: np.ndarray) -> "LabeledOperator":
+        """The operator of matrix ``m`` on this operator's factors."""
+        return LabeledOperator(m, self.labels, self.dims)
 
     def __mul__(self, scalar) -> "LabeledOperator":
         return self._like(self.matrix * scalar)
@@ -252,7 +208,7 @@ def regroup_index(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
 
 def identity(labels: Sequence[int], dims: Sequence[int]) -> LabeledOperator:
     side = int(np.prod(dims)) if len(dims) else 1
-    return LabeledOperator._built(np.eye(side, dtype=complex), labels, dims, scan=False)
+    return LabeledOperator(np.eye(side, dtype=complex), labels, dims)
 
 
 def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -260,9 +216,7 @@ def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise ValueError(f"overlapping labels {sorted(overlap)} in tensor product")
-    return LabeledOperator._built(
-        np.kron(a.matrix, b.matrix), a.labels + b.labels, a.dims + b.dims
-    )
+    return LabeledOperator(np.kron(a.matrix, b.matrix), a.labels + b.labels, a.dims + b.dims)
 
 
 def tensor_many(ops: Sequence[LabeledOperator]) -> LabeledOperator:
@@ -278,6 +232,8 @@ def partial_trace(a: LabeledOperator, over: Iterable[int]) -> LabeledOperator:
     unknown = set(over) - set(a.labels)
     if unknown:
         raise ValueError(f"cannot trace over unknown labels {sorted(unknown)}")
+    if len(set(over)) != len(over):
+        raise ValueError(f"labels to trace over must be distinct, got {tuple(over)}")
     t = a._tensor_view()
     labels = list(a.labels)
     dims = list(a.dims)
@@ -287,7 +243,7 @@ def partial_trace(a: LabeledOperator, over: Iterable[int]) -> LabeledOperator:
         labels.pop(i)
         dims.pop(i)
     side = int(np.prod(dims)) if dims else 1
-    return LabeledOperator._built(t.reshape(side, side), labels, dims)
+    return LabeledOperator(t.reshape(side, side), labels, dims)
 
 
 def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -318,7 +274,7 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     out = np.einsum("xsyt,sutv->xuyv", at, bt, optimize=True)
     labels = tuple(rest_a + rest_b)
     dims = tuple([ar.dim_of(l) for l in rest_a] + [br.dim_of(l) for l in rest_b])
-    return LabeledOperator._built(out.reshape(da * db, da * db), labels, dims)
+    return LabeledOperator(out.reshape(da * db, da * db), labels, dims)
 
 
 def kron_eye(r: np.ndarray, n: int) -> np.ndarray:
@@ -852,7 +808,8 @@ def psd_inv_sqrt(h: LabeledOperator) -> LabeledOperator:
 
 
 def allclose(a: LabeledOperator, b: LabeledOperator, atol: float = 1e-10) -> bool:
-    """Compare two labeled operators after aligning factor order."""
-    if set(a.labels) != set(b.labels):
+    """Compare two labeled operators after aligning factor order; operators
+    on different spaces (labels, or a label's dimension) are never close."""
+    if dict(zip(a.labels, a.dims)) != dict(zip(b.labels, b.dims)):
         return False
-    return np.allclose(a.matrix, b.permuted(a.labels).matrix, atol=atol, rtol=0.0)
+    return np.allclose(a.matrix, a.aligned(b), atol=atol, rtol=0.0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import IsometricComb, MemoryChannel, comb_from_isometries, validate_comb
+from .channels import IsometricComb, MemoryChannel, _comb_matrix, validate_comb
 from .discrimination import FeasibilityReport, delta_matrix, parallel_discriminable
 from .matcore import Blocks, LabeledOperator, kron_eye
 from .testers import Tester, TesterCircuit, tester_from_circuit
@@ -89,8 +89,8 @@ def _closed_form_chois(d: int) -> tuple[LabeledOperator, LabeledOperator]:
     c1 = np.where(np.arange(side) % d == 0, 1.0 / d2, 0.0)
     labels = (0, 1, 2, 3)
     return (
-        LabeledOperator._packed(Blocks(groups, side), c0, labels, dims),
-        LabeledOperator._packed(Blocks([np.arange(side)[:, None]], side), c1, labels, dims),
+        LabeledOperator(c0, labels, dims, blocks=Blocks(groups, side)),
+        LabeledOperator(c1, labels, dims, blocks=Blocks([np.arange(side)[:, None]], side)),
     )
 
 
@@ -141,8 +141,9 @@ def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
 
     With ``cross_check`` (default for d <= 3) the Choi operators are also
     constructed independently through the isometric dilations and the two
-    must agree to 1e-10, compared with a temporary matrix of the closed
-    form, so the returned combs keep their entries alone.
+    must agree to 1e-10: the dilations' matrices are compared with a
+    temporary matrix of the closed form, so neither is labelled and the
+    returned combs keep their entries alone.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -153,8 +154,8 @@ def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
     c1 = MemoryChannel(choi1, 2)
     if cross_check:
         for mc, which in ((c0, 0), (c1, 1)):
-            built = comb_from_isometries(dilation_blocks(d, which))
-            err = np.linalg.norm(built.choi.matrix - mc.choi.blocks.unpack(mc.choi.entries))
+            built = _comb_matrix(dilation_blocks(d, which))
+            err = np.linalg.norm(built - mc.choi.blocks.unpack(mc.choi.entries))
             if err > 1e-10:
                 raise RuntimeError(
                     f"dilation of channel {which} deviates from the closed form "

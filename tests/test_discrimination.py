@@ -575,13 +575,14 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     inst = build_example(3)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=1)
     assert rep.feasible, rep.residual
-    # synthesis labels the witness once, for its residual and its root; the
-    # sandwiched difference is never a matrix, so it is not labelled
+    # synthesis labels nothing: the witness holds the partition it was built
+    # on, for its residual and its root, and the sandwiched difference is
+    # never a matrix
     labelled = []
     block_groups = matcore.block_groups
     monkeypatch.setattr(matcore, "block_groups", lambda h: labelled.append(h) or block_groups(h))
     t = synthesize_tester(inst.c0, inst.c1, rep.witness)
-    assert [h.shape[0] for h in labelled] == [81]
+    assert [h.shape[0] for h in labelled] == []
     assert shapes
     assert max(shape[-1] for shape in shapes) <= 3, sorted(set(shapes))
     povm = povm_from_tester(t)

@@ -1,5 +1,6 @@
 import operator
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtester.channels import MemoryChannel
-from combtester import matcore
+from combtester import matcore, separation
 from combtester.matcore import (
     Blocks,
     Entries,
@@ -113,6 +114,48 @@ def test_partial_trace_middle_label_oracle():
 def test_partial_trace_unknown_label():
     with pytest.raises(ValueError):
         partial_trace(identity([0], [2]), [5])
+
+
+def test_partial_trace_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="must be distinct"):
+        partial_trace(identity([0, 1], [2, 2]), [0, 0])
+
+
+def test_allclose_is_false_on_other_spaces():
+    # the same labels with other dimensions, at the same side and at another;
+    # the same spaces in another factor order are compared aligned
+    a = identity((0, 1), (2, 3))
+    assert not allclose(a, identity((0, 1), (3, 2)))
+    assert not allclose(a, identity((0, 1), (2, 2)))
+    assert not allclose(a, identity((0, 2), (2, 3)))
+    assert allclose(a, identity((1, 0), (3, 2)))
+
+
+def test_every_operator_is_built_through_its_one_constructor(monkeypatch):
+    package = Path(matcore.__file__).parent
+    assert not [f.name for f in package.glob("*.py") if "object.__new__" in f.read_text("utf-8")]
+    built = []
+    init = LabeledOperator.__init__
+    monkeypatch.setattr(LabeledOperator, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+
+    def constructions(f, *args) -> int:
+        built.clear()
+        f(*args)
+        return len(built)
+
+    # both factors need reordering before they are contracted
+    a, b = identity([1, 0], [3, 2]), identity([2, 1], [2, 3])
+    assert constructions(link, a, b) == 3
+    builders = [
+        (identity, [0], [2]), (tensor, a, identity([5], [2])), (partial_trace, a, [0]),
+        (a.permuted, (0, 1)), (operator.add, a, a), (operator.mul, a, 2.0),
+        (trace_last(Entries.of(a), 2).operator, [1], [3]),
+        (LabeledOperator._nonzeros, np.array([0]), np.array([1]), np.array([1.0]), [0], [2]),
+        (separation.build_example, 2),
+    ]
+    for f, *args in builders:
+        assert constructions(f, *args) >= 1, f
 
 
 def test_partial_trace_composes():
@@ -305,7 +348,7 @@ def test_entry_built_operator_reads_as_its_matrix(h, seed):
     dims = (side,) if side % 2 else (2, side // 2)
     labels = tuple(rng.permutation(len(dims)))
     partition = Blocks.of(h)
-    built = LabeledOperator._packed(partition, partition.pack(h), labels, dims)
+    built = LabeledOperator(partition.pack(h), labels, dims, blocks=partition)
     unpickled = pickle.loads(pickle.dumps(built))
     assert "matrix" not in unpickled.__dict__ and np.array_equal(unpickled.entries, built.entries)
     dense = LabeledOperator(h, labels, dims)
@@ -325,9 +368,9 @@ def test_entry_built_operator_reads_as_its_matrix(h, seed):
     bad = partition.pack(h).copy()
     bad[-1] = np.nan
     with pytest.raises(ValueError, match="NaN or Inf"):
-        LabeledOperator._packed(partition, bad, labels, dims)
+        LabeledOperator(bad, labels, dims, blocks=partition)
     with pytest.raises(ValueError):
-        LabeledOperator._packed(partition, bad[:-1], labels, dims)
+        LabeledOperator(bad[:-1], labels, dims, blocks=partition)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -339,7 +382,7 @@ def test_nonfinite_entry_off_row_0_is_rejected(bad, imaginary):
     h[5, 3] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
     builders = [
         lambda: LabeledOperator(h, (0, 1), (2, 4)),
-        lambda: LabeledOperator._built(h.copy(), (0, 1), (2, 4)),
+        lambda: LabeledOperator(Blocks.of(h).pack(h), (0, 1), (2, 4), blocks=Blocks.of(h)),
         lambda: eigvalsh(h),
     ]
     for build in builders:
