@@ -21,7 +21,10 @@ descent, with the residual there read off the combs' block squares, and at
 each start's end, stopping at the first proof; without a proof or a zero it
 is ``undetermined``.  A multi-use decision is certified infeasible only
 empirically, by its minimum staying above ``INFEASIBLE_TOL`` from converged
-starts; if any start stopped at ``max_iter`` it is ``undetermined``.
+starts; if any start stopped at ``max_iter`` it is ``undetermined``.  If the
+best start's descent made a chain projection that stopped at
+``optim.DYKSTRA_CAP`` unconverged, its point may lie off the set, so the
+decision is ``undetermined`` unless the one-use bound proves infeasibility.
 Synthesis runs on the block entries of the combs and the lifted witness.
 
 Each start runs on the finest block partition that it, the gradient map and
@@ -259,15 +262,16 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
     best, total_iter, ran, capped = None, 0, 0, 0
     for x0 in starts:
         blocks = invariant_blocks(x0, (obj.reach, xi_set.reach))
+        bound_set = xi_set.on(blocks)
         res = projected_gradient_min(
-            value_and_grad=obj.on(blocks).value_and_grad, project=xi_set.on(blocks).project,
+            value_and_grad=obj.on(blocks).value_and_grad, project=bound_set.project,
             x0=blocks.pack(x0), max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
         )
         ran += 1
         total_iter += res.iterations
         capped += res.stop == "max_iter"
         if best is None or res.value < best.value:
-            best, best_blocks = res, blocks
+            best, best_blocks, inexact = res, blocks, bound_set.capped
         if best.value <= FEASIBLE_TOL * 1e-4:
             break
         if upper is not None:
@@ -275,9 +279,9 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
             upper = min(upper, bound)
             if proof := bound < 2 - allowance:
                 break
-    if best.value < FEASIBLE_TOL:
+    if best.value < FEASIBLE_TOL and not inexact:
         status = "feasible"
-    elif proof or (upper is None and best.value > INFEASIBLE_TOL and not capped):
+    elif proof or (upper is None and best.value > INFEASIBLE_TOL and not (capped or inexact)):
         status = "infeasible"
     else:
         status = "undetermined"

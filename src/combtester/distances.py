@@ -12,10 +12,17 @@ the equivalent pure-input form ``R = Ψ^T`` for an input ket ``|ψ>`` on
 the output difference ``L Δ L†``, the other takes the top eigenvector of
 the lifted observable ``H`` with ``<ψ|H|ψ> = Tr[S L Δ L†]``, which is ``Δ^T``
 contracted with ``S`` over the output.  Both half-steps are exact, so the
-seesaw is monotone.  Its maximally entangled start runs alone, and only if
-its certified interval is open the random restarts follow as one stacked
-batch, with the same arithmetic per restart as a loop over them.  A restart
-stops when its value stalls, a wave once the best interval is within ``GAP``.
+plain update ``φ`` of an input ``ψ`` is worth at least ``ψ``.  Each step goes
+past it (over-relaxation, as in SQUAREM: Varadhan and Roland, Scand. J.
+Statist. 35, 2008) to the trial ``(φ + β(φ - e^{iθ}ψ))/||·||``, ``θ =
+arg<ψ|φ>``, kept only where its value beats the last by more than ``max(tol,
+0)``; elsewhere the restart falls back to ``φ``, solved again over those rows
+alone.  So the seesaw stays monotone, and a restart stalls only at a plain
+update, never at a trial.  Its maximally entangled
+start runs alone, and only if its certified interval is open the random
+restarts follow as one stacked batch, with the same arithmetic per restart
+as a loop over them.  A restart stops when its value stalls, a wave once the
+best interval is within ``GAP``.
 
 All estimates are certified lower bounds: the returned value is the
 objective re-evaluated at the returned achiever, never the raw iterate
@@ -42,6 +49,9 @@ from .unitary import discriminability
 EPS_LADDER = (1.0, 1e-2, 1e-4, 1e-6, 1e-8)
 CHECK_EVERY = 5  # seesaw steps between cb_distance's first certifications of its best input
 GAP = 1e-6  # the certified width at which cb_distance's batch stops
+# cb_distance's over-relaxation β per restart: at a wave's start, its factor
+# after a kept trial and after a fallback, and its bounds
+BETA_START, BETA_GROW, BETA_CUT, BETA_MIN, BETA_MAX = 1.0, 1.5, 0.5, 0.25, 8.0
 
 
 @dataclass(frozen=True)
@@ -128,8 +138,10 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
                 max_iter: int = 300, tol: float = 1e-12) -> DistanceEstimate:
     """Seesaw lower bound on the cb distance of two channels given as Chois.
 
-    Each wave, the maximally entangled start and then, if it is left open,
-    the random restarts, stops once ``upper - value <= GAP`` at the best
+    Each step values every live restart's over-relaxed trial, or its plain
+    update where the trial gains at most ``max(tol, 0)`` (see the module
+    notes).  Each wave, the maximally entangled start and then, if it is left
+    open, the random restarts, stops once ``upper - value <= GAP`` at the best
     input, checked at its last step and every :data:`CHECK_EVERY` steps, past
     25 a quarter more apart, unless the best value rose by more than ``GAP``
     in that step (proof that the last best is open, as ``upper >= optimum``,
@@ -155,37 +167,49 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     delta = diff.matrix
     whole = matcore.Blocks.one(d_in)  # a state's partition: packing is a reshape
 
-    def certify(psi: np.ndarray) -> tuple[float, float, LabeledOperator]:  # value, upper, state
+    def certify(psi: np.ndarray) -> tuple[float, float, np.ndarray]:  # value, upper, state
         rho = psi.reshape(d_in, d_in).conj() @ psi.reshape(d_in, d_in).T
         rho = matcore.hermitian_part(rho / np.trace(rho).real)
         value = min(2.0, float(_memory_objective(diff, out_label)[0](rho)))
         upper = min(2.0, sum(one_use_upper(c0, c1, [out_label], whole, whole.pack(rho))))
-        return value, upper, LabeledOperator(rho, (in_label,), (d_in,))
+        return value, upper, rho
 
     side = d_in * d_in
     psi = (np.eye(d_in).reshape(1, -1) / np.sqrt(d_in)).astype(complex)  # maximally entangled
     if np.linalg.norm(delta) < 1e-15:
         _, upper, rho = certify(psi[0])
-        return DistanceEstimate(0.0, upper, rho, 0, 0, 0, [0.0])
+        return DistanceEstimate(0.0, upper, LabeledOperator(rho, (in_label,), (d_in,)),
+                                0, 0, 0, [0.0])
     # Δ^T[(a', o'), (a, o)] as a matrix from (a', a) to (o', o)
     dt = delta.T.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(side, -1)
-    rng = rng_from(seed)
+    gain = max(tol, 0.0)  # what a trial must add to the last value to be kept
+
+    def spectra(psi: np.ndarray):  # eigenpairs of L Δ L† per input, and its trace norm
+        lift = matcore.kron_eye(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
+        w, v = np.linalg.eigh(lift @ delta @ matcore._dagger(lift))  # reads one triangle
+        return w, v, np.abs(w).sum(axis=-1)
 
     # row r of best_psi and best_val belongs to restart r, row 0 to the first
-    # start; ``live`` indexes a wave's unstopped restarts, and psi (complex,
-    # as row 0 is real), prev (the last value) and each step's values follow it
+    # start; ``live`` indexes a wave's unstopped restarts, and psi (the input
+    # a step values), phi (its plain update), beta, prev (the last value) and
+    # each step's values follow it
     best_psi = np.zeros((restarts, side), dtype=complex)
     best_val = np.full(restarts, -1.0)
-    steps: list[tuple[np.ndarray, np.ndarray]] = []  # (live, values) per step
+    # (live, values) per step, after an empty record for a call of no steps
+    steps = [(np.zeros(0, dtype=int), np.zeros(0))]
     count, top, live = 1, -np.inf, np.arange(1)  # top: the best value last certified
     while True:
         prev = np.full(live.size, -np.inf)
+        phi, beta = psi, np.full(live.size, BETA_START)  # a start is its own plain update
         check = min(CHECK_EVERY, max_iter)  # the step count of the next certification
         for step in range(max_iter):
-            lift = matcore.kron_eye(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
-            x = lift @ delta @ matcore._dagger(lift)
-            w, v = np.linalg.eigh(matcore._hermitian(x))
-            val = np.abs(w).sum(axis=-1)
+            w, v, val = spectra(psi)
+            lose = val <= prev + gain  # trials that gained too little fall back to phi
+            if lose.any():
+                psi[lose] = phi[lose]
+                w[lose], v[lose], val[lose] = spectra(psi[lose])
+            beta = np.minimum(np.maximum(beta * np.where(lose, BETA_CUT, BETA_GROW), BETA_MIN),
+                              BETA_MAX)
             steps.append((live, val))
             rise = val.max() - best_val.max()  # beyond GAP, proof that the last best is open
             better = val > best_val[live]
@@ -194,7 +218,7 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
             going = ~(val <= prev + tol)
             prev = val
             if not going.all():
-                live, psi, w, v, prev = live[going], psi[going], w[going], v[going], val[going]
+                live, psi, w, v, prev, beta = (a[going] for a in (live, psi, w, v, val, beta))
             if live.size == 0 or step + 1 == check:
                 last = live.size == 0 or check == max_iter
                 if (last or rise <= GAP) and best_val.max() > top:
@@ -208,22 +232,26 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
             s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)
             h = (dt @ s.reshape(-1, d_out * d_out, side)).reshape((-1,) + (d_in,) * 4)
             h = h.transpose(0, 1, 3, 2, 4).reshape(-1, side, side)
-            _, vecs = np.linalg.eigh(matcore._hermitian(h))
-            psi = vecs[:, :, -1]
+            phi = np.linalg.eigh(h)[1][:, :, -1]
+            # the trial steps past phi, away from psi at phi's phase
+            phase = np.exp(1j * np.angle((psi.conj() * phi).sum(axis=-1)))
+            psi = phi + beta[:, None] * (phi - phase[:, None] * psi)
+            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
         else:  # max_iter is 0: the maximally entangled start, unvalued
             value, upper, rho = certify(psi[0])
         if count == restarts or not max_iter or upper - value <= GAP:
             break
         live, count = np.arange(1, restarts), restarts
+        rng = rng_from(seed)
         psi = np.array([random_pure_state(side, rng) for _ in live], dtype=complex)
 
     # the first restart that reaches the largest value, as a sequential scan keeps
-    first = int(np.argmax(best_val))
-    history = [float(y) for at, val in steps for y in val[at == first]]
+    at, val = map(np.concatenate, zip(*steps))
     return DistanceEstimate(
-        value=value, upper=upper, achiever=rho,
-        iterations=sum(at.size for at, _ in steps), restarts=count,
-        capped=0 if upper - value <= GAP else count, history=history,
+        value=value, upper=upper, achiever=LabeledOperator(rho, (in_label,), (d_in,)),
+        iterations=at.size, restarts=count,
+        capped=0 if upper - value <= GAP else count,
+        history=val[at == np.argmax(best_val)].tolist(),
     )
 
 

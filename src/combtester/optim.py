@@ -115,7 +115,8 @@ class XiChainSet:
     arXiv:0904.4483).
 
     ``blocks`` is the partition a point is projected on: one block, unless
-    the set was bound to another with :meth:`on`.
+    the set was bound to another with :meth:`on`.  ``capped`` counts the
+    projections of this set that stopped at ``DYKSTRA_CAP`` unconverged.
     """
 
     def __init__(self, dims):
@@ -127,6 +128,7 @@ class XiChainSet:
         self.labels = tuple(range(len(self.dims)))
         self.trace_target = float(np.prod(self.dims[1::2])) if self.uses > 1 else 1.0
         self.blocks = Blocks.one(self.side)
+        self.capped = 0
 
     def on(self, blocks: Blocks) -> "XiChainSet":
         """This set, projecting packed vectors of ``blocks``."""
@@ -178,7 +180,8 @@ class XiChainSet:
         return out
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Dykstra projection onto PSD ∩ affine chain, in at most ``DYKSTRA_CAP`` steps."""
+        """Dykstra projection onto PSD ∩ affine chain, in at most ``DYKSTRA_CAP``
+        steps; a run that reaches the cap is counted in ``capped``."""
         blocks = self.blocks
         if self.uses == 1:
             return project_to_density(x, self.trace_target, blocks)
@@ -192,6 +195,8 @@ class XiChainSet:
             q = a + q - b
             if np.linalg.norm(a - b) <= 1e-12:
                 break
+        else:
+            self.capped += 1
         return project_psd(b, blocks)
 
     def membership_residual(self, x: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import combtester
-from combtester import matcore
+from combtester import matcore, optim
 from combtester.channels import (
     Channel,
     comb_from_isometries,
@@ -259,6 +259,19 @@ def test_capped_starts_are_counted():
     assert (capped.restarts, capped.capped, capped.iterations) == (2, 2, 2)
     settled = causal_discriminable(inst.c0, inst.c1)
     assert settled.feasible and settled.capped == 0
+
+
+def test_unconverged_projection_never_yields_feasible(monkeypatch):
+    # the d = 2 counterexample is feasible; with the Dykstra loop cut at one
+    # step, the descent still drives the residual below FEASIBLE_TOL, but
+    # through projections that stopped unconverged, so the point may lie off
+    # the chain set and the decision is undetermined
+    inst = build_example(2)
+    assert causal_discriminable(inst.c0, inst.c1, restarts=1).status == "feasible"
+    monkeypatch.setattr(optim, "DYKSTRA_CAP", 1)
+    rep = causal_discriminable(inst.c0, inst.c1, restarts=1)
+    assert rep.residual < FEASIBLE_TOL
+    assert (rep.status, rep.feasible, rep.capped) == ("undetermined", False, 0)
 
 
 def test_causal_counterexample_d4_feasible_and_synthesis():

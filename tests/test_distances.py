@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +14,8 @@ from combtester.channels import (
     identity_channel,
     unitary_channel,
 )
-from combtester import distances
+import combtester
+from combtester import distances, matcore
 from combtester.cli import _jsonable
 from combtester.distances import (
     _memory_objective,
@@ -212,8 +218,8 @@ def test_cb_ignores_factor_order():
 
 def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
     """The seesaw one restart at a time, as ``cb_distance`` ran it before its
-    restarts were stacked: (value, iterations, restarts that ran, history).
-    A call of no steps runs no random start."""
+    restarts were stacked, with its over-relaxed step: (value, iterations,
+    restarts that ran, history).  A call of no steps runs no random start."""
     c0 = c0.sorted()
     diff = c0 - c1.permuted(c0.labels)
     d_in, d_out = diff.dims
@@ -222,13 +228,23 @@ def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
     rng = rng_from(seed)
     starts = [np.eye(d_in).reshape(-1) / np.sqrt(d_in)]
     starts += [random_pure_state(side, rng) for _ in range(restarts - 1)]
+
+    def spectrum(psi):
+        lift = np.kron(psi.reshape(d_in, d_in).T, np.eye(d_out))
+        w, v = np.linalg.eigh(lift @ delta @ lift.conj().T)
+        return w, v, float(np.abs(w).sum())
+
     best_val, best_psi, best_hist, total_iter = -np.inf, None, [], 0
     for psi in starts:
-        val_prev, local_val, local_psi, history = -np.inf, -1.0, psi, []
+        # one row, so that each vector operation matches a stacked row's bits
+        psi = phi = psi.reshape(1, -1).astype(complex)
+        val_prev, local_val, local_psi, history, beta = -np.inf, -1.0, psi, [], 1.0
         for _ in range(max_iter):
-            lift = np.kron(psi.reshape(d_in, d_in).T, np.eye(d_out))
-            w, v = np.linalg.eigh(hermitian_part(lift @ delta @ lift.conj().T))
-            val = float(np.abs(w).sum())
+            w, v, val = spectrum(psi)
+            if val <= val_prev + max(tol, 0.0):  # the trial lost: take the plain update
+                (w, v, val), psi, beta = spectrum(phi), phi, max(beta / 2, 0.25)
+            else:
+                beta = min(beta * 1.5, 8.0)
             history.append(val)
             total_iter += 1
             if val > local_val:
@@ -239,7 +255,10 @@ def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
             s = (v * np.sign(w)) @ v.conj().T
             s = s.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2).reshape(-1, side)
             h = (dt @ s).reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(side, side)
-            psi = np.linalg.eigh(hermitian_part(h))[1][:, -1]
+            phi = np.linalg.eigh(h)[1][:, -1].reshape(1, -1)
+            phase = np.exp(1j * np.angle((psi.conj() * phi).sum(axis=-1)))
+            psi = phi + beta * (phi - phase[:, None] * psi)
+            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
         if local_val > best_val:
             best_val, best_psi, best_hist = local_val, local_psi, history
     m = best_psi.reshape(d_in, d_in)
@@ -340,32 +359,45 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def _open_qutrit_pair():
-    rng = np.random.default_rng(2)
+def _kraus_qutrit_pair(seed):
+    rng = np.random.default_rng(seed)
     return [comb_from_sequence([Channel(tuple(random_kraus(3, 3, 2, rng)), 3, 3)]).choi
             for _ in "ab"]
 
 
+def _open_qutrit_pair():
+    """A pair that the plain seesaw step left open after 20 restarts of 300
+    steps; the over-relaxed step closes it with the lead alone."""
+    return _kraus_qutrit_pair(2)
+
+
+def _stubborn_qutrit_pair():
+    """A pair near distance 2 whose interval stays open after 20 restarts of
+    300 over-relaxed steps (width 1.3e-5)."""
+    return _kraus_qutrit_pair(46)
+
+
 def test_cb_closed_call_certifies_once_per_check(monkeypatch):
-    # the lead closes alone at step 20; its value rose by more than GAP in
-    # steps 5, 10 and 15, so the check that closes it is the only one made
+    # the lead closes alone at step 15; its value rose by more than GAP in
+    # steps 5 and 10, so the check that closes it is the only one made
     calls = _counted(monkeypatch, "one_use_upper")
     rng = np.random.default_rng(17)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
     est = cb_distance(a, b, restarts=4, seed=0, tol=-np.inf)
     assert est.upper - est.value <= distances.GAP
-    assert (est.iterations, est.restarts, est.capped, len(calls)) == (20, 1, 0, 1)
+    assert (est.iterations, est.restarts, est.capped, len(calls)) == (15, 1, 0, 1)
 
 
 def test_cb_open_call_certifies_ever_less_often(monkeypatch):
     calls = _counted(monkeypatch, "one_use_upper")
-    est = cb_distance(*_open_qutrit_pair(), restarts=4, seed=0, max_iter=100)
+    est = cb_distance(*_stubborn_qutrit_pair(), restarts=4, seed=0, max_iter=100)
     assert est.upper - est.value > distances.GAP
     assert (est.iterations, est.restarts, est.capped) == (400, 4, 4)
     # each wave schedules checks after steps 5, 10, 15, 20, 25, 31, 38, 47,
     # 58, 72, 90 and 100.  The lead's value rose by more than GAP at each but
-    # the last; the random restarts stayed below it through step 25, then
-    # rose by more than GAP at each check but the last: one each
+    # the last; in the second wave the best rose by more than GAP, or had not
+    # moved since its check, at each but the last, where a random restart
+    # held it: one certification each
     assert len(calls) == 2
 
 
@@ -373,13 +405,13 @@ def test_cb_check_waits_while_the_best_rises(monkeypatch):
     # one restart, the lead alone: a scheduled check is made only where its
     # best value rose by at most GAP in that step, and at the last step
     calls = _counted(monkeypatch, "one_use_upper")
-    est = cb_distance(*_open_qutrit_pair(), restarts=1)
+    est = cb_distance(*_stubborn_qutrit_pair(), restarts=1)
     assert est.iterations == 300 and est.upper - est.value > distances.GAP
     schedule = [5, 10, 15, 20, 25, 31, 38, 47, 58, 72, 90, 112, 140, 175, 218, 272]
     best = np.maximum.accumulate(est.history)
     rose = [best[k - 1] - best[k - 2] > distances.GAP for k in schedule]
-    assert rose == [True] * 13 + [False] * 3
-    assert len(calls) == 3 + 1
+    assert rose == [True] * 11 + [False] * 5
+    assert len(calls) == 5 + 1
 
 
 def test_cb_closed_lead_draws_no_random_start(monkeypatch):
@@ -392,6 +424,52 @@ def test_cb_closed_lead_draws_no_random_start(monkeypatch):
     est = cb_distance(*_open_qutrit_pair(), restarts=4, seed=0, max_iter=10)
     assert est.upper - est.value > distances.GAP
     assert (est.restarts, est.capped, len(draws)) == (4, 4, 3)
+
+
+def test_cb_lead_closes_the_pair_the_plain_step_left_open():
+    est = cb_distance(*_open_qutrit_pair())
+    assert (est.restarts, est.capped) == (1, 0)
+    assert est.upper - est.value <= distances.GAP
+
+
+def test_cb_trial_is_kept_only_above_the_stall_tolerance():
+    # on this pair the lead's trial at step 55 gains 2.8e-13: kept for any
+    # gain, it trips the stall rule (tol = 1e-12) at an input whose interval
+    # is 1.5e-6 wide, and every random restart runs; the plain update taken
+    # in its place stalls too, but closes the interval
+    est = cb_distance(*_kraus_qutrit_pair(11))
+    assert (est.restarts, est.capped) == (1, 0)
+    assert est.upper - est.value <= distances.GAP
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(d_in=st.sampled_from([2, 3]), d_out=st.sampled_from([2, 3]),
+       ranks=st.tuples(st.integers(2, 3), st.integers(2, 3)), seed=st.integers(0, 2**32 - 1))
+def test_cb_history_never_decreases(d_in, d_out, ranks, seed):
+    # a kept trial gains more than max(tol, 0); a fallback takes the plain
+    # update, which loses nothing but rounding
+    rng = np.random.default_rng(seed)
+    a, b = (comb_from_sequence([Channel(tuple(random_kraus(d_in, d_out, k, rng)), d_in,
+                                        d_out)]).choi for k in ranks)
+    for tol in (1e-12, -np.inf):
+        h = cb_distance(a, b, restarts=2, seed=seed % 5, max_iter=60, tol=tol).history
+        assert all(y >= x - 1e-12 * max(1.0, abs(x)) for x, y in zip(h, h[1:]))
+
+
+def test_cb_closed_lead_imports_no_random_generator():
+    # the restart generator is made only when the second wave is drawn, so a
+    # call that the lead closes never imports numpy.random
+    script = ("import sys, numpy as np; "
+              "from combtester.channels import comb_from_sequence, unitary_channel; "
+              "from combtester.distances import cb_distance; "
+              "u = np.diag(np.exp(1j * np.array([0.0, 1.0, 2.5]))); "
+              "a, b = (comb_from_sequence([unitary_channel(m)]).choi for m in (np.eye(3), u)); "
+              "est = cb_distance(a, b); "
+              "print(est.restarts, est.capped, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(combtester.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["1", "0", "False"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -481,29 +559,36 @@ def test_memory_starts_are_projected_once(monkeypatch):
     assert est.restarts == 2 and est.iterations == 0
 
 
-@pytest.mark.parametrize("max_iter", [1, 4])
-def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter):
-    # each step values psi with one stacked eigh, and the half-step that
-    # moves psi runs between steps only: a last half-step would move a psi
-    # that no step values.  A wave's eighs are counted from the end of the
-    # certification before it (one_use_upper) until the best psi is read
-    # out at its end (_memory_objective)
+@pytest.mark.parametrize("max_iter,fallbacks", [(1, [0, 0]), (4, [1, 2])], ids=["1", "4"])
+def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter, fallbacks):
+    # each step values its trial inputs with one lift and one stacked eigh,
+    # and the plain updates of the trials that lost with one more of each
+    # (a fallback solve); the half-step that moves psi runs between steps
+    # only, as one eigh with no lift: a last half-step would move a psi that
+    # no step values.  A wave's solves are counted from the end of the
+    # certification before it (one_use_upper) until the best psi is read out
+    # at its end (_memory_objective)
     rng = rng_from(3)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in range(2))
-    calls, seen, done = [], [], []
-    eigh, objective, upper = np.linalg.eigh, distances._memory_objective, distances.one_use_upper
+    eighs, lifts, seen, done = [], [], [], []
+    eigh, kron_eye = np.linalg.eigh, matcore.kron_eye
+    objective, upper = distances._memory_objective, distances.one_use_upper
 
     def counted_upper(*args):
         bound = upper(*args)
-        done.append(len(calls))
+        done.append((len(eighs), len(lifts)))
         return bound
 
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(1) or eigh(h))
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(1) or eigh(h))
+    monkeypatch.setattr(matcore, "kron_eye", lambda r, n: lifts.append(1) or kron_eye(r, n))
     monkeypatch.setattr(distances, "_memory_objective",
-                        lambda *args: seen.append(len(calls)) or objective(*args))
+                        lambda *args: seen.append((len(eighs), len(lifts))) or objective(*args))
     monkeypatch.setattr(distances, "one_use_upper", counted_upper)
     est = cb_distance(a, b, restarts=3, max_iter=max_iter, tol=-np.inf)
     assert est.iterations == 3 * max_iter and est.capped == 3
     # the lead alone, then the two random restarts, each certified once
     assert len(seen) == 2
-    assert [seen[0], seen[1] - done[0]] == [2 * max_iter - 1] * 2
+    waves = [seen[0], tuple(np.subtract(seen[1], done[0]))]
+    # (eighs, lifts) per wave: a value solve per step and per fallback, and a
+    # half-step between steps
+    assert waves == [(2 * max_iter - 1 + f, max_iter + f) for f in fallbacks]

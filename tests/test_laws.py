@@ -2,10 +2,11 @@
 
 A one-use estimate is an interval ``[value, upper]`` with both ends
 certified, so a law that fails between ends is a bug, not seesaw noise:
-identity, symmetry and the bound 2, the triangle inequality, and data
-processing.  The pairs are Haar unitaries and random Kraus channels on a
-qubit or a qutrit; a triangle's middle channel may be one of its ends, and
-a processing channel may be unitary, where both laws hold with equality.
+identity, symmetry and the bound 2, the triangle inequality, data
+processing, and unitary invariance.  The pairs are Haar unitaries and
+random Kraus channels on a qubit or a qutrit; a triangle's middle channel
+may be one of its ends, and a processing channel may be unitary, where both
+laws hold with equality.
 """
 
 import numpy as np
@@ -64,3 +65,16 @@ def test_data_processing(d, pair, processing, d_out, seed):
     phi = _channel(processing, d, rng, d_out)
     processed = _interval(compose_channels(phi, a), compose_channels(phi, b))
     assert processed[0] <= _interval(a, b)[1]
+
+
+@laws
+@given(d=dims, pair=st.tuples(kinds, kinds), seed=seeds)
+def test_unitary_invariance(d, pair, seed):
+    # the same unitary before both channels and another after both leave the
+    # distance as it is, so the two certified intervals overlap
+    rng = np.random.default_rng(seed)
+    a, b = (_channel(kind, d, rng) for kind in pair)
+    before, after = (unitary_channel(haar_unitary(d, rng)) for _ in "ab")
+    value, upper = _interval(a, b)
+    moved = _interval(*(compose_channels(after, compose_channels(c, before)) for c in (a, b)))
+    assert moved[0] <= upper and value <= moved[1]

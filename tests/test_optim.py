@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combtester import optim
 from combtester.matcore import Blocks, LabeledOperator, hermitian_part
 from combtester.optim import (
     XiChainSet,
@@ -150,6 +151,18 @@ def test_full_projection_lands_in_the_set():
         assert xi_set.membership_residual(p) < 1e-9
         assert xi_set.membership_residual(xi_set.uniform()) < 1e-12
         assert xi_set.membership_residual(xi_set.random_feasible(rng)) < 1e-9
+
+
+def test_projection_counts_runs_that_stop_at_the_cap(monkeypatch):
+    rng = rng_from(5)
+    xi_set = XiChainSet((2, 2, 2))
+    x = hermitian_part(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    _on_matrix(xi_set.project, xi_set.blocks, x)
+    assert xi_set.capped == 0
+    monkeypatch.setattr(optim, "DYKSTRA_CAP", 2)
+    p = _on_matrix(xi_set.project, xi_set.blocks, x)
+    assert xi_set.capped == 1 and xi_set.membership_residual(p) > 1e-9
+    assert xi_set.on(xi_set.blocks).capped == 0  # a bound set counts its own runs
 
 
 def test_embed_state_is_feasible_and_consistent():
