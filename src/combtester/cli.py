@@ -102,9 +102,7 @@ def cmd_discriminate(args, parser) -> int:
     a = _as_comb(_load(args.c0, parser), args.c0, parser)
     b = _as_comb(_load(args.c1, parser), args.c1, parser)
     if args.mode == "parallel":
-        rep = parallel_discriminable(
-            a.choi, b.choi, restarts=args.restarts, seed=args.seed
-        )
+        rep = parallel_discriminable(a.choi, b.choi, restarts=args.restarts, seed=args.seed)
     else:
         rep = causal_discriminable(a, b, restarts=args.restarts, seed=args.seed)
     _emit(rep)
@@ -117,13 +115,9 @@ def cmd_distance(args, parser) -> int:
     if args.kind == "cb":
         if a.uses != 1 or b.uses != 1:
             parser.error("cb distance is defined for single-use channels")
-        est = distances.cb_distance(
-            a.choi, b.choi, restarts=args.restarts, seed=args.seed
-        )
+        est = distances.cb_distance(a.choi, b.choi, restarts=args.restarts, seed=args.seed)
     else:
-        est = distances.memory_distance(
-            a, b, restarts=args.restarts, seed=args.seed
-        )
+        est = distances.memory_distance(a, b, restarts=args.restarts, seed=args.seed)
     _emit(est)
     return 0
 
@@ -140,9 +134,7 @@ def cmd_theta(args, parser) -> int:
 def cmd_theta_laws(args, parser) -> int:
     rng = rng_from(args.seed)
     worst_conj = worst_sub = worst_add_strict = 0.0
-    wrap_cases = 0
-    guarded = 0
-    strict = 0
+    wrap_cases = guarded = strict = 0
     for _ in range(args.samples):
         x = haar_unitary(args.dim, rng)
         y = haar_unitary(args.dim, rng)

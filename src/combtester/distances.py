@@ -18,17 +18,17 @@ Statist. 35, 2008) to the trial ``(φ + β(φ - e^{iθ}ψ))/||·||``, ``θ =
 arg<ψ|φ>``, kept only where its value beats the last by more than ``max(tol,
 0)``; elsewhere the restart falls back to ``φ``, solved again over those rows
 alone.  So the seesaw stays monotone, and a restart stalls only at a plain
-update, never at a trial.  Its maximally entangled
-start runs alone, and only if its certified interval is open the random
-restarts follow as one stacked batch, with the same arithmetic per restart
-as a loop over them.  A restart stops when its value stalls, a wave once the
-best interval is within ``GAP``.
+update, never at a trial.  Its maximally entangled start runs alone, and
+only if its certified interval is open the random restarts follow as one
+stacked batch, with the same arithmetic per restart as a loop over them.  A
+restart stops when its value stalls, a wave once the best interval is within
+``GAP``, checked on a schedule or once the best value passes ``2 - GAP``.
 
 All estimates are certified lower bounds: the returned value is the
 objective re-evaluated at the returned achiever, never the raw iterate
 score.  A one-use estimate's ``upper`` is certified (:func:`one_use_upper`);
 2 bounds every distance, clips both ends, and is attained exactly for
-perfectly discriminable inputs.
+perfectly discriminable inputs, so a value within ``GAP`` of 2 needs no bound.
 """
 
 from __future__ import annotations
@@ -145,7 +145,9 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     input, checked at its last step and every :data:`CHECK_EVERY` steps, past
     25 a quarter more apart, unless the best value rose by more than ``GAP``
     in that step (proof that the last best is open, as ``upper >= optimum``,
-    and evidence for the new one) or has not moved since its check.  The
+    and evidence for the new one) or has not moved since its check; and, off
+    the schedule, at any step where the best value passes ``2 - GAP``, as
+    ``upper = 2`` then closes it with no :func:`one_use_upper`.  The
     first restart to reach the largest value gives the estimate; a restart
     stops once its value gains at most ``tol`` (``-inf`` turns off only that
     rule).  The estimate reproduces only under bit-identical arithmetic: ``L
@@ -166,11 +168,14 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
     d_in, d_out = diff.dims
     delta = diff.matrix
     whole = matcore.Blocks.one(d_in)  # a state's partition: packing is a reshape
+    objective = _memory_objective(diff, out_label)[0]
 
     def certify(psi: np.ndarray) -> tuple[float, float, np.ndarray]:  # value, upper, state
         rho = psi.reshape(d_in, d_in).conj() @ psi.reshape(d_in, d_in).T
         rho = matcore.hermitian_part(rho / np.trace(rho).real)
-        value = min(2.0, float(_memory_objective(diff, out_label)[0](rho)))
+        value = min(2.0, float(objective(rho)))
+        if value >= 2.0 - GAP:  # 2 bounds every distance: [value, 2] is closed
+            return value, 2.0, rho
         upper = min(2.0, sum(one_use_upper(c0, c1, [out_label], whole, whole.pack(rho))))
         return value, upper, rho
 
@@ -219,14 +224,16 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
             prev = val
             if not going.all():
                 live, psi, w, v, prev, beta = (a[going] for a in (live, psi, w, v, val, beta))
-            if live.size == 0 or step + 1 == check:
-                last = live.size == 0 or check == max_iter
-                if (last or rise <= GAP) and best_val.max() > top:
+            near = best_val.max() > 2.0 - GAP  # may close on its value alone: check now
+            if live.size == 0 or step + 1 == check or near:
+                last = live.size == 0 or step + 1 == max_iter
+                if (last or near or rise <= GAP) and best_val.max() > top:
                     top = best_val.max()
                     value, upper, rho = certify(best_psi[int(np.argmax(best_val))])
                 if last or best_val.max() == top and upper - value <= GAP:
                     break  # no step left to value a new psi, or the interval closed
-                check = min(max_iter, check + max(CHECK_EVERY, check // 4))  # ever sparser
+                if step + 1 == check:  # ever sparser
+                    check = min(max_iter, check + max(CHECK_EVERY, check // 4))
             s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
             # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
             s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)

@@ -442,6 +442,67 @@ def test_cb_trial_is_kept_only_above_the_stall_tolerance():
     assert est.upper - est.value <= distances.GAP
 
 
+def _perfect_unitary_pair():
+    """I against a unitary whose eigenphases 0, 2.1 and 4.2 spread beyond π:
+    perfectly discriminable, at cb distance 2."""
+    return qubit_choi(np.eye(3)), qubit_choi(np.diag(np.exp(1j * np.array([0.0, 2.1, 4.2]))))
+
+
+def _first_step_near_2(history):
+    return next((k + 1 for k, x in enumerate(history) if x > 2 - distances.GAP), None)
+
+
+@pytest.mark.parametrize("kwargs", [{}, dict(restarts=10, max_iter=30, tol=-np.inf)],
+                         ids=["default", "short"])
+def test_cb_perfect_pair_closes_on_its_value_alone(monkeypatch, kwargs):
+    # the lead's value passes 2 - GAP at step 3, before the first scheduled
+    # check: it is checked at once, and [value, 2] closes it with no dual bound
+    calls = _counted(monkeypatch, "one_use_upper")
+    est = cb_distance(*_perfect_unitary_pair(), **kwargs)
+    assert est.upper == 2.0 and est.value >= 2 - distances.GAP
+    assert (len(calls), est.restarts, est.capped) == (0, 1, 0)
+    assert est.iterations == _first_step_near_2(est.history) == 3 < distances.CHECK_EVERY
+
+
+def test_cb_haar_pairs_stop_at_the_step_their_value_nears_2(monkeypatch):
+    # the cb-haar call shape: a lead whose value passes 2 - GAP stops at that
+    # step, on or off the schedule, and before step 5 it never reaches a
+    # scheduled check, so no dual bound is computed
+    calls = _counted(monkeypatch, "one_use_upper")
+    rng = np.random.default_rng(41)
+    early = 0
+    for k in range(20):
+        a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
+        before = len(calls)
+        est = cb_distance(a, b, restarts=10, seed=k, max_iter=30, tol=-np.inf)
+        near = _first_step_near_2(est.history)
+        if near is None:
+            continue
+        assert (est.iterations, est.restarts, est.capped, est.upper) == (near, 1, 0, 2.0)
+        if near < distances.CHECK_EVERY:
+            early += 1
+            assert len(calls) == before
+    assert early >= 2
+
+
+def test_cb_off_schedule_check_ends_no_wave_early(monkeypatch):
+    # a certified value held 2 GAP below the seesaw's never closes: every step
+    # past 2 - GAP is checked off the schedule and left open, and each wave
+    # still runs to max_iter, the step after its last scheduled check included
+    objective = distances._memory_objective
+
+    def lowered(*args):
+        value, value_and_subgrad = objective(*args)
+        return lambda xi: value(xi) - 2 * distances.GAP, value_and_subgrad
+
+    monkeypatch.setattr(distances, "_memory_objective", lowered)
+    calls = _counted(monkeypatch, "one_use_upper")
+    est = cb_distance(*_perfect_unitary_pair(), restarts=3, max_iter=7, tol=-np.inf)
+    assert (est.iterations, est.restarts, est.capped) == (3 * 7, 3, 3)
+    assert est.upper - est.value > distances.GAP
+    assert len(calls) > 2 * 2  # more than the scheduled checks, at steps 5 and 7
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(d_in=st.sampled_from([2, 3]), d_out=st.sampled_from([2, 3]),
        ranks=st.tuples(st.integers(2, 3), st.integers(2, 3)), seed=st.integers(0, 2**32 - 1))
@@ -518,10 +579,10 @@ def test_memory_dominates_product_embeddings():
             a.choi.matrix - b.choi.matrix, a.choi.labels, a.choi.dims
         )
         value, _ = _memory_objective(delta, 3)
+        draws = np.random.default_rng(k)  # five distinct product states per pair
         for _ in range(5):
             rho = np.kron(
-                np.diag(np.random.default_rng(k).dirichlet([1, 1])),
-                np.diag(np.random.default_rng(k + 1).dirichlet([1, 1])),
+                np.diag(draws.dirichlet([1, 1])), np.diag(draws.dirichlet([1, 1]))
             ).astype(complex)
             embedded = xi_set.embed_state(
                 LabeledOperator(rho, (0, 2), (2, 2))
@@ -567,7 +628,7 @@ def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter, fall
     # only, as one eigh with no lift: a last half-step would move a psi that
     # no step values.  A wave's solves are counted from the end of the
     # certification before it (one_use_upper) until the best psi is read out
-    # at its end (_memory_objective)
+    # at its end (the value function of _memory_objective, built once per call)
     rng = rng_from(3)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in range(2))
     eighs, lifts, seen, done = [], [], [], []
@@ -579,10 +640,13 @@ def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter, fall
         done.append((len(eighs), len(lifts)))
         return bound
 
+    def counted_objective(*args):
+        value, value_and_subgrad = objective(*args)
+        return lambda xi: seen.append((len(eighs), len(lifts))) or value(xi), value_and_subgrad
+
     monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(1) or eigh(h))
     monkeypatch.setattr(matcore, "kron_eye", lambda r, n: lifts.append(1) or kron_eye(r, n))
-    monkeypatch.setattr(distances, "_memory_objective",
-                        lambda *args: seen.append((len(eighs), len(lifts))) or objective(*args))
+    monkeypatch.setattr(distances, "_memory_objective", counted_objective)
     monkeypatch.setattr(distances, "one_use_upper", counted_upper)
     est = cb_distance(a, b, restarts=3, max_iter=max_iter, tol=-np.inf)
     assert est.iterations == 3 * max_iter and est.capped == 3
