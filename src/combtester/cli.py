@@ -102,9 +102,9 @@ def cmd_discriminate(args, parser) -> int:
     a = _as_comb(_load(args.c0, parser), args.c0, parser)
     b = _as_comb(_load(args.c1, parser), args.c1, parser)
     if args.mode == "parallel":
-        rep = parallel_discriminable(a.choi, b.choi, restarts=args.restarts, seed=args.seed)
+        rep = parallel_discriminable(a.choi, b.choi, restarts=args.restarts)
     else:
-        rep = causal_discriminable(a, b, restarts=args.restarts, seed=args.seed)
+        rep = causal_discriminable(a, b, restarts=args.restarts)
     _emit(rep)
     return _STATUS_CODE[rep.status]
 
@@ -115,9 +115,9 @@ def cmd_distance(args, parser) -> int:
     if args.kind == "cb":
         if a.uses != 1 or b.uses != 1:
             parser.error("cb distance is defined for single-use channels")
-        est = distances.cb_distance(a.choi, b.choi, restarts=args.restarts, seed=args.seed)
+        est = distances.cb_distance(a.choi, b.choi, restarts=args.restarts)
     else:
-        est = distances.memory_distance(a, b, restarts=args.restarts, seed=args.seed)
+        est = distances.memory_distance(a, b, restarts=args.restarts)
     _emit(est)
     return 0
 
@@ -169,9 +169,7 @@ def cmd_paper_example(args, parser) -> int:
     else:
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
-    imp = separation.verify_parallel_impossible(
-        inst, seed=args.seed, solver_restarts=args.restarts
-    )
+    imp = separation.verify_parallel_impossible(inst, solver_restarts=args.restarts)
     tester, table = separation.causal_protocol(inst, psi)
     tv = validate_tester(tester, 1e-9)
     delta_err = float(np.abs(table - np.eye(2)).max())
@@ -194,9 +192,10 @@ def build_parser() -> _Parser:
     p = _Parser(prog="combtester",
                 description="memory-channel combs, testers, discrimination and distances")
     # each subcommand takes only the shared options it reads, as its own
-    # argument, so that paper-example's restart default stays its own
+    # argument, so that paper-example's budget default stays its own
     seed = dict(type=int, default=0)
-    restarts = dict(type=_at_least(1), default=20)
+    restarts = dict(type=_at_least(1), default=20,
+                    help="step-budget multiplier: one start runs restarts x max_iter steps")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check a comb or tester file")
@@ -205,7 +204,6 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("discriminate", help="decide perfect discriminability")
-    sp.add_argument("--seed", **seed)
     sp.add_argument("--restarts", **restarts)
     sp.add_argument("--mode", choices=("parallel", "causal"), required=True)
     sp.add_argument("c0")
@@ -213,7 +211,6 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_discriminate)
 
     sp = sub.add_parser("distance", help="estimate a channel distance")
-    sp.add_argument("--seed", **seed)
     sp.add_argument("--restarts", **restarts)
     sp.add_argument("--kind", choices=("cb", "memory"), required=True)
     sp.add_argument("c0")
@@ -232,13 +229,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("paper-example",
                         help="build and verify the adaptive-vs-parallel counterexample")
-    sp.add_argument("--seed", **seed)
+    sp.add_argument("--seed", **seed, help="accepted and unused: no solver step is random")
     sp.add_argument("--restarts", **restarts)
     sp.add_argument("--d", type=_at_least(2), default=2)
     sp.add_argument("--psi", default=None,
                     help="matrix file with the protocol input state (default |0>)")
     # the bound at the uniform point proves the parallel verdict before any
-    # start at d = 2..6, so these restarts run only where it cannot
+    # step at d = 2..6, so this budget is spent only where it cannot
     sp.set_defaults(func=cmd_paper_example, restarts=3)
     return p
 

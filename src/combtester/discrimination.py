@@ -9,41 +9,39 @@ inputs: it is the one-use tester of the comb read as one channel
 the grouped inputs.  So both criteria are one feasibility problem over one
 set read at two groupings, and one private driver decides both; the
 objective reads a grouping of the combs through its index map, not through
-a regrouped copy.  It
-minimizes the squared Frobenius norm of the product over the set with
-projected gradient descent, from the uniform point first and then from
-random points, each drawn only when the starts before it stayed above zero.
-The objective is a convex quadratic, so the minimum found is global and a
-small value is a constructive feasibility certificate.  A one-use problem
-(every parallel decision) is proven infeasible by a distance bound below 2
+a regrouped copy.  It minimizes the squared Frobenius norm of the product
+over the set with projected gradient descent from one start, the uniform
+point, for at most ``restarts * max_iter`` steps.  The objective is a
+convex quadratic over a convex set, so the minimum found is global, a start
+that stops short needs more steps rather than another start, and a small
+value is a constructive feasibility certificate.  A one-use problem (every
+parallel decision) is proven infeasible by a distance bound below 2
 (:func:`distances.one_use_upper`), taken at the uniform point before any
 descent, with the residual there read off the combs' block squares, and at
-each start's end, stopping at the first proof; without a proof or a zero it
-is ``undetermined``.  A multi-use decision is certified infeasible only
-empirically, by its minimum staying above ``INFEASIBLE_TOL`` from converged
-starts; if any start stopped at ``max_iter`` it is ``undetermined``.  If the
-best start's descent made a chain projection that stopped at
-``optim.DYKSTRA_CAP`` unconverged, its point may lie off the set, so the
-decision is ``undetermined`` unless the one-use bound proves infeasibility.
+the descent's end; without a proof or a zero it is ``undetermined``.  A
+multi-use decision is certified infeasible only empirically, by its minimum
+staying above ``INFEASIBLE_TOL`` from a converged descent; if it stopped at
+its step budget it is ``undetermined``.  If the descent made a chain
+projection that stopped at ``optim.DYKSTRA_CAP`` unconverged, its point may
+lie off the set, so the decision is ``undetermined`` unless the one-use
+bound proves infeasibility.
 Synthesis runs on the block entries of the combs and the lifted witness.
 
-Each start runs on the finest block partition that it, the gradient map and
-the set's affine step keep (:func:`optim.invariant_blocks`), found once per
-start, and the objective and the set are bound to it once
+The descent runs on the finest block partition that the start, the gradient
+map and the set's affine step keep (:func:`optim.invariant_blocks`), found
+once, and the objective and the set are bound to it once
 (:meth:`_ProductObjective.on`, :meth:`optim.XiChainSet.on`).  The iterate
 is the packed vector of its block entries: gradient, projections and steps
 work on the blocks alone, and the witness is scattered to a full matrix
 once.  On the counterexample every partition is diagonal, so a causal step
-at d = 3 works on 81 entries rather than 6561; a dense random start is one
-block, with the dense arithmetic.
+at d = 3 works on 81 entries rather than 6561; dense combs give one block,
+with the dense arithmetic.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -52,7 +50,6 @@ from .channels import Channel, MemoryChannel
 from .distances import one_use_upper
 from .matcore import Blocks, LabeledOperator
 from .optim import XiChainSet, invariant_blocks, projected_gradient_min, require_budget
-from .sampling import rng_from
 from .testers import Tester, born_probabilities, tester_from_elements, validate_tester
 
 FEASIBLE_TOL = 1e-8
@@ -62,10 +59,9 @@ ORTHOGONALITY_TOL = 1e-9  # the largest cross-Gram trace modulus counted as zero
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """A decision; ``restarts`` counts the starts that ran, ``capped`` those
-    that ended at ``max_iter``, and ``upper`` is the least one-use distance
-    bound taken (None for more uses).  Its JSON report leaves out
-    ``witness`` and ``objective_history``."""
+    """A decision; ``capped`` is 1 if the descent ended at its step budget,
+    and ``upper`` is the least one-use distance bound taken (None for more
+    uses).  Its JSON report leaves out ``witness`` and ``objective_history``."""
 
     feasible: bool
     status: str
@@ -73,7 +69,6 @@ class FeasibilityReport:
     upper: float | None
     witness: LabeledOperator | None = field(metadata={"json": False})
     iterations: int
-    restarts: int
     capped: int
     objective_history: list = field(default_factory=list, metadata={"json": False})
 
@@ -238,12 +233,11 @@ def _squares_trace(c0: LabeledOperator, c1: LabeledOperator) -> float:
 
 
 def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiChainSet,
-            restarts: int, seed, max_iter: int) -> FeasibilityReport:
-    """Minimize the objective over ``xi_set`` from each start, as a packed
-    iterate on its invariant partition, until one reaches zero or, for one
-    use, the bound at the uniform point or at a start's end proves
-    infeasibility.  The witness carries the objective's free labels;
-    ``restarts`` in the report counts the starts that ran."""
+            restarts: int, max_iter: int) -> FeasibilityReport:
+    """Minimize the objective over ``xi_set`` from the uniform point, as a
+    packed iterate on its invariant partition, for at most ``restarts *
+    max_iter`` steps, unless, for one use, the bound there proves
+    infeasibility first.  The witness carries the objective's free labels."""
     require_budget(restarts, max_iter)
     free = [l for l in c0.labels if l not in set(fixed_labels)]  # the witness's spaces
     uniform = xi_set.uniform()
@@ -251,44 +245,33 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
     if xi_set.uses == 1:
         diagonal = Blocks.of(uniform)
         upper, allowance = one_use_upper(c0, c1, fixed_labels, diagonal, diagonal.pack(uniform))
-        if upper < 2 - allowance:  # proven before any start
+        if upper < 2 - allowance:  # proven before any step
             value = float(uniform[0, 0] ** 2 * _squares_trace(c0, c1))
             witness = LabeledOperator(diagonal.pack(uniform), free,
                                       [c0.dim_of(l) for l in free], blocks=diagonal)
-            return FeasibilityReport(False, "infeasible", value, upper, witness, 0, 0, 0, [value])
+            return FeasibilityReport(False, "infeasible", value, upper, witness, 0, 0, [value])
     obj = _ProductObjective(c0, c1, fixed_labels)
-    rng = cache(lambda: rng_from(seed))  # made at the first random start
-    starts = chain([uniform], (xi_set.random_feasible(rng()) for _ in range(restarts - 1)))
-    best, total_iter, ran, capped = None, 0, 0, 0
-    for x0 in starts:
-        blocks = invariant_blocks(x0, (obj.reach, xi_set.reach))
-        bound_set = xi_set.on(blocks)
-        res = projected_gradient_min(
-            value_and_grad=obj.on(blocks).value_and_grad, project=bound_set.project,
-            x0=blocks.pack(x0), max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
-        )
-        ran += 1
-        total_iter += res.iterations
-        capped += res.stop == "max_iter"
-        if best is None or res.value < best.value:
-            best, best_blocks, inexact = res, blocks, bound_set.capped
-        if best.value <= FEASIBLE_TOL * 1e-4:
-            break
-        if upper is not None:
-            bound, allowance = one_use_upper(c0, c1, fixed_labels, blocks, res.x)
-            upper = min(upper, bound)
-            if proof := bound < 2 - allowance:
-                break
-    if best.value < FEASIBLE_TOL and not inexact:
+    blocks = invariant_blocks(uniform, (obj.reach, xi_set.reach))
+    bound_set = xi_set.on(blocks)
+    res = projected_gradient_min(
+        value_and_grad=obj.on(blocks).value_and_grad, project=bound_set.project,
+        x0=blocks.pack(uniform), max_iter=restarts * max_iter, stop_below=FEASIBLE_TOL * 1e-4,
+    )
+    capped = int(res.stop == "max_iter")
+    if upper is not None and res.value > FEASIBLE_TOL * 1e-4:
+        bound, allowance = one_use_upper(c0, c1, fixed_labels, blocks, res.x)
+        upper, proof = min(upper, bound), bound < 2 - allowance
+    if res.value < FEASIBLE_TOL and not bound_set.capped:
         status = "feasible"
-    elif proof or (upper is None and best.value > INFEASIBLE_TOL and not (capped or inexact)):
+    elif proof or (upper is None and res.value > INFEASIBLE_TOL
+                   and not (capped or bound_set.capped)):
         status = "infeasible"
     else:
         status = "undetermined"
     return FeasibilityReport(
-        feasible=status == "feasible", status=status, residual=best.value, upper=upper,
-        witness=LabeledOperator(best_blocks.unpack(best.x), free, [c0.dim_of(l) for l in free]),
-        iterations=total_iter, restarts=ran, capped=capped, objective_history=best.history,
+        feasible=status == "feasible", status=status, residual=res.value, upper=upper,
+        witness=LabeledOperator(blocks.unpack(res.x), free, [c0.dim_of(l) for l in free]),
+        iterations=res.iterations, capped=capped, objective_history=res.history,
     )
 
 
@@ -299,18 +282,21 @@ def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
     one channel each (:meth:`MemoryChannel.as_single_use`), over density
     matrices on the grouped inputs.  The objective reads the sorted combs
     with every output fixed, which is that grouping, through its index map;
-    the witness is a joint state of the inputs and carries their labels."""
+    the witness is a joint state of the inputs and carries their labels.
+    ``restarts`` multiplies the step budget ``max_iter`` of the one start;
+    ``seed`` is accepted and unused, as no step is random."""
     a, b = (MemoryChannel(c, len(c.labels) // 2).choi for c in (c0, c1))
     xi_set = XiChainSet((int(np.prod(a.dims[0::2])),))
-    return _decide(a, b, a.labels[1::2], xi_set, restarts, seed, max_iter)
+    return _decide(a, b, a.labels[1::2], xi_set, restarts, max_iter)
 
 
 def causal_discriminable(c0: MemoryChannel, c1: MemoryChannel, *,
                          restarts: int = 20, seed: int = 0,
                          max_iter: int = 600) -> FeasibilityReport:
-    """Decide the causal criterion by minimizing over tester normalizations."""
+    """Decide the causal criterion by minimizing over tester normalizations,
+    with ``restarts`` and ``seed`` as in :func:`parallel_discriminable`."""
     return _decide(c0.choi, c1.choi, [2 * c0.uses - 1], XiChainSet(c0.dims[:-1]),
-                   restarts, seed, max_iter)
+                   restarts, max_iter)
 
 
 def kraus_orthogonality(ch0: Channel, ch1: Channel, rho: np.ndarray) -> tuple[bool, float]:

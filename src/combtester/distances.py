@@ -2,7 +2,7 @@
 
 Both distances maximize the trace norm of the Choi difference ``Δ`` under
 one lift, ``L = R ⊗ I_top`` with the top (last output) space last, formed
-on raw arrays, one matrix or a stack, by :func:`matcore.kron_eye`.
+on raw arrays by :func:`matcore.kron_eye`.
 ``memory_distance`` takes ``R = Ξ^1/2`` for ``Ξ`` in the tester
 normalization chain set and ascends ``||L Δ L||_1`` by projected
 subgradient steps.  ``cb_distance`` is its single-use case,
@@ -16,13 +16,17 @@ plain update ``φ`` of an input ``ψ`` is worth at least ``ψ``.  Each step goes
 past it (over-relaxation, as in SQUAREM: Varadhan and Roland, Scand. J.
 Statist. 35, 2008) to the trial ``(φ + β(φ - e^{iθ}ψ))/||·||``, ``θ =
 arg<ψ|φ>``, kept only where its value beats the last by more than ``max(tol,
-0)``; elsewhere the restart falls back to ``φ``, solved again over those rows
-alone.  So the seesaw stays monotone, and a restart stalls only at a plain
-update, never at a trial.  Its maximally entangled start runs alone, and
-only if its certified interval is open the random restarts follow as one
-stacked batch, with the same arithmetic per restart as a loop over them.  A
-restart stops when its value stalls, a wave once the best interval is within
-``GAP``, checked on a schedule or once the best value passes ``2 - GAP``.
+0)``; elsewhere the seesaw falls back to ``φ``.  So it stays monotone, and
+stalls only at a plain update, never at a trial.  It stops when its value
+stalls, or once its interval is within ``GAP``, checked on a schedule or once
+the best value passes ``2 - GAP``.
+
+``Ξ ↦ ||L Δ L||_1`` is concave: it is ``max Tr[(P0 - P1) Δ]`` over ``P0, P1 >=
+0`` with ``P0 + P1 = Ξ ⊗ I``, a supremum of linear functions over a jointly
+convex set (the strategy norm: Gutoski, arXiv:1008.4636).  So a start that
+stops short needs more steps, not another start: each solver runs one
+deterministic start, the uniform ``Ξ`` or the maximally entangled ``ψ``, for
+``restarts * max_iter`` steps, and its ``seed`` is unused.
 
 All estimates are certified lower bounds: the returned value is the
 objective re-evaluated at the returned achiever, never the raw iterate
@@ -41,16 +45,15 @@ from . import matcore
 from .channels import MemoryChannel
 from .matcore import LabeledOperator, psd_sqrt_matrix, trace_norm
 from .optim import XiChainSet, require_budget
-from .sampling import random_pure_state, rng_from
 from .unitary import discriminability
 
 
 # the input mixings ε of :func:`one_use_upper`'s ladder
 EPS_LADDER = (1.0, 1e-2, 1e-4, 1e-6, 1e-8)
 CHECK_EVERY = 5  # seesaw steps between cb_distance's first certifications of its best input
-GAP = 1e-6  # the certified width at which cb_distance's batch stops
-# cb_distance's over-relaxation β per restart: at a wave's start, its factor
-# after a kept trial and after a fallback, and its bounds
+GAP = 1e-6  # the certified width at which cb_distance's seesaw stops
+# cb_distance's over-relaxation β: at the start, its factor after a kept
+# trial and after a fallback, and its bounds
 BETA_START, BETA_GROW, BETA_CUT, BETA_MIN, BETA_MAX = 1.0, 1.5, 0.5, 0.25, 8.0
 
 
@@ -64,8 +67,7 @@ class DistanceEstimate:
     upper: float | None
     achiever: LabeledOperator = field(metadata={"json": False})
     iterations: int
-    restarts: int  # the restarts that ran
-    # open restarts: memory_distance's at ``max_iter``, cb_distance's all that ran unless it closed
+    # 1 if open: memory_distance's ascent at its step budget, cb_distance's unless it closed
     capped: int
     history: list = field(default_factory=list, metadata={"json": False})
 
@@ -138,21 +140,23 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
                 max_iter: int = 300, tol: float = 1e-12) -> DistanceEstimate:
     """Seesaw lower bound on the cb distance of two channels given as Chois.
 
-    Each step values every live restart's over-relaxed trial, or its plain
-    update where the trial gains at most ``max(tol, 0)`` (see the module
-    notes).  Each wave, the maximally entangled start and then, if it is left
-    open, the random restarts, stops once ``upper - value <= GAP`` at the best
-    input, checked at its last step and every :data:`CHECK_EVERY` steps, past
-    25 a quarter more apart, unless the best value rose by more than ``GAP``
-    in that step (proof that the last best is open, as ``upper >= optimum``,
-    and evidence for the new one) or has not moved since its check; and, off
-    the schedule, at any step where the best value passes ``2 - GAP``, as
-    ``upper = 2`` then closes it with no :func:`one_use_upper`.  The
-    first restart to reach the largest value gives the estimate; a restart
-    stops once its value gains at most ``tol`` (``-inf`` turns off only that
-    rule).  The estimate reproduces only under bit-identical arithmetic: ``L
-    Δ L†`` has low rank for unitary pairs, so its kernel signs, and with them
-    ``S``, ``H`` and the next input, come from rounding.
+    One deterministic start, the maximally entangled input, runs for at most
+    ``restarts * max_iter`` steps: ``restarts`` multiplies the step budget,
+    and ``seed`` is accepted and unused, as no step is random; both stay so
+    that existing callers run unchanged.  Each step values the over-relaxed
+    trial, or the plain update where the trial gains at most ``max(tol, 0)``
+    (see the module notes).  The seesaw stops once ``upper - value <= GAP``
+    at its best input, checked at its last step and every
+    :data:`CHECK_EVERY` steps, past 25 a quarter more apart, unless the best
+    value rose by more than ``GAP`` in that step (proof that the last best is
+    open, as ``upper >= optimum``, and evidence for the new one) or has not
+    moved since its check; and, off the schedule, at any step where the best
+    value passes ``2 - GAP``, as ``upper = 2`` then closes it with no
+    :func:`one_use_upper`.  It also stops once its value gains at most
+    ``tol`` (``-inf`` turns off only that rule).  The estimate reproduces only
+    under bit-identical arithmetic: ``L Δ L†`` has low rank for unitary
+    pairs, so its kernel signs, and with them ``S``, ``H`` and the next
+    input, come from rounding.
     """
     require_budget(restarts, max_iter)
     if np.isnan(tol):
@@ -180,85 +184,62 @@ def cb_distance(c0: LabeledOperator, c1: LabeledOperator, *,
         return value, upper, rho
 
     side = d_in * d_in
-    psi = (np.eye(d_in).reshape(1, -1) / np.sqrt(d_in)).astype(complex)  # maximally entangled
+    psi = (np.eye(d_in).reshape(-1) / np.sqrt(d_in)).astype(complex)  # maximally entangled
     if np.linalg.norm(delta) < 1e-15:
-        _, upper, rho = certify(psi[0])
+        _, upper, rho = certify(psi)
         return DistanceEstimate(0.0, upper, LabeledOperator(rho, (in_label,), (d_in,)),
-                                0, 0, 0, [0.0])
+                                0, 0, [0.0])
     # Δ^T[(a', o'), (a, o)] as a matrix from (a', a) to (o', o)
     dt = delta.T.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(side, -1)
     gain = max(tol, 0.0)  # what a trial must add to the last value to be kept
 
-    def spectra(psi: np.ndarray):  # eigenpairs of L Δ L† per input, and its trace norm
-        lift = matcore.kron_eye(psi.reshape(-1, d_in, d_in).swapaxes(-1, -2), d_out)
+    def spectrum(psi: np.ndarray):  # eigenpairs of L Δ L† at an input, and its trace norm
+        lift = matcore.kron_eye(psi.reshape(d_in, d_in).T, d_out)
         w, v = np.linalg.eigh(lift @ delta @ matcore._dagger(lift))  # reads one triangle
-        return w, v, np.abs(w).sum(axis=-1)
+        return w, v, float(np.abs(w).sum())
 
-    # row r of best_psi and best_val belongs to restart r, row 0 to the first
-    # start; ``live`` indexes a wave's unstopped restarts, and psi (the input
-    # a step values), phi (its plain update), beta, prev (the last value) and
-    # each step's values follow it
-    best_psi = np.zeros((restarts, side), dtype=complex)
-    best_val = np.full(restarts, -1.0)
-    # (live, values) per step, after an empty record for a call of no steps
-    steps = [(np.zeros(0, dtype=int), np.zeros(0))]
-    count, top, live = 1, -np.inf, np.arange(1)  # top: the best value last certified
-    while True:
-        prev = np.full(live.size, -np.inf)
-        phi, beta = psi, np.full(live.size, BETA_START)  # a start is its own plain update
-        check = min(CHECK_EVERY, max_iter)  # the step count of the next certification
-        for step in range(max_iter):
-            w, v, val = spectra(psi)
-            lose = val <= prev + gain  # trials that gained too little fall back to phi
-            if lose.any():
-                psi[lose] = phi[lose]
-                w[lose], v[lose], val[lose] = spectra(psi[lose])
-            beta = np.minimum(np.maximum(beta * np.where(lose, BETA_CUT, BETA_GROW), BETA_MIN),
-                              BETA_MAX)
-            steps.append((live, val))
-            rise = val.max() - best_val.max()  # beyond GAP, proof that the last best is open
-            better = val > best_val[live]
-            best_val[live[better]] = val[better]
-            best_psi[live[better]] = psi[better]
-            going = ~(val <= prev + tol)
-            prev = val
-            if not going.all():
-                live, psi, w, v, prev, beta = (a[going] for a in (live, psi, w, v, val, beta))
-            near = best_val.max() > 2.0 - GAP  # may close on its value alone: check now
-            if live.size == 0 or step + 1 == check or near:
-                last = live.size == 0 or step + 1 == max_iter
-                if (last or near or rise <= GAP) and best_val.max() > top:
-                    top = best_val.max()
-                    value, upper, rho = certify(best_psi[int(np.argmax(best_val))])
-                if last or best_val.max() == top and upper - value <= GAP:
-                    break  # no step left to value a new psi, or the interval closed
-                if step + 1 == check:  # ever sparser
-                    check = min(max_iter, check + max(CHECK_EVERY, check // 4))
-            s = (v * np.sign(w)[:, None, :]) @ matcore._dagger(v)
-            # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
-            s = s.reshape(-1, d_in, d_out, d_in, d_out).transpose(0, 2, 4, 1, 3)
-            h = (dt @ s.reshape(-1, d_out * d_out, side)).reshape((-1,) + (d_in,) * 4)
-            h = h.transpose(0, 1, 3, 2, 4).reshape(-1, side, side)
-            phi = np.linalg.eigh(h)[1][:, :, -1]
-            # the trial steps past phi, away from psi at phi's phase
-            phase = np.exp(1j * np.angle((psi.conj() * phi).sum(axis=-1)))
-            psi = phi + beta[:, None] * (phi - phase[:, None] * psi)
-            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-        else:  # max_iter is 0: the maximally entangled start, unvalued
-            value, upper, rho = certify(psi[0])
-        if count == restarts or not max_iter or upper - value <= GAP:
-            break
-        live, count = np.arange(1, restarts), restarts
-        rng = rng_from(seed)
-        psi = np.array([random_pure_state(side, rng) for _ in live], dtype=complex)
+    budget = restarts * max_iter
+    history, best_val, best_psi, top = [], -1.0, psi, -np.inf  # top: the best value last certified
+    prev, phi, beta = -np.inf, psi, BETA_START  # the start is its own plain update
+    check = min(CHECK_EVERY, budget)  # the step count of the next certification
+    for step in range(budget):
+        w, v, val = spectrum(psi)
+        if lose := val <= prev + gain:  # a trial that gained too little falls back to phi
+            psi = phi
+            w, v, val = spectrum(psi)
+        beta = min(max(beta * (BETA_CUT if lose else BETA_GROW), BETA_MIN), BETA_MAX)
+        history.append(val)
+        rise = val - best_val  # beyond GAP, proof that the last best is open
+        if val > best_val:
+            best_val, best_psi = val, psi
+        stalled = val <= prev + tol
+        prev = val
+        near = best_val > 2.0 - GAP  # may close on its value alone: check now
+        if stalled or step + 1 == check or near:
+            last = stalled or step + 1 == budget
+            if (last or near or rise <= GAP) and best_val > top:
+                top = best_val
+                value, upper, rho = certify(best_psi)
+            if last or best_val == top and upper - value <= GAP:
+                break  # no step left to value a new psi, or the interval closed
+            if step + 1 == check:  # ever sparser
+                check = min(budget, check + max(CHECK_EVERY, check // 4))
+        s = (v * np.sign(w)) @ matcore._dagger(v)
+        # H[(a', b'), (a, b)] = sum_{o, o'} Δ[(a, o), (a', o')] S[(b', o'), (b, o)]
+        s = s.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+        h = (dt @ s.reshape(d_out * d_out, side)).reshape((d_in,) * 4)
+        h = h.transpose(0, 2, 1, 3).reshape(side, side)
+        phi = np.linalg.eigh(h)[1][:, -1]
+        # the trial steps past phi, away from psi at phi's phase; pairwise
+        # sums, not BLAS dots, as where the seesaw stalls depends on rounding
+        psi = phi + beta * (phi - np.exp(1j * np.angle((psi.conj() * phi).sum())) * psi)
+        psi /= np.sqrt((psi.conj() * psi).real.sum())
+    else:  # a budget of 0: the maximally entangled start, unvalued
+        value, upper, rho = certify(psi)
 
-    # the first restart that reaches the largest value, as a sequential scan keeps
-    at, val = map(np.concatenate, zip(*steps))
     return DistanceEstimate(
         value=value, upper=upper, achiever=LabeledOperator(rho, (in_label,), (d_in,)),
-        iterations=at.size, restarts=count,
-        capped=0 if upper - value <= GAP else count,
-        history=val[at == np.argmax(best_val)].tolist(),
+        iterations=len(history), capped=int(upper - value > GAP), history=history,
     )
 
 
@@ -304,8 +285,9 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     """Projected subgradient ascent for the memory-channel distance.
 
     For a single use the feasible set degenerates to density matrices and
-    this reduces to the cb distance.  Restart points are the uniform
-    normalization and random feasible points, each feasible as drawn.
+    this reduces to the cb distance.  One start, the uniform normalization,
+    ascends for at most ``restarts * max_iter`` steps; ``seed`` is accepted
+    and unused, as no step is random.
     """
     require_budget(restarts, max_iter)
     a, b = c0.choi, c1.choi
@@ -316,39 +298,29 @@ def memory_distance(c0: MemoryChannel, c1: MemoryChannel, *,
     xi_set = XiChainSet(a.dims[:-1])
     whole = xi_set.blocks  # one block: packing is a reshape
     value, value_and_subgrad = _memory_objective(delta, top)
-    rng = rng_from(seed)
 
-    starts = [xi_set.uniform()]
-    starts += [xi_set.random_feasible(rng) for _ in range(restarts - 1)]
-
-    best_val, best_xi, total_iter, capped = -1.0, None, 0, 0
-    best_hist: list[float] = []
-    for xi in starts:
-        val, g = value_and_subgrad(xi)
-        hist = [val]
-        step = 0.5 * max(1.0, np.linalg.norm(xi)) / max(np.linalg.norm(g), 1e-12)
-        for _ in range(max_iter):
-            total_iter += 1
-            cand = whole.unpack(xi_set.project(whole.pack(xi + step * g)))
-            cval, cg = value_and_subgrad(cand)
-            if cval > val + 1e-15:
-                xi, val, g = cand, cval, cg
-                hist.append(val)
-                step *= 1.2
-            else:
-                step *= 0.5
-                if step < 1e-10:
-                    break
+    xi = xi_set.uniform()
+    val, g = value_and_subgrad(xi)
+    history, iterations, capped = [val], 0, 0
+    step = 0.5 * max(1.0, np.linalg.norm(xi)) / max(np.linalg.norm(g), 1e-12)
+    for iterations in range(1, restarts * max_iter + 1):
+        cand = whole.unpack(xi_set.project(whole.pack(xi + step * g)))
+        cval, cg = value_and_subgrad(cand)
+        if cval > val + 1e-15:
+            xi, val, g = cand, cval, cg
+            history.append(val)
+            step *= 1.2
         else:
-            capped += 1
-        if val > best_val:
-            best_val, best_xi, best_hist = val, xi, hist
+            step *= 0.5
+            if step < 1e-10:
+                break
+    else:
+        capped = 1
 
-    cert = value(best_xi)
-    achiever = LabeledOperator(best_xi, xi_set.labels, xi_set.dims)
-    upper = (min(2.0, sum(one_use_upper(a, b, [top], whole, whole.pack(best_xi))))
+    upper = (min(2.0, sum(one_use_upper(a, b, [top], whole, whole.pack(xi))))
              if c0.uses == 1 else None)
     return DistanceEstimate(
-        value=min(2.0, float(cert)), upper=upper, achiever=achiever, iterations=total_iter,
-        restarts=len(starts), capped=capped, history=best_hist,
+        value=min(2.0, float(value(xi))), upper=upper,
+        achiever=LabeledOperator(xi, xi_set.labels, xi_set.dims), iterations=iterations,
+        capped=capped, history=history,
     )

@@ -35,7 +35,6 @@ import numpy as np
 from . import matcore
 from .matcore import Blocks, LabeledOperator, TailTrace, identity, lift_last, tensor
 from .matcore import partial_trace  # noqa: F401  (part of this module's namespace)
-from .sampling import random_psd
 
 # steps a Dykstra projection onto PSD ∩ affine chain makes at most
 DYKSTRA_CAP = 5000
@@ -209,11 +208,6 @@ class XiChainSet:
     def uniform(self) -> np.ndarray:
         return np.eye(self.side) * (self.trace_target / self.side)
 
-    def random_feasible(self, rng) -> np.ndarray:
-        x = random_psd(self.side, rng)
-        x *= self.trace_target / np.trace(x).real
-        return self.blocks.unpack(self.project(self.blocks.pack(x)))
-
     def embed_state(self, rho: LabeledOperator) -> np.ndarray:
         """Lift a joint input state (on the even spaces) to a chain element.
 
@@ -231,8 +225,8 @@ class XiChainSet:
 
 
 def require_budget(restarts: int, max_iter: int) -> None:
-    """Raise unless a solver is asked for at least one start and a
-    non-negative iteration cap (0 runs no step)."""
+    """Raise unless a solver's step budget ``restarts * max_iter`` has a
+    multiplier of at least 1 and a non-negative cap (0 runs no step)."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if max_iter < 0:

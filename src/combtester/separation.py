@@ -187,6 +187,8 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     ``I/d^2``), then decides the parallel criterion: the distance bound at the
     maximally mixed input, ``(d - 1 + sqrt((d - 1)(d + 3)))/d`` (fitted), is a
     proof; the residual is the objective there, its minimum ``1/d^8``.
+    ``solver_restarts`` multiplies the decision's step budget; ``seed`` is
+    accepted and unused, as no step is random.
     """
     d = inst.d
     c0, c1 = inst.c0.choi, inst.c1.choi
@@ -204,8 +206,7 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     np.add.at(t.T, k0 * dims[2] + k2, terms)
     eye = np.eye(side)
     fitted = float(np.trace(t).real / side)
-    report_solver = parallel_discriminable(
-        inst.c0.choi, inst.c1.choi, restarts=solver_restarts, seed=seed)
+    report_solver = parallel_discriminable(inst.c0.choi, inst.c1.choi, restarts=solver_restarts)
     return ParallelImpossibilityReport(
         d=d,
         identity_residual=float(np.linalg.norm(t - eye / d**3)),

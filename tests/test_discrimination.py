@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from combtester.distances import cb_distance, memory_distance, unitary_cb_oracle
 from combtester.matcore import LabeledOperator
 from combtester.optim import XiChainSet, invariant_blocks
 from combtester.sampling import haar_unitary, random_density, random_kraus, random_psd
-from combtester.separation import build_example, causal_protocol
+from combtester.separation import build_example, causal_protocol, verify_parallel_impossible
 from combtester.testers import povm_from_tester, reduced_state, validate_tester
 from combtester.unitary import _arc_sorted_eigensystem, angular_spread
 from util import random_isometric_comb, traced_peak
@@ -48,7 +49,7 @@ def test_parallel_identical_channels_infeasible():
     assert rep.residual > 1.0
     # the distance bound at the uniform point is 0, a proof before any start
     assert rep.upper == 0.0
-    assert (rep.restarts, rep.iterations) == (0, 0)
+    assert (rep.iterations, rep.capped) == (0, 0)
 
 
 def test_parallel_identity_vs_exchange_feasible():
@@ -108,7 +109,7 @@ def test_phase_gate_never_orthogonal_below_pi():
             comb_from_sequence([idc]).choi, comb_from_sequence([uc]).choi,
             restarts=4, seed=0,
         )
-        assert rep.status == "infeasible" and rep.restarts == 0
+        assert rep.status == "infeasible" and rep.iterations == 0
         assert abs(rep.upper - unitary_cb_oracle(np.eye(2), u)) <= 1e-12
 
 
@@ -189,7 +190,7 @@ def test_causal_identical_infeasible():
     mc = comb_from_sequence([identity_channel(2), identity_channel(2)])
     rep = causal_discriminable(mc, mc, restarts=3, seed=0, max_iter=150)
     assert rep.status == "infeasible"
-    assert rep.restarts == 3 and rep.capped == 0
+    assert rep.capped == 0
 
 
 def test_capped_multi_use_decision_is_undetermined():
@@ -213,32 +214,16 @@ def test_causal_counterexample_feasible_and_synthesis():
     assert validate_tester(t, 1e-8).valid
 
 
-def test_causal_draws_random_starts_only_when_they_run(monkeypatch):
-    drawn = []
-    draw = XiChainSet.random_feasible
-
-    def counted(self, rng):
-        drawn.append(rng)
-        return draw(self, rng)
-
-    monkeypatch.setattr(XiChainSet, "random_feasible", counted)
-    inst = build_example(2)
-    rep = causal_discriminable(inst.c0, inst.c1, restarts=4, seed=0)
-    assert rep.feasible and rep.restarts == 1
-    assert drawn == []
-
-
 def test_settled_decision_imports_no_random_generator():
-    # the restart generator is made only when a random start runs, so a
-    # decision settled at the uniform start never imports numpy.random
+    # no step of a decision is random, so it never imports numpy.random
     script = ("import sys; from combtester.separation import build_example; "
               "from combtester.discrimination import causal_discriminable; "
               "inst = build_example(2); rep = causal_discriminable(inst.c0, inst.c1); "
-              "print(rep.status, rep.restarts, 'numpy.random' in sys.modules)")
+              "print(rep.status, rep.capped, 'numpy.random' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(combtester.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.split() == ["feasible", "1", "False"]
+    assert out.stdout.split() == ["feasible", "0", "False"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -247,7 +232,7 @@ def test_causal_counterexample_settles_in_a_few_steps(d):
     # start reaches the target in a few steps (20, 30 and 37 from a unit step)
     inst = build_example(d)
     rep = causal_discriminable(inst.c0, inst.c1, restarts=1, seed=0)
-    assert (rep.restarts, rep.capped) == (1, 0)
+    assert rep.capped == 0
     assert rep.iterations <= 5, rep.iterations
     assert rep.residual <= FEASIBLE_TOL * 1e-4
     assert np.all(np.diff(rep.objective_history) <= 0)
@@ -256,7 +241,7 @@ def test_causal_counterexample_settles_in_a_few_steps(d):
 def test_capped_starts_are_counted():
     inst = build_example(3)
     capped = causal_discriminable(inst.c0, inst.c1, restarts=2, seed=0, max_iter=1)
-    assert (capped.restarts, capped.capped, capped.iterations) == (2, 2, 2)
+    assert (capped.capped, capped.iterations) == (1, 2)
     settled = causal_discriminable(inst.c0, inst.c1)
     assert settled.feasible and settled.capped == 0
 
@@ -334,8 +319,8 @@ def test_parallel_is_causal_on_the_regrouped_comb(case):
     par = parallel_discriminable(c0.choi, c1.choi, restarts=3, seed=1)
     cau = causal_discriminable(c0.as_single_use(), c1.as_single_use(),
                                restarts=3, seed=1, max_iter=400)
-    assert (par.status, par.residual, par.iterations, par.restarts) == (
-        cau.status, cau.residual, cau.iterations, cau.restarts)
+    assert (par.status, par.residual, par.iterations, par.capped) == (
+        cau.status, cau.residual, cau.iterations, cau.capped)
     assert np.array_equal(par.witness.matrix, cau.witness.matrix)
     assert par.witness.labels == c0.choi.labels[0::2]
     assert par.witness.dims == c0.input_dims
@@ -528,6 +513,7 @@ def test_solvers_reject_fewer_than_one_restart(restarts):
         lambda: causal_discriminable(mc, mc, restarts=restarts),
         lambda: cb_distance(mc.choi, mc.choi, restarts=restarts),
         lambda: memory_distance(mc, mc, restarts=restarts),
+        lambda: verify_parallel_impossible(build_example(2), solver_restarts=restarts),
     ]
     for solve in solvers:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
@@ -550,8 +536,59 @@ def test_solvers_reject_a_negative_iteration_cap(entry):
         solve()
 
 
+_SOLVERS = ["cb_distance", "memory_distance", "causal_discriminable", "parallel_discriminable"]
+
+
+def _spend(entry, **budget):
+    """``entry`` on an input where it spends its whole step budget: the fields
+    of its result, less its operator, and that operator's matrix."""
+    rng = np.random.default_rng(3)
+    a, b = (Channel(tuple(random_kraus(2, 2, 2, rng)), 2, 2) for _ in range(2))
+    c0, c1 = comb_from_sequence([a, a]), comb_from_sequence([b, b])
+    if entry == "cb_distance":  # a qutrit pair near distance 2 that closes slowly
+        rng = np.random.default_rng(46)
+        c0, c1 = (comb_from_sequence([Channel(tuple(random_kraus(3, 3, 2, rng)), 3, 3)])
+                  for _ in "ab")
+        result = cb_distance(c0.choi, c1.choi, **budget)
+    elif entry == "memory_distance":
+        result = memory_distance(c0, c1, **budget)
+    elif entry == "causal_discriminable":
+        result = causal_discriminable(c0, c1, **budget)
+    else:
+        result = parallel_discriminable(c0.choi, c1.choi, **budget)
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    operator = fields.pop("achiever" if "achiever" in fields else "witness")
+    return fields, operator.matrix
+
+
+@pytest.mark.parametrize("entry", _SOLVERS)
+def test_step_budget_is_restarts_times_max_iter(entry):
+    fields, operator = _spend(entry, restarts=4, max_iter=10)
+    once, once_operator = _spend(entry, restarts=1, max_iter=40)
+    assert (fields["iterations"], fields["capped"]) == (40, 1)
+    assert fields == once
+    assert np.array_equal(operator, once_operator)
+
+
+@pytest.mark.parametrize("entry", _SOLVERS)
+def test_solvers_ignore_their_seed(entry):
+    fields, operator = _spend(entry, restarts=2, max_iter=10, seed=0)
+    other, other_operator = _spend(entry, restarts=2, max_iter=10, seed=1)
+    assert fields == other
+    assert np.array_equal(operator, other_operator)
+
+
+def test_solver_modules_import_no_sampling():
+    # every solver runs one deterministic start, so no solver module reads a
+    # random generator
+    package = Path(combtester.__file__).parent
+    solvers = [package / f"{name}.py" for name in ("distances", "discrimination", "optim")]
+    assert not [f.name for f in solvers
+                if any(word in f.read_text("utf-8") for word in ("sampling", "np.random"))]
+
+
 def test_cb_distance_rejects_a_nan_tolerance():
-    # a NaN stall tolerance would never stop a restart
+    # a NaN stall tolerance would never stop the seesaw
     mc = comb_from_sequence([identity_channel(2)])
     with pytest.raises(ValueError, match="tol must be a number"):
         cb_distance(mc.choi, mc.choi, tol=np.nan)

@@ -34,7 +34,7 @@ from combtester.matcore import (
     trace_norm,
 )
 from combtester.optim import XiChainSet
-from combtester.sampling import haar_unitary, random_kraus, random_pure_state, rng_from
+from combtester.sampling import haar_unitary, random_kraus, rng_from
 from combtester.separation import build_example
 from combtester.unitary import angular_spread, discriminability
 
@@ -144,7 +144,7 @@ def test_cb_certified_at_achiever_and_in_range():
 
 def test_cb_upper_bound_brackets_the_oracle_and_widens_when_truncated():
     # a qutrit pair below distance 2: the converged seesaw's interval is
-    # narrow, one step of one restart leaves it visibly wide
+    # narrow, one step leaves it visibly wide
     rng = np.random.default_rng(3)
     haar_unitary(2, rng), haar_unitary(2, rng)
     u, v = haar_unitary(3, rng), haar_unitary(3, rng)
@@ -202,7 +202,7 @@ def test_cb_history_monotone_at_fixed_steps(monkeypatch):
                comb_from_sequence([random_qubit_channel(rng)]).choi) for _ in range(3)]
     for a, b in pairs:
         h = cb_distance(a, b, restarts=4, seed=1, max_iter=30, tol=-np.inf).history
-        assert len(h) == 30
+        assert len(h) == 4 * 30
         assert all(y >= x - 1e-12 * max(1.0, abs(x)) for x, y in zip(h, h[1:]))
 
 
@@ -216,60 +216,49 @@ def test_cb_ignores_factor_order():
     assert swapped.history == est.history
 
 
-def _reference_cb(c0, c1, *, restarts, seed, max_iter=300, tol=1e-12):
-    """The seesaw one restart at a time, as ``cb_distance`` ran it before its
-    restarts were stacked, with its over-relaxed step: (value, iterations,
-    restarts that ran, history).  A call of no steps runs no random start."""
+def _reference_cb(c0, c1, *, max_iter=300, tol=1e-12):
+    """The one-start seesaw with its over-relaxed step and no certified stop,
+    lifted with ``np.kron``: (value, history)."""
     c0 = c0.sorted()
     diff = c0 - c1.permuted(c0.labels)
     d_in, d_out = diff.dims
     delta, side = diff.matrix, d_in * d_in
     dt = delta.T.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(side, -1)
-    rng = rng_from(seed)
-    starts = [np.eye(d_in).reshape(-1) / np.sqrt(d_in)]
-    starts += [random_pure_state(side, rng) for _ in range(restarts - 1)]
 
     def spectrum(psi):
         lift = np.kron(psi.reshape(d_in, d_in).T, np.eye(d_out))
         w, v = np.linalg.eigh(lift @ delta @ lift.conj().T)
         return w, v, float(np.abs(w).sum())
 
-    best_val, best_psi, best_hist, total_iter = -np.inf, None, [], 0
-    for psi in starts:
-        # one row, so that each vector operation matches a stacked row's bits
-        psi = phi = psi.reshape(1, -1).astype(complex)
-        val_prev, local_val, local_psi, history, beta = -np.inf, -1.0, psi, [], 1.0
-        for _ in range(max_iter):
-            w, v, val = spectrum(psi)
-            if val <= val_prev + max(tol, 0.0):  # the trial lost: take the plain update
-                (w, v, val), psi, beta = spectrum(phi), phi, max(beta / 2, 0.25)
-            else:
-                beta = min(beta * 1.5, 8.0)
-            history.append(val)
-            total_iter += 1
-            if val > local_val:
-                local_val, local_psi = val, psi
-            if val <= val_prev + tol:
-                break
-            val_prev = val
-            s = (v * np.sign(w)) @ v.conj().T
-            s = s.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2).reshape(-1, side)
-            h = (dt @ s).reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(side, side)
-            phi = np.linalg.eigh(h)[1][:, -1].reshape(1, -1)
-            phase = np.exp(1j * np.angle((psi.conj() * phi).sum(axis=-1)))
-            psi = phi + beta * (phi - phase[:, None] * psi)
-            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-        if local_val > best_val:
-            best_val, best_psi, best_hist = local_val, local_psi, history
+    psi = phi = np.eye(d_in).reshape(-1).astype(complex) / np.sqrt(d_in)
+    val_prev, best_val, best_psi, history, beta = -np.inf, -1.0, psi, [], 1.0
+    for _ in range(max_iter):
+        w, v, val = spectrum(psi)
+        if val <= val_prev + max(tol, 0.0):  # the trial lost: take the plain update
+            (w, v, val), psi, beta = spectrum(phi), phi, max(beta / 2, 0.25)
+        else:
+            beta = min(beta * 1.5, 8.0)
+        history.append(val)
+        if val > best_val:
+            best_val, best_psi = val, psi
+        if val <= val_prev + tol:
+            break
+        val_prev = val
+        s = (v * np.sign(w)) @ v.conj().T
+        s = s.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2).reshape(-1, side)
+        h = (dt @ s).reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(side, side)
+        phi = np.linalg.eigh(h)[1][:, -1]
+        phase = np.exp(1j * np.angle((psi.conj() * phi).sum()))
+        psi = phi + beta * (phi - phase * psi)
+        psi /= np.linalg.norm(psi, axis=-1)
     m = best_psi.reshape(d_in, d_in)
     rho = m.conj() @ m.T
     rho = hermitian_part(rho / np.trace(rho).real)
-    value = _memory_objective(diff, diff.labels[-1])[0](rho)
-    return value, total_iter, len(starts) if max_iter else 1, best_hist
+    return _memory_objective(diff, diff.labels[-1])[0](rho), history
 
 
 @pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_cb_stacked_restarts_match_one_at_a_time(d_in, d_out, monkeypatch):
+def test_cb_matches_the_one_start_reference(d_in, d_out, monkeypatch):
     monkeypatch.setattr(distances, "GAP", -np.inf)  # the reference has no certified stop
     rng = np.random.default_rng(12 + 4 * d_in + d_out)
     channels = [Channel(tuple(random_kraus(d_in, d_out, 2, rng)), d_in, d_out)
@@ -277,29 +266,26 @@ def test_cb_stacked_restarts_match_one_at_a_time(d_in, d_out, monkeypatch):
     if d_in == d_out:
         channels += [unitary_channel(haar_unitary(d_in, rng)) for _ in range(2)]
     chois = [comb_from_sequence([ch]).choi for ch in channels]
-    for k, (a, b) in enumerate(zip(chois[::2], chois[1::2])):
-        for kw in ({"restarts": 5}, {"restarts": 5, "tol": -np.inf, "max_iter": 25},
-                   {"restarts": 5, "max_iter": 0}, {"restarts": 1}):
-            est = cb_distance(a, b, seed=k, **kw)
-            value, iterations, restarts, history = _reference_cb(a, b, seed=k, **kw)
-            assert (est.restarts, est.iterations, len(est.history)) == (
-                restarts, iterations, len(history))
-            assert abs(est.value - value) <= 1e-12
+    for a, b in zip(chois[::2], chois[1::2]):
+        for kw in ({}, {"tol": -np.inf, "max_iter": 25}, {"max_iter": 0}):
+            est = cb_distance(a, b, restarts=1, **kw)
+            value, history = _reference_cb(a, b, **kw)
+            assert est.iterations == len(est.history) == len(history)
+            assert abs(est.value - min(2.0, value)) <= 1e-12
             assert np.allclose(est.history, history, rtol=0, atol=1e-12)
 
 
 def test_cb_haar_qutrit_calls_match_the_reference_bit_for_bit(monkeypatch):
-    # the shape of a cb-haar call: ten restarts of 30 steps each, none stopping
+    # the shape of a cb-haar call, one start of 10 x 30 steps, not stopping
     monkeypatch.setattr(distances, "GAP", -np.inf)
     rng = np.random.default_rng(40)
     for k in range(3):
         a, b = (comb_from_sequence([unitary_channel(haar_unitary(3, rng))]).choi for _ in "ab")
-        kw = {"restarts": 10, "seed": k, "max_iter": 30, "tol": -np.inf}
-        est = cb_distance(a, b, **kw)
-        value, iterations, _, history = _reference_cb(a, b, **kw)
+        est = cb_distance(a, b, restarts=10, seed=k, max_iter=30, tol=-np.inf)
+        value, history = _reference_cb(a, b, max_iter=300, tol=-np.inf)
         assert est.history == history
         assert est.value == min(2.0, value)
-        assert est.iterations == iterations == 300
+        assert est.iterations == 300
 
 
 def test_cb_max_iter_zero_certifies_the_maximally_entangled_start():
@@ -307,30 +293,30 @@ def test_cb_max_iter_zero_certifies_the_maximally_entangled_start():
     a = comb_from_sequence([random_qubit_channel(rng)]).choi
     b = comb_from_sequence([random_qubit_channel(rng)]).choi
     est = cb_distance(a, b, restarts=4, seed=0, max_iter=0)
-    assert (est.iterations, est.restarts, est.capped, est.history) == (0, 1, 1, [])
+    assert (est.iterations, est.capped, est.history) == (0, 1, [])
     assert np.allclose(est.achiever.matrix, np.eye(2) / 2, rtol=0, atol=1e-15)
     assert abs(est.value - _memory_objective(a - b, 1)[0](np.eye(2) / 2)) <= 1e-12
 
 
-def test_capped_restarts_are_counted(monkeypatch):
+def test_open_estimates_are_capped(monkeypatch):
     rng = np.random.default_rng(14)
     a = comb_from_sequence([random_qubit_channel(rng)]).choi
     b = comb_from_sequence([random_qubit_channel(rng)]).choi
     with monkeypatch.context() as m:
-        m.setattr(distances, "GAP", -np.inf)  # every restart runs to max_iter
+        m.setattr(distances, "GAP", -np.inf)  # the seesaw runs its whole budget
         fixed = cb_distance(a, b, restarts=4, seed=1, max_iter=10, tol=-np.inf)
-    assert fixed.capped == 4 and _jsonable(fixed)["capped"] == 4
+    assert (fixed.capped, fixed.iterations) == (1, 40) and _jsonable(fixed)["capped"] == 1
     assert cb_distance(a, b, restarts=4, seed=1).capped == 0
     assert cb_distance(a, a, restarts=3, seed=0).capped == 0
     mc = comb_from_sequence([identity_channel(2), identity_channel(2)])
     ma = comb_from_sequence([random_qubit_channel(rng), random_qubit_channel(rng)])
-    assert memory_distance(ma, mc, restarts=2, seed=0, max_iter=1).capped == 2
+    assert memory_distance(ma, mc, restarts=2, seed=0, max_iter=1).capped == 1
     # identical combs: every step is rejected, so the step shrinks below 1e-10
     assert memory_distance(mc, mc, restarts=2, seed=0, max_iter=200).capped == 0
 
 
 def test_cb_interval_closes_on_most_haar_qutrit_pairs():
-    # the cb-haar call shape, ten restarts of at most 30 steps
+    # the cb-haar call shape, one start of at most 10 x 30 steps
     rng = np.random.default_rng(41)
     closed = 0
     for k in range(20):
@@ -340,16 +326,16 @@ def test_cb_interval_closes_on_most_haar_qutrit_pairs():
     assert closed >= 10
 
 
-def test_cb_open_interval_counts_every_restart():
+def test_cb_open_interval_is_capped():
     rng = np.random.default_rng(16)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
-    at_cap = cb_distance(a, b, restarts=4, seed=0, max_iter=2, tol=-np.inf)
+    at_cap = cb_distance(a, b, restarts=1, max_iter=2, tol=-np.inf)
     assert at_cap.upper - at_cap.value > 1e-6
-    assert (at_cap.capped, at_cap.iterations) == (4, 8)
-    # a stall rule this loose stops every restart at its second step, open
+    assert (at_cap.capped, at_cap.iterations) == (1, 2)
+    # a stall rule this loose stops the seesaw at its second step, open
     stalled = cb_distance(a, b, restarts=4, seed=0, tol=1.0)
     assert stalled.upper - stalled.value > 1e-6
-    assert (stalled.capped, stalled.iterations) == (4, 8)
+    assert (stalled.capped, stalled.iterations) == (1, 2)
 
 
 def _counted(monkeypatch, name):
@@ -366,43 +352,55 @@ def _kraus_qutrit_pair(seed):
 
 
 def _open_qutrit_pair():
-    """A pair that the plain seesaw step left open after 20 restarts of 300
-    steps; the over-relaxed step closes it with the lead alone."""
+    """A pair that the plain seesaw step left open after 300 steps; the
+    over-relaxed step closes it in 175."""
     return _kraus_qutrit_pair(2)
 
 
 def _stubborn_qutrit_pair():
-    """A pair near distance 2 whose interval stays open after 20 restarts of
-    300 over-relaxed steps (width 1.3e-5)."""
+    """A pair near distance 2 whose interval closes only after 1035
+    over-relaxed steps of the default budget; 300 leave it open (width
+    9.6e-5), as the optimal input state is rank-deficient."""
     return _kraus_qutrit_pair(46)
 
 
+@pytest.mark.parametrize("seed", [46, 47, 59])
+def test_cb_default_call_closes_the_stubborn_qutrit_pairs(seed):
+    # pairs that 20 random starts of 300 steps left open (widths 8.1e-5,
+    # 6.5e-6 and 2.7e-5): one start with the same budget closes each
+    est = cb_distance(*_kraus_qutrit_pair(seed))
+    assert est.upper - est.value <= distances.GAP
+    assert est.capped == 0
+
+
 def test_cb_closed_call_certifies_once_per_check(monkeypatch):
-    # the lead closes alone at step 15; its value rose by more than GAP in
-    # steps 5 and 10, so the check that closes it is the only one made
+    # the seesaw closes at step 15; its value rose by more than GAP in steps
+    # 5 and 10, so the check that closes it is the only one made
     calls = _counted(monkeypatch, "one_use_upper")
     rng = np.random.default_rng(17)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
     est = cb_distance(a, b, restarts=4, seed=0, tol=-np.inf)
     assert est.upper - est.value <= distances.GAP
-    assert (est.iterations, est.restarts, est.capped, len(calls)) == (15, 1, 0, 1)
+    assert (est.iterations, est.capped, len(calls)) == (15, 0, 1)
 
 
 def test_cb_open_call_certifies_ever_less_often(monkeypatch):
     calls = _counted(monkeypatch, "one_use_upper")
     est = cb_distance(*_stubborn_qutrit_pair(), restarts=4, seed=0, max_iter=100)
     assert est.upper - est.value > distances.GAP
-    assert (est.iterations, est.restarts, est.capped) == (400, 4, 4)
-    # each wave schedules checks after steps 5, 10, 15, 20, 25, 31, 38, 47,
-    # 58, 72, 90 and 100.  The lead's value rose by more than GAP at each but
-    # the last; in the second wave the best rose by more than GAP, or had not
-    # moved since its check, at each but the last, where a random restart
-    # held it: one certification each
-    assert len(calls) == 2
+    assert (est.iterations, est.capped) == (400, 1)
+    # a budget of 400 steps schedules checks after steps 5, 10, 15, 20, 25,
+    # 31, 38, 47, 58, 72, 90, 112, 140, 175, 218, 272, 340 and 400.  The
+    # value rose by more than GAP at each of the first 11 and by less at the
+    # others: one certification at each of the last 7, not 80 at every 5
+    best = np.maximum.accumulate(est.history)
+    rose = [best[k - 1] - best[k - 2] > distances.GAP for k in (90, 112, 400)]
+    assert rose == [True, False, False]
+    assert len(calls) == 7
 
 
 def test_cb_check_waits_while_the_best_rises(monkeypatch):
-    # one restart, the lead alone: a scheduled check is made only where its
+    # a budget of 300 steps: a scheduled check is made only where its
     # best value rose by at most GAP in that step, and at the last step
     calls = _counted(monkeypatch, "one_use_upper")
     est = cb_distance(*_stubborn_qutrit_pair(), restarts=1)
@@ -414,31 +412,19 @@ def test_cb_check_waits_while_the_best_rises(monkeypatch):
     assert len(calls) == 5 + 1
 
 
-def test_cb_closed_lead_draws_no_random_start(monkeypatch):
-    draws = _counted(monkeypatch, "random_pure_state")
-    rng = np.random.default_rng(17)
-    a, b = (qubit_choi(haar_unitary(3, rng)) for _ in "ab")
-    closed = cb_distance(a, b, restarts=4, seed=0, tol=-np.inf)
-    assert closed.upper - closed.value <= distances.GAP
-    assert (closed.restarts, len(draws)) == (1, 0)
-    est = cb_distance(*_open_qutrit_pair(), restarts=4, seed=0, max_iter=10)
-    assert est.upper - est.value > distances.GAP
-    assert (est.restarts, est.capped, len(draws)) == (4, 4, 3)
-
-
 def test_cb_lead_closes_the_pair_the_plain_step_left_open():
     est = cb_distance(*_open_qutrit_pair())
-    assert (est.restarts, est.capped) == (1, 0)
+    assert (est.iterations, est.capped) == (175, 0)
     assert est.upper - est.value <= distances.GAP
 
 
 def test_cb_trial_is_kept_only_above_the_stall_tolerance():
-    # on this pair the lead's trial at step 55 gains 2.8e-13: kept for any
-    # gain, it trips the stall rule (tol = 1e-12) at an input whose interval
-    # is 1.5e-6 wide, and every random restart runs; the plain update taken
-    # in its place stalls too, but closes the interval
+    # on this pair the trial at step 55 gains 2.8e-13: kept for any gain, it
+    # trips the stall rule (tol = 1e-12) at an input whose interval is 1.5e-6
+    # wide, which ends the call open; the plain update taken in its place
+    # stalls too, but closes the interval
     est = cb_distance(*_kraus_qutrit_pair(11))
-    assert (est.restarts, est.capped) == (1, 0)
+    assert (est.iterations, est.capped) == (55, 0)
     assert est.upper - est.value <= distances.GAP
 
 
@@ -455,17 +441,17 @@ def _first_step_near_2(history):
 @pytest.mark.parametrize("kwargs", [{}, dict(restarts=10, max_iter=30, tol=-np.inf)],
                          ids=["default", "short"])
 def test_cb_perfect_pair_closes_on_its_value_alone(monkeypatch, kwargs):
-    # the lead's value passes 2 - GAP at step 3, before the first scheduled
-    # check: it is checked at once, and [value, 2] closes it with no dual bound
+    # the value passes 2 - GAP at step 3, before the first scheduled check:
+    # it is checked at once, and [value, 2] closes it with no dual bound
     calls = _counted(monkeypatch, "one_use_upper")
     est = cb_distance(*_perfect_unitary_pair(), **kwargs)
     assert est.upper == 2.0 and est.value >= 2 - distances.GAP
-    assert (len(calls), est.restarts, est.capped) == (0, 1, 0)
+    assert (len(calls), est.capped) == (0, 0)
     assert est.iterations == _first_step_near_2(est.history) == 3 < distances.CHECK_EVERY
 
 
 def test_cb_haar_pairs_stop_at_the_step_their_value_nears_2(monkeypatch):
-    # the cb-haar call shape: a lead whose value passes 2 - GAP stops at that
+    # the cb-haar call shape: a seesaw whose value passes 2 - GAP stops at that
     # step, on or off the schedule, and before step 5 it never reaches a
     # scheduled check, so no dual bound is computed
     calls = _counted(monkeypatch, "one_use_upper")
@@ -478,7 +464,7 @@ def test_cb_haar_pairs_stop_at_the_step_their_value_nears_2(monkeypatch):
         near = _first_step_near_2(est.history)
         if near is None:
             continue
-        assert (est.iterations, est.restarts, est.capped, est.upper) == (near, 1, 0, 2.0)
+        assert (est.iterations, est.capped, est.upper) == (near, 0, 2.0)
         if near < distances.CHECK_EVERY:
             early += 1
             assert len(calls) == before
@@ -487,8 +473,9 @@ def test_cb_haar_pairs_stop_at_the_step_their_value_nears_2(monkeypatch):
 
 def test_cb_off_schedule_check_ends_no_wave_early(monkeypatch):
     # a certified value held 2 GAP below the seesaw's never closes: every step
-    # past 2 - GAP is checked off the schedule and left open, and each wave
-    # still runs to max_iter, the step after its last scheduled check included
+    # past 2 - GAP is checked off the schedule and left open, and the seesaw
+    # still runs its whole budget: the off-schedule check at step 6, between
+    # the scheduled ones at 5 and 7, is not its last
     objective = distances._memory_objective
 
     def lowered(*args):
@@ -497,10 +484,10 @@ def test_cb_off_schedule_check_ends_no_wave_early(monkeypatch):
 
     monkeypatch.setattr(distances, "_memory_objective", lowered)
     calls = _counted(monkeypatch, "one_use_upper")
-    est = cb_distance(*_perfect_unitary_pair(), restarts=3, max_iter=7, tol=-np.inf)
-    assert (est.iterations, est.restarts, est.capped) == (3 * 7, 3, 3)
+    est = cb_distance(*_perfect_unitary_pair(), restarts=1, max_iter=7, tol=-np.inf)
+    assert (est.iterations, est.capped) == (7, 1)
     assert est.upper - est.value > distances.GAP
-    assert len(calls) > 2 * 2  # more than the scheduled checks, at steps 5 and 7
+    assert len(calls) > 2  # more than the scheduled checks, at steps 5 and 7
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -518,19 +505,18 @@ def test_cb_history_never_decreases(d_in, d_out, ranks, seed):
 
 
 def test_cb_closed_lead_imports_no_random_generator():
-    # the restart generator is made only when the second wave is drawn, so a
-    # call that the lead closes never imports numpy.random
+    # no step of the seesaw is random, so a call never imports numpy.random
     script = ("import sys, numpy as np; "
               "from combtester.channels import comb_from_sequence, unitary_channel; "
               "from combtester.distances import cb_distance; "
               "u = np.diag(np.exp(1j * np.array([0.0, 1.0, 2.5]))); "
               "a, b = (comb_from_sequence([unitary_channel(m)]).choi for m in (np.eye(3), u)); "
               "est = cb_distance(a, b); "
-              "print(est.restarts, est.capped, 'numpy.random' in sys.modules)")
+              "print(est.capped, 'numpy.random' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(combtester.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.split() == ["1", "0", "False"]
+    assert out.stdout.split() == ["0", "False"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -601,9 +587,9 @@ def test_memory_certified_at_achiever():
     assert abs(est.value - value(est.achiever.matrix)) <= 1e-9
 
 
-def test_memory_starts_are_projected_once(monkeypatch):
-    # the uniform start is feasible by construction and a random start is
-    # projected as it is drawn; neither is projected again before the ascent
+def test_memory_start_is_not_projected_before_the_ascent(monkeypatch):
+    # the uniform start is feasible by construction, so a call of no steps
+    # projects nothing
     calls = []
     project = XiChainSet.project
 
@@ -616,29 +602,23 @@ def test_memory_starts_are_projected_once(monkeypatch):
     a = comb_from_sequence([random_qubit_channel(rng), random_qubit_channel(rng)])
     b = comb_from_sequence([random_qubit_channel(rng), random_qubit_channel(rng)])
     est = memory_distance(a, b, restarts=2, seed=0, max_iter=0)
-    assert len(calls) == 1
-    assert est.restarts == 2 and est.iterations == 0
+    assert len(calls) == 0
+    assert (est.iterations, est.capped, len(est.history)) == (0, 1, 1)
 
 
-@pytest.mark.parametrize("max_iter,fallbacks", [(1, [0, 0]), (4, [1, 2])], ids=["1", "4"])
+@pytest.mark.parametrize("max_iter,fallbacks", [(1, 0), (4, 1)], ids=["1", "4"])
 def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter, fallbacks):
-    # each step values its trial inputs with one lift and one stacked eigh,
-    # and the plain updates of the trials that lost with one more of each
-    # (a fallback solve); the half-step that moves psi runs between steps
-    # only, as one eigh with no lift: a last half-step would move a psi that
-    # no step values.  A wave's solves are counted from the end of the
-    # certification before it (one_use_upper) until the best psi is read out
-    # at its end (the value function of _memory_objective, built once per call)
+    # each step values its trial input with one lift and one eigh, and the
+    # plain update, where the trial lost, with one more of each (a fallback
+    # solve); the half-step that moves psi runs between steps only, as one
+    # eigh with no lift: a last half-step would move a psi that no step
+    # values.  The solves are counted until the best psi is read out at the
+    # end (the value function of _memory_objective, built once per call)
     rng = rng_from(3)
     a, b = (qubit_choi(haar_unitary(3, rng)) for _ in range(2))
-    eighs, lifts, seen, done = [], [], [], []
+    eighs, lifts, seen = [], [], []
     eigh, kron_eye = np.linalg.eigh, matcore.kron_eye
-    objective, upper = distances._memory_objective, distances.one_use_upper
-
-    def counted_upper(*args):
-        bound = upper(*args)
-        done.append((len(eighs), len(lifts)))
-        return bound
+    objective = distances._memory_objective
 
     def counted_objective(*args):
         value, value_and_subgrad = objective(*args)
@@ -647,12 +627,10 @@ def test_cb_seesaw_takes_no_half_step_after_its_last(monkeypatch, max_iter, fall
     monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(1) or eigh(h))
     monkeypatch.setattr(matcore, "kron_eye", lambda r, n: lifts.append(1) or kron_eye(r, n))
     monkeypatch.setattr(distances, "_memory_objective", counted_objective)
-    monkeypatch.setattr(distances, "one_use_upper", counted_upper)
-    est = cb_distance(a, b, restarts=3, max_iter=max_iter, tol=-np.inf)
-    assert est.iterations == 3 * max_iter and est.capped == 3
-    # the lead alone, then the two random restarts, each certified once
-    assert len(seen) == 2
-    waves = [seen[0], tuple(np.subtract(seen[1], done[0]))]
-    # (eighs, lifts) per wave: a value solve per step and per fallback, and a
-    # half-step between steps
-    assert waves == [(2 * max_iter - 1 + f, max_iter + f) for f in fallbacks]
+    calls = _counted(monkeypatch, "one_use_upper")
+    est = cb_distance(a, b, restarts=1, max_iter=max_iter, tol=-np.inf)
+    assert (est.iterations, est.capped) == (max_iter, 1)
+    # certified once, at the last step: a value solve per step and per
+    # fallback, and a half-step between steps, as (eighs, lifts)
+    assert len(calls) == 1
+    assert seen == [(2 * max_iter - 1 + fallbacks, max_iter + fallbacks)]

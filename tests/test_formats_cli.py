@@ -322,7 +322,7 @@ def test_cli_paper_example(tmp_path, capsys):
     assert out["combs"]["c0"]["valid"] and out["combs"]["c1"]["valid"]
 
 
-_DECISION_KEYS = ["feasible", "status", "residual", "upper", "iterations", "restarts", "capped"]
+_DECISION_KEYS = ["feasible", "status", "residual", "upper", "iterations", "capped"]
 
 
 def test_cli_report_layouts(tmp_path, capsys):
@@ -343,7 +343,7 @@ def test_cli_report_layouts(tmp_path, capsys):
         == _DECISION_KEYS
     for kind in ("cb", "memory"):
         out = report(["distance", "--kind", kind, fi, fx, "--restarts", "2"])
-        assert list(out) == ["value", "upper", "iterations", "restarts", "capped"]
+        assert list(out) == ["value", "upper", "iterations", "capped"]
     assert list(report(["validate", fi])) == [
         "kind", "valid", "max_residual", "level_residuals", "min_eigenvalue"]
     assert list(report(["validate", str(ft)])) == [
@@ -415,20 +415,23 @@ def test_cli_rejects_integer_options_below_their_bound(capsys, argv, message):
 
 
 def test_cli_deterministic_given_seed(tmp_path, capsys):
+    # no solver step is random: a distance takes no seed, and paper-example's
+    # changes nothing
     fi, fx = _files(tmp_path)
-    main(["distance", "--kind", "cb", fi, fx, "--seed", "3", "--restarts", "5"])
-    first = capsys.readouterr().out
-    main(["distance", "--kind", "cb", fi, fx, "--seed", "3", "--restarts", "5"])
-    second = capsys.readouterr().out
-    assert first == second
+    outs = []
+    for argv in (["distance", "--kind", "cb", fi, fx, "--restarts", "5"],) * 2 + (
+            ["paper-example", "--d", "2", "--seed", "3"], ["paper-example", "--d", "2"]):
+        main(argv)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[2] == outs[3]
 
 
 # subcommand argv (positionals filled in), the shared options it reads, and
 # the shared options it does not read
 _SUBCOMMAND_OPTIONS = [
     (["validate", "f"], {"--tol"}),
-    (["discriminate", "--mode", "causal", "a", "b"], {"--seed", "--restarts"}),
-    (["distance", "--kind", "cb", "a", "b"], {"--seed", "--restarts"}),
+    (["discriminate", "--mode", "causal", "a", "b"], {"--restarts"}),
+    (["distance", "--kind", "cb", "a", "b"], {"--restarts"}),
     (["theta", "f"], set()),
     (["theta-laws"], {"--seed"}),
     (["paper-example"], {"--seed", "--restarts"}),
@@ -450,9 +453,9 @@ def test_cli_subcommands_accept_only_the_options_they_read(argv, reads):
 
 def test_cli_option_defaults_stay_per_subcommand():
     parser = build_parser()
-    # paper-example's own restart default does not leak into the others
+    # paper-example's own budget default does not leak into the others
     assert parser.parse_args(["paper-example"]).restarts == 3
     for argv in _SUBCOMMAND_OPTIONS[1:3]:
         args = parser.parse_args(argv[0])
-        assert (args.seed, args.restarts) == (0, 20)
+        assert args.restarts == 20
     assert parser.parse_args(["validate", "f"]).tol == 1e-9

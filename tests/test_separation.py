@@ -132,7 +132,7 @@ def test_parallel_decision_on_d5_is_proven_without_descent():
     inst = build_example(5, cross_check=False)
     rep = parallel_discriminable(inst.c0.choi, inst.c1.choi, restarts=3, seed=0)
     assert rep.status == "infeasible"
-    assert (rep.iterations, rep.restarts) == (0, 0)
+    assert (rep.iterations, rep.capped) == (0, 0)
     assert abs(rep.upper - (4 + np.sqrt(32)) / 5) <= 1e-12
     assert rep.residual == pytest.approx(1 / 5 ** 8, rel=1e-9)
 
