@@ -194,8 +194,8 @@ def build_parser() -> _Parser:
     # each subcommand takes only the shared options it reads, as its own
     # argument, so that paper-example's budget default stays its own
     seed = dict(type=int, default=0)
-    restarts = dict(type=_at_least(1), default=20,
-                    help="step-budget multiplier: one start runs restarts x max_iter steps")
+    restarts = dict(type=_at_least(1), default=20, help="step-budget multiplier of a "
+                    "distance's one start (restarts x max_iter steps); unused by decisions")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check a comb or tester file")

@@ -11,10 +11,12 @@ set read at two groupings, and one private driver decides both; the
 objective reads a grouping of the combs through its index map, not through
 a regrouped copy.  It minimizes the squared Frobenius norm of the product
 over the set with projected gradient descent from one start, the uniform
-point, for at most ``restarts * max_iter`` steps.  The objective is a
-convex quadratic over a convex set, so the minimum found is global, a start
-that stops short needs more steps rather than another start, and a small
-value is a constructive feasibility certificate.  A one-use problem (every
+point, for at most ``max_iter`` steps.  The objective is a convex quadratic
+over a convex set, so the minimum found is global, no second start can find
+a lower one, and a small value is a constructive feasibility certificate.
+``restarts`` does not lengthen it: near the set's boundary each chain
+projection needs ever more Dykstra steps, so a longer descent on a decision
+that stays open costs far more than its step count.  A one-use problem (every
 parallel decision) is proven infeasible by a distance bound below 2
 (:func:`distances.one_use_upper`), taken at the uniform point before any
 descent, with the residual there read off the combs' block squares, and at
@@ -235,9 +237,10 @@ def _squares_trace(c0: LabeledOperator, c1: LabeledOperator) -> float:
 def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiChainSet,
             restarts: int, max_iter: int) -> FeasibilityReport:
     """Minimize the objective over ``xi_set`` from the uniform point, as a
-    packed iterate on its invariant partition, for at most ``restarts *
-    max_iter`` steps, unless, for one use, the bound there proves
-    infeasibility first.  The witness carries the objective's free labels."""
+    packed iterate on its invariant partition, for at most ``max_iter``
+    steps, unless, for one use, the bound there proves infeasibility first.
+    ``restarts`` is only checked.  The witness carries the objective's free
+    labels."""
     require_budget(restarts, max_iter)
     free = [l for l in c0.labels if l not in set(fixed_labels)]  # the witness's spaces
     uniform = xi_set.uniform()
@@ -255,7 +258,7 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
     bound_set = xi_set.on(blocks)
     res = projected_gradient_min(
         value_and_grad=obj.on(blocks).value_and_grad, project=bound_set.project,
-        x0=blocks.pack(uniform), max_iter=restarts * max_iter, stop_below=FEASIBLE_TOL * 1e-4,
+        x0=blocks.pack(uniform), max_iter=max_iter, stop_below=FEASIBLE_TOL * 1e-4,
     )
     capped = int(res.stop == "max_iter")
     if upper is not None and res.value > FEASIBLE_TOL * 1e-4:
@@ -283,8 +286,8 @@ def parallel_discriminable(c0: LabeledOperator, c1: LabeledOperator, *,
     matrices on the grouped inputs.  The objective reads the sorted combs
     with every output fixed, which is that grouping, through its index map;
     the witness is a joint state of the inputs and carries their labels.
-    ``restarts`` multiplies the step budget ``max_iter`` of the one start;
-    ``seed`` is accepted and unused, as no step is random."""
+    The one start runs at most ``max_iter`` steps; ``restarts`` (at least 1)
+    and ``seed`` are accepted and unused, as no step is random."""
     a, b = (MemoryChannel(c, len(c.labels) // 2).choi for c in (c0, c1))
     xi_set = XiChainSet((int(np.prod(a.dims[0::2])),))
     return _decide(a, b, a.labels[1::2], xi_set, restarts, max_iter)

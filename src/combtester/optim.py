@@ -225,8 +225,8 @@ class XiChainSet:
 
 
 def require_budget(restarts: int, max_iter: int) -> None:
-    """Raise unless a solver's step budget ``restarts * max_iter`` has a
-    multiplier of at least 1 and a non-negative cap (0 runs no step)."""
+    """Raise unless a solver's ``restarts`` is at least 1 and its step cap
+    ``max_iter`` is non-negative (0 runs no step)."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if max_iter < 0:

@@ -187,8 +187,8 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     ``I/d^2``), then decides the parallel criterion: the distance bound at the
     maximally mixed input, ``(d - 1 + sqrt((d - 1)(d + 3)))/d`` (fitted), is a
     proof; the residual is the objective there, its minimum ``1/d^8``.
-    ``solver_restarts`` multiplies the decision's step budget; ``seed`` is
-    accepted and unused, as no step is random.
+    ``solver_restarts`` and ``seed`` are accepted and unused, as the decision
+    runs one start of its default ``max_iter`` steps and no step is random.
     """
     d = inst.d
     c0, c1 = inst.c0.choi, inst.c1.choi

@@ -7,7 +7,7 @@ import combtester
 
 # lines of src/combtester/*.py at most; a change that grows the package
 # raises this on purpose, and one that shrinks it may lower it
-SOURCE_LINES = 3508
+SOURCE_LINES = 3511
 
 PUBLIC = [
     "Channel", "DistanceEstimate", "EigenphaseSet", "ExampleInstance",
