@@ -178,6 +178,24 @@ class ParallelImpossibilityReport:
     solver: FeasibilityReport
 
 
+def _trace_13(c0: LabeledOperator, c1: LabeledOperator) -> np.ndarray:
+    """``Tr_{13}[C0 C1]`` on spaces (0, 2): each ``C0[(i0 j1 i2 j3), m] C1[m,
+    (k0 j1 k2 j3)]`` adds to entry ``((i0 i2), (k0 k2))``, so the stored entries
+    are joined on the key ``(m, j1, j3)``, the products added in C1's order."""
+    dims, side = c0.dims, c0.dims[0] * c0.dims[2]
+    (r, m0), (m1, col) = c0.blocks.index, c1.blocks.index
+    (i0, j1, i2, j3), (k0, l1, k2, l3) = (np.unravel_index(x, dims) for x in (r, col))
+    key, key1 = ((m * dims[1] + j) * dims[3] + k for m, j, k in ((m0, j1, j3), (m1, l1, l3)))
+    order = np.argsort(key, kind="stable")
+    lo, hi = (np.searchsorted(key[order], key1, end) for end in ("left", "right"))
+    e1 = np.repeat(np.arange(key1.size), hi - lo)
+    e0 = order[np.arange(e1.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+    t = np.zeros((side, side), dtype=complex)
+    np.add.at(t.reshape(-1), ((i0 * dims[2] + i2) * side)[e0] + (k0 * dims[2] + k2)[e1],
+              c0.entries[e0] * c1.entries[e1])
+    return t
+
+
 def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
                                solver_restarts: int = 5) -> ParallelImpossibilityReport:
     """Machine-check that no parallel scheme discriminates the pair.
@@ -191,21 +209,9 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     runs one start of its default ``max_iter`` steps and no step is random.
     """
     d = inst.d
-    c0, c1 = inst.c0.choi, inst.c1.choi
-    dims = c0.dims
-    side = dims[0] * dims[2]
-    # Tr_{13}[C0 C1] on spaces (0, 2), from the block entries of C1 alone:
-    # an entry C1[m, (k0 j1 k2 j3)] adds column m of C0 on the rows
-    # (i0 j1 i2 j3), times the entry, to column (k0 k2) of the trace
-    m, col = c1.blocks.index
-    k0, j1, k2, j3 = np.unravel_index(col, dims)
-    i0, i2 = np.divmod(np.arange(side), dims[2])
-    rows = np.ravel_multi_index((i0, j1[:, None], i2, j3[:, None]), dims)
-    terms = c0.at(rows, m[:, None]) * c1.entries[:, None]
-    t = np.zeros((side, side), dtype=complex)
-    np.add.at(t.T, k0 * dims[2] + k2, terms)
-    eye = np.eye(side)
-    fitted = float(np.trace(t).real / side)
+    t = _trace_13(inst.c0.choi, inst.c1.choi)
+    eye = np.eye(t.shape[0])
+    fitted = float(np.trace(t).real / t.shape[0])
     report_solver = parallel_discriminable(inst.c0.choi, inst.c1.choi, restarts=solver_restarts)
     return ParallelImpossibilityReport(
         d=d,

@@ -228,17 +228,13 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     (:func:`channels._ket_chain`) on (b_1, spaces 1..2N-2, b_N).  Element
     ``i`` is then one contraction of the input state, ``K``, its conjugate
     and ``M_i^T`` over b_1 and b_N, whose subscripts name the transposed,
-    label-sorted layout.  The state and ``conj(K)`` are contracted once per
-    circuit into ``G`` and ``K`` and ``M_i^T`` once per element into ``B``;
-    their product, the last step, is formed one block ``(x, X)`` of space 0
-    at a time, as the GEMM of the rows of ``G`` that the state reaches in
-    that block with the columns that ``B`` reaches, and only its nonzero
-    entries are kept.  The element is built as the entries of the
-    components of their pattern (:func:`matcore.edge_groups`).  For the
-    protocol of ``separation`` a block holds ``d²`` rows and at most
-    ``(d - 1) d²`` columns, so the largest temporaries are ``G`` and ``B``,
-    ``d⁷`` entries each (256 kB at d = 4), and no square array of side
-    ``d⁴`` (1 MB at d = 4) is made.
+    label-sorted layout: of ``G``, the state and ``conj(K)`` on the blocks
+    ``(X, x)`` of space 0 that the state reaches, with ``B``, ``K`` and
+    ``M_i^T`` on the pairs ``(z, Z)`` of the last space that ``M_i``
+    reaches, as one GEMM of their nonzero rows and columns per block.  Its
+    nonzero entries are kept, as the entries of the components of their
+    pattern (:func:`matcore.edge_groups`).  For ``separation``'s protocol
+    on a basis input, ``G`` holds ``d⁵`` entries and ``B`` ``(d - 1) d⁵``.
     """
     n = tc.uses
     sd, ad = tc.system_dims, tc.ancilla_dims
@@ -248,19 +244,22 @@ def tester_from_circuit(tc: TesterCircuit) -> Tester:
     w = side // sd[0]
     # P[x y z, X Y Z] = sum G[X x, S t, y] B[S t, z Y Z] over (S, t), with
     # G = sum_s conj(K[s y t]) state[X S, x s] and B = sum_T M^T[Z T, z t] K[S Y T]
-    g = np.einsum("syt,XSxs->XxSty", ket.conj(), state, order="C")
-    g = g.reshape(sd[0], sd[0], -1, ny)  # views, as the layouts are C
+    Xs, xs = np.nonzero(state.any(axis=(1, 3)))
+    g = np.einsum("syt,kSs->kSty", ket.conj(), state[Xs, :, xs, :], order="C")
+    g = g.reshape(len(Xs), -1, ny)  # a view, as the layout is C
     elements = []
     for m in tc.povm:
-        b = np.einsum("ztZT,SYT->StzYZ", m.reshape(dz, ad[-1], dz, ad[-1]), ket, order="C")
-        b = b.reshape(g.shape[2], -1)
-        reach = np.flatnonzero(b.any(axis=0))
-        z, Y, Z = np.unravel_index(reach, (dz, ny, dz))
-        b = b[:, reach]
+        m = m.reshape(dz, ad[-1], dz, ad[-1])
+        zs, Zs = np.nonzero(m.any(axis=(1, 3)))
+        b = np.einsum("ktT,SYT->StkY", m[zs, :, Zs, :], ket, order="C").reshape(g.shape[1], -1)
+        # the reached columns in the (z, Y, Z) order of the whole B: each GEMM sums alike
+        k, Y = np.divmod(np.flatnonzero(b.any(axis=0)), ny)
+        k, Y = (a[np.lexsort((Zs[k], Y, zs[k]))] for a in (k, Y))
+        z, Z, b = zs[k], Zs[k], b[:, k * ny + Y]
         flat, values = [], []
-        for X, x in np.ndindex(sd[0], sd[0]):
-            ys = np.flatnonzero(g[X, x].any(axis=0))  # none where the block of P vanishes
-            part = g[X, x][:, ys].T @ b
+        for X, x, gx in zip(Xs, xs, g):
+            ys = np.flatnonzero(gx.any(axis=0))  # none where the block of P vanishes
+            part = gx[:, ys].T @ b
             i, j = np.nonzero(part)
             flat.append((x * w + ys[i] * dz + z[j]) * side + X * w + Y[j] * dz + Z[j])
             values.append(part[i, j])

@@ -28,6 +28,7 @@ from combtester.optim import XiChainSet
 from combtester.sampling import rng_from
 from combtester import testers
 from combtester.testers import Tester, TesterCircuit, validate_tester
+from test_separation import assert_same_bits, unrestricted_elements
 from util import matrix_built, random_isometric_comb, random_tester_circuit
 
 TOL = 1e-12
@@ -387,3 +388,22 @@ def test_tester_chain_and_check_match_dense_levels():
                 assert abs(got - np.linalg.norm(residual)) <= 1e-14 * scale
             assert abs(v.chain_residuals[1] - abs(np.trace(chain[0]) - 1.0)) <= 1e-14
     assert np.linalg.matrix_rank(t.chain[0].matrix) == 1 < t.chain[0].side
+
+
+def test_circuit_elements_are_the_unrestricted_contraction_bit_for_bit():
+    # mixed input states on unequal dims and dense POVMs reach every block
+    # and pair, a basis input state one block: contracting only what is
+    # reached sums the same products in the same order
+    rng = rng_from(12)
+    for sd, first in (((2, 3), 2), ((2, 3, 2, 3), 2), ((3, 2, 1, 2, 2, 2), 1),
+                      ((3, 2, 2, 3), 2)):
+        ad = (first,) + _ancillas(sd[1:-1:2], sd[2::2], first)
+        for outcomes in (2, 3):
+            tc = random_tester_circuit(sd, ad, outcomes, rng)
+            basis = np.zeros_like(tc.input_state)
+            basis[-1, -1] = 1.0
+            for state in (tc.input_state, basis):
+                circuit = TesterCircuit(state, tc.blocks, tc.povm, sd, ad)
+                for e, ref in zip(testers.tester_from_circuit(circuit).elements,
+                                  unrestricted_elements(circuit)):
+                    assert_same_bits(e, ref)

@@ -322,6 +322,20 @@ def test_cli_paper_example(tmp_path, capsys):
     assert out["combs"]["c0"]["valid"] and out["combs"]["c1"]["valid"]
 
 
+@pytest.mark.parametrize("psi, message", [
+    (np.array([[1.0, 0.0, 0.0]]), "protocol input must have dimension 2"),
+    (np.array([[1.0, 1.0]]), "protocol input state must be normalized"),
+])
+def test_cli_paper_example_rejects_a_bad_input_state(tmp_path, capsys, psi, message):
+    # a numerical failure: exit 70, the error as JSON on stderr, no report
+    f = tmp_path / "psi.json"
+    formats.save(f, psi.astype(complex))
+    assert main(["paper-example", "--d", "2", "--psi", str(f)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+
 _DECISION_KEYS = ["feasible", "status", "residual", "upper", "iterations", "capped"]
 
 

@@ -25,9 +25,10 @@ from combtester.separation import (
     shift_multiply,
     verify_parallel_impossible,
 )
+from combtester.channels import _ket_chain
 from combtester.testers import (
-    Tester, born_probabilities, povm_from_tester, reduced_state, simulate_tester_circuit,
-    validate_tester,
+    Tester, TesterCircuit, born_probabilities, povm_from_tester, reduced_state,
+    simulate_tester_circuit, validate_tester,
 )
 from test_testers import _reference_elements, assert_entry_built_as
 from util import matrix_built, traced_peak
@@ -176,10 +177,10 @@ def test_protocol_large_dimension_random_state():
 
 def test_protocol_d4_peak_memory():
     # the tester elements are contracted from the protocol's kets and held
-    # as their entries, and its chain is walked on them; the largest
-    # temporaries are the contraction's two d^7-entry factors (256 kB
-    # each), where one side-256 block of the contraction or of the chain
-    # is 1 MB
+    # as their entries, and its chain is walked on them; the contraction's
+    # two factors hold what the basis input and each POVM element reach
+    # (16 kB and at most 48 kB, where unrestricted they had 256 kB each),
+    # and one side-256 block of the contraction or of the chain is 1 MB
     inst = build_example(4)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
@@ -423,16 +424,116 @@ def test_paper_example_d4_holds_no_side_1024_matrix():
     assert peak < 0.5 * 2 ** 20, peak / 2 ** 20
 
 
-def test_paper_example_d6_peak_rss_in_a_child_process():
+@pytest.mark.parametrize("d", [6, 8])
+def test_paper_example_peak_rss_in_a_child_process(d):
     # the whole run, interpreter and numpy included, in a fresh process; an
     # intermediate process reads its peak resident set (RUSAGE_CHILDREN), so
-    # no other child of the test run is counted.  The dense chain walk and
-    # contraction, with their side-1296 arrays, took it to 144 MB
+    # no other child of the test run is counted.  At d = 6 the dense chain
+    # walk and contraction, with their side-1296 arrays, took it to 144 MB;
+    # at d = 8, G and B contracted on every block and pair and Tr_13 gathered
+    # on every row took it to 150 MB, where it is now near 60 MB
     script = ("import resource, subprocess, sys; "
               "subprocess.run([sys.executable, '-m', 'combtester.cli', 'paper-example', "
-              "'--d', '6'], stdout=subprocess.DEVNULL, check=True); "
+              f"'--d', '{d}'], stdout=subprocess.DEVNULL, check=True); "
               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
     env = dict(os.environ, PYTHONPATH=str(Path(combtester.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
     assert int(out.stdout) < 80 * 1024, int(out.stdout) / 1024  # kB on Linux
+
+
+def unrestricted_elements(tc: TesterCircuit) -> list[matcore.LabeledOperator]:
+    """The tester elements of a circuit with ``G`` contracted on every block
+    ``(X, x)`` of space 0 and ``B`` on every pair ``(z, Z)`` of the last
+    space, ``d⁷`` entries each on the protocol: the reference that
+    ``tester_from_circuit``, contracting only what the state and each POVM
+    element reach, must match bit for bit."""
+    n = tc.uses
+    sd, ad = tc.system_dims, tc.ancilla_dims
+    ket = _ket_chain(tc.blocks, sd, ad, 1)
+    state = tc.input_state.reshape(sd[0], ad[0], sd[0], ad[0])
+    side, dz, ny = int(np.prod(sd)), sd[-1], ket.shape[1]
+    w = side // sd[0]
+    g = np.einsum("syt,XSxs->XxSty", ket.conj(), state, order="C")
+    g = g.reshape(sd[0], sd[0], -1, ny)
+    elements = []
+    for m in tc.povm:
+        b = np.einsum("ztZT,SYT->StzYZ", m.reshape(dz, ad[-1], dz, ad[-1]), ket, order="C")
+        b = b.reshape(g.shape[2], -1)
+        reach = np.flatnonzero(b.any(axis=0))
+        z, Y, Z = np.unravel_index(reach, (dz, ny, dz))
+        b = b[:, reach]
+        flat, values = [], []
+        for X, x in np.ndindex(sd[0], sd[0]):
+            ys = np.flatnonzero(g[X, x].any(axis=0))
+            part = g[X, x][:, ys].T @ b
+            i, j = np.nonzero(part)
+            flat.append((x * w + ys[i] * dz + z[j]) * side + X * w + Y[j] * dz + Z[j])
+            values.append(part[i, j])
+        rows, cols = np.divmod(np.concatenate(flat), side)
+        elements.append(matcore.LabeledOperator._nonzeros(rows, cols, np.concatenate(values),
+                                                          range(2 * n), sd))
+    return elements
+
+
+def assert_same_bits(op: matcore.LabeledOperator, reference: matcore.LabeledOperator) -> None:
+    """``op`` is ``reference``: the same partition and the same entry bits."""
+    assert [g.tolist() for g in op.blocks.groups] == [g.tolist() for g in reference.blocks.groups]
+    assert op.entries.tobytes() == reference.entries.tobytes()
+
+
+def gathered_trace_13(c0: matcore.LabeledOperator, c1: matcore.LabeledOperator) -> np.ndarray:
+    """``Tr_13[C0 C1]`` from a ``(d⁵, d²)`` array: for each entry of C1, the
+    column of C0 it meets, gathered on all ``d²`` rows of spaces (0, 2); the
+    reference that the join of the stored entries must match bit for bit."""
+    dims = c0.dims
+    side = dims[0] * dims[2]
+    m, col = c1.blocks.index
+    k0, j1, k2, j3 = np.unravel_index(col, dims)
+    i0, i2 = np.divmod(np.arange(side), dims[2])
+    rows = np.ravel_multi_index((i0, j1[:, None], i2, j3[:, None]), dims)
+    terms = c0.at(rows, m[:, None]) * c1.entries[:, None]
+    t = np.zeros((side, side), dtype=complex)
+    np.add.at(t.T, k0 * dims[2] + k2, terms)
+    return t
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_protocol_tester_is_the_unrestricted_contraction_bit_for_bit(d):
+    # basis inputs reach one block of space 0, a random one all d² blocks;
+    # the two POVM elements reach 1 and d - 1 pairs of the last space
+    inst = build_example(d, cross_check=False)
+    rng = np.random.default_rng(d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for psi in (np.eye(d)[0], np.eye(d)[d - 1], psi / np.linalg.norm(psi)):
+        tc = protocol_circuit(inst, psi)
+        for e, ref in zip(testers.tester_from_circuit(tc).elements, unrestricted_elements(tc)):
+            assert_same_bits(e, ref)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_trace_13_join_is_the_gathered_form_bit_for_bit(d):
+    # on the combs' own partitions, and (d <= 3) held as one block each, so
+    # that every zero of both is a stored entry and joins
+    inst = build_example(d, cross_check=False)
+    pairs = [(inst.c0.choi, inst.c1.choi)]
+    if d <= 3:
+        whole = matcore.Blocks([np.arange(d ** 5)[None]], d ** 5)
+        pairs.append(tuple(matcore.LabeledOperator(c.matrix.reshape(-1), c.labels, c.dims,
+                                                   blocks=whole) for c in pairs[0]))
+    for c0, c1 in pairs:
+        t = separation._trace_13(c0, c1)
+        assert t.tobytes() == gathered_trace_13(c0, c1).tobytes()
+        assert np.abs(t - np.eye(d * d) / d ** 3).max() <= 1e-15
+
+
+def test_protocol_tester_d6_holds_less_than_one_d7_array():
+    # G is contracted on the one block of space 0 a basis input reaches and B
+    # on the pairs of the last space each POVM element reaches; the
+    # unrestricted G and B have 6⁷ entries each (4.5 MB), and peaked at 9.6 MB
+    testers.tester_from_circuit(protocol_circuit(build_example(2), np.eye(2)[0]))  # lazy imports
+    tc = protocol_circuit(build_example(6, cross_check=False), np.eye(6)[0])
+    tester, peak = traced_peak(testers.tester_from_circuit, tc)
+    assert peak < 16 * 6 ** 7, peak / 2 ** 20
+    assert validate_tester(tester, 1e-9).valid
+

@@ -231,8 +231,13 @@ def test_circuit_validation_errors():
     povm = (np.eye(d, dtype=complex),)
     with pytest.raises(ValueError):
         TesterCircuit(2 * good, (), povm, (d, d), (1,))  # trace 2
-    with pytest.raises(ValueError):
-        TesterCircuit(good, (), (0.5 * np.eye(d),), (d, d), (1,))  # POVM sum
+    with pytest.raises(ValueError, match="POVM does not sum to the identity"):
+        TesterCircuit(good, (), (0.5 * np.eye(d),), (d, d), (1,))
+    # the sum is checked against the identity on the output and its ancilla
+    with pytest.raises(ValueError, match="POVM does not sum to the identity"):
+        TesterCircuit(np.eye(4) / 4, (), (np.kron(np.eye(2), good),), (d, d), (2,))
+    with pytest.raises(ValueError, match=r"POVM element shape \(3, 3\), expected \(2, 2\)"):
+        TesterCircuit(good, (), (np.eye(2), np.zeros((3, 3))), (d, d), (1,))
 
 
 def test_circuit_rejects_unphysical_states_and_povms():
