@@ -136,23 +136,21 @@ def dilation_blocks(d: int, which: int) -> IsometricComb:
     )
 
 
-def build_example(d: int, cross_check: bool | None = None) -> ExampleInstance:
+def build_example(d: int) -> ExampleInstance:
     """Build both memory channels from the closed-form Choi operators.
 
-    With ``cross_check`` (default for d <= 3) the Choi operators are also
-    constructed independently through the isometric dilations and the two
-    must agree to 1e-10: the dilations' matrices are compared with a
-    temporary matrix of the closed form, so neither is labelled and the
-    returned combs keep their entries alone.
+    For d <= 3 the Choi operators are also constructed independently
+    through the isometric dilations and the two must agree to 1e-10: the
+    dilations' matrices are compared with a temporary matrix of the closed
+    form, so neither is labelled and the returned combs keep their entries
+    alone.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if cross_check is None:
-        cross_check = d <= 3
     choi0, choi1 = _closed_form_chois(d)
     c0 = MemoryChannel(choi0, 2)
     c1 = MemoryChannel(choi1, 2)
-    if cross_check:
+    if d <= 3:
         for mc, which in ((c0, 0), (c1, 1)):
             built = _comb_matrix(dilation_blocks(d, which))
             err = np.linalg.norm(built - mc.choi.blocks.unpack(mc.choi.entries))
@@ -196,8 +194,7 @@ def _trace_13(c0: LabeledOperator, c1: LabeledOperator) -> np.ndarray:
     return t
 
 
-def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
-                               solver_restarts: int = 5) -> ParallelImpossibilityReport:
+def verify_parallel_impossible(inst: ExampleInstance) -> ParallelImpossibilityReport:
     """Machine-check that no parallel scheme discriminates the pair.
 
     Computes ``Tr_{13}[C0 C1]`` and compares it with ``I/d^3`` (the constant
@@ -205,14 +202,14 @@ def verify_parallel_impossible(inst: ExampleInstance, *, seed: int = 0,
     ``I/d^2``), then decides the parallel criterion: the distance bound at the
     maximally mixed input, ``(d - 1 + sqrt((d - 1)(d + 3)))/d`` (fitted), is a
     proof; the residual is the objective there, its minimum ``1/d^8``.
-    ``solver_restarts`` and ``seed`` are accepted and unused, as the decision
-    runs one start of its default ``max_iter`` steps and no step is random.
+    Where the bound does not prove it, the decision's one descent runs its
+    default ``max_iter`` steps.
     """
     d = inst.d
     t = _trace_13(inst.c0.choi, inst.c1.choi)
     eye = np.eye(t.shape[0])
     fitted = float(np.trace(t).real / t.shape[0])
-    report_solver = parallel_discriminable(inst.c0.choi, inst.c1.choi, restarts=solver_restarts)
+    report_solver = parallel_discriminable(inst.c0.choi, inst.c1.choi)
     return ParallelImpossibilityReport(
         d=d,
         identity_residual=float(np.linalg.norm(t - eye / d**3)),

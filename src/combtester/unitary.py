@@ -212,16 +212,18 @@ def parallel_optimality_check(u: np.ndarray, n: int) -> ParallelOptimalityReport
     theta apart with a wrap gap of ``2 pi - m theta``.  From m = 2 on,
     theta < pi <= m theta, so none of their gaps exceeds pi, and the other
     sums only split gaps.  At m = 1 the spread is theta itself.
-    ``theta_joint`` reads the same ends while ``n theta <= pi``: every n-use
-    sum lies on the arc from ``n a`` to ``n b``, so the wrap gap ``2 pi - n
-    theta >= pi`` is the largest of both sets.  Beyond it all sums are listed.
+    ``theta_joint`` reads the same ends while ``(n + 1) theta <= 2 pi``:
+    every n-use sum lies on the arc from ``n a`` to ``n b``, whose arc-end
+    sums lie theta apart, so no gap on it exceeds theta, and the wrap gap
+    ``2 pi - n theta >= theta`` is the largest of both sets.  Beyond it all
+    sums are listed.
     """
     if n < 1:
         raise ValueError("need at least one use")
     ph = np.asarray(eigenphases(u).phases)
     b, theta = _covering_arc(ph)  # the index of b, which the largest gap follows, and the spread
     ends = np.diag(np.exp(1j * ph[[(b + 1) % ph.size, b]]))
-    joint = tensor_power_spread(ends if n * theta <= np.pi else u, n)
+    joint = tensor_power_spread(ends if (n + 1) * theta <= 2 * np.pi else u, n)
     threshold = int(np.ceil(np.pi / theta)) if theta > 1e-12 else None
     reached = threshold is not None and (
         tensor_power_spread(u if threshold == 1 else ends, threshold) >= np.pi - 1e-9)

@@ -69,7 +69,7 @@ def counterexample_runs():
     for d in (2, 3, 4):
         t0 = time.monotonic()
         inst = build_example(d)
-        imp = verify_parallel_impossible(inst, seed=0, solver_restarts=3)
+        imp = verify_parallel_impossible(inst)
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
         tester, table = causal_protocol(inst, psi)

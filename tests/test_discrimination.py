@@ -34,7 +34,7 @@ from combtester.distances import cb_distance, memory_distance, unitary_cb_oracle
 from combtester.matcore import LabeledOperator
 from combtester.optim import XiChainSet, invariant_blocks
 from combtester.sampling import haar_unitary, random_density, random_kraus, random_psd
-from combtester.separation import build_example, causal_protocol, verify_parallel_impossible
+from combtester.separation import build_example, causal_protocol
 from combtester.testers import povm_from_tester, reduced_state, validate_tester
 from combtester.unitary import _arc_sorted_eigensystem, angular_spread
 from util import random_isometric_comb, traced_peak
@@ -513,7 +513,6 @@ def test_solvers_reject_fewer_than_one_restart(restarts):
         lambda: causal_discriminable(mc, mc, restarts=restarts),
         lambda: cb_distance(mc.choi, mc.choi, restarts=restarts),
         lambda: memory_distance(mc, mc, restarts=restarts),
-        lambda: verify_parallel_impossible(build_example(2), solver_restarts=restarts),
     ]
     for solve in solvers:
         with pytest.raises(ValueError, match="restarts must be at least 1"):

@@ -260,9 +260,9 @@ def test_cli_validate_rejects_corrupted(tmp_path, capsys):
 
 def test_cli_discriminate_exit_codes(tmp_path):
     fi, fx = _files(tmp_path)
-    assert main(["discriminate", "--mode", "parallel", fi, fx, "--restarts", "4"]) == 0
-    assert main(["discriminate", "--mode", "parallel", fi, fi, "--restarts", "3"]) == 2
-    assert main(["discriminate", "--mode", "causal", fi, fx, "--restarts", "3"]) == 0
+    assert main(["discriminate", "--mode", "parallel", fi, fx]) == 0
+    assert main(["discriminate", "--mode", "parallel", fi, fi]) == 2
+    assert main(["discriminate", "--mode", "causal", fi, fx]) == 0
 
 
 def test_cli_discriminate_undetermined(tmp_path):
@@ -276,8 +276,8 @@ def test_cli_discriminate_undetermined(tmp_path):
         for first in (identity_channel(2), u):
             files.append(str(tmp_path / f"c{len(files)}.json"))
             formats.save(files[-1], comb_from_sequence([first] + rest))
-    assert main(["discriminate", "--mode", "parallel", *files[:2], "--restarts", "3"]) == 2
-    assert main(["discriminate", "--mode", "causal", *files[2:], "--restarts", "3"]) == 3
+    assert main(["discriminate", "--mode", "parallel", *files[:2]]) == 2
+    assert main(["discriminate", "--mode", "causal", *files[2:]]) == 3
 
 
 def test_cli_distance(tmp_path, capsys):
@@ -353,8 +353,7 @@ def test_cli_report_layouts(tmp_path, capsys):
         main(argv)
         return json.loads(capsys.readouterr().out)
 
-    assert list(report(["discriminate", "--mode", "parallel", fi, fx, "--restarts", "2"])) \
-        == _DECISION_KEYS
+    assert list(report(["discriminate", "--mode", "parallel", fi, fx])) == _DECISION_KEYS
     for kind in ("cb", "memory"):
         out = report(["distance", "--kind", kind, fi, fx, "--restarts", "2"])
         assert list(out) == ["value", "upper", "iterations", "capped"]
@@ -363,7 +362,7 @@ def test_cli_report_layouts(tmp_path, capsys):
     assert list(report(["validate", str(ft)])) == [
         "kind", "valid", "max_residual", "normalization_residual", "chain_residuals",
         "min_element_eigenvalue"]
-    imp = report(["paper-example", "--d", "2", "--restarts", "1"])["parallel_impossibility"]
+    imp = report(["paper-example", "--d", "2"])["parallel_impossibility"]
     assert list(imp) == ["d", "identity_residual", "proportionality_residual",
                          "fitted_constant", "expected_constant",
                          "quoted_constant_residual", "solver"]
@@ -396,16 +395,16 @@ def test_cli_reads_a_single_use_choi_file_as_its_comb(tmp_path, capsys):
     for f in combs:
         chois.append(f.replace(".json", "_choi.json"))
         formats.save(chois[-1], formats.load(f).choi.permuted((1, 0)))
-    for command in (["discriminate", "--mode", "parallel"], ["distance", "--kind", "cb"]):
+    for command in (["discriminate", "--mode", "parallel"],
+                    ["distance", "--kind", "cb", "--restarts", "3"]):
         outs = []
         for files in (list(combs), chois):
-            main(command + files + ["--restarts", "3"])
+            main(command + files)
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command", [["distance", "--kind", "cb"],
-                                     ["discriminate", "--mode", "parallel"]])
+@pytest.mark.parametrize("command", [["distance", "--kind", "cb"]])
 @pytest.mark.parametrize("restarts", ["0", "-3"])
 def test_cli_rejects_restarts_below_one(tmp_path, capsys, command, restarts):
     fi, fx = _files(tmp_path)
@@ -444,11 +443,11 @@ def test_cli_deterministic_given_seed(tmp_path, capsys):
 # the shared options it does not read
 _SUBCOMMAND_OPTIONS = [
     (["validate", "f"], {"--tol"}),
-    (["discriminate", "--mode", "causal", "a", "b"], {"--restarts"}),
+    (["discriminate", "--mode", "causal", "a", "b"], set()),
     (["distance", "--kind", "cb", "a", "b"], {"--restarts"}),
     (["theta", "f"], set()),
     (["theta-laws"], {"--seed"}),
-    (["paper-example"], {"--seed", "--restarts"}),
+    (["paper-example"], {"--seed"}),
 ]
 _SHARED_VALUES = {"--seed": ("7", 7), "--tol": ("1e-6", 1e-6), "--restarts": ("5", 5)}
 
@@ -467,9 +466,7 @@ def test_cli_subcommands_accept_only_the_options_they_read(argv, reads):
 
 def test_cli_option_defaults_stay_per_subcommand():
     parser = build_parser()
-    # paper-example's own budget default does not leak into the others
-    assert parser.parse_args(["paper-example"]).restarts == 3
-    for argv in _SUBCOMMAND_OPTIONS[1:3]:
-        args = parser.parse_args(argv[0])
-        assert args.restarts == 20
+    assert parser.parse_args(["distance", "--kind", "cb", "a", "b"]).restarts == 20
+    assert parser.parse_args(["theta-laws"]).seed == 0
+    assert parser.parse_args(["paper-example"]).seed == 0
     assert parser.parse_args(["validate", "f"]).tol == 1e-9

@@ -85,9 +85,17 @@ def test_cross_check_keeps_the_combs_entry_built():
     assert "matrix" not in vars(inst.c0.choi) and "matrix" not in vars(inst.c1.choi)
 
 
+def test_cross_check_rejects_a_dilation_off_the_closed_form(monkeypatch):
+    # each channel checked against the other's dilation
+    original = separation.dilation_blocks
+    monkeypatch.setattr(separation, "dilation_blocks", lambda d, which: original(d, 1 - which))
+    with pytest.raises(RuntimeError, match="deviates from the closed form"):
+        build_example(2)
+
+
 def test_dilation_matches_closed_form():
     for d in (2, 3):
-        inst = build_example(d, cross_check=False)
+        inst = build_example(d)
         for which, mc in ((0, inst.c0), (1, inst.c1)):
             built = comb_from_isometries(dilation_blocks(d, which))
             assert np.abs(built.choi.matrix - mc.choi.matrix).max() < 1e-10
@@ -96,7 +104,7 @@ def test_dilation_matches_closed_form():
 @pytest.mark.parametrize("which", [0, 1])
 def test_dilation_d4_matches_closed_form(which):
     # build_example cross-checks the dilations for d <= 3 only
-    closed = getattr(build_example(4, cross_check=False), f"c{which}").choi
+    closed = getattr(build_example(4), f"c{which}").choi
     built = comb_from_isometries(dilation_blocks(4, which)).choi
     assert built.labels == closed.labels and built.dims == closed.dims
     assert np.linalg.norm(built.matrix - closed.matrix) <= 1e-10
@@ -105,7 +113,7 @@ def test_dilation_d4_matches_closed_form(which):
 def test_parallel_impossibility_identity():
     for d in (2, 3):
         inst = build_example(d)
-        rep = verify_parallel_impossible(inst, seed=0, solver_restarts=3)
+        rep = verify_parallel_impossible(inst)
         assert rep.identity_residual <= 1e-12
         assert rep.proportionality_residual <= 1e-12
         assert abs(rep.fitted_constant - 1.0 / d**3) < 1e-12
@@ -120,7 +128,7 @@ def test_parallel_distance_of_the_counterexample_is_its_closed_form(d):
     # the dual bound at the maximally mixed input is the fitted closed form
     # (d - 1 + sqrt((d - 1)(d + 3))) / d, below 2 by far more than its
     # allowance: a certified parallel distance, read from the entries
-    inst = build_example(d, cross_check=False)
+    inst = build_example(d)
     mixed = matcore.Blocks.of(np.eye(d * d))
     upper, allowance = one_use_upper(inst.c0.choi, inst.c1.choi, [1, 3], mixed,
                                      mixed.pack(np.eye(d * d)))
@@ -130,7 +138,7 @@ def test_parallel_distance_of_the_counterexample_is_its_closed_form(d):
 
 
 def test_parallel_decision_on_d5_is_proven_without_descent():
-    inst = build_example(5, cross_check=False)
+    inst = build_example(5)
     rep = parallel_discriminable(inst.c0.choi, inst.c1.choi, restarts=3, seed=0)
     assert rep.status == "infeasible"
     assert (rep.iterations, rep.capped) == (0, 0)
@@ -142,7 +150,7 @@ def test_quoted_constant_mismatch_is_reported():
     # the commonly quoted 1/d^2 does not match these Choi normalizations;
     # the report carries the discrepancy explicitly
     inst = build_example(2)
-    rep = verify_parallel_impossible(inst, seed=0, solver_restarts=1)
+    rep = verify_parallel_impossible(inst)
     assert rep.quoted_constant_residual > 0.2
 
 
@@ -502,7 +510,7 @@ def gathered_trace_13(c0: matcore.LabeledOperator, c1: matcore.LabeledOperator) 
 def test_protocol_tester_is_the_unrestricted_contraction_bit_for_bit(d):
     # basis inputs reach one block of space 0, a random one all d² blocks;
     # the two POVM elements reach 1 and d - 1 pairs of the last space
-    inst = build_example(d, cross_check=False)
+    inst = build_example(d)
     rng = np.random.default_rng(d)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     for psi in (np.eye(d)[0], np.eye(d)[d - 1], psi / np.linalg.norm(psi)):
@@ -515,7 +523,7 @@ def test_protocol_tester_is_the_unrestricted_contraction_bit_for_bit(d):
 def test_trace_13_join_is_the_gathered_form_bit_for_bit(d):
     # on the combs' own partitions, and (d <= 3) held as one block each, so
     # that every zero of both is a stored entry and joins
-    inst = build_example(d, cross_check=False)
+    inst = build_example(d)
     pairs = [(inst.c0.choi, inst.c1.choi)]
     if d <= 3:
         whole = matcore.Blocks([np.arange(d ** 5)[None]], d ** 5)
@@ -532,7 +540,7 @@ def test_protocol_tester_d6_holds_less_than_one_d7_array():
     # on the pairs of the last space each POVM element reaches; the
     # unrestricted G and B have 6⁷ entries each (4.5 MB), and peaked at 9.6 MB
     testers.tester_from_circuit(protocol_circuit(build_example(2), np.eye(2)[0]))  # lazy imports
-    tc = protocol_circuit(build_example(6, cross_check=False), np.eye(6)[0])
+    tc = protocol_circuit(build_example(6), np.eye(6)[0])
     tester, peak = traced_peak(testers.tester_from_circuit, tc)
     assert peak < 16 * 6 ** 7, peak / 2 ** 20
     assert validate_tester(tester, 1e-9).valid

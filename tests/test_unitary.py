@@ -240,25 +240,28 @@ def test_parallel_optimality_threshold_reads_few_phase_sums_of_a_qudit():
 
 
 def test_parallel_optimality_additive_spread_matches_all_phase_sums():
-    # while n theta <= pi the joint spread is read from the n + 1 arc-end sums
+    # while (n + 1) theta <= 2 pi the joint spread is read from the n + 1
+    # arc-end sums, past n theta = pi too
     rng = np.random.default_rng(11)
-    checked = 0
+    checked = past_pi = 0
     for d in (2, 3, 4):
         for _ in range(12):
             u = random_spread_unitary(d, rng.uniform(0.05, np.pi), rng)
             theta = angular_spread(u)
-            for n in range(1, 7):
-                if n * theta > np.pi:
+            for n in range(1, 9):
+                if (n + 1) * theta > 2 * np.pi:
                     break
                 rep = parallel_optimality_check(u, n)
                 assert abs(rep.theta_joint - tensor_power_spread(u, n)) <= 1e-12
                 checked += 1
-    assert checked >= 60
+                past_pi += n * theta > np.pi
+    assert checked >= 60 and past_pi >= 20
 
 
 def test_parallel_optimality_additive_spread_reads_two_phases(monkeypatch):
     # 60 uses of six phases in [0, 0.05] have C(65, 5), about 8.3e6, distinct
-    # phase sums; the spread and the threshold both read two-phase ends
+    # phase sums, 139 uses about 4.8e8; while (uses + 1) theta <= 2 pi the
+    # spread and the threshold both read two-phase ends
     from combtester import unitary
 
     def two_phases_only(u, n):
@@ -267,10 +270,11 @@ def test_parallel_optimality_additive_spread_reads_two_phases(monkeypatch):
 
     monkeypatch.setattr(unitary, "tensor_power_spread", two_phases_only)
     u = np.diag(np.exp(1j * np.random.default_rng(0).uniform(0, 0.05, 6)))
-    rep = parallel_optimality_check(u, 60)
-    assert rep.additive_guard
-    assert abs(rep.theta_joint - 60 * rep.theta) <= 1e-9
-    assert rep.threshold_uses == 71 and rep.threshold_reached
+    for uses in (60, 71, 139):
+        rep = parallel_optimality_check(u, uses)
+        assert rep.additive_guard == (uses == 60)
+        assert abs(rep.theta_joint - uses * rep.theta) <= 1e-9
+        assert rep.threshold_uses == 71 and rep.threshold_reached
 
 
 def test_tensor_power_spread_matches_all_phase_sums():
