@@ -34,10 +34,10 @@ map and the set's affine step keep (:func:`optim.invariant_blocks`), found
 once, and the objective and the set are bound to it once
 (:meth:`_ProductObjective.on`, :meth:`optim.XiChainSet.on`).  The iterate
 is the packed vector of its block entries: gradient, projections and steps
-work on the blocks alone, and the witness is scattered to a full matrix
-once.  On the counterexample every partition is diagonal, so a causal step
-at d = 3 works on 81 entries rather than 6561; dense combs give one block,
-with the dense arithmetic.
+work on the blocks alone, and the witness is built from its nonzero entries
+(:meth:`LabeledOperator._nonzeros`).  On the counterexample every partition
+is diagonal, so a causal step at d = 3 works on 81 entries rather than
+6561; dense combs give one block, with the dense arithmetic.
 """
 
 from __future__ import annotations
@@ -83,27 +83,23 @@ def _pair_slices(c: LabeledOperator, order, df: int):
 
     The square is taken block by block in packed form on ``C``'s partition
     read in that order (:meth:`matcore.Blocks.permuted`): the blocks are
-    gathered from ``C``'s entries through the regrouping's index map and
-    the slices are scattered from the square's nonzero entries, so no
-    regrouped or squared full-side matrix is made."""
+    gathered from ``C``'s entries through the regrouping's index map, and
+    each slice ``Q[(e, o), (f, b)]`` is read from the square's nonzero
+    entries by position (:meth:`matcore.Blocks.locate`), so no regrouped
+    or squared full-side matrix is made."""
     index = matcore.regroup_index(c.dims, [c.labels.index(l) for l in order])
     blocks = c.blocks.permuted(index)
-    de = c.side // df
     rows, cols = blocks.index
-    square = blocks.square(c.at(index[rows], index[cols]))
-    on = np.flatnonzero(square != 0)
-    (e, o), (f, b) = np.divmod(rows[on], df), np.divmod(cols[on], df)
+    v = c.at(index[rows], index[cols])
+    square = blocks.product(v, v)
+    on = square != 0
     nonzero = np.zeros((df, df), dtype=bool)
-    nonzero[o, b] = True
+    nonzero[rows[on] % df, cols[on] % df] = True
+    e = np.arange(c.side // df) * df
 
     def stack(ko, kb):
-        slot = np.full((df, df), -1)
-        slot[ko, kb] = np.arange(ko.size)
-        at = slot[o, b]
-        hit = at >= 0
-        out = np.zeros((ko.size, de, de), dtype=complex)
-        out[at[hit], e[hit], f[hit]] = square[on[hit]]
-        return out
+        where, hit = blocks.locate(e[:, None] + ko[:, None, None], e + kb[:, None, None])
+        return np.where(hit & on[where], square[where], 0)  # a signed zero reads as 0
 
     return nonzero, stack
 
@@ -229,7 +225,7 @@ def product_residual(c0: LabeledOperator, c1: LabeledOperator,
 def _squares_trace(c0: LabeledOperator, c1: LabeledOperator) -> float:
     """``Tr[C0² C1²]``, the objective at ``x = I``, from the block squares of
     combs in one factor order."""
-    q, r = (c.blocks.square(c.entries) for c in (c0, c1))
+    q, r = (c.blocks.product(c.entries, c.entries) for c in (c0, c1))
     where, on = c1.blocks.locate(*c0.blocks.index)
     return float(np.vdot(np.where(on, r[where], 0), q).real)
 
@@ -273,7 +269,8 @@ def _decide(c0: LabeledOperator, c1: LabeledOperator, fixed_labels, xi_set: XiCh
         status = "undetermined"
     return FeasibilityReport(
         feasible=status == "feasible", status=status, residual=res.value, upper=upper,
-        witness=LabeledOperator(blocks.unpack(res.x), free, [c0.dim_of(l) for l in free]),
+        witness=LabeledOperator._nonzeros(*blocks.index, res.x, free,
+                                          [c0.dim_of(l) for l in free]),
         iterations=res.iterations, capped=capped, objective_history=res.history,
     )
 

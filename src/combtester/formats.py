@@ -84,54 +84,42 @@ def _require_psd(m: np.ndarray, where: str) -> None:
         )
 
 
-def _doc_from_labeled(op: LabeledOperator, kind: str, metadata: str | None) -> dict:
-    doc: dict[str, Any] = {
-        "kind": kind,
-        "labels": list(op.labels),
-        "dims": {str(l): d for l, d in zip(op.labels, op.dims)},
-        "data": _encode_matrix(op.matrix),
-    }
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
+def _labeled(ops) -> tuple[dict, list]:
+    """The ``labels`` and ``dims`` fields of the first operator's spaces, and
+    each operator's matrix encoded, read once."""
+    first = ops[0]
+    spaces = {"labels": list(first.labels),
+              "dims": {str(l): d for l, d in zip(first.labels, first.dims)}}
+    return spaces, [_encode_matrix(op.matrix) for op in ops]
 
 
 def to_document(obj, metadata: str | None = None) -> dict:
+    tail = {}  # fields after the metadata: a comb's uses
     if isinstance(obj, np.ndarray):
         doc: dict[str, Any] = {"kind": "matrix", "data": _encode_matrix(obj)}
-        if metadata:
-            doc["metadata"] = metadata
-        return doc
-    if isinstance(obj, LabeledOperator):
-        return _doc_from_labeled(obj, "choi", metadata)
-    if isinstance(obj, MemoryChannel):
-        doc = _doc_from_labeled(obj.choi, "comb", metadata)
-        doc["uses"] = obj.uses
-        return doc
-    if isinstance(obj, Channel):
+    elif isinstance(obj, LabeledOperator):
+        spaces, (data,) = _labeled([obj])
+        doc = {"kind": "choi", **spaces, "data": data}
+    elif isinstance(obj, MemoryChannel):
+        spaces, (data,) = _labeled([obj.choi])
+        doc, tail = {"kind": "comb", **spaces, "data": data}, {"uses": obj.uses}
+    elif isinstance(obj, Channel):
         doc = {
             "kind": "channel",
             "in_dim": obj.in_dim,
             "out_dim": obj.out_dim,
             "kraus": [_encode_matrix(k) for k in obj.kraus],
         }
-        if metadata:
-            doc["metadata"] = metadata
-        return doc
-    if isinstance(obj, Tester):
-        first = obj.elements[0]
-        doc = {
-            "kind": "tester",
-            "uses": obj.uses,
-            "labels": list(first.labels),
-            "dims": {str(l): d for l, d in zip(first.labels, first.dims)},
-            "elements": [_encode_matrix(e.matrix) for e in obj.elements],
-            "chain": [_encode_matrix(x.matrix) for x in obj.chain],
-        }
-        if metadata:
-            doc["metadata"] = metadata
-        return doc
-    raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+    elif isinstance(obj, Tester):
+        spaces, data = _labeled(obj.elements + obj.chain)
+        n = len(obj.elements)
+        doc = {"kind": "tester", "uses": obj.uses, **spaces,
+               "elements": data[:n], "chain": data[n:]}
+    else:
+        raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+    if metadata:
+        doc["metadata"] = metadata
+    return doc | tail
 
 
 def from_document(doc: dict, where: str = "document"):

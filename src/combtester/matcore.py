@@ -100,6 +100,13 @@ class LabeledOperator:
         entries[blocks.locate(rows, cols)[0]] = values[on]
         return cls(entries, labels, dims, blocks=blocks)
 
+    @classmethod
+    def _of(cls, m: np.ndarray, labels, dims) -> "LabeledOperator":
+        """The operator of a matrix computed here, labelled once
+        (:meth:`Blocks.of`) and packed with no defensive copy."""
+        blocks = Blocks.of(m)
+        return cls(blocks.pack(m), labels, dims, blocks=blocks)
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense matrix, read-only: a view of the entries for one block,
@@ -164,20 +171,17 @@ class LabeledOperator:
             if l in on:
                 axes[i], axes[i + k] = axes[i + k], axes[i]
         t = self._tensor_view().transpose(axes)
-        return self._like(t.reshape(self.side, self.side))
+        return self._of(t.reshape(self.side, self.side), self.labels, self.dims)
 
     def conj(self) -> "LabeledOperator":
-        return self._like(self.matrix.conj())
+        return LabeledOperator(self.entries.conj(), self.labels, self.dims, blocks=self.blocks)
 
     def transpose(self) -> "LabeledOperator":
-        return self._like(self.matrix.T)
-
-    def _like(self, m: np.ndarray) -> "LabeledOperator":
-        """The operator of matrix ``m`` on this operator's factors."""
-        return LabeledOperator(m, self.labels, self.dims)
+        return LabeledOperator(self.blocks.dagger(self.entries.conj()), self.labels, self.dims,
+                               blocks=self.blocks)
 
     def __mul__(self, scalar) -> "LabeledOperator":
-        return self._like(self.matrix * scalar)
+        return self._of(self.matrix * scalar, self.labels, self.dims)
 
     __rmul__ = __mul__
 
@@ -190,13 +194,13 @@ class LabeledOperator:
         return other.matrix
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return self._like(self.matrix + self.aligned(other))
+        return self._of(self.matrix + self.aligned(other), self.labels, self.dims)
 
     def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return self._like(self.matrix - self.aligned(other))
+        return self._of(self.matrix - self.aligned(other), self.labels, self.dims)
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return self._like(self.matrix @ self.aligned(other))
+        return self._of(self.matrix @ self.aligned(other), self.labels, self.dims)
 
 
 def regroup_index(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -208,7 +212,7 @@ def regroup_index(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
 
 def identity(labels: Sequence[int], dims: Sequence[int]) -> LabeledOperator:
     side = int(np.prod(dims)) if len(dims) else 1
-    return LabeledOperator(np.eye(side, dtype=complex), labels, dims)
+    return LabeledOperator._of(np.eye(side, dtype=complex), labels, dims)
 
 
 def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -216,7 +220,7 @@ def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise ValueError(f"overlapping labels {sorted(overlap)} in tensor product")
-    return LabeledOperator(np.kron(a.matrix, b.matrix), a.labels + b.labels, a.dims + b.dims)
+    return LabeledOperator._of(np.kron(a.matrix, b.matrix), a.labels + b.labels, a.dims + b.dims)
 
 
 def tensor_many(ops: Sequence[LabeledOperator]) -> LabeledOperator:
@@ -243,7 +247,7 @@ def partial_trace(a: LabeledOperator, over: Iterable[int]) -> LabeledOperator:
         labels.pop(i)
         dims.pop(i)
     side = int(np.prod(dims)) if dims else 1
-    return LabeledOperator(t.reshape(side, side), labels, dims)
+    return LabeledOperator._of(t.reshape(side, side), labels, dims)
 
 
 def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -274,7 +278,7 @@ def link(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     out = np.einsum("xsyt,sutv->xuyv", at, bt, optimize=True)
     labels = tuple(rest_a + rest_b)
     dims = tuple([ar.dim_of(l) for l in rest_a] + [br.dim_of(l) for l in rest_b])
-    return LabeledOperator(out.reshape(da * db, da * db), labels, dims)
+    return LabeledOperator._of(out.reshape(da * db, da * db), labels, dims)
 
 
 def kron_eye(r: np.ndarray, n: int) -> np.ndarray:
@@ -355,11 +359,6 @@ class Entries(NamedTuple):
         out[self.flat] = self.values
         return out.reshape(self.side, self.side)
 
-    def operator(self, labels, dims) -> LabeledOperator:
-        """A level as the operator built from its nonzero entries."""
-        return LabeledOperator._nonzeros(*np.divmod(self.flat, self.side), self.values,
-                                         labels, dims)
-
 
 def trace_last(x: Entries, tail: int) -> Entries:
     """The trace of ``x`` over its last factor, of dimension ``tail``, as a
@@ -428,28 +427,17 @@ def _as_square_matrix(h) -> np.ndarray:
     return h
 
 
-def block_groups(h: np.ndarray) -> list[np.ndarray]:
-    """Exact connected components of the nonzero pattern of a square matrix.
+def edge_groups(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
+    """Exact connected components of the nonzero pattern of the ``n``-side
+    matrix whose nonzero entries sit at ``(rows, cols)``, each position
+    listed at most once.
 
-    Indices ``i`` and ``j`` are joined when ``h[i, j] != 0`` or
-    ``h[j, i] != 0``, with no tolerance, so ``h`` vanishes exactly off the
+    Indices ``i`` and ``j`` are joined when ``(i, j)`` or ``(j, i)`` is
+    listed, with no tolerance, so the matrix ``h`` vanishes exactly off the
     diagonal blocks ``h[g, g]``.  Returns one ``(count, size)`` index array
     per block size, sizes ascending; each row lists a component's indices in
     ascending order, and the rows of a size are ordered by their first
     index, so a matrix with one component gives ``[arange(n)[None]]``.
-
-    The pattern is read as its edge list (:func:`edge_groups`), one edge per
-    nonzero entry, found in one pass over ``h``.
-    """
-    n = h.shape[0]
-    flat = (h.reshape(-1) != 0).nonzero()[0]
-    rows = flat // n
-    return edge_groups(rows, flat - rows * n, n)
-
-
-def edge_groups(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
-    """:func:`block_groups` of the ``n``-side matrix whose nonzero entries
-    sit at ``(rows, cols)``, each position listed at most once.
 
     A row with ``n`` entries joins every index, which the row degrees show
     before any round.  Otherwise every index starts as its own root
@@ -507,7 +495,7 @@ class Blocks:
     layout of the matrices that vanish off its diagonal blocks.
 
     ``groups`` holds one ``(count, size)`` index array per block size, as
-    :func:`block_groups` returns them.  Such a matrix ``x`` is *packed* as
+    :func:`edge_groups` returns them.  Such a matrix ``x`` is *packed* as
     the flat vector of its block entries ``x[g[:, :, None], g[:, None, :]]``,
     group after group.  Packing keeps Frobenius norms, sums and scalar
     multiples, so a solver can step on packed vectors as on matrices.  A
@@ -532,18 +520,19 @@ class Blocks:
 
     @classmethod
     def of(cls, h: np.ndarray) -> "Blocks":
-        """The components of the nonzero pattern of ``h`` (:func:`block_groups`).
-        A row without zero entries joins every index, so such a matrix skips
-        the labelling: row 0 is read first, then the row degrees of the
-        pattern, before any edge is listed."""
+        """The components of the nonzero pattern of ``h``, read as its edge
+        list (:func:`edge_groups`), one edge per nonzero entry.  A row
+        without zero entries joins every index, so such a matrix skips the
+        labelling: row 0 is read first, then the row degrees of the pattern,
+        before any edge is listed."""
         n = h.shape[0]
         if np.count_nonzero(h[:1]) == n or (pattern := h != 0).all(axis=1).any():
             return cls.one(n)
-        return cls(block_groups(pattern), n)
+        return cls(edge_groups(*pattern.nonzero(), n), n)
 
     def permuted(self, index: np.ndarray) -> "Blocks":
         """The partition of ``x[index][:, index]`` for a matrix ``x`` on this
-        one, in :func:`block_groups`' order: each block's new indices
+        one, in :func:`edge_groups`' order: each block's new indices
         ascending, and the blocks of a size by their first index."""
         if self.whole:
             return self
@@ -641,10 +630,6 @@ class Blocks:
         """The product of the matrices packed as ``vs``, which vanish off these
         blocks, block by block: exact up to rounding, as it vanishes off them too."""
         return self.join([reduce(np.matmul, bs) for bs in zip(*map(self.stacks, vs))])
-
-    def square(self, v: np.ndarray) -> np.ndarray:
-        """:meth:`product` of the packed ``v`` with itself."""
-        return self.product(v, v)
 
     def eigvalsh(self, v: np.ndarray) -> np.ndarray:
         """Ascending eigenvalues of the Hermitian matrix packed as ``v``, with
@@ -746,18 +731,16 @@ def trace_norm(x) -> float:
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
-def spectral_map(h: np.ndarray, f, *, checked: bool = False) -> np.ndarray:
+def spectral_map(h: np.ndarray, f) -> np.ndarray:
     """``sum v f(w) v^dagger`` over the eigensystem of a Hermitian matrix.
 
-    Labels ``h`` once (:meth:`Blocks.of`) and maps its packed blocks with
-    :meth:`Blocks.map`.  Exact up to rounding, since ``h`` vanishes off its
+    Labels ``h`` once (:meth:`Blocks.of`); its packed blocks pass
+    :func:`eigh`'s Hermiticity check, and :meth:`Blocks.map` maps their
+    Hermitian parts.  Exact up to rounding, since ``h`` vanishes off its
     diagonal blocks, and a matrix with one component is mapped as it stands.
-    With ``checked`` the blocks first pass :func:`eigh`'s Hermiticity check,
-    and their Hermitian parts are mapped.
     """
     blocks = Blocks.of(h)
-    v = blocks.pack(h)
-    return blocks.unpack(blocks.map(_checked_hermitian(blocks, v) if checked else v, f))
+    return blocks.unpack(blocks.map(_checked_hermitian(blocks, blocks.pack(h)), f))
 
 
 def require_psd_spectrum(w: np.ndarray, what: str) -> None:
@@ -791,20 +774,21 @@ def root_entries(op: LabeledOperator, inverse: bool = False) -> np.ndarray:
 
 def psd_sqrt_matrix(h) -> np.ndarray:
     """PSD square root, on the blocks of ``h``."""
-    return spectral_map(_as_square_matrix(h), _SQRT, checked=True)
+    return spectral_map(_as_square_matrix(h), _SQRT)
 
 
 def psd_inv_sqrt_matrix(h) -> np.ndarray:
     """Inverse square root on the support; zero on the kernel."""
-    return spectral_map(_as_square_matrix(h), _INV_SQRT, checked=True)
+    return spectral_map(_as_square_matrix(h), _INV_SQRT)
 
 
 def psd_sqrt(h: LabeledOperator) -> LabeledOperator:
-    return h._like(psd_sqrt_matrix(h.matrix))
+    return LabeledOperator._nonzeros(*h.blocks.index, root_entries(h), h.labels, h.dims)
 
 
 def psd_inv_sqrt(h: LabeledOperator) -> LabeledOperator:
-    return h._like(psd_inv_sqrt_matrix(h.matrix))
+    root = root_entries(h, inverse=True)
+    return LabeledOperator._nonzeros(*h.blocks.index, root, h.labels, h.dims)
 
 
 def allclose(a: LabeledOperator, b: LabeledOperator, atol: float = 1e-10) -> bool:

@@ -78,7 +78,8 @@ def tester_from_elements(elements, uses: int) -> Tester:
     dims = elements[0].dims
     walk = matcore.chain_levels(matcore.Entries.of(*elements), dims + (1,))
     lowers = [lower for lower, _ in walk][::-1]
-    chain = tuple(x.operator(range(2 * n - 1), dims[:2 * n - 1])
+    chain = tuple(LabeledOperator._nonzeros(*np.divmod(x.flat, x.side), x.values,
+                                            range(2 * n - 1), dims[:2 * n - 1])
                   for n, x in enumerate(lowers, start=1))
     return Tester(elements, chain, uses)
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import combtester
-from combtester import matcore, optim
+from combtester import discrimination, matcore, optim
 from combtester.channels import (
     Channel,
     comb_from_isometries,
@@ -22,6 +22,7 @@ from combtester.channels import (
 from combtester.discrimination import (
     FEASIBLE_TOL,
     INFEASIBLE_TOL,
+    _pair_slices,
     _ProductObjective,
     causal_discriminable,
     delta_matrix,
@@ -463,6 +464,99 @@ def _check_value_and_gradient(obj, a, b, fixed, rng):
     assert abs(fxy - fx - fy - cross) <= 1e-10 * max(1.0, fxy, fy)
 
 
+def _scattered_pair_slices(c: LabeledOperator, order, df: int):
+    """The slot-table scatter :func:`_pair_slices` replaced, as the reference:
+    each nonzero entry of the square is scattered to the slot of its pair."""
+    index = matcore.regroup_index(c.dims, [c.labels.index(l) for l in order])
+    blocks = c.blocks.permuted(index)
+    de = c.side // df
+    rows, cols = blocks.index
+    v = c.at(index[rows], index[cols])
+    square = blocks.product(v, v)
+    on = np.flatnonzero(square != 0)
+    (e, o), (f, b) = np.divmod(rows[on], df), np.divmod(cols[on], df)
+    nonzero = np.zeros((df, df), dtype=bool)
+    nonzero[o, b] = True
+
+    def stack(ko, kb):
+        slot = np.full((df, df), -1)
+        slot[ko, kb] = np.arange(ko.size)
+        at = slot[o, b]
+        hit = at >= 0
+        out = np.zeros((ko.size, de, de), dtype=complex)
+        out[at[hit], e[hit], f[hit]] = square[on[hit]]
+        return out
+
+    return nonzero, stack
+
+
+def _pair_slice_cases():
+    """(c0, c1, fixed labels): the counterexample at d = 2, 3 in the causal
+    and the parallel order, and dense random combs whose kept pairs outnumber
+    ``de^2``, so that the objective folds them."""
+    for d in (2, 3):
+        inst = build_example(d)
+        yield inst.c0.choi, inst.c1.choi, [3]
+        yield inst.c0.choi, inst.c1.choi, inst.c0.choi.labels[1::2]
+    rng = np.random.default_rng(64)
+    for system, ancillas, fixed in [((2, 3), (2,), [1]), ((2, 3, 2, 3), (2, 2), [1, 3])]:
+        a, b = (comb_from_isometries(random_isometric_comb(system, ancillas, rng)).choi
+                for _ in range(2))
+        yield a, b, fixed
+
+
+def test_pair_slices_gather_what_the_slot_table_scattered():
+    folded = 0
+    for c0, c1, fixed in _pair_slice_cases():
+        order = [l for l in c0.labels if l not in fixed] + [l for l in c0.labels if l in fixed]
+        df = int(np.prod([c0.dim_of(l) for l in fixed]))
+        (q_on, q), (r_on, r) = (_pair_slices(c, order, df) for c in (c0, c1))
+        (q_ref_on, q_ref), (r_ref_on, r_ref) = (_scattered_pair_slices(c, order, df)
+                                                for c in (c0, c1))
+        assert np.array_equal(q_on, q_ref_on) and np.array_equal(r_on, r_ref_on)
+        ko, kb = np.nonzero(q_on & r_on.T)
+        folded += ko.size > (c0.side // df) ** 2
+        for o, b in [(ko, kb), np.divmod(np.arange(df * df), df)]:
+            for got, want in [(q(o, b), q_ref(o, b)), (r(b, o), r_ref(b, o))]:
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+    assert folded == 2
+
+
+def _decided(decide, monkeypatch):
+    """A decision's report, and its witness as the dense route built it:
+    the final packed iterate scattered to a matrix and labelled anew."""
+    seen = {}
+    for name in ("invariant_blocks", "projected_gradient_min"):
+        f = getattr(discrimination, name)
+        monkeypatch.setattr(discrimination, name,
+                            lambda *a, f=f, name=name, **k: seen.setdefault(name, f(*a, **k)))
+    rep = decide()
+    monkeypatch.undo()
+    dense = seen["invariant_blocks"].unpack(seen["projected_gradient_min"].x)
+    return rep, LabeledOperator(dense, rep.witness.labels, rep.witness.dims)
+
+
+@pytest.mark.parametrize("case", ["causal d=2", "causal d=3", "parallel", "dense"])
+def test_decision_witness_is_the_operator_the_dense_route_built(case, monkeypatch):
+    inst = build_example(3 if case == "causal d=3" else 2)
+    rng = np.random.default_rng(65)
+    decide = {
+        "causal d=2": lambda: causal_discriminable(inst.c0, inst.c1),
+        "causal d=3": lambda: causal_discriminable(inst.c0, inst.c1),
+        "parallel": lambda: parallel_discriminable(
+            comb_from_sequence([identity_channel(2)]).choi,
+            comb_from_sequence([unitary_channel(X)]).choi),
+        "dense": lambda: causal_discriminable(
+            *(comb_from_isometries(random_isometric_comb((2, 2, 2, 2), (2, 2), rng))
+              for _ in range(2)), max_iter=20),
+    }[case]
+    rep, want = _decided(decide, monkeypatch)
+    got = rep.witness
+    assert rep.iterations > 0 and got.blocks.whole == (case == "dense")
+    assert [g.tolist() for g in got.blocks.groups] == [g.tolist() for g in want.blocks.groups]
+    assert got.entries.tobytes() == want.entries.tobytes()
+
+
 @lru_cache(maxsize=None)
 def _bound_objective(case: str, seed: int) -> _ProductObjective:
     """The causal objective of a qubit comb pair (one or two uses, or the
@@ -636,8 +730,8 @@ def test_causal_decision_and_synthesis_stay_blockwise(monkeypatch):
     # on, for its residual and its root, and the sandwiched difference is
     # never a matrix
     labelled = []
-    block_groups = matcore.block_groups
-    monkeypatch.setattr(matcore, "block_groups", lambda h: labelled.append(h) or block_groups(h))
+    of = matcore.Blocks.of
+    monkeypatch.setattr(matcore.Blocks, "of", staticmethod(lambda h: labelled.append(h) or of(h)))
     t = synthesize_tester(inst.c0, inst.c1, rep.witness)
     assert [h.shape[0] for h in labelled] == []
     assert shapes
